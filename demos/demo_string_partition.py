@@ -3,8 +3,9 @@
 Restricted to positions without a lower equivalent, the conjugated map is
 one-to-one and chains positions into runs from a head (2 mod 3, nothing
 maps there) to an end (3 mod 4, maps nowhere under the restriction).  The
-audit below rebuilds the chain through every position up to a limit and
-confirms the runs tile everything above the fixed point exactly once.
+audit below builds each chain once, from the first position up to a limit
+that no earlier chain has placed, and confirms the runs tile everything
+above the fixed point exactly once.
 """
 
 from collatz_strings import build_string_containing, partition_audit, passage_sweep

@@ -1,6 +1,6 @@
 """Command-line harness for the audits, sweeps, and the graph export.
 
-Every command streams a deterministic report (JSON-lines by default, CSV
+Every command writes a deterministic report (JSON-lines by default, CSV
 for flat tables): a header record with the effective configuration, one
 record per finding, and a closing summary.  Exit status 0 means every
 checked assertion held, 1 means at least one violation, mismatch, or
@@ -303,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatz-strings",
         description="Exact verification runs for the conjugated Collatz dynamics.")
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write the report here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    common.add_argument("--output", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("passage", parents=[common],
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(handler=cmd_proportionality)
 
-    p = sub.add_parser("export-graph", parents=[common],
+    p = sub.add_parser("export-graph", parents=[output],
                        help="chains and equivalent links as DOT")
     p.add_argument("--limit", type=int, required=True)
     p.set_defaults(handler=None)
@@ -403,14 +404,14 @@ def main(argv: list[str] | None = None) -> int:
             records.append(summary_record(args.command, summary))
             text = render_csv(records) if args.format == "csv" else render_jsonl(records)
             findings_failed = any(f.kind in FAILING_KINDS for f in findings)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (WidthExceededError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_FINDINGS if findings_failed else EXIT_OK
 
 

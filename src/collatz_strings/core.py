@@ -150,12 +150,8 @@ def restriction_index(x: int) -> int:
 
     Positions mapped through branch index z recur at intervals of 2**z.
     """
-    _require_position(x)
-    depth = 0
-    while x & 3 == 3:
-        x = (x + 1) >> 2
-        depth += 1
-    return 2 * depth + (1 if x & 1 == 0 else 2)
+    base, depth = base_equivalent(x)
+    return 2 * depth + (1 if base & 1 == 0 else 2)
 
 
 @dataclass(frozen=True)

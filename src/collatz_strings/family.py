@@ -402,55 +402,48 @@ def string_scan(family: Family, limit: int,
     trivial = family.trivial_loop_position
     orphans: list[OrphanRecord] = []
     walk_back = family.p % 3 != 0
+
+    def forward(v: int) -> int | None:
+        nxt = family_step(v, family)
+        return None if family.is_equivalent_position(nxt) else nxt
+
+    def backward(v: int) -> int | None:
+        predecessors = lower_preimages(v, family)
+        return predecessors[0] if predecessors else None  # None: reached a head
+
     for x in range(1, limit + 1):
         if x == trivial:
             continue
-        orphan = _walk_forward(x, family, max_len)
-        if orphan is not None:
-            orphans.append(orphan)
+        if not family.is_equivalent_position(x):
+            orphan = _walk(x, "forward", forward, max_len)
+            if orphan is not None:
+                orphans.append(orphan)
         if walk_back:
-            orphan = _walk_backward(x, family, max_len)
+            orphan = _walk(x, "backward", backward, max_len)
             if orphan is not None:
                 orphans.append(orphan)
     scanned = limit - (1 if trivial <= limit else 0)
     return StringScanReport(family.p, limit, scanned, tuple(orphans))
 
 
-def _walk_forward(x: int, family: Family, max_len: int) -> OrphanRecord | None:
+def _walk(x: int, direction: str, step, max_len: int) -> OrphanRecord | None:
+    """Follow step from x until it returns None (a chain end), else an orphan."""
     index: dict[int, int] = {}
     path: list[int] = []
-    v = x
-    while not family.is_equivalent_position(v):
+    v: int | None = x
+    while v is not None:
         at = index.get(v)
         if at is not None:
-            return OrphanRecord(x, "forward", "cycle", _canonical_rotation(tuple(path[at:])))
+            return OrphanRecord(x, direction, "cycle", _canonical_rotation(tuple(path[at:])))
         index[v] = len(path)
         path.append(v)
         if len(path) > max_len:
-            return OrphanRecord(x, "forward", "truncated", None)
+            return OrphanRecord(x, direction, "truncated", None)
         try:
-            v = family_step(v, family)
+            v = step(v)
         except NonpositiveImageError:
-            return OrphanRecord(x, "forward", "rejected", None)
+            return OrphanRecord(x, direction, "rejected", None)
     return None
-
-
-def _walk_backward(x: int, family: Family, max_len: int) -> OrphanRecord | None:
-    index: dict[int, int] = {}
-    path: list[int] = []
-    v = x
-    while True:
-        at = index.get(v)
-        if at is not None:
-            return OrphanRecord(x, "backward", "cycle", _canonical_rotation(tuple(path[at:])))
-        index[v] = len(path)
-        path.append(v)
-        if len(path) > max_len:
-            return OrphanRecord(x, "backward", "truncated", None)
-        predecessors = lower_preimages(v, family)
-        if not predecessors:
-            return None  # reached a head
-        v = predecessors[0]
 
 
 def family_evolve_forward(family: Family, generation: int) -> tuple[Progression, ...]:

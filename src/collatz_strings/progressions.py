@@ -254,6 +254,14 @@ def _matches_backward(x: int, steps: tuple[int, ...]) -> bool:
 RECURRENCE_SEARCH_FACTOR = 4
 
 
+def _first_recurrence(x: int, sig: Signature, matches) -> int | None:
+    bound = RECURRENCE_SEARCH_FACTOR * sig.recurrence_gap
+    for candidate in range(x + 1, _checked(x + bound + 1)):
+        if matches(candidate, sig.steps):
+            return candidate
+    return None
+
+
 def first_recurrence_forward(x: int, steps: int) -> int | None:
     """Least x' > x whose forward signature equals x's, by brute scan.
 
@@ -262,19 +270,9 @@ def first_recurrence_forward(x: int, steps: int) -> int | None:
     the predicted spacing).  The scan is independent of the prediction:
     every intermediate position is tested.
     """
-    sig = forward_signature(x, steps)
-    bound = RECURRENCE_SEARCH_FACTOR * sig.recurrence_gap
-    for candidate in range(x + 1, _checked(x + bound + 1)):
-        if _matches_forward(candidate, sig.steps):
-            return candidate
-    return None
+    return _first_recurrence(x, forward_signature(x, steps), _matches_forward)
 
 
 def first_recurrence_backward(x: int, steps: int) -> int | None:
     """Least x' > x whose backward signature equals x's, by brute scan."""
-    sig = backward_signature(x, steps)
-    bound = RECURRENCE_SEARCH_FACTOR * sig.recurrence_gap
-    for candidate in range(x + 1, _checked(x + bound + 1)):
-        if _matches_backward(candidate, sig.steps):
-            return candidate
-    return None
+    return _first_recurrence(x, backward_signature(x, steps), _matches_backward)

@@ -69,6 +69,18 @@ def _backward_children(part: Progression) -> tuple[Progression, Progression]:
     return preimage_even_branch(down_dom), preimage_odd_branch(up_dom)
 
 
+def _evolve(direction: str, seed: Progression, children, generation: int) -> EvolutionState:
+    if generation < 0:
+        raise ValueError(f"generation must be >= 0, got {generation}")
+    parts: tuple[Progression, ...] = (seed,)
+    for _ in range(generation):
+        nxt: list[Progression] = []
+        for part in parts:
+            nxt.extend(children(part))
+        parts = tuple(nxt)
+    return EvolutionState(direction, generation, parts)
+
+
 def evolve_forward(generation: int) -> EvolutionState:
     """Generation k of the forward process, as an ordered union of parts.
 
@@ -76,28 +88,12 @@ def evolve_forward(generation: int) -> EvolutionState:
     preserved.  The 3 mod 4 intersection of each part ends its chains and
     is not propagated.
     """
-    if generation < 0:
-        raise ValueError(f"generation must be >= 0, got {generation}")
-    parts: tuple[Progression, ...] = (FORWARD_SEED,)
-    for _ in range(generation):
-        children: list[Progression] = []
-        for part in parts:
-            children.extend(_forward_children(part))
-        parts = tuple(children)
-    return EvolutionState("forward", generation, parts)
+    return _evolve("forward", FORWARD_SEED, _forward_children, generation)
 
 
 def evolve_backward(generation: int) -> EvolutionState:
     """Generation k of the backward process (down-branch child first)."""
-    if generation < 0:
-        raise ValueError(f"generation must be >= 0, got {generation}")
-    parts: tuple[Progression, ...] = (BACKWARD_SEED,)
-    for _ in range(generation):
-        children: list[Progression] = []
-        for part in parts:
-            children.extend(_backward_children(part))
-        parts = tuple(children)
-    return EvolutionState("backward", generation, parts)
+    return _evolve("backward", BACKWARD_SEED, _backward_children, generation)
 
 
 @dataclass(frozen=True)
@@ -268,10 +264,12 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
                     lo: int = 2) -> PartitionAuditReport:
     """Verify that every position in [lo, limit] sits in exactly one chain.
 
-    For each position the full chain is rebuilt; every element met is
-    hashed to the chain's head, and any element later seen under a second
-    head is a conflict (the one-to-one map should make this impossible).
-    Truncated walks are findings, not errors.
+    Each chain is built once, from the first position in range that no
+    earlier chain has placed; every element met is hashed to the chain's
+    head, and any element later seen under a second head is a conflict
+    (the one-to-one map should make this impossible).  Truncated walks
+    record nothing, so every member of a truncated chain is walked and
+    reported on its own.  Truncated walks are findings, not errors.
     """
     if limit < lo or lo < 2:
         raise ValueError(f"need 2 <= lo <= limit, got lo={lo}, limit={limit}")
@@ -280,33 +278,27 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
     conflicts: list[tuple[int, int, int]] = []
     heads: set[int] = set()
     longest = 0
+    # a complete chain has at most max_len elements, or exactly one
+    element_cap = max(max_len, 1)
     for x in range(lo, limit + 1):
-        v = x
-        steps = 0
-        while v % 3 != 2:
-            v = inverse_lower_step(v)
-            steps += 1
-            if steps > max_len:
-                truncated.append((x, "backward"))
-                break
-        else:
-            head = v
-            heads.add(head)
-            chain = [head]
-            while v & 3 != 3:
-                v = lower_step(v)
-                chain.append(v)
-                if len(chain) > max_len:
-                    truncated.append((x, "forward"))
-                    break
-            else:
-                longest = max(longest, len(chain))
-                for element in chain:
-                    seen = head_of.get(element)
-                    if seen is None:
-                        head_of[element] = head
-                    elif seen != head:
-                        conflicts.append((element, seen, head))
+        if x in head_of:
+            continue
+        record = build_string_containing(x, max_len, element_cap)
+        if record.truncated_backward:
+            truncated.append((x, "backward"))
+            continue
+        head = record.head
+        heads.add(head)
+        if record.truncated_forward:
+            truncated.append((x, "forward"))
+            continue
+        longest = max(longest, record.length)
+        for element in record.elements:
+            seen = head_of.get(element)
+            if seen is None:
+                head_of[element] = head
+            elif seen != head:
+                conflicts.append((element, seen, head))
     return PartitionAuditReport(
         limit=limit,
         positions_checked=limit - lo + 1,
@@ -402,6 +394,10 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS,
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     if hi > MAX_VALUE:
         raise WidthExceededError("sweep bound exceeds the working range")
 
@@ -421,6 +417,8 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS,
             raise ValueError(f"checkpoint does not match this run: {got} != {expect}")
         agg = state["aggregates"]
         start = state["next_position"]
+        if not isinstance(start, int) or not lo <= start <= hi + 1:
+            raise ValueError(f"checkpoint next_position {start!r} is outside [{lo}, {hi + 1}]")
         hits = agg["hits"]
         truncated = list(agg["truncated"])
         total_steps = agg["total_steps"]

@@ -44,7 +44,29 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["passage", "--lo", "1", "--hi", "10"]) == 2
     assert main(["family-audit", "-p", "4"]) == 2
     assert main(["export-graph", "--limit", "20000"]) == 2
+    ck = os.path.join(tmp_path, "never.ckpt")
+    assert main(["passage", "--lo", "5", "--hi", "100", "--budget", "-5",
+                 "--checkpoint", ck]) == 2
+    assert main(["passage", "--lo", "5", "--hi", "100", "--checkpoint-every", "0",
+                 "--checkpoint", ck]) == 2
+    assert not os.path.exists(ck)
     capsys.readouterr()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.jsonl"
+    assert main(["strings", "--limit", "27", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_export_graph_has_no_format_option(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-graph", "--limit", "5", "--format", "csv"])
+    assert exc.value.code == 2
+    out = tmp_path / "g.dot"
+    assert main(["export-graph", "--limit", "5", "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("digraph chains {")
 
 
 def test_unknown_command_exits_2():

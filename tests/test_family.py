@@ -19,6 +19,7 @@ from collatz_strings import (
     string_scan,
     two_to_one_audit,
 )
+from collatz_strings.family import OrphanRecord
 
 
 def test_family_validation():
@@ -215,6 +216,49 @@ def test_string_scan_p5_orphans_include_the_loop():
     report = string_scan(Family(5), 10 ** 4)
     assert 1 in report.orphan_positions
     assert 3 not in report.orphan_positions  # trivial fixed point is skipped
+
+
+def _reference_walk(x, family, direction, max_len):
+    """One walk of the scan, written out per direction as a reference."""
+    index, path, v = {}, [], x
+    while direction == "backward" or not family.is_equivalent_position(v):
+        at = index.get(v)
+        if at is not None:
+            cycle = tuple(path[at:])
+            pivot = cycle.index(min(cycle))
+            return OrphanRecord(x, direction, "cycle", cycle[pivot:] + cycle[:pivot])
+        index[v] = len(path)
+        path.append(v)
+        if len(path) > max_len:
+            return OrphanRecord(x, direction, "truncated", None)
+        if direction == "forward":
+            try:
+                v = family_step(v, family)
+            except NonpositiveImageError:
+                return OrphanRecord(x, direction, "rejected", None)
+        else:
+            predecessors = lower_preimages(v, family)
+            if not predecessors:
+                return None
+            v = predecessors[0]
+    return None
+
+
+@pytest.mark.parametrize("p", sorted(set(CASE_SYSTEM_PARAMS) | {-5, -11}))
+def test_string_scan_matches_per_direction_reference(p):
+    family = Family(p)
+    for max_len in (0, 1, 2, 5):
+        expected = []
+        for x in range(1, 301):
+            if x == family.trivial_loop_position:
+                continue
+            for direction in ("forward", "backward"):
+                if direction == "backward" and p % 3 == 0:
+                    continue
+                orphan = _reference_walk(x, family, direction, max_len)
+                if orphan is not None:
+                    expected.append(orphan)
+        assert string_scan(family, 300, max_len=max_len).orphans == tuple(expected)
 
 
 def test_shift_by_six_realigns_families():

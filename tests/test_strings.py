@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 
@@ -215,6 +216,51 @@ def test_partition_audit_clean_at_10k():
     assert report.string_count > 2000
 
 
+def reference_partition_audit(limit, max_len, lo):
+    """Per-position partition audit: rebuilds the whole chain from every position."""
+    head_of, truncated, conflicts, heads, longest = {}, [], [], set(), 0
+    for x in range(lo, limit + 1):
+        v = x
+        steps = 0
+        while v % 3 != 2:
+            v = inverse_lower_step(v)
+            steps += 1
+            if steps > max_len:
+                truncated.append((x, "backward"))
+                break
+        else:
+            head = v
+            heads.add(head)
+            chain = [head]
+            while v & 3 != 3:
+                v = lower_step(v)
+                chain.append(v)
+                if len(chain) > max_len:
+                    truncated.append((x, "forward"))
+                    break
+            else:
+                longest = max(longest, len(chain))
+                for element in chain:
+                    seen = head_of.get(element)
+                    if seen is None:
+                        head_of[element] = head
+                    elif seen != head:
+                        conflicts.append((element, seen, head))
+    return frozenset(heads), tuple(truncated), tuple(conflicts), longest
+
+
+@pytest.mark.parametrize("lo", [2, 700])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3, 5, 20, None])
+def test_partition_audit_matches_per_position_reference(max_len, lo):
+    walk = 100_000 if max_len is None else max_len
+    for limit in (lo, 1000, 3000):
+        report = (partition_audit(limit, lo=lo) if max_len is None
+                  else partition_audit(limit, max_len=max_len, lo=lo))
+        got = (report.heads, report.truncated, report.conflicts, report.longest_chain)
+        assert got == reference_partition_audit(limit, walk, lo)
+        assert report.positions_checked == limit - lo + 1
+
+
 def test_partition_audit_merge():
     whole = partition_audit(4000)
     left = partition_audit(2000)
@@ -296,6 +342,15 @@ def test_sweep_resume_rejects_mismatched_config(tmp_path):
     passage_sweep(2, 1000, checkpoint_path=ck)
     with pytest.raises(ValueError):
         passage_sweep(2, 2000, checkpoint_path=ck, resume=True)
+    # a hand-edited resume position outside [lo, hi+1] is refused
+    with open(ck, "r", encoding="ascii") as fh:
+        state = json.load(fh)
+    for bad in (0, 1, 1002, "7"):
+        state["next_position"] = bad
+        with open(ck, "w", encoding="ascii") as fh:
+            json.dump(state, fh)
+        with pytest.raises(ValueError):
+            passage_sweep(2, 1000, checkpoint_path=ck, resume=True)
 
 
 def test_shard_merge_requires_complete_reports(tmp_path):
