@@ -46,7 +46,6 @@ from .family import (
     family_evolve_forward,
     family_step,
     find_cycles,
-    lower_branches,
     lower_preimages,
     string_scan,
     two_to_one_audit,
@@ -59,11 +58,7 @@ from .progressions import (
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
-    image_even_branch,
-    image_odd_branch,
     intersect_residue,
-    preimage_even_branch,
-    preimage_odd_branch,
     sampling_lemma_check,
 )
 from .strings import (

@@ -141,6 +141,8 @@ def cmd_evolve(args) -> tuple[list[Finding], dict]:
 
 
 def cmd_coverage(args) -> tuple[list[Finding], dict]:
+    if args.random_starts < 0:
+        raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
     expected_included, expected_open = expected_coverage(args.direction, args.m)
     starts = [args.window_start]
     rng = random.Random(args.seed)
@@ -253,6 +255,8 @@ def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
 
 
 def cmd_proportionality(args) -> tuple[list[Finding], dict]:
+    if args.cases < 0:
+        raise ValueError(f"cases must be >= 0, got {args.cases}")
     cases: list[tuple[str, int, int]] = []
     if args.direction in ("forward", "both"):
         cases.append(("forward", 2, 2))  # recurrence anchor at 34

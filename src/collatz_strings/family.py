@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import _checked
-from .progressions import Progression, intersect_residue
+from .progressions import Progression, evolve
 
 DEFAULT_CYCLE_STEPS = 100_000
 DEFAULT_SCAN_WALK_LIMIT = 100_000
@@ -80,6 +80,8 @@ def family_equivalent(x: int, family: Family) -> int:
 
 def family_equivalent_n(x: int, count: int, family: Family) -> int:
     """count-fold family_equivalent; count=0 returns x."""
+    if x < 1:
+        raise ValueError(f"position must be >= 1, got {x}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     for _ in range(count):
@@ -87,13 +89,15 @@ def family_equivalent_n(x: int, count: int, family: Family) -> int:
     return x
 
 
-def lower_branches(family: Family) -> tuple[Progression, Progression]:
-    """The two residue classes of positions with no lower equivalent.
+def branch_maps(family: Family) -> tuple[tuple[Progression, Progression], ...]:
+    """The two lower branches as (domain, image) progression pairs.
 
     Equivalents occupy the class q mod 4 (from x >= q+4 up).  What remains
     is one full stride-2 class and one stride-4 class, determined by q's
     parity and residue; positions of the equivalent class below q+4 are
-    the leftover exceptional positions handled by one-off rules.
+    the leftover exceptional positions handled by one-off rules.  On each
+    class the step is affine with image interval 3, so the image is pinned
+    by the class intercept and checked once on the class's second member.
     """
     q4 = family.q % 4
     if family.q % 2 == 0:
@@ -102,7 +106,13 @@ def lower_branches(family: Family) -> tuple[Progression, Progression]:
     else:
         stride2 = Progression(2, 2)
         stride4 = Progression(3, 4) if q4 == 1 else Progression(1, 4)
-    return stride2, stride4
+    maps = []
+    for domain in (stride2, stride4):
+        image = Progression(family_step(domain.intercept, family), 3)
+        if family_step(domain.element(1), family) != image.element(1):
+            raise ValueError(f"step is not affine on {domain} (p={family.p})")
+        maps.append((domain, image))
+    return tuple(maps)
 
 
 def exceptional_positions(family: Family) -> tuple[int, ...]:
@@ -237,6 +247,12 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
     family_step(equiv^n(d)) == i.  Mismatches are report content, not
     exceptions.
     """
+    if n_limit < 0:
+        raise ValueError(f"n_limit must be >= 0, got {n_limit}")
+    if value_limit is not None and value_limit < 1:
+        raise ValueError(f"value_limit must be >= 1, got {value_limit}")
+    if m_limit is not None and m_limit < 0:
+        raise ValueError(f"m_limit must be >= 0, got {m_limit}")
     if rules is None:
         rules = case_system(family.p)
     mismatches: list[tuple[int, int, int, int]] = []
@@ -283,6 +299,8 @@ def find_cycles(family: Family, seed_limit: int,
     """
     if seed_limit < 1:
         raise ValueError(f"seed_limit must be >= 1, got {seed_limit}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     found: set[tuple[int, ...]] = set()
     truncated: list[int] = []
     rejected: list[int] = []
@@ -399,6 +417,8 @@ def string_scan(family: Family, limit: int,
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     trivial = family.trivial_loop_position
     orphans: list[OrphanRecord] = []
     walk_back = family.p % 3 != 0
@@ -464,26 +484,7 @@ def family_evolve_forward(family: Family, generation: int) -> tuple[Progression,
             "two-branch progression process"
         )
     if family.p % 3 == 0:
-        parts: tuple[Progression, ...] = (Progression(1, 3), Progression(3, 3))
+        seeds: tuple[Progression, ...] = (Progression(1, 3), Progression(3, 3))
     else:
-        parts = (Progression(2, 3),)
-    branches = lower_branches(family)
-    for _ in range(generation):
-        children: list[Progression] = []
-        for part in parts:
-            for branch in branches:
-                dom = intersect_residue(part, branch.intercept, branch.interval)
-                if dom is None:
-                    raise ValueError(f"part {part} misses branch {branch}")
-                children.append(_family_branch_image(dom, branch.interval, family))
-        parts = tuple(children)
-    return parts
-
-
-def _family_branch_image(dom: Progression, stride: int, family: Family) -> Progression:
-    interval = _checked(3 * dom.interval // stride)
-    image = family_step(dom.intercept, family)
-    # the step must be affine on the branch; verify on the next element
-    if family_step(dom.element(1), family) != image + interval:
-        raise ValueError(f"step is not affine on {dom} (stride {stride}, p={family.p})")
-    return Progression(image, interval)
+        seeds = (Progression(2, 3),)
+    return evolve(seeds, branch_maps(family), generation)

@@ -1,18 +1,20 @@
 """Arithmetic-progression algebra underlying the branch structure of the map.
 
 The objects of study are half-open progressions {a + b*t : t >= 0}.  The
-conjugate step and its inverse act on such sets branch by branch, turning
-an interval b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This
-module provides exact residue intersection, those four elementwise images,
-the co-prime sampling check that keeps the recurrence bookkeeping honest,
-and the branch-signature recurrence search.
+conjugate step and its inverse act on such sets branch by branch: each
+branch sends one progression onto another member by member (2+2m -> 3+3m
+and 1+4m -> 1+3m forwards), turning an interval b into 3b/2 or 3b/4
+forwards and 2b/3 or 4b/3 backwards.  This module provides exact residue
+intersection, transport of a progression through one such branch map and
+the generation loop built on it, the co-prime sampling check that keeps
+the recurrence bookkeeping honest, and the branch-signature recurrence
+search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
 from .core import (
     _checked,
@@ -80,34 +82,43 @@ def intersect_residue(p: Progression, residue: int, mod: int) -> Progression | N
     return Progression(_checked(a + b * t0), _checked(b * m))
 
 
-def _branch_image(p: Progression, off_mod: tuple[int, int], num: int, den: int,
-                  image_of: Callable[[int], int]) -> Progression:
-    offset, mod = off_mod
-    if p.intercept % mod != offset % mod or p.interval % mod != 0:
-        raise ValueError(
-            f"{p} is not inside the branch domain {offset} mod {mod}; intersect first"
-        )
-    return Progression(image_of(p.intercept), _checked(p.interval * num // den))
+def transport(part: Progression, src: Progression, dst: Progression) -> Progression | None:
+    """Members of part that lie in src, mapped src.element(m) -> dst.element(m).
+
+    Returns None when part has no member in src.
+    """
+    dom = intersect_residue(part, src.intercept, src.interval)
+    if dom is None:
+        return None
+    stride = dom.interval // src.interval  # src indices between members of dom
+    m = (dom.intercept - src.intercept) // src.interval
+    if m < 0:  # members of the residue class below src's intercept are not in src
+        m %= stride
+    return Progression(_checked(dst.element(m)), _checked(stride * dst.interval))
 
 
-def image_even_branch(p: Progression) -> Progression:
-    """Elementwise forward image of a progression of even positions (2+2m -> 3+3m)."""
-    return _branch_image(p, (0, 2), 3, 2, lambda a: _checked(3 * a // 2))
+def evolve(seeds: tuple[Progression, ...],
+           maps: tuple[tuple[Progression, Progression], ...],
+           generation: int) -> tuple[Progression, ...]:
+    """Generation k of seeds under (domain, image) branch maps, as ordered parts.
 
-
-def image_odd_branch(p: Progression) -> Progression:
-    """Elementwise forward image of a progression inside 1 mod 4 (1+4m -> 1+3m)."""
-    return _branch_image(p, (1, 4), 3, 4, lambda a: _checked((3 * a + 1) // 4))
-
-
-def preimage_even_branch(p: Progression) -> Progression:
-    """Elementwise inverse image landing on even positions (3+3m -> 2+2m)."""
-    return _branch_image(p, (0, 3), 2, 3, lambda a: 2 * a // 3)
-
-
-def preimage_odd_branch(p: Progression) -> Progression:
-    """Elementwise inverse image landing inside 1 mod 4 (1+3m -> 1+4m)."""
-    return _branch_image(p, (1, 3), 4, 3, lambda a: _checked((4 * a - 1) // 3))
+    Each part is replaced by its transport through every map in turn, so
+    children keep their parent's order and the order of maps.  A part
+    with no member in some branch domain raises ValueError.
+    """
+    if generation < 0:
+        raise ValueError(f"generation must be >= 0, got {generation}")
+    parts = tuple(seeds)
+    for _ in range(generation):
+        children: list[Progression] = []
+        for part in parts:
+            for src, dst in maps:
+                child = transport(part, src, dst)
+                if child is None:
+                    raise ValueError(f"part {part} misses branch {src}")
+                children.append(child)
+        parts = tuple(children)
+    return parts
 
 
 @dataclass(frozen=True)

@@ -26,17 +26,15 @@ from .core import (
     inverse_lower_step,
     lower_step,
 )
-from .progressions import (
-    Progression,
-    image_even_branch,
-    image_odd_branch,
-    intersect_residue,
-    preimage_even_branch,
-    preimage_odd_branch,
-)
+from .family import Family, branch_maps
+from .progressions import Progression, evolve
 
 FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
 BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
+
+# (domain, image) per branch, even branch first: 2+2m -> 3+3m, 1+4m -> 1+3m
+FORWARD_MAPS = branch_maps(Family(1))
+BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
 
 DEFAULT_WALK_LIMIT = 100_000
 DEFAULT_ELEMENT_CAP = 10_000
@@ -53,34 +51,6 @@ class EvolutionState:
         return sum((Fraction(1, p.interval) for p in self.parts), Fraction(0))
 
 
-def _forward_children(part: Progression) -> tuple[Progression, Progression]:
-    even_dom = intersect_residue(part, 0, 2)
-    odd_dom = intersect_residue(part, 1, 4)
-    if even_dom is None or odd_dom is None:
-        raise ValueError(f"part {part} does not meet both forward branches")
-    return image_even_branch(even_dom), image_odd_branch(odd_dom)
-
-
-def _backward_children(part: Progression) -> tuple[Progression, Progression]:
-    down_dom = intersect_residue(part, 0, 3)
-    up_dom = intersect_residue(part, 1, 3)
-    if down_dom is None or up_dom is None:
-        raise ValueError(f"part {part} does not meet both inverse branches")
-    return preimage_even_branch(down_dom), preimage_odd_branch(up_dom)
-
-
-def _evolve(direction: str, seed: Progression, children, generation: int) -> EvolutionState:
-    if generation < 0:
-        raise ValueError(f"generation must be >= 0, got {generation}")
-    parts: tuple[Progression, ...] = (seed,)
-    for _ in range(generation):
-        nxt: list[Progression] = []
-        for part in parts:
-            nxt.extend(children(part))
-        parts = tuple(nxt)
-    return EvolutionState(direction, generation, parts)
-
-
 def evolve_forward(generation: int) -> EvolutionState:
     """Generation k of the forward process, as an ordered union of parts.
 
@@ -88,12 +58,14 @@ def evolve_forward(generation: int) -> EvolutionState:
     preserved.  The 3 mod 4 intersection of each part ends its chains and
     is not propagated.
     """
-    return _evolve("forward", FORWARD_SEED, _forward_children, generation)
+    return EvolutionState("forward", generation,
+                          evolve((FORWARD_SEED,), FORWARD_MAPS, generation))
 
 
 def evolve_backward(generation: int) -> EvolutionState:
     """Generation k of the backward process (down-branch child first)."""
-    return _evolve("backward", BACKWARD_SEED, _backward_children, generation)
+    return EvolutionState("backward", generation,
+                          evolve((BACKWARD_SEED,), BACKWARD_MAPS, generation))
 
 
 @dataclass(frozen=True)
@@ -118,18 +90,17 @@ def intercept_audit(state: EvolutionState) -> InterceptAuditReport:
     """
     part_bad = tuple(p for p in state.parts if p.intercept >= p.interval)
     bound_bad: list[tuple[Progression, Progression]] = []
+    forward = state.direction == "forward"
+    maps = FORWARD_MAPS if forward else BACKWARD_MAPS
     for part in state.parts:
         a, b = part.intercept, part.interval
-        if state.direction == "forward":
-            children = _forward_children(part)
-            for child in children:
-                if 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1):
-                    bound_bad.append((part, child))
-        else:
-            children = _backward_children(part)
-            for child in children:
-                if 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1):
-                    bound_bad.append((part, child))
+        for child in evolve((part,), maps, 1):
+            if forward:
+                bad = 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1)
+            else:
+                bad = 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1)
+            if bad:
+                bound_bad.append((part, child))
     return InterceptAuditReport(state.direction, state.generation, part_bad, tuple(bound_bad))
 
 
@@ -273,6 +244,8 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
     """
     if limit < lo or lo < 2:
         raise ValueError(f"need 2 <= lo <= limit, got lo={lo}, limit={limit}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     head_of: dict[int, int] = {}
     truncated: list[tuple[int, str]] = []
     conflicts: list[tuple[int, int, int]] = []

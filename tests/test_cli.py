@@ -50,6 +50,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["passage", "--lo", "5", "--hi", "100", "--checkpoint-every", "0",
                  "--checkpoint", ck]) == 2
     assert not os.path.exists(ck)
+    for argv in (["strings", "--limit", "30", "--max-len", "-3"],
+                 ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
+                 ["cycles", "-p", "5", "--seed-limit", "5", "--max-steps", "-1"],
+                 ["proportionality", "--cases", "-3"],
+                 ["coverage", "--direction", "forward", "-m", "2", "--random-starts", "-4"],
+                 ["family-audit", "-p", "7", "--n-limit", "-1"],
+                 ["family-audit", "-p", "7", "--value-limit", "-5"],
+                 ["family-audit", "-p", "7", "--m-limit", "-1"]):
+        assert main(argv) == 2, argv
     capsys.readouterr()
 
 

@@ -7,19 +7,21 @@ from collatz_strings import (
     audit_case_system,
     case_system,
     conjugate_step,
+    evolve_forward,
     exceptional_positions,
     family_equivalent,
     family_equivalent_n,
     family_step,
     find_cycles,
+    family_evolve_forward,
     higher_equivalent,
+    higher_equivalent_n,
     inverse_lower_step,
-    lower_branches,
     lower_preimages,
     string_scan,
     two_to_one_audit,
 )
-from collatz_strings.family import OrphanRecord
+from collatz_strings.family import OrphanRecord, branch_maps
 
 
 def test_family_validation():
@@ -79,6 +81,13 @@ def test_family_equivalent_n():
     fam = Family(1)
     assert family_equivalent_n(1, 2, fam) == 11
     assert family_equivalent_n(9, 0, fam) == 9
+    for x in range(1, 51):
+        for n in range(4):
+            assert family_equivalent_n(x, n, fam) == higher_equivalent_n(x, n)
+    for x in (0, -7):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                family_equivalent_n(x, n, fam)
 
 
 def test_p1_reduces_to_core_maps():
@@ -92,14 +101,16 @@ def test_p1_reduces_to_core_maps():
 
 def test_case_rule_tables_align_with_derived_branch_layout():
     # the progressive rules of every published system are exactly the two
-    # derived lower branches, and the one-off rules are exactly the
-    # positions of the equivalent class too small to be equivalents
+    # derived lower branches with their images, and the one-off rules are
+    # exactly the positions of the equivalent class too small to be
+    # equivalents
     for p in CASE_SYSTEM_PARAMS:
         fam = Family(p)
         rules = case_system(p)
-        progressive = {(r.domain_offset, r.domain_stride)
+        progressive = {(r.domain_offset, r.domain_stride, r.image_offset, r.image_stride)
                        for r in rules if r.domain_stride}
-        derived = {(b.intercept, b.interval) for b in lower_branches(fam)}
+        derived = {(dom.intercept, dom.interval, img.intercept, img.interval)
+                   for dom, img in branch_maps(fam)}
         assert progressive == derived, p
         one_off = {r.domain_offset for r in rules if not r.domain_stride}
         assert one_off == set(exceptional_positions(fam)), p
@@ -291,13 +302,33 @@ def test_published_tables_regenerate(base, column):
 
 
 def test_family_evolution_rejects_families_with_exceptional_positions():
-    from collatz_strings import family_evolve_forward
-
     with pytest.raises(ValueError):
         family_evolve_forward(Family(5), 1)
     # p=3 has none: both head classes evolve
     parts = family_evolve_forward(Family(3), 1)
     assert len(parts) == 4
+
+
+@pytest.mark.parametrize("p", [-1, 1, 3])
+def test_family_evolution_children_are_elementwise_step_images(p):
+    # every child is the step image, member by member, of its parent's
+    # members inside the child's branch
+    fam = Family(p)
+    maps = branch_maps(fam)
+    for k in range(8):
+        parents = family_evolve_forward(fam, k)
+        children = family_evolve_forward(fam, k + 1)
+        if p == 1:  # the p=1 process is this one
+            assert evolve_forward(k + 1).parts == children
+        assert len(children) == len(maps) * len(parents)
+        for i, child in enumerate(children):
+            parent = parents[i // len(maps)]
+            domain, _ = maps[i % len(maps)]
+            inside = [v for t in range(40 * domain.interval)
+                      if domain.contains(v := parent.element(t))][:5]
+            assert len(inside) == 5, (p, k, i)
+            assert [child.element(t) for t in range(5)] == \
+                [family_step(v, fam) for v in inside], (p, k, i)
 
 
 def test_exceptional_positions_examples():

@@ -8,13 +8,15 @@ from collatz_strings import (
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
-    image_even_branch,
-    image_odd_branch,
     intersect_residue,
-    preimage_even_branch,
-    preimage_odd_branch,
     sampling_lemma_check,
 )
+from collatz_strings.progressions import evolve, transport
+from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS
+
+# the Family(1) branch maps, one (domain, image) pair per branch
+EVEN, ODD = FORWARD_MAPS
+DOWN, UP = BACKWARD_MAPS
 
 
 def test_progression_validation_and_membership():
@@ -65,47 +67,53 @@ def test_intersect_residue_matches_filter(a, b, r, mod):
 
 
 def test_branch_images_match_published_first_generations():
-    assert image_even_branch(Progression(2, 6)) == Progression(3, 9)
-    assert image_odd_branch(Progression(5, 12)) == Progression(4, 9)
-    assert preimage_even_branch(Progression(3, 12)) == Progression(2, 8)
-    assert preimage_odd_branch(Progression(7, 12)) == Progression(9, 16)
+    assert transport(Progression(2, 6), *EVEN) == Progression(3, 9)
+    assert transport(Progression(5, 12), *ODD) == Progression(4, 9)
+    assert transport(Progression(3, 12), *DOWN) == Progression(2, 8)
+    assert transport(Progression(7, 12), *UP) == Progression(9, 16)
 
 
 def test_branch_images_are_elementwise():
     from collatz_strings import inverse_lower_step, lower_step
 
-    fwd = [(image_even_branch, Progression(4, 18)),
-           (image_odd_branch, Progression(13, 36))]
-    for fn, dom in fwd:
-        img = fn(dom)
+    fwd = [(EVEN, Progression(4, 18)), (ODD, Progression(13, 36))]
+    for branch, dom in fwd:
+        img = transport(dom, *branch)
         for t in range(50):
             assert img.element(t) == lower_step(dom.element(t))
-    back = [(preimage_even_branch, Progression(9, 48)),
-            (preimage_odd_branch, Progression(25, 48))]
-    for fn, dom in back:
-        img = fn(dom)
+    back = [(DOWN, Progression(9, 48)), (UP, Progression(25, 48))]
+    for branch, dom in back:
+        img = transport(dom, *branch)
         for t in range(50):
             assert img.element(t) == inverse_lower_step(dom.element(t))
 
 
 def test_branch_interval_transport():
-    assert image_even_branch(Progression(2, 6)).interval == 9  # 6 -> 3*6/2
-    assert image_odd_branch(Progression(1, 12)).interval == 9  # 12 -> 3*12/4
-    assert preimage_even_branch(Progression(3, 9)).interval == 6  # 9 -> 2*9/3
-    assert preimage_odd_branch(Progression(1, 9)).interval == 12  # 9 -> 4*9/3
+    assert transport(Progression(2, 6), *EVEN).interval == 9  # 6 -> 3*6/2
+    assert transport(Progression(1, 12), *ODD).interval == 9  # 12 -> 3*12/4
+    assert transport(Progression(3, 9), *DOWN).interval == 6  # 9 -> 2*9/3
+    assert transport(Progression(1, 9), *UP).interval == 12  # 9 -> 4*9/3
 
 
 def test_branch_domain_preconditions_are_enforced():
+    # a part with no member in the branch domain has no image ...
+    assert transport(Progression(3, 6), *EVEN) is None  # odd positions only
+    assert transport(Progression(3, 4), *ODD) is None  # 3 mod 4 only
+    assert transport(Progression(2, 9), *UP) is None  # 2 mod 3 only
+    # ... and evolution refuses such a part instead of dropping it
     with pytest.raises(ValueError):
-        image_even_branch(Progression(3, 6))  # odd intercept
+        evolve((Progression(3, 6),), FORWARD_MAPS, 1)
     with pytest.raises(ValueError):
-        image_even_branch(Progression(2, 3))  # odd interval leaks out of the branch
-    with pytest.raises(ValueError):
-        image_odd_branch(Progression(3, 4))  # 3 mod 4 intercept
-    with pytest.raises(ValueError):
-        preimage_even_branch(Progression(3, 4))  # interval not 0 mod 3
-    with pytest.raises(ValueError):
-        preimage_odd_branch(Progression(2, 9))  # intercept not 1 mod 3
+        evolve((Progression(2, 9),), BACKWARD_MAPS, 1)
+
+
+def test_transport_skips_class_members_below_the_domain():
+    # 4 is 0 mod 4 but not in {8+4m}; the first member of {1+t} there is 8
+    assert transport(Progression(1, 1), Progression(8, 4), Progression(5, 3)) == \
+        Progression(5, 3)
+    # {2+6t} meets 0 mod 4 at 8, 20, 32, ...; only 20 on lie in {20+4m}
+    assert transport(Progression(2, 6), Progression(20, 4), Progression(1, 1)) == \
+        Progression(1, 3)
 
 
 def test_sampling_lemma_examples():
