@@ -35,7 +35,7 @@ def load_checkpoint(path: str) -> dict:
     """Read a checkpoint, validating format and version."""
     with open(path, "r", encoding="ascii") as fh:
         record = json.loads(fh.read())
-    if record.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if record.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {record.get('version')}")

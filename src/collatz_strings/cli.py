@@ -198,6 +198,10 @@ def cmd_cycles(args) -> tuple[list[Finding], dict]:
                 {"seed": seed})
         for seed in report.truncated_seeds
     ]
+    findings += [
+        Finding("truncation", str(seed), "walk reached a nonpositive image", {"seed": seed})
+        for seed in report.rejected_seeds
+    ]
     summary = {
         "p": report.p, "seed_limit": report.seed_limit,
         "cycles": len(report.cycles),

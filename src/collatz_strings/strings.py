@@ -14,8 +14,9 @@ every trajectory of the conjugate map passes through 3 mod 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import (
@@ -311,12 +312,8 @@ class SweepReport:
             raise ValueError("only complete sweeps can be merged")
         if self.max_steps != other.max_steps:
             raise ValueError("sweeps were run with different step budgets")
-        if self.max_steps_observed > other.max_steps_observed:
-            arg = self.argmax_position
-        elif self.max_steps_observed < other.max_steps_observed:
-            arg = other.argmax_position
-        else:
-            arg = min(self.argmax_position, other.argmax_position)
+        # the larger max wins, a tie the first position to reach it (the loop's strict >)
+        best = min(self, other, key=lambda r: (-r.max_steps_observed, r.argmax_position))
         return SweepReport(
             lo=min(self.lo, other.lo),
             hi=max(self.hi, other.hi),
@@ -325,8 +322,8 @@ class SweepReport:
             hits=self.hits + other.hits,
             truncated=tuple(sorted(self.truncated + other.truncated)),
             total_steps=self.total_steps + other.total_steps,
-            max_steps_observed=max(self.max_steps_observed, other.max_steps_observed),
-            argmax_position=arg,
+            max_steps_observed=best.max_steps_observed,
+            argmax_position=best.argmax_position,
             next_position=max(self.hi, other.hi) + 1,
         )
 
@@ -346,63 +343,15 @@ def _sweep_identity(lo: int, hi: int, max_steps: int) -> dict:
             "max_steps": max_steps}
 
 
-def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS,
-                  checkpoint_path: str | None = None,
-                  checkpoint_every: int = 1 << 20,
-                  resume: bool = False,
-                  budget: int | None = None) -> SweepReport:
-    """First-passage sweep: every position in [lo, hi] must reach 3 mod 4.
-
-    Iterates the conjugate step from each position (the arithmetic is the
-    same as trajectory_report's, inlined for throughput) and records the
-    number of steps to the first 3 mod 4 value.  Positions exhausting
-    max_steps are truncation findings -- potential counterexamples.
-
-    With checkpoint_path set, progress is checkpointed atomically every
-    checkpoint_every positions; resume=True continues an interrupted run
-    with identical final aggregates.  budget caps the positions processed
-    in this invocation (the report then has complete == False).
-    """
-    if lo < 2 or hi < lo:
-        raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if hi > MAX_VALUE:
-        raise WidthExceededError("sweep bound exceeds the working range")
-
-    start = lo
+def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
+    """Complete report of [lo, hi] (empty when hi < lo), one position at a time;
+    the step arithmetic is trajectory_report's, inlined for throughput."""
     hits = 0
     truncated: list[int] = []
     total_steps = 0
     max_seen = 0
     argmax = lo
-    if resume:
-        if checkpoint_path is None:
-            raise ValueError("resume requires a checkpoint path")
-        state = load_checkpoint(checkpoint_path)
-        expect = _sweep_identity(lo, hi, max_steps)
-        got = {k: state.get(k) for k in expect}
-        if got != expect:
-            raise ValueError(f"checkpoint does not match this run: {got} != {expect}")
-        agg = state["aggregates"]
-        start = state["next_position"]
-        if not isinstance(start, int) or not lo <= start <= hi + 1:
-            raise ValueError(f"checkpoint next_position {start!r} is outside [{lo}, {hi + 1}]")
-        hits = agg["hits"]
-        truncated = list(agg["truncated"])
-        total_steps = agg["total_steps"]
-        max_seen = agg["max_steps_observed"]
-        argmax = agg["argmax_position"]
-
-    deadline = hi if budget is None else min(hi, start + budget - 1)
-    processed_before = start - lo
-    since_checkpoint = 0
-    x = start
-    while x <= deadline:
+    for x in range(lo, hi + 1):
         v = x
         steps = 0
         while v & 3 != 3:
@@ -423,47 +372,93 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS,
             if steps > max_seen:
                 max_seen = steps
                 argmax = x
-        x += 1
-        since_checkpoint += 1
-        if checkpoint_path is not None and since_checkpoint >= checkpoint_every:
-            _write_sweep_checkpoint(checkpoint_path, lo, hi, max_steps, x, hits,
-                                    truncated, total_steps, max_seen, argmax)
-            since_checkpoint = 0
-
-    report = SweepReport(
-        lo=lo, hi=hi, max_steps=max_steps,
-        processed=processed_before + (deadline - start + 1),
+    return SweepReport(
+        lo=lo, hi=hi, max_steps=max_steps, processed=hi - lo + 1,
         hits=hits, truncated=tuple(truncated), total_steps=total_steps,
-        max_steps_observed=max_seen, argmax_position=argmax,
-        next_position=deadline + 1,
+        max_steps_observed=max_seen, argmax_position=argmax, next_position=hi + 1,
     )
-    if checkpoint_path is not None:
-        _write_sweep_checkpoint(checkpoint_path, lo, hi, max_steps, deadline + 1,
-                                hits, truncated, total_steps, max_seen, argmax)
-    return report
 
 
-def _write_sweep_checkpoint(path: str, lo: int, hi: int, max_steps: int,
-                            next_position: int, hits: int, truncated: list[int],
-                            total_steps: int, max_seen: int, argmax: int) -> None:
-    payload = dict(_sweep_identity(lo, hi, max_steps))
-    payload["next_position"] = next_position
-    payload["last_completed"] = next_position - 1
-    payload["aggregates"] = {
-        "hits": hits,
-        "truncated": sorted(truncated),
-        "total_steps": total_steps,
-        "max_steps_observed": max_seen,
-        "argmax_position": argmax,
-    }
+def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS,
+                  checkpoint_path: str | None = None,
+                  checkpoint_every: int = 1 << 20,
+                  resume: bool = False,
+                  budget: int | None = None) -> SweepReport:
+    """First-passage sweep: every position in [lo, hi] must reach 3 mod 4.
+
+    Records each position's number of conjugate steps to the first 3 mod 4
+    value; positions exhausting max_steps are truncation findings.  The
+    sweep folds chunk reports with SweepReport.merge.  With checkpoint_path
+    set, a chunk is checkpoint_every positions and after each one the report
+    of [lo, next_position-1] is saved atomically; resume=True continues from
+    it (ValueError for a malformed or inconsistent checkpoint).  budget caps
+    the positions processed in this call (the report is then incomplete).
+    """
+    if lo < 2 or hi < lo:
+        raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if hi > MAX_VALUE:
+        raise WidthExceededError("sweep bound exceeds the working range")
+    if resume and checkpoint_path is None:
+        raise ValueError("resume requires a checkpoint path")
+
+    done = (_load_sweep_checkpoint(checkpoint_path, lo, hi, max_steps) if resume
+            else _sweep_range(lo, lo - 1, max_steps))
+    start = done.next_position
+    deadline = hi if budget is None else min(hi, start + budget - 1)
+    chunk = checkpoint_every if checkpoint_path is not None else deadline - start + 1
+    for a in range(start, deadline + 1, chunk):
+        done = done.merge(_sweep_range(a, min(a + chunk - 1, deadline), max_steps))
+        if checkpoint_path is not None:
+            _save_sweep_checkpoint(checkpoint_path, done, hi)
+    return replace(done, hi=hi, next_position=deadline + 1)
+
+
+def _save_sweep_checkpoint(path: str, done: SweepReport, hi: int) -> None:
+    """Save the report of [lo, next_position-1] of the sweep of [lo, hi]."""
+    payload = _sweep_identity(done.lo, hi, done.max_steps)
+    payload["next_position"] = done.next_position
+    payload["last_completed"] = done.hi
+    payload["aggregates"] = done.aggregates()
+    del payload["aggregates"]["processed"]
     save_checkpoint(path, payload)
+
+
+def _load_sweep_checkpoint(path: str, lo: int, hi: int, max_steps: int) -> SweepReport:
+    """The report of [lo, next_position-1] in a checkpoint, validated against the run."""
+    state = load_checkpoint(path)
+    expect = _sweep_identity(lo, hi, max_steps)
+    got = {k: state.get(k) for k in expect}
+    if got != expect:
+        raise ValueError(f"checkpoint does not match this run: {got} != {expect}")
+    start = state.get("next_position")
+    if type(start) is not int or not lo <= start <= hi + 1:
+        raise ValueError(f"checkpoint next_position {start!r} is outside [{lo}, {hi + 1}]")
+    agg = state.get("aggregates")
+    if not isinstance(agg, dict):
+        raise ValueError("checkpoint aggregates are not an object")
+    hits, truncated, total, top, argmax = (agg.get(k) for k in (
+        "hits", "truncated", "total_steps", "max_steps_observed", "argmax_position"))
+    if not isinstance(truncated, list) or any(
+            type(v) is not int for v in (hits, total, top, argmax, *truncated)):
+        raise ValueError("checkpoint aggregates are not integers")
+    bounds = [lo - 1, *truncated, start]  # truncated strictly increasing inside the range
+    if not (all(a < b for a, b in zip(bounds, bounds[1:]))
+            and hits + len(truncated) == start - lo
+            and 0 <= top <= min(max_steps, total) and total <= hits * top
+            and lo <= argmax <= max(lo, start - 1)):
+        raise ValueError(f"checkpoint aggregates are inconsistent with [{lo}, {start - 1}]")
+    return SweepReport(lo, start - 1, max_steps, start - lo, hits, tuple(truncated),
+                       total, top, argmax, start)
 
 
 def sweep_report_from_shards(shards: list[SweepReport]) -> SweepReport:
     """Fold complete shard reports into one (order-independent)."""
     if not shards:
         raise ValueError("no shards to merge")
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged = merged.merge(shard)
-    return merged
+    return reduce(SweepReport.merge, shards)

@@ -113,6 +113,14 @@ def test_cycles_command(tmp_path):
     cycles = [tuple(r["data"]["members"]) for r in records_of(text)
               if r["record"] == "finding"]
     assert (3, 4) in cycles
+    # a walk that reaches a nonpositive image is a truncation finding, as in scan
+    code, text = run_cli(["cycles", "-p", "-11", "--seed-limit", "20"], tmp_path)
+    records = records_of(text)
+    rejected = [r for r in records if r["record"] == "finding"
+                and r["details"] == "walk reached a nonpositive image"]
+    assert code == 1
+    assert len(rejected) == records[-1]["rejected_seeds"] > 0
+    assert all(r["kind"] == "truncation" for r in rejected)
 
 
 def test_audit_3n3_command(tmp_path):
@@ -195,9 +203,7 @@ def test_cli_resume_equivalence(tmp_path):
                           "--checkpoint", ck, "--resume"], tmp_path, "resumed")
     whole_summary = records_of(whole)[-1]
     resumed_summary = records_of(resumed)[-1]
-    assert resumed_summary["hits"] == whole_summary["hits"]
-    assert resumed_summary["max_steps_observed"] == whole_summary["max_steps_observed"]
-    assert resumed_summary["argmax_position"] == whole_summary["argmax_position"]
+    assert resumed_summary == whole_summary
     assert resumed_summary["complete"] is True
 
 

@@ -26,6 +26,10 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         fh.write(json.dumps({"format": "collatz-strings-checkpoint", "version": 99}))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+    with open(path, "w") as fh:
+        fh.write(json.dumps([1]))
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_leaves_no_temp_files(tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from collatz_strings import (
+    DEFAULT_TRAJECTORY_STEPS,
     Family,
     Progression,
     build_string_containing,
@@ -294,6 +295,22 @@ def test_passage_sweep_small_range():
     assert report.max_steps_observed > 0
 
 
+def _trajectory_sweep(lo, hi, max_steps):
+    """(hits, total_steps, max, argmax, truncated) of [lo, hi] by trajectory_report."""
+    hits = total = top = 0
+    argmax, truncated = lo, []
+    for x in range(lo, hi + 1):
+        steps = trajectory_report(x, max_steps).steps_to_first_3mod4
+        if steps is None:
+            truncated.append(x)
+            continue
+        hits += 1
+        total += steps
+        if steps > top:
+            top, argmax = steps, x
+    return hits, total, top, argmax, tuple(truncated)
+
+
 def test_passage_sweep_agrees_with_trajectory_report():
     report = passage_sweep(2, 500)
     total = 0
@@ -303,6 +320,16 @@ def test_passage_sweep_agrees_with_trajectory_report():
         total += tr.steps_to_first_3mod4
     assert report.total_steps == total
     assert trajectory_report(2).steps_to_first_3mod4 == 1
+    # seeded windows near the long-mode bound, where trajectories are long
+    import random
+
+    rng = random.Random(15)
+    for lo in [rng.randint(140_000_000, 160_000_000) for _ in range(3)]:
+        for max_steps in (3, DEFAULT_TRAJECTORY_STEPS):
+            r = passage_sweep(lo, lo + 300, max_steps=max_steps)
+            got = (r.hits, r.total_steps, r.max_steps_observed, r.argmax_position,
+                   r.truncated)
+            assert got == _trajectory_sweep(lo, lo + 300, max_steps), (lo, max_steps)
 
 
 def test_passage_sweep_truncation_finding():
@@ -326,15 +353,27 @@ def test_sweep_shard_merge_is_order_independent():
         assert merged.aggregates() == whole.aggregates()
 
 
-def test_sweep_checkpoint_resume_equivalence(tmp_path):
+@pytest.mark.parametrize("max_steps", [3, DEFAULT_TRAJECTORY_STEPS])
+@pytest.mark.parametrize("every,hi,budget", [
+    (1, 1500, 500), (7, 5000, 1750), (1024, 20000, 7000), (10 ** 6, 20000, 7000),
+])
+def test_sweep_checkpoint_resume_equivalence(tmp_path, every, hi, budget, max_steps):
+    # max_steps=3 puts truncations and tied maxima on chunk boundaries; the
+    # small ranges keep the per-chunk checkpoint writes few
     ck = os.path.join(tmp_path, "sweep.ckpt")
-    whole = passage_sweep(2, 20000)
-    partial = passage_sweep(2, 20000, checkpoint_path=ck, checkpoint_every=1024,
-                            budget=7000)
-    assert not partial.complete and partial.next_position == 7002
-    resumed = passage_sweep(2, 20000, checkpoint_path=ck, resume=True)
+    one_chunk = os.path.join(tmp_path, "one-chunk.ckpt")
+    whole = passage_sweep(2, hi, max_steps=max_steps)
+    partial = passage_sweep(2, hi, max_steps=max_steps, checkpoint_path=ck,
+                            checkpoint_every=every, budget=budget)
+    assert not partial.complete and partial.next_position == budget + 2
+    # the checkpoint of a budgeted run does not depend on checkpoint_every
+    passage_sweep(2, hi, max_steps=max_steps, checkpoint_path=one_chunk, budget=budget)
+    with open(ck, "rb") as fh, open(one_chunk, "rb") as ref:
+        assert fh.read() == ref.read()
+    resumed = passage_sweep(2, hi, max_steps=max_steps, checkpoint_path=ck,
+                            checkpoint_every=every, resume=True)
     assert resumed.complete
-    assert resumed.aggregates() == whole.aggregates()
+    assert resumed == whole
 
 
 def test_sweep_resume_rejects_mismatched_config(tmp_path):
@@ -342,15 +381,34 @@ def test_sweep_resume_rejects_mismatched_config(tmp_path):
     passage_sweep(2, 1000, checkpoint_path=ck)
     with pytest.raises(ValueError):
         passage_sweep(2, 2000, checkpoint_path=ck, resume=True)
-    # a hand-edited resume position outside [lo, hi+1] is refused
+    # hand-edited checkpoints: a resume position outside [lo, hi+1], or
+    # aggregates that are malformed or inconsistent with [lo, next_position-1]
+    passage_sweep(2, 1000, max_steps=3, checkpoint_path=ck, budget=600)
     with open(ck, "r", encoding="ascii") as fh:
-        state = json.load(fh)
-    for bad in (0, 1, 1002, "7"):
-        state["next_position"] = bad
+        good = json.load(fh)
+    agg = good["aggregates"]
+    t = agg["truncated"]
+    assert len(t) > 2 and agg["max_steps_observed"] == 3
+    edits = [{"next_position": bad} for bad in (0, 1, 1002, "7", True)]
+    edits += [{"aggregates": bad} for bad in ([1], None, "x")]
+    edits += [{"aggregates": dict(agg, **bad)} for bad in (
+        {"hits": -40}, {"hits": agg["hits"] + 1}, {"hits": True},
+        {"truncated": [9999999]}, {"truncated": 5}, {"truncated": t[::-1]},
+        {"truncated": [t[0], *t]}, {"truncated": [1, *t[1:]]}, {"truncated": [*t[:-1], 602]},
+        {"total_steps": "x"}, {"total_steps": 2}, {"total_steps": 10 ** 9},
+        {"max_steps_observed": 4}, {"max_steps_observed": -1}, {"max_steps_observed": 3.0},
+        {"argmax_position": 1}, {"argmax_position": 602},
+    )]
+    edits.append({"aggregates": {k: v for k, v in agg.items() if k != "hits"}})
+    for edit in edits:
         with open(ck, "w", encoding="ascii") as fh:
-            json.dump(state, fh)
+            json.dump(dict(good, **edit), fh)
         with pytest.raises(ValueError):
-            passage_sweep(2, 1000, checkpoint_path=ck, resume=True)
+            passage_sweep(2, 1000, max_steps=3, checkpoint_path=ck, resume=True)
+    with open(ck, "w", encoding="ascii") as fh:
+        json.dump(good, fh)
+    resumed = passage_sweep(2, 1000, max_steps=3, checkpoint_path=ck, resume=True)
+    assert resumed == passage_sweep(2, 1000, max_steps=3)
 
 
 def test_shard_merge_requires_complete_reports(tmp_path):
