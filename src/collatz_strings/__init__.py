@@ -9,7 +9,7 @@ and the 3n+p generalization.
 """
 
 from .core import (
-    DEFAULT_TRAJECTORY_STEPS,
+    DEFAULT_WALK_LIMIT,
     MAX_VALUE,
     WIDTH_BITS,
     Restriction,
@@ -75,7 +75,6 @@ from .strings import (
     intercept_audit,
     partition_audit,
     passage_sweep,
-    sweep_report_from_shards,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import random
 import sys
 
 from .core import (
-    DEFAULT_TRAJECTORY_STEPS,
+    DEFAULT_WALK_LIMIT,
     WidthExceededError,
     higher_equivalent,
     lower_step,
@@ -44,7 +44,6 @@ from .reporting import (
     summary_record,
 )
 from .strings import (
-    DEFAULT_WALK_LIMIT,
     coverage_count,
     evolve_backward,
     evolve_forward,
@@ -261,6 +260,8 @@ def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
 def cmd_proportionality(args) -> tuple[list[Finding], dict]:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
+    if args.x_max < 1 or args.n_max < 1:
+        raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
     cases: list[tuple[str, int, int]] = []
     if args.direction in ("forward", "both"):
         cases.append(("forward", 2, 2))  # recurrence anchor at 34
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first-passage sweep through 3 mod 4")
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_TRAJECTORY_STEPS)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
     p.add_argument("--checkpoint", help="checkpoint file (bare names join "
                                         f"${CHECKPOINT_DIR_ENV})")
     p.add_argument("--checkpoint-every", type=int, default=1 << 20)
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cycles", parents=[common], help="cycle search for a family")
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--seed-limit", type=int, default=1000)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
     p.set_defaults(handler=cmd_cycles)
 
     p = sub.add_parser("audit-3n3", parents=[common],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 WIDTH_BITS = 128
 MAX_VALUE = (1 << WIDTH_BITS) - 1
 
-DEFAULT_TRAJECTORY_STEPS = 100_000
+DEFAULT_WALK_LIMIT = 100_000  # step and chain-length budget of every walk
 
 
 class WidthExceededError(OverflowError):
@@ -228,7 +228,7 @@ class TrajectoryReport:
         return self.steps_to_first_3mod4 is not None
 
 
-def trajectory_report(x: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS) -> TrajectoryReport:
+def trajectory_report(x: int, max_steps: int = DEFAULT_WALK_LIMIT) -> TrajectoryReport:
     """Iterate the conjugate step from x, recording two first passages.
 
     Records the first index (counting x itself as index 0) at which the

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import (
-    DEFAULT_TRAJECTORY_STEPS,
+    DEFAULT_WALK_LIMIT,
     MAX_VALUE,
     WidthExceededError,
     _checked,
@@ -36,9 +35,6 @@ BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
 # (domain, image) per branch, even branch first: 2+2m -> 3+3m, 1+4m -> 1+3m
 FORWARD_MAPS = branch_maps(Family(1))
 BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
-
-DEFAULT_WALK_LIMIT = 100_000
-DEFAULT_ELEMENT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -158,8 +154,8 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
 class StringRecord:
     """One chain of the one-to-one map, from head (2 mod 3) to end (3 mod 4).
 
-    elements is None when the chain is longer than the storage cap or when
-    a walk truncated; head/tail are None on the truncated side.
+    elements is None only when a walk truncated; head/tail are None on the
+    truncated side.
     """
 
     head: int | None
@@ -174,8 +170,7 @@ class StringRecord:
         return not (self.truncated_backward or self.truncated_forward)
 
 
-def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT,
-                            element_cap: int = DEFAULT_ELEMENT_CAP) -> StringRecord:
+def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT) -> StringRecord:
     """Walk x back to its chain head, then forward to the chain end.
 
     Position 1 is excluded: it is the fixed point of the map, not a chain.
@@ -199,14 +194,12 @@ def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT,
         chain.append(v)
         if len(chain) > max_len:
             return StringRecord(head, None, len(chain), None, False, True)
-    elements = tuple(chain) if len(chain) <= element_cap else None
-    return StringRecord(head, chain[-1], len(chain), elements, False, False)
+    return StringRecord(head, chain[-1], len(chain), tuple(chain), False, False)
 
 
 @dataclass(frozen=True)
 class PartitionAuditReport:
     limit: int
-    positions_checked: int
     heads: frozenset[int]
     truncated: tuple[tuple[int, str], ...]      # (position, direction)
     conflicts: tuple[tuple[int, int, int], ...]  # (element, head_a, head_b)
@@ -217,24 +210,16 @@ class PartitionAuditReport:
         return not self.truncated and not self.conflicts
 
     @property
+    def positions_checked(self) -> int:
+        return self.limit - 1
+
+    @property
     def string_count(self) -> int:
         return len(self.heads)
 
-    def merge(self, other: "PartitionAuditReport") -> "PartitionAuditReport":
-        """Combine audits of disjoint position ranges."""
-        return PartitionAuditReport(
-            limit=max(self.limit, other.limit),
-            positions_checked=self.positions_checked + other.positions_checked,
-            heads=self.heads | other.heads,
-            truncated=tuple(sorted(self.truncated + other.truncated)),
-            conflicts=tuple(sorted(self.conflicts + other.conflicts)),
-            longest_chain=max(self.longest_chain, other.longest_chain),
-        )
 
-
-def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
-                    lo: int = 2) -> PartitionAuditReport:
-    """Verify that every position in [lo, limit] sits in exactly one chain.
+def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:
+    """Verify that every position in [2, limit] sits in exactly one chain.
 
     Each chain is built once, from the first position in range that no
     earlier chain has placed; every element met is hashed to the chain's
@@ -243,8 +228,8 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
     record nothing, so every member of a truncated chain is walked and
     reported on its own.  Truncated walks are findings, not errors.
     """
-    if limit < lo or lo < 2:
-        raise ValueError(f"need 2 <= lo <= limit, got lo={lo}, limit={limit}")
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     head_of: dict[int, int] = {}
@@ -252,12 +237,10 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
     conflicts: list[tuple[int, int, int]] = []
     heads: set[int] = set()
     longest = 0
-    # a complete chain has at most max_len elements, or exactly one
-    element_cap = max(max_len, 1)
-    for x in range(lo, limit + 1):
+    for x in range(2, limit + 1):
         if x in head_of:
             continue
-        record = build_string_containing(x, max_len, element_cap)
+        record = build_string_containing(x, max_len)
         if record.truncated_backward:
             truncated.append((x, "backward"))
             continue
@@ -275,7 +258,6 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT,
                 conflicts.append((element, seen, head))
     return PartitionAuditReport(
         limit=limit,
-        positions_checked=limit - lo + 1,
         heads=frozenset(heads),
         truncated=tuple(truncated),
         conflicts=tuple(conflicts),
@@ -379,7 +361,7 @@ def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
     )
 
 
-def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_TRAJECTORY_STEPS,
+def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
                   checkpoint_path: str | None = None,
                   checkpoint_every: int = 1 << 20,
                   resume: bool = False,
@@ -455,10 +437,3 @@ def _load_sweep_checkpoint(path: str, lo: int, hi: int, max_steps: int) -> Sweep
         raise ValueError(f"checkpoint aggregates are inconsistent with [{lo}, {start - 1}]")
     return SweepReport(lo, start - 1, max_steps, start - lo, hits, tuple(truncated),
                        total, top, argmax, start)
-
-
-def sweep_report_from_shards(shards: list[SweepReport]) -> SweepReport:
-    """Fold complete shard reports into one (order-independent)."""
-    if not shards:
-        raise ValueError("no shards to merge")
-    return reduce(SweepReport.merge, shards)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
                  ["cycles", "-p", "5", "--seed-limit", "5", "--max-steps", "-1"],
                  ["proportionality", "--cases", "-3"],
+                 ["proportionality", "--cases", "0", "--x-max", "-5", "--n-max", "0"],
+                 ["proportionality", "--cases", "1", "--x-max", "0"],
+                 ["strings", "--limit", "1"],
                  ["coverage", "--direction", "forward", "-m", "2", "--random-starts", "-4"],
                  ["family-audit", "-p", "7", "--n-limit", "-1"],
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
@@ -232,3 +236,90 @@ def test_family_audit_m_limit_flag(tmp_path):
     code, text = run_cli(["family-audit", "-p", "7", "--m-limit", "1000"], tmp_path)
     assert code == 0
     assert records_of(text)[-1]["mismatches"] == 0
+
+
+def _sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# (exit code, sha256 of the report) of fixed runs.  A change that keeps
+# reports byte-identical leaves every digest here as it is.
+PINNED_REPORTS = {
+    "strings --limit 3000 --max-len 0 --format jsonl":
+        (1, "956284022aee2059fbc7a6c92fd7fcbe082dd64f29e68362478f049c37f2c3b8"),
+    "strings --limit 3000 --max-len 1 --format jsonl":
+        (1, "a3459b06b9dd8a069852f089ae2374ee24d74d8d21f78172e6c8ca08afec9b43"),
+    "strings --limit 3000 --max-len 3 --format jsonl":
+        (1, "46546acf39c0a4d23a78f157f9e26cdffa785903efe7aabb90c3f14f9af56a27"),
+    "strings --limit 3000 --max-len 5 --format jsonl":
+        (1, "6eb47ecb5e62693feb9a9bd488af3c4d2bd71ce97c7ca899b72a267a52ae4b4b"),
+    "strings --limit 3000 --format jsonl":
+        (0, "a33e92f0b67776d067d049e51463caf91a522c60b6179baa318209f622edccdb"),
+    "strings --limit 3000 --max-len 0 --format csv":
+        (1, "3e4ab35d445c92c451b83dac6ff7d1c6beac4a755f7f368efb7141cc0c0e21bb"),
+    "strings --limit 3000 --max-len 1 --format csv":
+        (1, "74abfbec1bf6cd09de1a79b0e4f438002f9e3c26a78cfaba2030aa4f0d68364a"),
+    "strings --limit 3000 --max-len 3 --format csv":
+        (1, "a15de6435c2b233f7eccf5243f31dfd9cb1035ba077f61dc64db48cf9cab5b36"),
+    "strings --limit 3000 --max-len 5 --format csv":
+        (1, "53a238ab3633b3fa5269f1b651d0e2b5fc1d158ba32fdc60160b3f1ebf67538a"),
+    "strings --limit 3000 --format csv":
+        (0, "11eb23f9fae6e3f729916ee41c0da49d3a7331743bdd3c46d6fd8e1a46c533f7"),
+    "passage --lo 2 --hi 3000":
+        (0, "d533453bd7098c4f221f03292192683448e140996710c48c9a7d0db7601d882f"),
+    "passage --lo 2 --hi 3000 --max-steps 3 --format csv":
+        (1, "b4487f3fcc881eef701c87afd2a90f3dbcf0b16f6ce187cb9906911eaf5e76c4"),
+    "scan -p 5 --limit 300":
+        (1, "a012287d59aa867b32fc6c9e5564532256b311af0a47e556f8aedd17db865259"),
+    "scan -p -1 --limit 100 --max-len 50":
+        (1, "cd5b23fe9f8d2568e0b03648ab34d56b856e28b3a1d92e8943dd54082586b104"),
+    "cycles -p 5 --seed-limit 300":
+        (0, "33c59148ae0ccbe13ed1c731ce4f08a6cfd7d00b90c4191ed1281e27d0023741"),
+    "cycles -p -11 --seed-limit 20":
+        (1, "d02750409e206798b86156845d6f3c9b84b0c72b70b806f225618cf09fb638a4"),
+    "audit-3n3 --limit 3000":
+        (0, "e3846eb0a9533f301edc761dcfd5b2ac36960f6099c08aead74065d01e5a9e0e"),
+    "evolve --direction forward -k 6":
+        (0, "bd679a6116bcd3a8f6f9ff66bd799a78c90cf0fe23d8177f7398253c84b451da"),
+    "evolve --direction backward -k 5 --format csv":
+        (0, "b0488aa2403c123f0678d22a4b356f4504aeb42ce9a44b304c83dfed25ee04d8"),
+    "coverage --direction backward -m 4 --random-starts 3":
+        (0, "7cd2f537fda07b5cbd0dbf2693695f1b8a30c2a949ab99d1b5492763291edb30"),
+    "family-audit -p 23 --value-limit 500":
+        (0, "e482110329b9992c3047bffd058673197c2a60063ad2efb376094d6180b6b971"),
+    "proportionality --cases 20 --x-max 1000 --n-max 4":
+        (0, "a5d2018f772413b678449c8f83eeeb0e21f17dab7a2b085bcee257cf32211b33"),
+    "export-graph --limit 200":
+        (0, "cdad1eb3b64e88fec5db129dd4a097203aa72fb5c90154d3ea242a72a818d794"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(argv, tmp_path):
+    out = os.path.join(tmp_path, "report")
+    code = main(argv.split() + ["--output", out])
+    assert (code, _sha256_of(out)) == PINNED_REPORTS[argv]
+
+
+# (exit code, report sha256, checkpoint sha256) of a budgeted passage
+# sweep and its resume, in order.
+PINNED_CHECKPOINT_RUNS = {
+    "--budget 2000": (1,
+        "35a7dac5932dd721765b34cac25a2a54912dd54128534bedb21d708245b9d770",
+        "4802c58d86396b69483a8a525b0a29518af3d75fae5bf247d8b38ae607b46ce6"),
+    "--resume": (1,
+        "8d267a7eb216165c308d2ed175a6e8251da2f59d194b782c7c39cf746eb5a200",
+        "eaa32d5455a48b5d639dc4e073e29f57a3aed91e06b85923c72e21f0a41b181e"),
+}
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path, monkeypatch):
+    # a bare checkpoint name keeps the header config free of tmp_path
+    monkeypatch.setenv("COLLATZ_STRINGS_CHECKPOINT_DIR", str(tmp_path))
+    out = os.path.join(tmp_path, "report")
+    base = "passage --lo 2 --hi 5000 --max-steps 3 --checkpoint pin.ckpt".split()
+    for extra, expected in PINNED_CHECKPOINT_RUNS.items():
+        code = main(base + extra.split() + ["--output", out])
+        assert (code, _sha256_of(out), _sha256_of(os.path.join(tmp_path, "pin.ckpt"))) \
+            == expected, extra

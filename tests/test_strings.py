@@ -1,13 +1,15 @@
 import json
 import os
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from collatz_strings import (
-    DEFAULT_TRAJECTORY_STEPS,
+    DEFAULT_WALK_LIMIT,
     Family,
     Progression,
+    SweepReport,
     build_string_containing,
     coverage_count,
     evolve_backward,
@@ -19,7 +21,6 @@ from collatz_strings import (
     lower_step,
     partition_audit,
     passage_sweep,
-    sweep_report_from_shards,
     trajectory_report,
 )
 
@@ -217,10 +218,10 @@ def test_partition_audit_clean_at_10k():
     assert report.string_count > 2000
 
 
-def reference_partition_audit(limit, max_len, lo):
+def reference_partition_audit(limit, max_len):
     """Per-position partition audit: rebuilds the whole chain from every position."""
     head_of, truncated, conflicts, heads, longest = {}, [], [], set(), 0
-    for x in range(lo, limit + 1):
+    for x in range(2, limit + 1):
         v = x
         steps = 0
         while v % 3 != 2:
@@ -250,28 +251,15 @@ def reference_partition_audit(limit, max_len, lo):
     return frozenset(heads), tuple(truncated), tuple(conflicts), longest
 
 
-@pytest.mark.parametrize("lo", [2, 700])
+@pytest.mark.parametrize("limit", [2, 700, 1000, 3000])
 @pytest.mark.parametrize("max_len", [0, 1, 2, 3, 5, 20, None])
-def test_partition_audit_matches_per_position_reference(max_len, lo):
-    walk = 100_000 if max_len is None else max_len
-    for limit in (lo, 1000, 3000):
-        report = (partition_audit(limit, lo=lo) if max_len is None
-                  else partition_audit(limit, max_len=max_len, lo=lo))
-        got = (report.heads, report.truncated, report.conflicts, report.longest_chain)
-        assert got == reference_partition_audit(limit, walk, lo)
-        assert report.positions_checked == limit - lo + 1
-
-
-def test_partition_audit_merge():
-    whole = partition_audit(4000)
-    left = partition_audit(2000)
-    right = partition_audit(4000, lo=2001)
-    merged = left.merge(right)
-    assert merged.positions_checked == whole.positions_checked
-    assert merged.truncated == whole.truncated == ()
-    assert merged.conflicts == whole.conflicts == ()
-    # every head seen by the whole audit is seen by the shards
-    assert whole.heads == merged.heads
+def test_partition_audit_matches_per_position_reference(max_len, limit):
+    walk = DEFAULT_WALK_LIMIT if max_len is None else max_len
+    report = (partition_audit(limit) if max_len is None
+              else partition_audit(limit, max_len=max_len))
+    got = (report.heads, report.truncated, report.conflicts, report.longest_chain)
+    assert got == reference_partition_audit(limit, walk)
+    assert report.positions_checked == limit - 1
 
 
 def test_three_n_minus_one_contrast():
@@ -325,7 +313,7 @@ def test_passage_sweep_agrees_with_trajectory_report():
 
     rng = random.Random(15)
     for lo in [rng.randint(140_000_000, 160_000_000) for _ in range(3)]:
-        for max_steps in (3, DEFAULT_TRAJECTORY_STEPS):
+        for max_steps in (3, DEFAULT_WALK_LIMIT):
             r = passage_sweep(lo, lo + 300, max_steps=max_steps)
             got = (r.hits, r.total_steps, r.max_steps_observed, r.argmax_position,
                    r.truncated)
@@ -349,11 +337,11 @@ def test_sweep_shard_merge_is_order_independent():
     b = passage_sweep(7001, 13000)
     c = passage_sweep(13001, 20000)
     for order in ([a, b, c], [c, a, b], [b, c, a]):
-        merged = sweep_report_from_shards(order)
+        merged = reduce(SweepReport.merge, order)
         assert merged.aggregates() == whole.aggregates()
 
 
-@pytest.mark.parametrize("max_steps", [3, DEFAULT_TRAJECTORY_STEPS])
+@pytest.mark.parametrize("max_steps", [3, DEFAULT_WALK_LIMIT])
 @pytest.mark.parametrize("every,hi,budget", [
     (1, 1500, 500), (7, 5000, 1750), (1024, 20000, 7000), (10 ** 6, 20000, 7000),
 ])
@@ -419,5 +407,3 @@ def test_shard_merge_requires_complete_reports(tmp_path):
     whole = passage_sweep(2, 1000)
     with pytest.raises(ValueError):
         partial.merge(whole)
-    with pytest.raises(ValueError):
-        sweep_report_from_shards([])
