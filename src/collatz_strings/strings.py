@@ -7,9 +7,9 @@ ends {3+4t} and pull back through both inverse branches, dropping heads.
 Both evolutions stay exact unions of arithmetic progressions, which makes
 the counting identities and intercept bounds directly checkable.
 
-The sweeps at the bottom verify, position by position, that every chain
-closes: every position walks back to a head and forward to an end, and
-every trajectory of the conjugate map passes through 3 mod 4.
+The sweeps at the bottom verify that every chain closes: every position
+walks back to a head and forward to an end, and every trajectory of the
+conjugate map passes through 3 mod 4 (checked a residue class at a time).
 """
 
 from __future__ import annotations
@@ -296,13 +296,19 @@ class SweepReport:
             raise ValueError("sweeps were run with different step budgets")
         # the larger max wins, a tie the first position to reach it (the loop's strict >)
         best = min(self, other, key=lambda r: (-r.max_steps_observed, r.argmax_position))
+        if self.hi < other.lo:
+            truncated = self.truncated + other.truncated
+        elif other.hi < self.lo:
+            truncated = other.truncated + self.truncated
+        else:  # the spans interleave
+            truncated = tuple(sorted(self.truncated + other.truncated))
         return SweepReport(
             lo=min(self.lo, other.lo),
             hi=max(self.hi, other.hi),
             max_steps=self.max_steps,
             processed=self.processed + other.processed,
             hits=self.hits + other.hits,
-            truncated=tuple(sorted(self.truncated + other.truncated)),
+            truncated=truncated,
             total_steps=self.total_steps + other.total_steps,
             max_steps_observed=best.max_steps_observed,
             argmax_position=best.argmax_position,
@@ -325,35 +331,76 @@ def _sweep_identity(lo: int, hi: int, max_steps: int) -> dict:
             "max_steps": max_steps}
 
 
+def _first_passage(v: int, steps: int, max_steps: int, x: int) -> int:
+    """Steps until position x, at value v after `steps` steps, first reaches
+    3 mod 4, or -1 past max_steps; trajectory_report's arithmetic, inlined."""
+    while v & 3 != 3:
+        if steps >= max_steps:
+            return -1
+        t = 6 * v - 2
+        if t > MAX_VALUE:
+            raise WidthExceededError(f"trajectory of {x} left the working range")
+        j = (t & -t).bit_length() - 1
+        v = ((t >> j) + 1) >> 1
+        steps += 1
+    return steps
+
+
 def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
-    """Complete report of [lo, hi] (empty when hi < lo), one position at a time;
-    the step arithmetic is trajectory_report's, inlined for throughput."""
-    hits = 0
-    truncated: list[int] = []
-    total_steps = 0
-    max_seen = 0
+    """Complete report of [lo, hi] (empty when hi < lo), one residue class at a time.
+
+    Until its first 3 mod 4 value a trajectory takes only lower_step's two
+    affine branches.  So a class of members x = a + m*t, t in [0, c), with
+    values v = b + n*t after s steps moves as one while 4 | n (or n = 2 mod 4
+    and b is even): all of it hits 3 mod 4, runs out of steps or takes one
+    branch.  Otherwise it splits on the parity of t (Terras's parity-vector
+    tree, walked depth first).  A class of one member finishes in
+    _first_passage.  A tie on the maximum goes to the smallest member, as in
+    a position loop.  When a member about to step would leave the working
+    range, [lo, hi] is walked again position by position in increasing
+    order, so WidthExceededError names the first position to leave it.
+    """
+    hits = total_steps = max_seen = 0
     argmax = lo
-    for x in range(lo, hi + 1):
-        v = x
-        steps = 0
-        while v & 3 != 3:
-            if steps >= max_steps:
-                steps = -1
+    truncated: list[int] = []
+    try:
+        stack = [(lo, 1, hi - lo + 1, lo, 1, 0)] if hi >= lo else []
+        while stack:
+            a, m, c, b, n, s = stack.pop()
+            while True:
+                if c == 1:
+                    s = _first_passage(b, s, max_steps, a)
+                    if s < 0:
+                        truncated.append(a)
+                        break
+                elif n & 3 and (n | b) & 1:  # residues mod 4 differ: split by parity of t
+                    half = c >> 1
+                    stack.append((a + m, 2 * m, half, b + n, 2 * n, s))
+                    m, c, n = 2 * m, c - half, 2 * n
+                    continue
+                elif b & 3 != 3:
+                    if s >= max_steps:
+                        truncated.extend(range(a, a + m * c, m))
+                        break
+                    if 6 * (b + n * (c - 1)) - 2 > MAX_VALUE:
+                        raise WidthExceededError(
+                            f"trajectory of {a + m * (c - 1)} left the working range")
+                    if b & 1:
+                        b, n = (3 * b + 1) >> 2, (3 * n) >> 2
+                    else:
+                        b, n = (3 * b) >> 1, (3 * n) >> 1
+                    s += 1
+                    continue
+                hits += c
+                total_steps += c * s
+                if s > max_seen or (s == max_seen and a < argmax):
+                    max_seen, argmax = s, a
                 break
-            t = 6 * v - 2
-            if t > MAX_VALUE:
-                raise WidthExceededError(f"trajectory of {x} left the working range")
-            j = (t & -t).bit_length() - 1
-            v = ((t >> j) + 1) >> 1
-            steps += 1
-        if steps < 0:
-            truncated.append(x)
-        else:
-            hits += 1
-            total_steps += steps
-            if steps > max_seen:
-                max_seen = steps
-                argmax = x
+    except WidthExceededError:
+        for x in range(lo, hi + 1):  # raises at the first member to leave the range
+            _first_passage(x, 0, max_steps, x)
+        raise
+    truncated.sort()
     return SweepReport(
         lo=lo, hi=hi, max_steps=max_steps, processed=hi - lo + 1,
         hits=hits, truncated=tuple(truncated), total_steps=total_steps,
@@ -369,12 +416,17 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     """First-passage sweep: every position in [lo, hi] must reach 3 mod 4.
 
     Records each position's number of conjugate steps to the first 3 mod 4
-    value; positions exhausting max_steps are truncation findings.  The
-    sweep folds chunk reports with SweepReport.merge.  With checkpoint_path
-    set, a chunk is checkpoint_every positions and after each one the report
-    of [lo, next_position-1] is saved atomically; resume=True continues from
-    it (ValueError for a malformed or inconsistent checkpoint).  budget caps
-    the positions processed in this call (the report is then incomplete).
+    value; positions exhausting max_steps are truncation findings.  Each
+    chunk is swept by _sweep_range: whole residue classes x = a (mod 2^k)
+    move together while they share a branch, a class of one member walks
+    step by step, and a chunk where a step would leave the working range is
+    walked again position by position, so WidthExceededError names the
+    first position to leave it.  The sweep folds chunk reports with
+    SweepReport.merge.  With checkpoint_path set, a chunk is
+    checkpoint_every positions and after each one the report of
+    [lo, next_position-1] is saved atomically; resume=True continues from it
+    (ValueError for a malformed or inconsistent checkpoint).  budget caps the
+    positions processed in this call (the report is then incomplete).
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")

@@ -4,12 +4,16 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatz_strings import (
     DEFAULT_WALK_LIMIT,
+    MAX_VALUE,
     Family,
     Progression,
     SweepReport,
+    WidthExceededError,
     build_string_containing,
     coverage_count,
     evolve_backward,
@@ -23,6 +27,7 @@ from collatz_strings import (
     passage_sweep,
     trajectory_report,
 )
+from collatz_strings.strings import _sweep_range
 
 
 def parts_of(state):
@@ -320,6 +325,93 @@ def test_passage_sweep_agrees_with_trajectory_report():
             assert got == _trajectory_sweep(lo, lo + 300, max_steps), (lo, max_steps)
 
 
+def reference_sweep(lo, hi, max_steps):
+    """Position-by-position reference for _sweep_range: each position of
+    [lo, hi] in increasing order, with trajectory_report's step arithmetic."""
+    hits = 0
+    truncated = []
+    total_steps = 0
+    max_seen = 0
+    argmax = lo
+    for x in range(lo, hi + 1):
+        v = x
+        steps = 0
+        while v & 3 != 3:
+            if steps >= max_steps:
+                steps = -1
+                break
+            t = 6 * v - 2
+            if t > MAX_VALUE:
+                raise WidthExceededError(f"trajectory of {x} left the working range")
+            j = (t & -t).bit_length() - 1
+            v = ((t >> j) + 1) >> 1
+            steps += 1
+        if steps < 0:
+            truncated.append(x)
+        else:
+            hits += 1
+            total_steps += steps
+            if steps > max_seen:
+                max_seen = steps
+                argmax = x
+    return SweepReport(
+        lo=lo, hi=hi, max_steps=max_steps, processed=hi - lo + 1,
+        hits=hits, truncated=tuple(truncated), total_steps=total_steps,
+        max_steps_observed=max_seen, argmax_position=argmax, next_position=hi + 1,
+    )
+
+
+def _sweep_outcome(sweep, lo, hi, max_steps):
+    try:
+        return sweep(lo, hi, max_steps)
+    except WidthExceededError as exc:
+        return str(exc)
+
+
+# windows whose trajectories leave the working range within a few steps
+NEAR_WIDTH_LIMIT = [MAX_VALUE // 6, MAX_VALUE // 7, MAX_VALUE // 4]
+
+
+@given(
+    lo=st.one_of(
+        st.integers(2, 5000),
+        st.integers(140_000_000, 160_000_000),
+        st.integers(2, 2 ** 40),
+        st.sampled_from(NEAR_WIDTH_LIMIT).flatmap(
+            lambda mid: st.integers(mid - 5000, mid + 5000)),
+    ),
+    width=st.integers(0, 5000),
+    max_steps=st.sampled_from([1, 2, 3, 5, 8, DEFAULT_WALK_LIMIT]),
+)
+@settings(max_examples=300, deadline=None)
+def test_sweep_range_matches_position_oracle(lo, width, max_steps):
+    hi = lo + width - 1
+    assert (_sweep_outcome(_sweep_range, lo, hi, max_steps)
+            == _sweep_outcome(reference_sweep, lo, hi, max_steps))
+
+
+# max_steps=1 near MAX_VALUE//6 stops every trajectory below the limit after
+# one step, so only a class straddling the limit at step 0 raises
+@pytest.mark.parametrize("mid,max_steps", [
+    (MAX_VALUE // 6, 1), (MAX_VALUE // 6, DEFAULT_WALK_LIMIT),
+    (MAX_VALUE // 7, 3), (MAX_VALUE // 7, DEFAULT_WALK_LIMIT),
+    (MAX_VALUE // 4, 1), (MAX_VALUE // 4, DEFAULT_WALK_LIMIT),
+])
+def test_sweep_range_width_error_names_first_position(mid, max_steps):
+    lo, hi = mid - 2000, mid + 2000
+    with pytest.raises(WidthExceededError) as expected:
+        reference_sweep(lo, hi, max_steps)
+    with pytest.raises(WidthExceededError) as got:
+        _sweep_range(lo, hi, max_steps)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the full-range oracle check")
+def test_long_mode_matches_position_oracle():
+    assert passage_sweep(2, 159902416) == reference_sweep(2, 159902416, DEFAULT_WALK_LIMIT)
+
+
 def test_passage_sweep_truncation_finding():
     report = passage_sweep(4, 4, max_steps=1)
     assert report.truncated == (4,)
@@ -339,6 +431,16 @@ def test_sweep_shard_merge_is_order_independent():
     for order in ([a, b, c], [c, a, b], [b, c, a]):
         merged = reduce(SweepReport.merge, order)
         assert merged.aggregates() == whole.aggregates()
+
+
+def test_sweep_merge_keeps_truncations_sorted_in_any_order():
+    parts = [passage_sweep(lo, hi, max_steps=3)
+             for lo, hi in ((2, 700), (701, 1300), (1301, 2000))]
+    whole = passage_sweep(2, 2000, max_steps=3)
+    assert len(whole.truncated) > 10
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0], [0, 2, 1]):
+        merged = reduce(SweepReport.merge, [parts[i] for i in order])
+        assert merged.aggregates() == whole.aggregates(), order
 
 
 @pytest.mark.parametrize("max_steps", [3, DEFAULT_WALK_LIMIT])
