@@ -14,6 +14,8 @@ generic step, which is the oracle throughout this module.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import DEFAULT_WALK_LIMIT, _checked
@@ -46,7 +48,8 @@ class Family:
 
     def is_equivalent_position(self, x: int) -> bool:
         """True when x = 4x'+q for some valid position x' (x ends a chain)."""
-        return x % 4 == self.q % 4 and x >= self.q + 4
+        q = self.q
+        return x % 4 == q % 4 and x >= q + 4
 
 
 def family_step(x: int, family: Family) -> int:
@@ -92,9 +95,11 @@ def branch_maps(family: Family) -> tuple[tuple[Progression, Progression], ...]:
     Equivalents occupy the class q mod 4 (from x >= q+4 up).  What remains
     is one full stride-2 class and one stride-4 class, determined by q's
     parity and residue; positions of the equivalent class below q+4 are
-    the leftover exceptional positions handled by one-off rules.  On each
-    class the step is affine with image interval 3, so the image is pinned
-    by the class intercept and checked once on the class's second member.
+    the leftover exceptional positions handled by one-off rules.  Each
+    domain starts at its first member whose 3n+p is at least 1 (for
+    p <= -5 the smallest members have no image).  On each class the step
+    is affine with image interval 3, so the image is pinned by the domain
+    intercept and checked once on the domain's second member.
     """
     q4 = family.q % 4
     if family.q % 2 == 0:
@@ -103,8 +108,12 @@ def branch_maps(family: Family) -> tuple[tuple[Progression, Progression], ...]:
     else:
         stride2 = Progression(2, 2)
         stride4 = Progression(3, 4) if q4 == 1 else Progression(1, 4)
+    lowest = (9 - family.p) // 6  # least position with 3(2x-1)+p >= 1
     maps = []
     for domain in (stride2, stride4):
+        skip = -((domain.intercept - lowest) // domain.interval)  # members below lowest
+        if skip > 0:
+            domain = Progression(domain.element(skip), domain.interval)
         image = Progression(family_step(domain.intercept, family), 3)
         if family_step(domain.element(1), family) != image.element(1):
             raise ValueError(f"step is not affine on {domain} (p={family.p})")
@@ -127,6 +136,8 @@ def lower_preimages(x: int, family: Family) -> tuple[int, ...]:
     the 4x+q images of shallower ones, so reducing every solution to its
     base yields the distinct predecessors: at most one for p not divisible
     by 3, at most two otherwise.  Every result is verified by stepping it.
+    This search is the oracle for the closed form of predecessor_rule,
+    which the chain scans use.
     """
     if x < 1:
         raise ValueError(f"position must be >= 1, got {x}")
@@ -151,6 +162,36 @@ def lower_preimages(x: int, family: Family) -> tuple[int, ...]:
         except NonpositiveImageError:
             pass  # a position whose step is undefined precedes nothing
     return tuple(sorted(bases))
+
+
+def predecessor_rule(family: Family) -> Callable[[int], tuple[int, ...]]:
+    """lower_preimages in closed form: a function v -> sorted predecessors of v.
+
+    Derived once from branch_maps: a value v = b + 3m on the image of a
+    branch with domain a + s*m has the predecessor a + s*(v-b)/3.  The
+    exceptional positions, which no branch covers, form a small table from
+    image to positions.  Like lower_preimages, a predecessor whose 3n+p
+    leaves the working range raises WidthExceededError.
+    """
+    p = family.p
+    branches = tuple((img.intercept, img.intercept % 3, dom.intercept, dom.interval)
+                     for dom, img in branch_maps(family))
+    one_off: dict[int, tuple[int, ...]] = {}
+    for e in exceptional_positions(family):
+        y = family_step(e, family)
+        one_off[y] = one_off.get(y, ()) + (e,)
+
+    def predecessors(v: int) -> tuple[int, ...]:
+        if v < 1:
+            raise ValueError(f"position must be >= 1, got {v}")
+        r = v % 3
+        found = [a + s * (v - b) // 3 for b, rb, a, s in branches if r == rb and v >= b]
+        found += one_off.get(v, ())
+        for x in found:
+            _checked(6 * x - 3 + p)
+        return tuple(sorted(found))
+
+    return predecessors
 
 
 # Position-map systems for small |p|, transcribed verbatim as published.
@@ -351,14 +392,18 @@ def two_to_one_audit(limit: int) -> TwoToOneReport:
     exactly half or double.
 
     On the base domain the image is at least (3x+2)/4, so predecessors of
-    images <= limit all lie at or below (4*limit - 2)/3.
+    images <= limit all lie at or below (4*limit - 2)/3.  Counts are
+    tallied in a byte per image, and an image hit more than 255 times
+    keeps its exact count in a dict; the first predecessor of each image
+    sits in an integer array.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     family = Family(3)
     x_max = (4 * limit - 2) // 3 + 1
-    counts = [0] * (limit + 1)
-    first_seen: dict[int, int] = {}
+    counts = bytearray(limit + 1)
+    many: dict[int, int] = {}  # exact counts of images hit more than 255 times
+    first_seen = array("q", [0]) * (limit + 1)
     pairing_bad: list[tuple[int, int, int]] = []
     for x in range(1, x_max + 1):
         if x & 3 == 0:
@@ -366,17 +411,20 @@ def two_to_one_audit(limit: int) -> TwoToOneReport:
         y = family_step(x, family)
         if y > limit:
             continue
-        counts[y] += 1
-        if counts[y] == 1:
+        c = counts[y]
+        if c == 0:
             first_seen[y] = x
-        elif counts[y] == 2:
-            if x != 2 * first_seen[y]:
-                pairing_bad.append((y, first_seen[y], x))
+        elif c == 1 and x != 2 * first_seen[y]:
+            pairing_bad.append((y, first_seen[y], x))
+        if c < 255:
+            counts[y] = c + 1
+        else:
+            many[y] = many.get(y, 255) + 1
     count_bad = []
     for y in range(1, limit + 1):
         expected = 2 if y % 3 == 2 else 0
         if counts[y] != expected:
-            count_bad.append((y, counts[y]))
+            count_bad.append((y, many.get(y, counts[y])))
     return TwoToOneReport(limit, limit, tuple(count_bad), tuple(pairing_bad))
 
 
@@ -411,59 +459,114 @@ def string_scan(family: Family, limit: int,
     Forward, every position should walk to a chain end (an equivalent
     position).  Backward -- only for families with unique predecessors,
     i.e. p not divisible by 3 -- every position should walk to a head
-    (a position with no predecessor).  A walk that cycles, truncates, or
-    hits a nonpositive image makes the start an orphan.  The family's
+    (a position with no predecessor), one predecessor_rule step at a time.
+    A walk that cycles, truncates (records more than max_len positions),
+    or hits a nonpositive image makes the start an orphan.  The family's
     built-in fixed point is skipped; it is a loop, not a chain.
+
+    Walks are memoized per direction for positions <= limit (see _walk),
+    so each position's walk is followed once however many starts reach
+    it; the orphans are those of walking every start on its own.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     trivial = family.trivial_loop_position
+    p, q = family.p, family.q
+    end_residue, first_end = q % 4, q + 4
+
+    def forward(v: int) -> int:  # family_step inlined; 0 at a chain end, -1 rejected
+        t = 6 * v - 3 + p
+        if t < 1:
+            return -1
+        _checked(t)
+        j = (t & -t).bit_length() - 1
+        v = ((t >> j) + 1) >> 1
+        return 0 if v & 3 == end_residue and v >= first_end else v
+
+    walks = [("forward", forward)]
+    if p % 3 != 0:
+        predecessors = predecessor_rule(family)
+
+        def backward(v: int) -> int:  # the unique predecessor; 0 at a head
+            found = predecessors(v)
+            return found[0] if found else 0
+
+        walks.append(("backward", backward))
+    # memo entries are below 4*(max_len+2): four bytes each unless max_len is huge
+    typecode = "I" if max_len < 1 << 29 else "q"
+    memos = [(direction, step, array(typecode, [0]) * (limit + 1), {})
+             for direction, step in walks]
     orphans: list[OrphanRecord] = []
-    walk_back = family.p % 3 != 0
-
-    def forward(v: int) -> int | None:
-        nxt = family_step(v, family)
-        return None if family.is_equivalent_position(nxt) else nxt
-
-    def backward(v: int) -> int | None:
-        predecessors = lower_preimages(v, family)
-        return predecessors[0] if predecessors else None  # None: reached a head
-
     for x in range(1, limit + 1):
         if x == trivial:
             continue
-        if not family.is_equivalent_position(x):
-            orphan = _walk(x, "forward", forward, max_len)
-            if orphan is not None:
-                orphans.append(orphan)
-        if walk_back:
-            orphan = _walk(x, "backward", backward, max_len)
-            if orphan is not None:
-                orphans.append(orphan)
+        for direction, step, memo, cycles in memos:
+            if direction == "forward" and x & 3 == end_residue and x >= first_end:
+                continue  # an equivalent position ends its chain
+            entry = memo[x] or _walk(x, step, memo, cycles, max_len)
+            if entry >> 2 > max_len:
+                orphans.append(OrphanRecord(x, direction, "truncated", None))
+            elif entry & 3 == _CYCLE:
+                orphans.append(OrphanRecord(x, direction, "cycle", cycles[x]))
+            elif entry & 3 != _END:
+                orphans.append(OrphanRecord(x, direction, "rejected", None))
     scanned = limit - (1 if trivial <= limit else 0)
     return StringScanReport(family.p, limit, scanned, tuple(orphans))
 
 
-def _walk(x: int, direction: str, step, max_len: int) -> OrphanRecord | None:
-    """Follow step from x until it returns None (a chain end), else an orphan."""
+_END, _CYCLE, _REJECTED = 1, 2, 3  # terminal kinds of a memoized walk
+
+
+def _walk(x: int, step, memo: array, cycles: dict, max_len: int) -> int:
+    """Walk from x by step until a known position or a terminal; returns memo[x].
+
+    step gives the next position, 0 at a chain end or -1 when rejected.
+    memo[v], for every v <= len(memo)-1 whose walk is known, is 4*n + kind:
+    the walk from v records n positions (counted up to max_len+1) before
+    its terminal kind, and cycles[v] is the cycle when kind is _CYCLE.  So
+    n > max_len is exactly a truncation.  A start that truncates records
+    only itself, with kind 0: the rest of its path is not known.
+    """
+    cap = max_len + 1
+    limit = len(memo) - 1
     index: dict[int, int] = {}
     path: list[int] = []
-    v: int | None = x
-    while v is not None:
+    v = x
+    cycle = None
+    while True:
+        if v <= limit and memo[v]:
+            n, kind = memo[v] >> 2, memo[v] & 3
+            if kind == _CYCLE:
+                cycle = cycles[v]
+            break
         at = index.get(v)
-        if at is not None:
-            return OrphanRecord(x, direction, "cycle", _canonical_rotation(tuple(path[at:])))
+        if at is not None:  # a new cycle: each member walks all of it
+            cycle = _canonical_rotation(tuple(path[at:]))
+            n, kind = len(path) - at, _CYCLE
+            for u in path[at:]:
+                if u <= limit:
+                    memo[u] = (n if n < cap else cap) << 2 | _CYCLE
+                    cycles[u] = cycle
+            del path[at:]
+            break
         index[v] = len(path)
         path.append(v)
         if len(path) > max_len:
-            return OrphanRecord(x, direction, "truncated", None)
-        try:
-            v = step(v)
-        except NonpositiveImageError:
-            return OrphanRecord(x, direction, "rejected", None)
-    return None
+            memo[x] = cap << 2
+            return memo[x]
+        v = step(v)
+        if v < 1:
+            n, kind = 0, _END if v == 0 else _REJECTED
+            break
+    for u in reversed(path):
+        n += 1
+        if u <= limit:
+            memo[u] = (n if n < cap else cap) << 2 | kind
+            if cycle is not None:
+                cycles[u] = cycle
+    return memo[x]
 
 
 def family_evolve_forward(family: Family, generation: int) -> tuple[Progression, ...]:
@@ -473,18 +576,21 @@ def family_evolve_forward(family: Family, generation: int) -> tuple[Progression,
     both lower branches, dropping the equivalent class.  Requires a family
     whose equivalent residue class contains no exceptional positions
     (p in {-1, 1, 3}, among small parameters), so that dropping the class
-    drops only true chain ends; anything else would silently misplace the
-    exceptional positions.
+    drops only true chain ends, and whose branch domains start at their
+    residue (for p <= -5 the smallest members have no image); anything
+    else would silently misplace those positions.
     """
     if generation < 0:
         raise ValueError(f"generation must be >= 0, got {generation}")
-    if exceptional_positions(family):
+    maps = branch_maps(family)
+    if exceptional_positions(family) or any(dom.intercept > dom.interval
+                                            for dom, _ in maps):
         raise ValueError(
-            f"p={family.p} has exceptional positions; its evolution is not a plain "
-            "two-branch progression process"
+            f"p={family.p} has exceptional or rejected positions; its evolution is "
+            "not a plain two-branch progression process"
         )
     if family.p % 3 == 0:
         seeds: tuple[Progression, ...] = (Progression(1, 3), Progression(3, 3))
     else:
         seeds = (Progression(2, 3),)
-    return evolve(seeds, branch_maps(family), generation)
+    return evolve(seeds, maps, generation)

@@ -1,7 +1,13 @@
-import pytest
+import os
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import collatz_strings.family as family_module
 from collatz_strings import (
     CASE_SYSTEM_PARAMS,
+    DEFAULT_WALK_LIMIT,
     Family,
     NonpositiveImageError,
     audit_case_system,
@@ -21,7 +27,7 @@ from collatz_strings import (
     string_scan,
     two_to_one_audit,
 )
-from collatz_strings.family import OrphanRecord, branch_maps
+from collatz_strings.family import OrphanRecord, branch_maps, predecessor_rule
 
 
 def test_family_validation():
@@ -174,6 +180,37 @@ def test_lower_preimages_step_back():
                 assert not fam.is_equivalent_position(pre)
 
 
+@pytest.mark.parametrize("p", range(-41, 42, 2))
+def test_predecessor_rule_matches_lower_preimages(p):
+    family = Family(p)
+    predecessors = predecessor_rule(family)
+    for x in range(1, 20_001):
+        assert predecessors(x) == lower_preimages(x, family), (p, x)
+
+
+@given(p=st.integers(-20, 20).map(lambda k: 2 * k + 1), x=st.integers(1, 2 ** 100))
+@settings(max_examples=300, deadline=None)
+def test_predecessor_rule_matches_lower_preimages_on_large_positions(p, x):
+    family = Family(p)
+    assert predecessor_rule(family)(x) == lower_preimages(x, family)
+
+
+@pytest.mark.parametrize("p", range(-41, -3, 2))
+def test_branch_maps_of_strongly_negative_families(p):
+    # each domain starts at its first member with an image: members below it
+    # are rejected, members from it on step affinely onto the image
+    family = Family(p)
+    for domain, image in branch_maps(family):
+        below = domain.intercept - domain.interval
+        if below >= 1:
+            with pytest.raises(NonpositiveImageError):
+                family_step(below, family)
+        for t in range(200):
+            assert family_step(domain.element(t), family) == image.element(t), (p, t)
+    with pytest.raises(ValueError):
+        family_evolve_forward(family, 1)
+
+
 def test_find_cycles_p1_exactly_the_loop():
     report = find_cycles(Family(1), 1000)
     assert report.cycle_set == {(1,)}
@@ -207,6 +244,48 @@ def test_two_to_one_examples():
     assert family_step(3, fam) == 5 and family_step(6, fam) == 5
     report = two_to_one_audit(10 ** 4)
     assert report.ok
+
+
+def list_two_to_one_audit(limit):
+    """two_to_one_audit as it was with a list of counts and a dict of first hits."""
+    family = Family(3)
+    counts = [0] * (limit + 1)
+    first_seen, pairing_bad = {}, []
+    for x in range(1, (4 * limit - 2) // 3 + 2):
+        if x & 3 == 0:
+            continue
+        y = family_module.family_step(x, family)
+        if y > limit:
+            continue
+        counts[y] += 1
+        if counts[y] == 1:
+            first_seen[y] = x
+        elif counts[y] == 2 and x != 2 * first_seen[y]:
+            pairing_bad.append((y, first_seen[y], x))
+    count_bad = tuple((y, counts[y]) for y in range(1, limit + 1)
+                      if counts[y] != (2 if y % 3 == 2 else 0))
+    return count_bad, tuple(pairing_bad)
+
+
+def test_two_to_one_violations_match_list_reference(monkeypatch):
+    # 7 -> 5 (not 11) gives image 5 a third hit; 9 -> 11 (not 14) leaves
+    # image 14 a single hit and pairs 11's predecessors as (9, 14); every x
+    # in [1001, 1600] sent to 29 hits it about 450 times, past what one
+    # byte counts
+    step = family_module.family_step
+
+    def faulty(x, family):
+        if 1000 < x <= 1600:
+            return 29
+        return {7: 5, 9: 11}.get(x) or step(x, family)
+
+    monkeypatch.setattr(family_module, "family_step", faulty)
+    report = two_to_one_audit(3000)
+    expected = list_two_to_one_audit(3000)
+    assert (report.count_violations, report.pairing_violations) == expected
+    counts = dict(expected[0])
+    assert counts[5] == 3 and counts[14] == 1 and counts[29] > 255
+    assert (11, 9, 14) in expected[1]
 
 
 def test_string_scan_p1_clean():
@@ -255,21 +334,45 @@ def _reference_walk(x, family, direction, max_len):
     return None
 
 
-@pytest.mark.parametrize("p", sorted(set(CASE_SYSTEM_PARAMS) | {-5, -11}))
+def reference_scan(family, limit, max_len):
+    """Orphans of string_scan, one _reference_walk per start and direction."""
+    expected = []
+    for x in range(1, limit + 1):
+        if x == family.trivial_loop_position:
+            continue
+        for direction in ("forward", "backward"):
+            if direction == "backward" and family.p % 3 == 0:
+                continue
+            orphan = _reference_walk(x, family, direction, max_len)
+            if orphan is not None:
+                expected.append(orphan)
+    return tuple(expected)
+
+
+@pytest.mark.parametrize("p", sorted(set(CASE_SYSTEM_PARAMS) | {-5, -7, -9, -11, -13}))
 def test_string_scan_matches_per_direction_reference(p):
     family = Family(p)
     for max_len in (0, 1, 2, 5):
-        expected = []
-        for x in range(1, 301):
-            if x == family.trivial_loop_position:
-                continue
-            for direction in ("forward", "backward"):
-                if direction == "backward" and p % 3 == 0:
-                    continue
-                orphan = _reference_walk(x, family, direction, max_len)
-                if orphan is not None:
-                    expected.append(orphan)
-        assert string_scan(family, 300, max_len=max_len).orphans == tuple(expected)
+        assert string_scan(family, 300, max_len=max_len).orphans == \
+            reference_scan(family, 300, max_len)
+
+
+@given(p=st.sampled_from(sorted(set(CASE_SYSTEM_PARAMS) | {-5, -7, -9, -11, -13})),
+       limit=st.integers(1, 3000),
+       max_len=st.sampled_from([0, 1, 2, 5, DEFAULT_WALK_LIMIT]))
+@settings(max_examples=40, deadline=None)
+def test_memoized_scan_matches_reference_walks(p, limit, max_len):
+    family = Family(p)
+    assert string_scan(family, limit, max_len).orphans == reference_scan(family, limit, max_len)
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the scan oracle check at 10^5")
+def test_long_scan_matches_reference_walks():
+    for p in CASE_SYSTEM_PARAMS:
+        family = Family(p)
+        assert string_scan(family, 10 ** 5).orphans == \
+            reference_scan(family, 10 ** 5, DEFAULT_WALK_LIMIT), p
 
 
 def test_shift_by_six_realigns_families():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collatz_strings.strings as strings_module
 from collatz_strings import (
     DEFAULT_WALK_LIMIT,
     MAX_VALUE,
@@ -265,6 +266,54 @@ def test_partition_audit_matches_per_position_reference(max_len, limit):
     got = (report.heads, report.truncated, report.conflicts, report.longest_chain)
     assert got == reference_partition_audit(limit, walk)
     assert report.positions_checked == limit - 1
+
+
+def dict_partition_audit(limit, max_len):
+    """partition_audit as it was with a head_of dict over every element."""
+    head_of, truncated, conflicts, heads, longest = {}, [], [], set(), 0
+    for x in range(2, limit + 1):
+        if x in head_of:
+            continue
+        record = build_string_containing(x, max_len)
+        if record.truncated_backward:
+            truncated.append((x, "backward"))
+            continue
+        heads.add(record.head)
+        if record.truncated_forward:
+            truncated.append((x, "forward"))
+            continue
+        longest = max(longest, record.length)
+        for element in record.elements:
+            seen = head_of.get(element)
+            if seen is None:
+                head_of[element] = record.head
+            elif seen != record.head:
+                conflicts.append((element, seen, record.head))
+    return frozenset(heads), tuple(truncated), tuple(conflicts), longest
+
+
+# Faulty steps that join chains.  30 -> 49 lets the chain of head 20 mark the
+# chain of head 65 first, so 49's first head is 20, not the head it walks back
+# to.  1653 -> 2184 sends the chain of head 1469 into the chain of head 1022,
+# which runs above the limit (3276, 4914, 7371).
+CHAIN_JOINS = {30: 49, 1653: 2184}
+
+
+@pytest.mark.parametrize("max_len", [5, 20, None])
+def test_partition_audit_conflicts_match_dict_reference(monkeypatch, max_len):
+    step = strings_module.lower_step
+    monkeypatch.setattr(strings_module, "lower_step",
+                        lambda v: CHAIN_JOINS.get(v) or step(v))
+    walk = DEFAULT_WALK_LIMIT if max_len is None else max_len
+    expected = dict_partition_audit(3000, walk)
+    report = partition_audit(3000, walk)
+    assert (report.heads, report.truncated, report.conflicts,
+            report.longest_chain) == expected
+    if max_len is None:
+        conflicts = expected[2]
+        assert (49, 20, 65) in conflicts
+        assert (2184, 1022, 1469) in conflicts
+        assert any(element > 3000 for element, _, _ in conflicts)
 
 
 def test_three_n_minus_one_contrast():
