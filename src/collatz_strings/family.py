@@ -473,20 +473,17 @@ def string_scan(family: Family, limit: int,
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     trivial = family.trivial_loop_position
-    p, q = family.p, family.q
-    end_residue, first_end = q % 4, q + 4
+    is_end = family.is_equivalent_position
 
-    def forward(v: int) -> int:  # family_step inlined; 0 at a chain end, -1 rejected
-        t = 6 * v - 3 + p
-        if t < 1:
+    def forward(v: int) -> int:  # 0 at a chain end, -1 rejected
+        try:
+            v = family_step(v, family)
+        except NonpositiveImageError:
             return -1
-        _checked(t)
-        j = (t & -t).bit_length() - 1
-        v = ((t >> j) + 1) >> 1
-        return 0 if v & 3 == end_residue and v >= first_end else v
+        return 0 if is_end(v) else v
 
     walks = [("forward", forward)]
-    if p % 3 != 0:
+    if family.p % 3 != 0:
         predecessors = predecessor_rule(family)
 
         def backward(v: int) -> int:  # the unique predecessor; 0 at a head
@@ -503,7 +500,7 @@ def string_scan(family: Family, limit: int,
         if x == trivial:
             continue
         for direction, step, memo, cycles in memos:
-            if direction == "forward" and x & 3 == end_residue and x >= first_end:
+            if direction == "forward" and is_end(x):
                 continue  # an equivalent position ends its chain
             entry = memo[x] or _walk(x, step, memo, cycles, max_len)
             if entry >> 2 > max_len:
@@ -540,6 +537,10 @@ def _walk(x: int, step, memo: array, cycles: dict, max_len: int) -> int:
             n, kind = memo[v] >> 2, memo[v] & 3
             if kind == _CYCLE:
                 cycle = cycles[v]
+                # members of this cycle above the limit, walked just before v,
+                # are already counted in n: keep only the path's tail
+                while path and path[-1] > limit and path[-1] in cycle:
+                    path.pop()
             break
         at = index.get(v)
         if at is not None:  # a new cycle: each member walks all of it

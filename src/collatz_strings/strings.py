@@ -222,28 +222,27 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
     """Verify that every position in [2, limit] sits in exactly one chain.
 
     Each chain is built once, from the first position in range that no
-    earlier chain has placed.  Elements in range are marked in a byte map
-    and elements above it keep their head in a dict; an element met by a
-    second chain with another head is a conflict (the one-to-one map should
-    make this impossible).  For a second mark in range, the first head is
-    re-derived by rebuilding the earlier chains in order, which are the
-    same walks as before, so the conflict names the head that marked the
-    element first.  Truncated walks record nothing, so every member of a
-    truncated chain is walked and reported on its own.  Truncated walks
-    are findings, not errors.
+    earlier chain has placed.  Every element met keeps the head of the
+    first chain that held it -- in a list slot per position in range, in a
+    dict above the range -- and an element later met under a second head
+    is a conflict (the one-to-one map should make this impossible).
+    Truncated walks record nothing, so every member of a truncated chain
+    is walked and reported on its own.  Truncated walks are findings, not
+    errors.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    marks = bytearray(limit + 1)  # bit 0: element of a complete chain; bit 1: its start
+    # a list, not array('q'): heads are unbounded, and `heads` holds them anyway
+    head_in: list[int] = [0] * (limit + 1)  # 0: no complete chain holds it yet
     head_above: dict[int, int] = {}
     truncated: list[tuple[int, str]] = []
     conflicts: list[tuple[int, int, int]] = []
     heads: set[int] = set()
     longest = 0
     for x in range(2, limit + 1):
-        if marks[x] & 1:
+        if head_in[x]:
             continue
         record = build_string_containing(x, max_len)
         if record.truncated_backward:
@@ -258,14 +257,12 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
         for element in record.elements:
             if element > limit:
                 seen = head_above.setdefault(element, head)
-            elif marks[element] & 1:
-                seen = _first_head(element, marks, x, max_len)
             else:
-                marks[element] |= 1
-                continue
+                seen = head_in[element]
+                if not seen:
+                    head_in[element] = seen = head
             if seen != head:
                 conflicts.append((element, seen, head))
-        marks[x] |= 2
     return PartitionAuditReport(
         limit=limit,
         heads=frozenset(heads),
@@ -273,16 +270,6 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
         conflicts=tuple(conflicts),
         longest_chain=longest,
     )
-
-
-def _first_head(element: int, marks: bytearray, before: int, max_len: int) -> int:
-    """Head of the first complete chain, started below `before`, holding element."""
-    for start in range(2, before):
-        if marks[start] & 2:
-            record = build_string_containing(start, max_len)
-            if element in record.elements:
-                return record.head
-    raise RuntimeError(f"rebuilt chains no longer hold {element}; the step is not deterministic")
 
 
 @dataclass(frozen=True)

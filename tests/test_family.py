@@ -352,14 +352,23 @@ def reference_scan(family, limit, max_len):
 @pytest.mark.parametrize("p", sorted(set(CASE_SYSTEM_PARAMS) | {-5, -7, -9, -11, -13}))
 def test_string_scan_matches_per_direction_reference(p):
     family = Family(p)
-    for max_len in (0, 1, 2, 5):
+    for max_len in (0, 1, 2, 3, 4, 5):
         assert string_scan(family, 300, max_len=max_len).orphans == \
             reference_scan(family, 300, max_len)
 
 
+def test_scan_counts_a_cycle_across_the_limit_once():
+    # p=15 cycles 35 -> 56 -> 44 -> 35.  Start 21 memoizes 35; start 27 then
+    # walks 27 -> 44 (above the limit) -> 35, four positions in all, and
+    # closes the cycle within max_len=4 instead of truncating
+    report = string_scan(Family(15), 40, max_len=4)
+    assert report.orphans == reference_scan(Family(15), 40, 4)
+    assert OrphanRecord(27, "forward", "cycle", (35, 56, 44)) in report.orphans
+
+
 @given(p=st.sampled_from(sorted(set(CASE_SYSTEM_PARAMS) | {-5, -7, -9, -11, -13})),
        limit=st.integers(1, 3000),
-       max_len=st.sampled_from([0, 1, 2, 5, DEFAULT_WALK_LIMIT]))
+       max_len=st.sampled_from([0, 1, 2, 3, 4, 5, DEFAULT_WALK_LIMIT]))
 @settings(max_examples=40, deadline=None)
 def test_memoized_scan_matches_reference_walks(p, limit, max_len):
     family = Family(p)

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -314,6 +315,22 @@ def test_partition_audit_conflicts_match_dict_reference(monkeypatch, max_len):
         assert (49, 20, 65) in conflicts
         assert (2184, 1022, 1469) in conflicts
         assert any(element > 3000 for element, _, _ in conflicts)
+
+
+def test_partition_audit_many_conflicts_stay_linear(monkeypatch):
+    # every position 30 mod 50 joins the chain 49 -> 37 -> 28 -> 42 -> 63, so
+    # thousands of conflicts fall in range; each must cost one lookup
+    step = strings_module.lower_step
+    monkeypatch.setattr(strings_module, "lower_step",
+                        lambda v: 49 if v % 50 == 30 else step(v))
+    expected = dict_partition_audit(20_000, DEFAULT_WALK_LIMIT)
+    started = time.perf_counter()
+    report = partition_audit(20_000)
+    elapsed = time.perf_counter() - started
+    assert (report.heads, report.truncated, report.conflicts,
+            report.longest_chain) == expected
+    assert len(report.conflicts) > 1000
+    assert elapsed < 5.0
 
 
 def test_three_n_minus_one_contrast():
