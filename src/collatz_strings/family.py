@@ -47,9 +47,13 @@ class Family:
         return (abs(self.p) + 1) // 2
 
     def is_equivalent_position(self, x: int) -> bool:
-        """True when x = 4x'+q for some valid position x' (x ends a chain)."""
+        """True when x = 4x'+q for some valid position x' < x (x ends a chain).
+
+        x' < x is 3x+q > 0, that is 3(2x-1)+p >= 1, so a position whose
+        own step is undefined (1 for p = -3, 2 for p = -9) ends no chain.
+        """
         q = self.q
-        return x % 4 == q % 4 and x >= q + 4
+        return x % 4 == q % 4 and x >= q + 4 and 3 * x + q > 0
 
 
 def family_step(x: int, family: Family) -> int:

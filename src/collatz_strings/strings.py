@@ -127,27 +127,32 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     """Count window members covered by the first m generations.
 
     The window is [window_start, window_start + 3**m) forward, 4**m
-    backward.  Membership is taken as an explicit set union over the parts
-    of generations 0..m-1, so the count does not presuppose disjointness.
+    backward.  Membership is an explicit union over the parts of
+    generations 0..m-1, marked one byte per window position, so the count
+    does not presuppose disjointness.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if window_start < 2:
         raise ValueError(f"window_start must be >= 2, got {window_start}")
     if direction == "forward":
-        window = 3 ** m
-        states = [evolve_forward(k) for k in range(m)]
+        window, parts, maps = 3 ** m, (FORWARD_SEED,), FORWARD_MAPS
     elif direction == "backward":
-        window = 4 ** m
-        states = [evolve_backward(k) for k in range(m)]
+        window, parts, maps = 4 ** m, (BACKWARD_SEED,), BACKWARD_MAPS
     else:
         raise ValueError(f"unknown direction {direction!r}")
     _checked(window_start + window)
-    members: set[int] = set()
-    for state in states:
-        for part in state.parts:
-            members.update(part.elements_in(window_start, window_start + window))
-    return CoverageCount(direction, m, window_start, len(members), window - len(members))
+    covered = bytearray(window)  # covered[i]: window_start + i is a member
+    for generation in range(m):
+        if generation:
+            parts = evolve(parts, maps, 1)
+        for part in parts:
+            first = part.intercept - window_start
+            if first < 0:
+                first %= part.interval
+            covered[first::part.interval] = b"\1" * len(range(first, window, part.interval))
+    included = covered.count(1)
+    return CoverageCount(direction, m, window_start, included, window - included)
 
 
 @dataclass(frozen=True)
@@ -338,21 +343,6 @@ def _sweep_identity(lo: int, hi: int, max_steps: int) -> dict:
             "max_steps": max_steps}
 
 
-def _first_passage(v: int, steps: int, max_steps: int, x: int) -> int:
-    """Steps until position x, at value v after `steps` steps, first reaches
-    3 mod 4, or -1 past max_steps; trajectory_report's arithmetic, inlined."""
-    while v & 3 != 3:
-        if steps >= max_steps:
-            return -1
-        t = 6 * v - 2
-        if t > MAX_VALUE:
-            raise WidthExceededError(f"trajectory of {x} left the working range")
-        j = (t & -t).bit_length() - 1
-        v = ((t >> j) + 1) >> 1
-        steps += 1
-    return steps
-
-
 def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
     """Complete report of [lo, hi] (empty when hi < lo), one residue class at a time.
 
@@ -361,10 +351,11 @@ def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
     values v = b + n*t after s steps moves as one while 4 | n (or n = 2 mod 4
     and b is even): all of it hits 3 mod 4, runs out of steps or takes one
     branch.  Otherwise it splits on the parity of t (Terras's parity-vector
-    tree, walked depth first).  A class of one member finishes in
-    _first_passage.  A tie on the maximum goes to the smallest member, as in
-    a position loop.  When a member about to step would leave the working
-    range, [lo, hi] is walked again position by position in increasing
+    tree, walked depth first).  A class of one member never splits: it steps
+    by the same two branches until it hits, truncates or leaves the working
+    range.  A tie on the maximum goes to the smallest member, as in a
+    position loop.  When a member about to step would leave the working
+    range, each position of [lo, hi] is swept again on its own in increasing
     order, so WidthExceededError names the first position to leave it.
     """
     hits = total_steps = max_seen = 0
@@ -375,12 +366,7 @@ def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
         while stack:
             a, m, c, b, n, s = stack.pop()
             while True:
-                if c == 1:
-                    s = _first_passage(b, s, max_steps, a)
-                    if s < 0:
-                        truncated.append(a)
-                        break
-                elif n & 3 and (n | b) & 1:  # residues mod 4 differ: split by parity of t
+                if c > 1 and n & 3 and (n | b) & 1:  # residues mod 4 differ: split on t
                     half = c >> 1
                     stack.append((a + m, 2 * m, half, b + n, 2 * n, s))
                     m, c, n = 2 * m, c - half, 2 * n
@@ -404,8 +390,9 @@ def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
                     max_seen, argmax = s, a
                 break
     except WidthExceededError:
-        for x in range(lo, hi + 1):  # raises at the first member to leave the range
-            _first_passage(x, 0, max_steps, x)
+        if hi > lo:  # a one-position sweep raises for the first member to leave
+            for x in range(lo, hi + 1):
+                _sweep_range(x, x, max_steps)
         raise
     truncated.sort()
     return SweepReport(
@@ -425,15 +412,15 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     Records each position's number of conjugate steps to the first 3 mod 4
     value; positions exhausting max_steps are truncation findings.  Each
     chunk is swept by _sweep_range: whole residue classes x = a (mod 2^k)
-    move together while they share a branch, a class of one member walks
-    step by step, and a chunk where a step would leave the working range is
-    walked again position by position, so WidthExceededError names the
-    first position to leave it.  The sweep folds chunk reports with
-    SweepReport.merge.  With checkpoint_path set, a chunk is
-    checkpoint_every positions and after each one the report of
-    [lo, next_position-1] is saved atomically; resume=True continues from it
-    (ValueError for a malformed or inconsistent checkpoint).  budget caps the
-    positions processed in this call (the report is then incomplete).
+    move together while they share a branch, down to classes of one member,
+    and a chunk where a step would leave the working range is swept again
+    one position at a time, so WidthExceededError names the first position
+    to leave it.  The sweep folds chunk reports with SweepReport.merge.
+    With checkpoint_path set, a chunk is checkpoint_every positions and
+    after each one the report of [lo, next_position-1] is saved atomically;
+    resume=True continues from it (ValueError for a malformed or
+    inconsistent checkpoint).  budget caps the positions processed in this
+    call (the report is then incomplete).
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")

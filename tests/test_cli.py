@@ -6,6 +6,11 @@ import sys
 
 import pytest
 
+import collatz_strings.cli as cli_module
+import collatz_strings.family as family_module
+import collatz_strings.progressions as progressions_module
+import collatz_strings.strings as strings_module
+from collatz_strings import EvolutionState, Progression
 from collatz_strings.cli import main
 
 
@@ -236,6 +241,121 @@ def test_family_audit_m_limit_flag(tmp_path):
     code, text = run_cli(["family-audit", "-p", "7", "--m-limit", "1000"], tmp_path)
     assert code == 0
     assert records_of(text)[-1]["mismatches"] == 0
+
+
+def findings_of(text):
+    return [(r["kind"], r["details"], r["data"])
+            for r in records_of(text) if r["record"] == "finding"]
+
+
+# Failure paths: each command under a fault (or a zero budget) must exit 1
+# and name every finding, with its kind, details and data.
+
+def test_cycles_zero_step_budget_truncates_every_seed(tmp_path):
+    code, text = run_cli(["cycles", "-p", "5", "--seed-limit", "3", "--max-steps", "0"],
+                         tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("truncation", "walk neither cycled nor dipped below its seed", {"seed": seed})
+        for seed in (1, 2, 3)]
+
+
+def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
+    # {40+3t} has intercept >= interval, and its even-branch child {60+9t}
+    # exceeds 3(40+3*3-1)/4 + 1 = 37; the odd-branch child {37+9t} meets it
+    monkeypatch.setattr(cli_module, "evolve_forward",
+                        lambda k: EvolutionState("forward", k, (Progression(40, 3),)))
+    code, text = run_cli(["evolve", "--direction", "forward", "-k", "1"], tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("measurement", "{40+3t}", {"intercept": 40, "interval": 3}),
+        ("violation", "intercept not below interval", {"intercept": 40, "interval": 3}),
+        ("violation", "child intercept exceeds recursion bound",
+         {"parent": "{40+3t}", "child": "{60+9t}"}),
+    ]
+
+
+def test_coverage_reports_a_count_mismatch(tmp_path, monkeypatch):
+    # dropping the last part of each new generation leaves {3+9t} alone in
+    # generation 1: window [2, 11) holds 2, 5, 8 and 3, not also 4
+    evolve = strings_module.evolve
+    monkeypatch.setattr(strings_module, "evolve",
+                        lambda parts, maps, k: evolve(parts, maps, k)[:-1])
+    code, text = run_cli(["coverage", "--direction", "forward", "-m", "2"], tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("mismatch", "window count deviates from the closed form",
+         {"included": 4, "open": 5, "expected_included": 5, "expected_open": 4})]
+
+
+def test_family_audit_reports_rule_mismatches(tmp_path, monkeypatch):
+    # p=7 maps 1+2m to 3+3m; a transcription error of 4+3m misses both instances
+    rules = family_module.CASE_SYSTEMS[7]
+    monkeypatch.setitem(family_module.CASE_SYSTEMS, 7, ((1, 2, 4, 3),) + rules[1:])
+    code, text = run_cli(["family-audit", "-p", "7", "--m-limit", "1", "--n-limit", "0"],
+                         tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("mismatch", "rule image disagrees with the generic step",
+         {"domain": 1, "depth": 0, "expected": 4, "got": 3}),
+        ("mismatch", "rule image disagrees with the generic step",
+         {"domain": 3, "depth": 0, "expected": 7, "got": 6}),
+    ]
+
+
+def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
+    # 7 -> 5 (not 11) gives 5 a third hit; 9 -> 11 (not 14) leaves 14 one
+    # hit and pairs 11's predecessors as (9, 14)
+    step = family_module.family_step
+    monkeypatch.setattr(family_module, "family_step",
+                        lambda x, family: {7: 5, 9: 11}.get(x) or step(x, family))
+    code, text = run_cli(["audit-3n3", "--limit", "20"], tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("violation", "image position not hit exactly twice", {"position": 5, "count": 3}),
+        ("violation", "image position not hit exactly twice", {"position": 14, "count": 1}),
+        ("violation", "predecessors do not pair as half and double",
+         {"image": 11, "first": 9, "second": 14}),
+    ]
+
+
+def test_strings_reports_conflicts(tmp_path, monkeypatch):
+    # 30 -> 49 runs the chain of head 20 into the chain of head 65
+    step = strings_module.lower_step
+    monkeypatch.setattr(strings_module, "lower_step", lambda v: 49 if v == 30 else step(v))
+    code, text = run_cli(["strings", "--limit", "100"], tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("violation", "element reached from two distinct heads",
+         {"element": element, "heads": [20, 65]})
+        for element in (49, 37, 28, 42, 63)]
+
+
+def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):
+    # with no room to search, neither anchor finds a recurrence
+    monkeypatch.setattr(progressions_module, "RECURRENCE_SEARCH_FACTOR", 0)
+    code, text = run_cli(["proportionality", "--cases", "0"], tmp_path, "none")
+    assert code == 1
+    assert findings_of(text) == [
+        ("violation", "first recurrence off the predicted spacing",
+         {"x": 2, "steps_requested": 2, "signature": [1, 4], "predicted": 34,
+          "found": None, "direction": "forward"}),
+        ("violation", "first recurrence off the predicted spacing",
+         {"x": 7, "steps_requested": 4, "signature": [1, 0, 0, 1], "predicted": 88,
+          "found": None, "direction": "backward"}),
+    ]
+    # a matcher that misses 88 finds the next recurrence, 3^4 further on
+    monkeypatch.undo()
+    matches = progressions_module._matches_backward
+    monkeypatch.setattr(progressions_module, "_matches_backward",
+                        lambda x, steps: x != 88 and matches(x, steps))
+    code, text = run_cli(["proportionality", "--cases", "0", "--direction", "backward"],
+                         tmp_path, "late")
+    assert code == 1
+    assert findings_of(text) == [
+        ("violation", "first recurrence off the predicted spacing",
+         {"x": 7, "steps_requested": 4, "signature": [1, 0, 0, 1], "predicted": 88,
+          "found": 169, "direction": "backward"})]
 
 
 def _sha256_of(path):

@@ -464,3 +464,19 @@ def test_string_scan_survives_strongly_negative_families():
     report = string_scan(Family(-5), 300)
     assert not report.ok
     assert 1 in report.orphan_positions
+
+
+@pytest.mark.parametrize("p,limit,rejected", [
+    (-3, 6, [1]),            # 3*1-3 = 0; 3 and 6 still report their cycles
+    (-9, 4, [1, 2, 3, 4]),   # 2: 3*3-9 = 0, and 3 and 4 step to 2
+    (-11, 4, [1, 2, 3, 4]),  # 1 and 2 have no image; 3 and 4 walk to 1
+    (-19, 4, [1, 2, 3, 4]),  # 1, 2 and 3 have no image; 4 steps to 1
+])
+def test_scan_rejects_positions_equivalent_only_to_themselves(p, limit, rejected):
+    # each rejected position below lies in the class q mod 4 at or above q+4,
+    # but its own 3n+p is below 1, so it ends no chain and is walked forward
+    family = Family(p)
+    report = string_scan(family, limit)
+    assert [o for o in report.orphans if o.reason == "rejected"] == [
+        OrphanRecord(x, "forward", "rejected", None) for x in rejected]
+    assert report.orphans == reference_scan(family, limit, DEFAULT_WALK_LIMIT)

@@ -1,6 +1,7 @@
 import json
 import os
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -166,6 +167,19 @@ def test_coverage_rejects_bad_windows():
         coverage_count("forward", 2, window_start=1)
     with pytest.raises(ValueError):
         coverage_count("sideways", 2)
+
+
+def test_coverage_memory_stays_near_one_byte_per_position():
+    # the 4^10-position window is 1 MiB of marks; a set of its ~10^6 covered
+    # members needs tens of MiB
+    tracemalloc.start()
+    try:
+        cc = coverage_count("backward", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cc.included, cc.open_count) == expected_coverage("backward", 10)
+    assert peak < 8 * 2 ** 20
 
 
 def test_worked_strings():
@@ -470,6 +484,21 @@ def test_sweep_range_width_error_names_first_position(mid, max_steps):
     with pytest.raises(WidthExceededError) as got:
         _sweep_range(lo, hi, max_steps)
     assert str(got.value) == str(expected.value)
+
+
+def test_sweep_range_width_error_at_the_last_position():
+    # with one step allowed, only positions x with 6x-2 > MAX_VALUE that are
+    # not already 3 mod 4 leave the range, so `last` is the first to leave
+    # both alone and at the end of a window
+    last = (MAX_VALUE + 2) // 6 + 1
+    if last & 3 == 3:
+        last += 1
+    message = f"trajectory of {last} left the working range"
+    for lo in (last, last - 3):
+        with pytest.raises(WidthExceededError, match=message):
+            reference_sweep(lo, last, 1)
+        with pytest.raises(WidthExceededError, match=message):
+            _sweep_range(lo, last, 1)
 
 
 @pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
