@@ -11,9 +11,7 @@ and the 3n+p generalization.
 from .core import (
     DEFAULT_WALK_LIMIT,
     MAX_VALUE,
-    WIDTH_BITS,
     Restriction,
-    TrajectoryReport,
     WidthExceededError,
     accelerated_step,
     base_equivalent,
@@ -52,7 +50,6 @@ from .family import (
 )
 from .progressions import (
     Progression,
-    SamplingVerdict,
     Signature,
     backward_signature,
     first_recurrence_backward,
@@ -62,10 +59,7 @@ from .progressions import (
     sampling_lemma_check,
 )
 from .strings import (
-    CoverageCount,
     EvolutionState,
-    PartitionAuditReport,
-    StringRecord,
     SweepReport,
     build_string_containing,
     coverage_count,

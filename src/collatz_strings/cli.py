@@ -37,7 +37,7 @@ from .progressions import (
 )
 from .reporting import (
     FAILING_KINDS,
-    Finding,
+    finding,
     header_record,
     render_csv,
     render_jsonl,
@@ -70,7 +70,7 @@ def _resolve_checkpoint(path: str | None) -> str | None:
     return path
 
 
-def cmd_passage(args) -> tuple[list[Finding], dict]:
+def cmd_passage(args) -> tuple[list[dict], dict]:
     report = passage_sweep(
         args.lo, args.hi, max_steps=args.max_steps,
         checkpoint_path=_resolve_checkpoint(args.checkpoint),
@@ -78,7 +78,7 @@ def cmd_passage(args) -> tuple[list[Finding], dict]:
         resume=args.resume, budget=args.budget,
     )
     findings = [
-        Finding("truncation", str(x), "no 3 mod 4 passage within the step budget",
+        finding("truncation", str(x), "no 3 mod 4 passage within the step budget",
                 {"position": x, "max_steps": report.max_steps})
         for x in report.truncated
     ]
@@ -93,15 +93,15 @@ def cmd_passage(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_strings(args) -> tuple[list[Finding], dict]:
+def cmd_strings(args) -> tuple[list[dict], dict]:
     report = partition_audit(args.limit, max_len=args.max_len)
     findings = [
-        Finding("truncation", str(x), f"{direction} walk exceeded max_len",
+        finding("truncation", str(x), f"{direction} walk exceeded max_len",
                 {"position": x, "direction": direction})
         for x, direction in report.truncated
     ]
     findings += [
-        Finding("violation", str(element), "element reached from two distinct heads",
+        finding("violation", str(element), "element reached from two distinct heads",
                 {"element": element, "heads": [a, b]})
         for element, a, b in report.conflicts
     ]
@@ -113,22 +113,22 @@ def cmd_strings(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_evolve(args) -> tuple[list[Finding], dict]:
+def cmd_evolve(args) -> tuple[list[dict], dict]:
     state = (evolve_forward if args.direction == "forward" else evolve_backward)(
         args.generations)
     findings = [
-        Finding("measurement", f"part[{i}]", str(part),
+        finding("measurement", f"part[{i}]", str(part),
                 {"intercept": part.intercept, "interval": part.interval})
         for i, part in enumerate(state.parts)
     ]
     audit = intercept_audit(state)
     findings += [
-        Finding("violation", str(part), "intercept not below interval",
+        finding("violation", str(part), "intercept not below interval",
                 {"intercept": part.intercept, "interval": part.interval})
         for part in audit.part_violations
     ]
     findings += [
-        Finding("violation", str(child), "child intercept exceeds recursion bound",
+        finding("violation", str(child), "child intercept exceeds recursion bound",
                 {"parent": str(parent), "child": str(child)})
         for parent, child in audit.bound_violations
     ]
@@ -139,26 +139,26 @@ def cmd_evolve(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_coverage(args) -> tuple[list[Finding], dict]:
+def cmd_coverage(args) -> tuple[list[dict], dict]:
     if args.random_starts < 0:
         raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
     expected_included, expected_open = expected_coverage(args.direction, args.m)
     starts = [args.window_start]
     rng = random.Random(args.seed)
     starts += [rng.randint(2, 10 ** 6) for _ in range(args.random_starts)]
-    findings: list[Finding] = []
+    findings: list[dict] = []
     mismatches = 0
     for start in starts:
         cc = coverage_count(args.direction, args.m, start)
         ok = (cc.included, cc.open_count) == (expected_included, expected_open)
         if not ok:
             mismatches += 1
-            findings.append(Finding(
+            findings.append(finding(
                 "mismatch", str(start), "window count deviates from the closed form",
                 {"included": cc.included, "open": cc.open_count,
                  "expected_included": expected_included, "expected_open": expected_open}))
         else:
-            findings.append(Finding(
+            findings.append(finding(
                 "measurement", str(start), "window count matches the closed form",
                 {"included": cc.included, "open": cc.open_count}))
     summary = {
@@ -169,14 +169,14 @@ def cmd_coverage(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_family_audit(args) -> tuple[list[Finding], dict]:
+def cmd_family_audit(args) -> tuple[list[dict], dict]:
     value_limit = args.value_limit
     if value_limit is None and args.m_limit is None:
         value_limit = 10_000
     report = audit_case_system(Family(args.p), value_limit=value_limit,
                                m_limit=args.m_limit, n_limit=args.n_limit)
     findings = [
-        Finding("mismatch", str(domain), "rule image disagrees with the generic step",
+        finding("mismatch", str(domain), "rule image disagrees with the generic step",
                 {"domain": domain, "depth": depth, "expected": expected, "got": got})
         for domain, depth, expected, got in report.mismatches
     ]
@@ -185,20 +185,20 @@ def cmd_family_audit(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_cycles(args) -> tuple[list[Finding], dict]:
+def cmd_cycles(args) -> tuple[list[dict], dict]:
     report = find_cycles(Family(args.p), args.seed_limit, max_steps=args.max_steps)
     findings = [
-        Finding("measurement", str(cycle[0]), "cycle",
+        finding("measurement", str(cycle[0]), "cycle",
                 {"members": list(cycle), "length": len(cycle)})
         for cycle in report.cycles
     ]
     findings += [
-        Finding("truncation", str(seed), "walk neither cycled nor dipped below its seed",
+        finding("truncation", str(seed), "walk neither cycled nor dipped below its seed",
                 {"seed": seed})
         for seed in report.truncated_seeds
     ]
     findings += [
-        Finding("truncation", str(seed), "walk reached a nonpositive image", {"seed": seed})
+        finding("truncation", str(seed), "walk reached a nonpositive image", {"seed": seed})
         for seed in report.rejected_seeds
     ]
     summary = {
@@ -210,15 +210,15 @@ def cmd_cycles(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_audit_3n3(args) -> tuple[list[Finding], dict]:
+def cmd_audit_3n3(args) -> tuple[list[dict], dict]:
     report = two_to_one_audit(args.limit)
     findings = [
-        Finding("violation", str(y), "image position not hit exactly twice",
+        finding("violation", str(y), "image position not hit exactly twice",
                 {"position": y, "count": count})
         for y, count in report.count_violations
     ]
     findings += [
-        Finding("violation", str(y), "predecessors do not pair as half and double",
+        finding("violation", str(y), "predecessors do not pair as half and double",
                 {"image": y, "first": a, "second": b})
         for y, a, b in report.pairing_violations
     ]
@@ -230,10 +230,10 @@ def cmd_audit_3n3(args) -> tuple[list[Finding], dict]:
     return findings, summary
 
 
-def cmd_scan(args) -> tuple[list[Finding], dict]:
+def cmd_scan(args) -> tuple[list[dict], dict]:
     report = string_scan(Family(args.p), args.limit, max_len=args.max_len)
     findings = [
-        Finding("violation" if orphan.reason == "cycle" else "truncation",
+        finding("violation" if orphan.reason == "cycle" else "truncation",
                 str(orphan.position), f"{orphan.direction} walk {orphan.reason}",
                 {"position": orphan.position, "direction": orphan.direction,
                  "cycle": list(orphan.cycle) if orphan.cycle else None})
@@ -257,7 +257,7 @@ def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
     return found == predicted, data
 
 
-def cmd_proportionality(args) -> tuple[list[Finding], dict]:
+def cmd_proportionality(args) -> tuple[list[dict], dict]:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
     if args.x_max < 1 or args.n_max < 1:
@@ -274,27 +274,27 @@ def cmd_proportionality(args) -> tuple[list[Finding], dict]:
         for _ in range(args.cases):
             cases.append((direction, rng.randint(1, args.x_max),
                           rng.randint(1, args.n_max)))
-    findings: list[Finding] = []
+    findings: list[dict] = []
     failures = 0
     for direction, x, steps in cases:
         ok, data = _check_recurrence(direction, x, steps)
         if ok:
-            findings.append(Finding("measurement", str(x),
+            findings.append(finding("measurement", str(x),
                                     "first recurrence at the predicted spacing", data))
         else:
             failures += 1
-            findings.append(Finding("violation", str(x),
+            findings.append(finding("violation", str(x),
                                     "first recurrence off the predicted spacing", data))
     summary = {"cases": len(cases), "failures": failures, "seed": args.seed}
     return findings, summary
 
 
-def export_graph(limit: int, cap: int = GRAPH_CAP) -> str:
+def export_graph(limit: int) -> str:
     """Chain edges (solid) and first-higher-equivalent edges (dashed) as DOT."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if limit > cap:
-        raise ValueError(f"limit {limit} exceeds the graph cap {cap}")
+    if limit > GRAPH_CAP:
+        raise ValueError(f"limit {limit} exceeds the graph cap {GRAPH_CAP}")
     lines = ["digraph chains {"]
     for x in range(1, limit + 1):
         nxt = lower_step(x)
@@ -409,10 +409,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             findings, summary = args.handler(args)
             records = [header_record(args.command, _config_dict(args))]
-            records += [f.as_record() for f in findings]
+            records += findings
             records.append(summary_record(args.command, summary))
             text = render_csv(records) if args.format == "csv" else render_jsonl(records)
-            findings_failed = any(f.kind in FAILING_KINDS for f in findings)
+            findings_failed = any(r["kind"] in FAILING_KINDS for r in findings)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)

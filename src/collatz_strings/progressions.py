@@ -43,21 +43,6 @@ class Progression:
     def contains(self, x: int) -> bool:
         return x >= self.intercept and (x - self.intercept) % self.interval == 0
 
-    def elements_in(self, lo: int, hi: int) -> list[int]:
-        """Members in the half-open window [lo, hi)."""
-        first = self.intercept
-        if first < lo:
-            first += ((lo - first + self.interval - 1) // self.interval) * self.interval
-        return list(range(first, hi, self.interval))
-
-    def count_in(self, lo: int, hi: int) -> int:
-        first = self.intercept
-        if first < lo:
-            first += ((lo - first + self.interval - 1) // self.interval) * self.interval
-        if first >= hi:
-            return 0
-        return (hi - 1 - first) // self.interval + 1
-
     def __str__(self) -> str:
         return f"{{{self.intercept}+{self.interval}t}}"
 
@@ -163,8 +148,13 @@ def sampling_lemma_check(base: int, power: int, period: int,
     return SamplingVerdict(violation is None, violation)
 
 
-_FORWARD_TAGS = {1: "even", 2: "odd"}
-_BACKWARD_TAGS = {0: "down", 1: "up", 2: "head"}
+# direction -> (tag of a position, least tag that ends a chain, step name,
+# tag names).  Walks look the step up by name when they start, so they
+# follow a patched `lower_step` or `inverse_lower_step`.
+_DIRECTIONS = {
+    "forward": (restriction_index, 3, "lower_step", {1: "even", 2: "odd"}),
+    "backward": (lambda x: x % 3, 2, "inverse_lower_step", {0: "down", 1: "up", 2: "head"}),
+}
 
 
 @dataclass(frozen=True)
@@ -179,16 +169,19 @@ class Signature:
 
     direction: str  # "forward" | "backward"
     steps: tuple[int, ...]
-    truncated: bool  # ended at a chain end before the requested length
 
     def __post_init__(self) -> None:
-        if self.direction not in ("forward", "backward"):
+        if self.direction not in _DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if not self.steps:
             raise ValueError("a signature needs at least one step")
-        terminal = (lambda s: s > 2) if self.direction == "forward" else (lambda s: s == 2)
-        if any(terminal(s) for s in self.steps[:-1]):
+        if any(s >= _DIRECTIONS[self.direction][1] for s in self.steps[:-1]):
             raise ValueError("a chain end may only appear as the final entry")
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the walk stopped at a chain end."""
+        return self.steps[-1] >= _DIRECTIONS[self.direction][1]
 
     @property
     def recurrence_gap(self) -> int:
@@ -199,9 +192,22 @@ class Signature:
 
     @property
     def tags(self) -> tuple[str, ...]:
-        if self.direction == "forward":
-            return tuple(_FORWARD_TAGS.get(z, f"terminal[{z}]") for z in self.steps)
-        return tuple(_BACKWARD_TAGS[r] for r in self.steps)
+        names = _DIRECTIONS[self.direction][3]
+        return tuple(names.get(s, f"terminal[{s}]") for s in self.steps)
+
+
+def _signature(direction: str, x: int, steps: int) -> Signature:
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    tag, end, name, _ = _DIRECTIONS[direction]
+    step = globals()[name]
+    seq = []
+    for _ in range(steps):
+        seq.append(tag(x))
+        if seq[-1] >= end:
+            break
+        x = step(x)
+    return Signature(direction, tuple(seq))
 
 
 def forward_signature(x: int, steps: int) -> Signature:
@@ -210,17 +216,7 @@ def forward_signature(x: int, steps: int) -> Signature:
     The walk follows lower_step; reaching a position 3 mod 4 records that
     position's branch index as a final terminal entry and stops early.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    seq = []
-    v = x
-    for _ in range(steps):
-        z = restriction_index(v)
-        seq.append(z)
-        if z > 2:
-            return Signature("forward", tuple(seq), True)
-        v = lower_step(v)
-    return Signature("forward", tuple(seq), False)
+    return _signature("forward", x, steps)
 
 
 def backward_signature(x: int, steps: int) -> Signature:
@@ -229,34 +225,16 @@ def backward_signature(x: int, steps: int) -> Signature:
     Follows inverse_lower_step; a residue-2 position (a chain head) is
     recorded as a final entry and stops the walk early.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    seq = []
-    v = x
-    for _ in range(steps):
-        r = v % 3
-        seq.append(r)
-        if r == 2:
-            return Signature("backward", tuple(seq), True)
-        v = inverse_lower_step(v)
-    return Signature("backward", tuple(seq), False)
+    return _signature("backward", x, steps)
 
 
-def _matches_forward(x: int, steps: tuple[int, ...]) -> bool:
-    for z in steps:
-        if restriction_index(x) != z:
+def _matches(x: int, steps: tuple[int, ...], tag, end: int, step) -> bool:
+    """Whether the walk from x has tags `steps`; exits at the first mismatch."""
+    for t in steps:
+        if tag(x) != t:
             return False
-        if z <= 2:
-            x = lower_step(x)
-    return True
-
-
-def _matches_backward(x: int, steps: tuple[int, ...]) -> bool:
-    for r in steps:
-        if x % 3 != r:
-            return False
-        if r < 2:
-            x = inverse_lower_step(x)
+        if t < end:
+            x = step(x)
     return True
 
 
@@ -265,10 +243,12 @@ def _matches_backward(x: int, steps: tuple[int, ...]) -> bool:
 RECURRENCE_SEARCH_FACTOR = 4
 
 
-def _first_recurrence(x: int, sig: Signature, matches) -> int | None:
+def _first_recurrence(x: int, sig: Signature) -> int | None:
+    tag, end, name, _ = _DIRECTIONS[sig.direction]
+    step = globals()[name]
     bound = RECURRENCE_SEARCH_FACTOR * sig.recurrence_gap
     for candidate in range(x + 1, _checked(x + bound + 1)):
-        if matches(candidate, sig.steps):
+        if _matches(candidate, sig.steps, tag, end, step):
             return candidate
     return None
 
@@ -281,9 +261,9 @@ def first_recurrence_forward(x: int, steps: int) -> int | None:
     the predicted spacing).  The scan is independent of the prediction:
     every intermediate position is tested.
     """
-    return _first_recurrence(x, forward_signature(x, steps), _matches_forward)
+    return _first_recurrence(x, forward_signature(x, steps))
 
 
 def first_recurrence_backward(x: int, steps: int) -> int | None:
     """Least x' > x whose backward signature equals x's, by brute scan."""
-    return _first_recurrence(x, backward_signature(x, steps), _matches_backward)
+    return _first_recurrence(x, backward_signature(x, steps))

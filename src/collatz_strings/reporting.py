@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 
 REPORT_SCHEMA = "collatz-strings-report"
 REPORT_VERSION = 1
@@ -21,23 +20,14 @@ FINDING_KINDS = ("violation", "truncation", "mismatch", "measurement")
 FAILING_KINDS = frozenset({"violation", "truncation", "mismatch"})
 
 
-@dataclass(frozen=True)
-class Finding:
-    kind: str
-    location: str
-    details: str
-    data: dict | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in FINDING_KINDS:
-            raise ValueError(f"unknown finding kind {self.kind!r}")
-
-    def as_record(self) -> dict:
-        record = {"record": "finding", "kind": self.kind,
-                  "location": self.location, "details": self.details}
-        if self.data is not None:
-            record["data"] = self.data
-        return record
+def finding(kind: str, location: str, details: str, data: dict | None = None) -> dict:
+    """A finding record; kind must be one of FINDING_KINDS."""
+    if kind not in FINDING_KINDS:
+        raise ValueError(f"unknown finding kind {kind!r}")
+    record = {"record": "finding", "kind": kind, "location": location, "details": details}
+    if data is not None:
+        record["data"] = data
+    return record
 
 
 def header_record(command: str, config: dict) -> dict:

@@ -346,9 +346,9 @@ def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):
     ]
     # a matcher that misses 88 finds the next recurrence, 3^4 further on
     monkeypatch.undo()
-    matches = progressions_module._matches_backward
-    monkeypatch.setattr(progressions_module, "_matches_backward",
-                        lambda x, steps: x != 88 and matches(x, steps))
+    matches = progressions_module._matches
+    monkeypatch.setattr(progressions_module, "_matches",
+                        lambda x, *walk: x != 88 and matches(x, *walk))
     code, text = run_cli(["proportionality", "--cases", "0", "--direction", "backward"],
                          tmp_path, "late")
     assert code == 1

@@ -4,11 +4,14 @@ from hypothesis import strategies as st
 
 from collatz_strings import (
     Progression,
+    Signature,
     backward_signature,
+    build_string_containing,
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
     intersect_residue,
+    restriction_index,
     sampling_lemma_check,
 )
 from collatz_strings.progressions import evolve, transport
@@ -23,8 +26,6 @@ def test_progression_validation_and_membership():
     p = Progression(5, 12)
     assert p.contains(5) and p.contains(29)
     assert not p.contains(6) and not p.contains(1)
-    assert p.elements_in(6, 30) == [17, 29]
-    assert p.count_in(6, 30) == 2
     with pytest.raises(ValueError):
         Progression(0, 3)
     with pytest.raises(ValueError):
@@ -165,6 +166,22 @@ def test_backward_signature_examples():
 
     sig = backward_signature(3, 1)
     assert sig.steps == (0,)
+
+
+def test_signature_walks_match_the_chain_builder():
+    # the shared walk, run either way, tags exactly the chain positions that
+    # the independent builder lists between x and the chain's end or head
+    for x in range(2, 3001):
+        chain = build_string_containing(x).elements
+        i = chain.index(x)
+        fwd = forward_signature(x, len(chain))
+        assert fwd.steps == tuple(restriction_index(v) for v in chain[i:]), x
+        assert fwd.steps[-1] >= 3 and fwd.truncated
+        bwd = backward_signature(x, len(chain))
+        assert bwd.steps == tuple(v % 3 for v in reversed(chain[:i + 1])), x
+        assert bwd.steps[-1] == 2 and bwd.truncated
+    assert not Signature("forward", (1, 2)).truncated
+    assert Signature("forward", (1, 4)).truncated
 
 
 def test_first_recurrence_anchors():

@@ -5,7 +5,7 @@ import pytest
 
 from collatz_strings.checkpoint import load_checkpoint, save_checkpoint
 from collatz_strings.progressions import Signature, _first_gap_violation
-from collatz_strings.reporting import Finding, header_record, render_csv, render_jsonl
+from collatz_strings.reporting import finding, header_record, render_csv, render_jsonl
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -41,12 +41,12 @@ def test_checkpoint_leaves_no_temp_files(tmp_path):
 
 def test_finding_kind_is_validated():
     with pytest.raises(ValueError):
-        Finding("surprise", "1", "details")
+        finding("surprise", "1", "details")
 
 
 def test_jsonl_rendering_is_canonical():
     records = [header_record("demo", {"b": 1, "a": 2}),
-               Finding("measurement", "7", "value", {"z": 1, "a": 2}).as_record()]
+               finding("measurement", "7", "value", {"z": 1, "a": 2})]
     text = render_jsonl(records)
     assert text == render_jsonl(records)
     lines = text.splitlines()
@@ -55,7 +55,7 @@ def test_jsonl_rendering_is_canonical():
 
 
 def test_csv_rendering_flattens_payload():
-    records = [Finding("violation", "12", "broken", {"count": 3}).as_record()]
+    records = [finding("violation", "12", "broken", {"count": 3})]
     text = render_csv(records)
     lines = text.splitlines()
     assert lines[0] == "record,kind,location,details,data"
@@ -63,15 +63,15 @@ def test_csv_rendering_flattens_payload():
 
 
 def test_signature_validation():
-    Signature("forward", (1, 2, 4), True)  # terminal last is fine
+    Signature("forward", (1, 2, 4))  # terminal last is fine
     with pytest.raises(ValueError):
-        Signature("forward", (4, 1), True)  # terminal not last
+        Signature("forward", (4, 1))  # terminal not last
     with pytest.raises(ValueError):
-        Signature("backward", (2, 0), True)  # head not last
+        Signature("backward", (2, 0))  # head not last
     with pytest.raises(ValueError):
-        Signature("sideways", (1,), False)
+        Signature("sideways", (1,))
     with pytest.raises(ValueError):
-        Signature("forward", (), False)
+        Signature("forward", ())
 
 
 def test_gap_violation_detector():

@@ -69,7 +69,7 @@ def test_generations_are_pairwise_disjoint():
         owner = {}
         for k in range(kmax + 1):
             for i, part in enumerate(build(k).parts):
-                for x in part.elements_in(2, bound):
+                for x in range(part.intercept, bound, part.interval):
                     assert x not in owner, (x, owner[x], (k, i))
                     owner[x] = (k, i)
 
