@@ -5,15 +5,28 @@ for flat tables): a header record with the effective configuration, one
 record per finding, and a closing summary.  Exit status 0 means every
 checked assertion held, 1 means at least one violation, mismatch, or
 truncation was found, and 2 means the run itself could not proceed
-(invalid configuration or a value outside the 128-bit working range).
+(invalid configuration, a value outside the 128-bit working range, or
+memory exhausted).
+
+Each command handler is a generator: it checks its arguments, yields its
+findings as they are made and returns the summary.  `main` renders the
+records in batches of BATCH_RECORDS and writes each batch as it is made,
+so a report's size does not bound the memory of a run.  A run that stops
+with status 2 after the first batch has left that part of the report on
+stdout; `--output` goes through a temporary file beside the target that
+replaces it only once the summary is written, so a failed run leaves no
+report file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
+from collections.abc import Generator
+from itertools import islice
 
 from .core import (
     DEFAULT_WALK_LIMIT,
@@ -30,7 +43,9 @@ from .family import (
     two_to_one_audit,
 )
 from .progressions import (
+    Progression,
     backward_signature,
+    evolve,
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
@@ -44,11 +59,10 @@ from .reporting import (
     summary_record,
 )
 from .strings import (
+    PROCESSES,
+    audit_part,
     coverage_count,
-    evolve_backward,
-    evolve_forward,
     expected_coverage,
-    intercept_audit,
     partition_audit,
     passage_sweep,
 )
@@ -59,6 +73,10 @@ EXIT_ERROR = 2
 
 CHECKPOINT_DIR_ENV = "COLLATZ_STRINGS_CHECKPOINT_DIR"
 GRAPH_CAP = 10_000
+BATCH_RECORDS = 512  # an evolve finding holds about 1 KiB until its batch is written
+
+# A handler yields finding records and returns the summary fields.
+Report = Generator[dict, None, dict]
 
 
 def _resolve_checkpoint(path: str | None) -> str | None:
@@ -70,19 +88,17 @@ def _resolve_checkpoint(path: str | None) -> str | None:
     return path
 
 
-def cmd_passage(args) -> tuple[list[dict], dict]:
+def cmd_passage(args) -> Report:
     report = passage_sweep(
         args.lo, args.hi, max_steps=args.max_steps,
         checkpoint_path=_resolve_checkpoint(args.checkpoint),
         checkpoint_every=args.checkpoint_every,
         resume=args.resume, budget=args.budget,
     )
-    findings = [
-        finding("truncation", str(x), "no 3 mod 4 passage within the step budget",
-                {"position": x, "max_steps": report.max_steps})
-        for x in report.truncated
-    ]
-    summary = {
+    for x in report.truncated:
+        yield finding("truncation", str(x), "no 3 mod 4 passage within the step budget",
+                      {"position": x, "max_steps": report.max_steps})
+    return {
         "lo": report.lo, "hi": report.hi, "processed": report.processed,
         "hits": report.hits, "truncated": len(report.truncated),
         "max_steps_observed": report.max_steps_observed,
@@ -90,158 +106,134 @@ def cmd_passage(args) -> tuple[list[dict], dict]:
         "mean_steps": round(report.mean_steps, 6),
         "complete": report.complete, "next_position": report.next_position,
     }
-    return findings, summary
 
 
-def cmd_strings(args) -> tuple[list[dict], dict]:
+def cmd_strings(args) -> Report:
     report = partition_audit(args.limit, max_len=args.max_len)
-    findings = [
-        finding("truncation", str(x), f"{direction} walk exceeded max_len",
-                {"position": x, "direction": direction})
-        for x, direction in report.truncated
-    ]
-    findings += [
-        finding("violation", str(element), "element reached from two distinct heads",
-                {"element": element, "heads": [a, b]})
-        for element, a, b in report.conflicts
-    ]
-    summary = {
+    for x, direction in report.truncated:
+        yield finding("truncation", str(x), f"{direction} walk exceeded max_len",
+                      {"position": x, "direction": direction})
+    for element, a, b in report.conflicts:
+        yield finding("violation", str(element), "element reached from two distinct heads",
+                      {"element": element, "heads": [a, b]})
+    return {
         "limit": report.limit, "positions_checked": report.positions_checked,
         "strings": report.string_count, "longest_chain": report.longest_chain,
         "truncated": len(report.truncated), "conflicts": len(report.conflicts),
     }
-    return findings, summary
 
 
-def cmd_evolve(args) -> tuple[list[dict], dict]:
-    state = (evolve_forward if args.direction == "forward" else evolve_backward)(
-        args.generations)
-    findings = [
-        finding("measurement", f"part[{i}]", str(part),
-                {"intercept": part.intercept, "interval": part.interval})
-        for i, part in enumerate(state.parts)
-    ]
-    audit = intercept_audit(state)
-    findings += [
-        finding("violation", str(part), "intercept not below interval",
-                {"intercept": part.intercept, "interval": part.interval})
-        for part in audit.part_violations
-    ]
-    findings += [
-        finding("violation", str(child), "child intercept exceeds recursion bound",
-                {"parent": str(parent), "child": str(child)})
-        for parent, child in audit.bound_violations
-    ]
-    summary = {
-        "direction": state.direction, "generation": state.generation,
-        "parts": len(state.parts), "intercepts_ok": audit.ok,
+def cmd_evolve(args) -> Report:
+    """One measurement per part as the depth-first walk yields it; the
+    audit's rare violations are kept and follow the measurements."""
+    parts = evolve(*PROCESSES[args.direction], args.generations)
+    part_bad: list[Progression] = []
+    bound_bad: list[tuple[Progression, Progression]] = []
+    count = 0
+    for part in parts:
+        yield finding("measurement", f"part[{count}]", str(part),
+                      {"intercept": part.intercept, "interval": part.interval})
+        count += 1
+        bad, over = audit_part(args.direction, part)
+        if bad:
+            part_bad.append(part)
+        bound_bad += [(part, child) for child in over]
+    for part in part_bad:
+        yield finding("violation", str(part), "intercept not below interval",
+                      {"intercept": part.intercept, "interval": part.interval})
+    for parent, child in bound_bad:
+        yield finding("violation", str(child), "child intercept exceeds recursion bound",
+                      {"parent": str(parent), "child": str(child)})
+    return {
+        "direction": args.direction, "generation": args.generations,
+        "parts": count, "intercepts_ok": not part_bad and not bound_bad,
     }
-    return findings, summary
 
 
-def cmd_coverage(args) -> tuple[list[dict], dict]:
+def cmd_coverage(args) -> Report:
     if args.random_starts < 0:
         raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
     expected_included, expected_open = expected_coverage(args.direction, args.m)
     starts = [args.window_start]
     rng = random.Random(args.seed)
     starts += [rng.randint(2, 10 ** 6) for _ in range(args.random_starts)]
-    findings: list[dict] = []
     mismatches = 0
     for start in starts:
         cc = coverage_count(args.direction, args.m, start)
         ok = (cc.included, cc.open_count) == (expected_included, expected_open)
         if not ok:
             mismatches += 1
-            findings.append(finding(
+            yield finding(
                 "mismatch", str(start), "window count deviates from the closed form",
                 {"included": cc.included, "open": cc.open_count,
-                 "expected_included": expected_included, "expected_open": expected_open}))
+                 "expected_included": expected_included, "expected_open": expected_open})
         else:
-            findings.append(finding(
+            yield finding(
                 "measurement", str(start), "window count matches the closed form",
-                {"included": cc.included, "open": cc.open_count}))
-    summary = {
+                {"included": cc.included, "open": cc.open_count})
+    return {
         "direction": args.direction, "m": args.m, "windows": len(starts),
         "expected_included": expected_included, "expected_open": expected_open,
         "mismatches": mismatches,
     }
-    return findings, summary
 
 
-def cmd_family_audit(args) -> tuple[list[dict], dict]:
+def cmd_family_audit(args) -> Report:
     value_limit = args.value_limit
     if value_limit is None and args.m_limit is None:
         value_limit = 10_000
     report = audit_case_system(Family(args.p), value_limit=value_limit,
                                m_limit=args.m_limit, n_limit=args.n_limit)
-    findings = [
-        finding("mismatch", str(domain), "rule image disagrees with the generic step",
-                {"domain": domain, "depth": depth, "expected": expected, "got": got})
-        for domain, depth, expected, got in report.mismatches
-    ]
-    summary = {"p": report.p, "checked": report.checked,
-               "mismatches": len(report.mismatches)}
-    return findings, summary
+    for domain, depth, expected, got in report.mismatches:
+        yield finding("mismatch", str(domain), "rule image disagrees with the generic step",
+                      {"domain": domain, "depth": depth, "expected": expected, "got": got})
+    return {"p": report.p, "checked": report.checked,
+            "mismatches": len(report.mismatches)}
 
 
-def cmd_cycles(args) -> tuple[list[dict], dict]:
+def cmd_cycles(args) -> Report:
     report = find_cycles(Family(args.p), args.seed_limit, max_steps=args.max_steps)
-    findings = [
-        finding("measurement", str(cycle[0]), "cycle",
-                {"members": list(cycle), "length": len(cycle)})
-        for cycle in report.cycles
-    ]
-    findings += [
-        finding("truncation", str(seed), "walk neither cycled nor dipped below its seed",
-                {"seed": seed})
-        for seed in report.truncated_seeds
-    ]
-    findings += [
-        finding("truncation", str(seed), "walk reached a nonpositive image", {"seed": seed})
-        for seed in report.rejected_seeds
-    ]
-    summary = {
+    for cycle in report.cycles:
+        yield finding("measurement", str(cycle[0]), "cycle",
+                      {"members": list(cycle), "length": len(cycle)})
+    for seed in report.truncated_seeds:
+        yield finding("truncation", str(seed), "walk neither cycled nor dipped below its seed",
+                      {"seed": seed})
+    for seed in report.rejected_seeds:
+        yield finding("truncation", str(seed), "walk reached a nonpositive image",
+                      {"seed": seed})
+    return {
         "p": report.p, "seed_limit": report.seed_limit,
         "cycles": len(report.cycles),
         "truncated_seeds": len(report.truncated_seeds),
         "rejected_seeds": len(report.rejected_seeds),
     }
-    return findings, summary
 
 
-def cmd_audit_3n3(args) -> tuple[list[dict], dict]:
+def cmd_audit_3n3(args) -> Report:
     report = two_to_one_audit(args.limit)
-    findings = [
-        finding("violation", str(y), "image position not hit exactly twice",
-                {"position": y, "count": count})
-        for y, count in report.count_violations
-    ]
-    findings += [
-        finding("violation", str(y), "predecessors do not pair as half and double",
-                {"image": y, "first": a, "second": b})
-        for y, a, b in report.pairing_violations
-    ]
-    summary = {
+    for y, count in report.count_violations:
+        yield finding("violation", str(y), "image position not hit exactly twice",
+                      {"position": y, "count": count})
+    for y, a, b in report.pairing_violations:
+        yield finding("violation", str(y), "predecessors do not pair as half and double",
+                      {"image": y, "first": a, "second": b})
+    return {
         "limit": report.limit,
         "count_violations": len(report.count_violations),
         "pairing_violations": len(report.pairing_violations),
     }
-    return findings, summary
 
 
-def cmd_scan(args) -> tuple[list[dict], dict]:
+def cmd_scan(args) -> Report:
     report = string_scan(Family(args.p), args.limit, max_len=args.max_len)
-    findings = [
-        finding("violation" if orphan.reason == "cycle" else "truncation",
-                str(orphan.position), f"{orphan.direction} walk {orphan.reason}",
-                {"position": orphan.position, "direction": orphan.direction,
-                 "cycle": list(orphan.cycle) if orphan.cycle else None})
-        for orphan in report.orphans
-    ]
-    summary = {"p": report.p, "limit": report.limit, "scanned": report.scanned,
-               "orphans": len(report.orphans)}
-    return findings, summary
+    for orphan in report.orphans:
+        yield finding("violation" if orphan.reason == "cycle" else "truncation",
+                      str(orphan.position), f"{orphan.direction} walk {orphan.reason}",
+                      {"position": orphan.position, "direction": orphan.direction,
+                       "cycle": list(orphan.cycle) if orphan.cycle else None})
+    return {"p": report.p, "limit": report.limit, "scanned": report.scanned,
+            "orphans": len(report.orphans)}
 
 
 def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
@@ -257,7 +249,7 @@ def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
     return found == predicted, data
 
 
-def cmd_proportionality(args) -> tuple[list[dict], dict]:
+def cmd_proportionality(args) -> Report:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
     if args.x_max < 1 or args.n_max < 1:
@@ -274,19 +266,17 @@ def cmd_proportionality(args) -> tuple[list[dict], dict]:
         for _ in range(args.cases):
             cases.append((direction, rng.randint(1, args.x_max),
                           rng.randint(1, args.n_max)))
-    findings: list[dict] = []
     failures = 0
     for direction, x, steps in cases:
         ok, data = _check_recurrence(direction, x, steps)
         if ok:
-            findings.append(finding("measurement", str(x),
-                                    "first recurrence at the predicted spacing", data))
+            yield finding("measurement", str(x),
+                          "first recurrence at the predicted spacing", data)
         else:
             failures += 1
-            findings.append(finding("violation", str(x),
-                                    "first recurrence off the predicted spacing", data))
-    summary = {"cases": len(cases), "failures": failures, "seed": args.seed}
-    return findings, summary
+            yield finding("violation", str(x),
+                          "first recurrence off the predicted spacing", data)
+    return {"cases": len(cases), "failures": failures, "seed": args.seed}
 
 
 def export_graph(limit: int) -> str:
@@ -399,29 +389,71 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+@contextlib.contextmanager
+def _report_stream(path: str | None):
+    """Where the report goes: stdout, or `path` once the report is complete.
+
+    A report for a regular file is written to a temporary file in the
+    same directory and moved over `path` after the block ends; an error
+    removes the temporary file and leaves `path` as it was.  A path that
+    exists and is not a regular file (a device or a pipe) is written in
+    place.
+    """
+    if path is None:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _records(args) -> Generator[dict, None, None]:
+    yield header_record(args.command, _config_dict(args))
+    summary = yield from args.handler(args)
+    yield summary_record(args.command, summary)
+
+
+def _write_report(args, out) -> bool:
+    """Stream the command's report to out; whether any finding failed."""
+    records = _records(args)
+    failed = False
+    column_row = True
+    while batch := list(islice(records, BATCH_RECORDS)):
+        failed = failed or any(r.get("kind") in FAILING_KINDS for r in batch)
+        out.write(render_csv(batch, column_row) if args.format == "csv"
+                  else render_jsonl(batch))
+        column_row = False
+    return failed
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "export-graph":
-            text = export_graph(args.limit)
-            findings_failed = False
-        else:
-            findings, summary = args.handler(args)
-            records = [header_record(args.command, _config_dict(args))]
-            records += findings
-            records.append(summary_record(args.command, summary))
-            text = render_csv(records) if args.format == "csv" else render_jsonl(records)
-            findings_failed = any(r["kind"] in FAILING_KINDS for r in findings)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        with _report_stream(args.output) as out:
+            if args.command == "export-graph":
+                out.write(export_graph(args.limit))
+                failed = False
+            else:
+                failed = _write_report(args, out)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
     except (WidthExceededError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return EXIT_FINDINGS if findings_failed else EXIT_OK
+    return EXIT_FINDINGS if failed else EXIT_OK
 
 
 if __name__ == "__main__":

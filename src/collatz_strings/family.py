@@ -598,4 +598,4 @@ def family_evolve_forward(family: Family, generation: int) -> tuple[Progression,
         seeds: tuple[Progression, ...] = (Progression(1, 3), Progression(3, 3))
     else:
         seeds = (Progression(2, 3),)
-    return evolve(seeds, maps, generation)
+    return tuple(evolve(seeds, maps, generation))

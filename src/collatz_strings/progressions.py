@@ -9,10 +9,17 @@ intersection, transport of a progression through one such branch map and
 the generation loop built on it, the co-prime sampling check that keeps
 the recurrence bookkeeping honest, and the branch-signature recurrence
 search.
+
+Generation k of an evolution lists, seed by seed, the transports of the
+seed through every sequence of k branch maps, in lexicographic order of
+the sequence.  That is the order of a depth-first walk of the branch
+tree, so `evolve` yields the parts of generation k one at a time while
+it holds one root-to-leaf path: O(k) parts, not 2^k.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
@@ -82,28 +89,46 @@ def transport(part: Progression, src: Progression, dst: Progression) -> Progress
     return Progression(_checked(dst.element(m)), _checked(stride * dst.interval))
 
 
+def children(part: Progression,
+             maps: tuple[tuple[Progression, Progression], ...]) -> list[Progression]:
+    """part's transports through every (domain, image) map, in map order.
+
+    A part with no member in some branch domain raises ValueError.
+    """
+    out = []
+    for src, dst in maps:
+        child = transport(part, src, dst)
+        if child is None:
+            raise ValueError(f"part {part} misses branch {src}")
+        out.append(child)
+    return out
+
+
 def evolve(seeds: tuple[Progression, ...],
            maps: tuple[tuple[Progression, Progression], ...],
-           generation: int) -> tuple[Progression, ...]:
+           generation: int) -> Iterator[Progression]:
     """Generation k of seeds under (domain, image) branch maps, as ordered parts.
 
-    Each part is replaced by its transport through every map in turn, so
-    children keep their parent's order and the order of maps.  A part
-    with no member in some branch domain raises ValueError.
+    Each part is replaced by its children (see `children`), so children
+    keep their parent's order and the order of maps.  The parts are
+    yielded depth first; a part that misses a branch raises ValueError
+    when the walk reaches it.  A negative generation raises at the call.
     """
     if generation < 0:
         raise ValueError(f"generation must be >= 0, got {generation}")
-    parts = tuple(seeds)
-    for _ in range(generation):
-        children: list[Progression] = []
-        for part in parts:
-            for src, dst in maps:
-                child = transport(part, src, dst)
-                if child is None:
-                    raise ValueError(f"part {part} misses branch {src}")
-                children.append(child)
-        parts = tuple(children)
-    return parts
+    return _depth_first(tuple(seeds), tuple(maps), generation)
+
+
+def _depth_first(seeds, maps, generation):
+    stack = [(generation, part) for part in reversed(seeds)]  # (generations left, part)
+    while stack:
+        left, part = stack.pop()
+        if not left:
+            yield part
+        elif left == 1:
+            yield from children(part, maps)
+        else:
+            stack += [(left - 1, child) for child in reversed(children(part, maps))]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A report is a header record, a stream of findings, and a summary record.
 JSON-lines is the primary format (one record per line, sorted keys, no
 timestamps, so identical runs are byte-identical); CSV is supported for
-flat summary tables.
+flat summary tables.  Both render a report batch by batch to the same
+bytes as all at once, the CSV column row going with the first batch only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ REPORT_VERSION = 1
 FINDING_KINDS = ("violation", "truncation", "mismatch", "measurement")
 # Kinds that make a run fail (nonzero exit status).
 FAILING_KINDS = frozenset({"violation", "truncation", "mismatch"})
+
+# One encoder for every record: json.dumps builds a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def finding(kind: str, location: str, details: str, data: dict | None = None) -> dict:
@@ -40,21 +44,26 @@ def summary_record(command: str, summary: dict) -> dict:
 
 
 def render_jsonl(records: list[dict]) -> str:
-    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in records)
+    encode = _ENCODER.encode
+    return "".join([encode(r) + "\n" for r in records])
 
 
-def render_csv(records: list[dict]) -> str:
-    """Flatten records into a kind/location/details/payload table."""
+def render_csv(records: list[dict], column_row: bool = True) -> str:
+    """Flatten records into a kind/location/details/payload table.
+
+    The column row comes first unless column_row is false, as it is for
+    every batch of a streamed report after the first.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["record", "kind", "location", "details", "data"])
+    if column_row:
+        writer.writerow(["record", "kind", "location", "details", "data"])
     for r in records:
         data = r.get("data") or {k: v for k, v in r.items()
                                  if k not in ("record", "kind", "location", "details")}
         writer.writerow([
             r.get("record", ""), r.get("kind", ""), r.get("location", ""),
             r.get("details", ""),
-            json.dumps(data, sort_keys=True, separators=(",", ":")) if data else "",
+            _ENCODER.encode(data) if data else "",
         ])
     return out.getvalue()

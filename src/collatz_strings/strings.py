@@ -27,7 +27,7 @@ from .core import (
     lower_step,
 )
 from .family import Family, branch_maps
-from .progressions import Progression, evolve
+from .progressions import Progression, children, evolve
 
 FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
 BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
@@ -35,6 +35,9 @@ BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
 # (domain, image) per branch, even branch first: 2+2m -> 3+3m, 1+4m -> 1+3m
 FORWARD_MAPS = branch_maps(Family(1))
 BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
+# direction -> (seeds, branch maps) of the evolution
+PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
+             "backward": ((BACKWARD_SEED,), BACKWARD_MAPS)}
 
 
 @dataclass(frozen=True)
@@ -56,13 +59,13 @@ def evolve_forward(generation: int) -> EvolutionState:
     is not propagated.
     """
     return EvolutionState("forward", generation,
-                          evolve((FORWARD_SEED,), FORWARD_MAPS, generation))
+                          tuple(evolve(*PROCESSES["forward"], generation)))
 
 
 def evolve_backward(generation: int) -> EvolutionState:
     """Generation k of the backward process (down-branch child first)."""
     return EvolutionState("backward", generation,
-                          evolve((BACKWARD_SEED,), BACKWARD_MAPS, generation))
+                          tuple(evolve(*PROCESSES["backward"], generation)))
 
 
 @dataclass(frozen=True)
@@ -77,28 +80,37 @@ class InterceptAuditReport:
         return not self.part_violations and not self.bound_violations
 
 
-def intercept_audit(state: EvolutionState) -> InterceptAuditReport:
-    """Check intercept < interval for every part, plus the child bound.
+def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progression]]:
+    """Whether part's intercept is not below its interval, and its children
+    that break the recursion bound.
 
-    The realized children of each part must respect the recursion bound on
-    new intercepts: forward children c of a part (a, b) satisfy
-    c <= 3(a+3b-1)/4 + 1, backward children c <= 4(a+2b-1)/3 + 1.  Both are
-    compared in cleared-denominator integer form.
+    The children of a part (a, b) must respect the recursion bound on new
+    intercepts: forward children c satisfy c <= 3(a+3b-1)/4 + 1, backward
+    children c <= 4(a+2b-1)/3 + 1.  Both are compared in
+    cleared-denominator integer form.
     """
-    part_bad = tuple(p for p in state.parts if p.intercept >= p.interval)
+    a, b = part.intercept, part.interval
+    if direction == "forward":
+        scale, bound = 4, 3 * (a + 3 * b - 1)
+    else:
+        scale, bound = 3, 4 * (a + 2 * b - 1)
+    over = [child for child in children(part, PROCESSES[direction][1])
+            if scale * (child.intercept - 1) > bound]
+    return a >= b, over
+
+
+def intercept_audit(state: EvolutionState) -> InterceptAuditReport:
+    """Check intercept < interval for every part, plus the child bound
+    (see `audit_part`)."""
+    part_bad: list[Progression] = []
     bound_bad: list[tuple[Progression, Progression]] = []
-    forward = state.direction == "forward"
-    maps = FORWARD_MAPS if forward else BACKWARD_MAPS
     for part in state.parts:
-        a, b = part.intercept, part.interval
-        for child in evolve((part,), maps, 1):
-            if forward:
-                bad = 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1)
-            else:
-                bad = 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1)
-            if bad:
-                bound_bad.append((part, child))
-    return InterceptAuditReport(state.direction, state.generation, part_bad, tuple(bound_bad))
+        bad, over = audit_part(state.direction, part)
+        if bad:
+            part_bad.append(part)
+        bound_bad += [(part, child) for child in over]
+    return InterceptAuditReport(state.direction, state.generation, tuple(part_bad),
+                                tuple(bound_bad))
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,7 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     covered = bytearray(window)  # covered[i]: window_start + i is a member
     for generation in range(m):
         if generation:
-            parts = evolve(parts, maps, 1)
+            parts = tuple(evolve(parts, maps, 1))
         for part in parts:
             first = part.intercept - window_start
             if first < 0:

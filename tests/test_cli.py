@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
 
@@ -10,8 +12,15 @@ import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
 import collatz_strings.strings as strings_module
-from collatz_strings import EvolutionState, Progression
-from collatz_strings.cli import main
+from collatz_strings import DEFAULT_WALK_LIMIT, Progression
+from collatz_strings.cli import BATCH_RECORDS, main
+from collatz_strings.reporting import (
+    finding,
+    header_record,
+    render_csv,
+    render_jsonl,
+    summary_record,
+)
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -68,6 +77,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
                  ["family-audit", "-p", "7", "--m-limit", "-1"]):
         assert main(argv) == 2, argv
+    out = os.path.join(tmp_path, "never.jsonl")
+    assert main(["evolve", "--direction", "forward", "-k", "-1", "--output", out]) == 2
+    assert os.listdir(tmp_path) == []
     capsys.readouterr()
 
 
@@ -76,6 +88,95 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["strings", "--limit", "27", "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def fake_scan(monkeypatch, findings, error=None):
+    """Make `scan` report `findings` numbered measurements, then raise error."""
+    def handler(args):
+        for i in range(findings):
+            yield finding("measurement", str(i), "fake", {"i": i})
+        if error is not None:
+            raise error
+        return {"findings": findings}
+    monkeypatch.setattr(cli_module, "cmd_scan", handler)
+    records = [header_record("scan", {"limit": 1, "max_len": DEFAULT_WALK_LIMIT, "p": 5})]
+    records += [finding("measurement", str(i), "fake", {"i": i}) for i in range(findings)]
+    return records + [summary_record("scan", {"findings": findings})]
+
+
+SCAN = ["scan", "-p", "5", "--limit", "1"]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_batched_reports_equal_one_shot_rendering(tmp_path, monkeypatch, capsys, fmt):
+    render = render_csv if fmt == "csv" else render_jsonl
+    for count in (BATCH_RECORDS - 1, BATCH_RECORDS, BATCH_RECORDS + 1):
+        records = fake_scan(monkeypatch, count - 2)
+        out = tmp_path / f"{count}.{fmt}"
+        assert main(SCAN + ["--format", fmt, "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == render(records), count
+        assert main(SCAN + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == render(records), count
+
+
+def test_a_run_failing_mid_stream_leaves_no_report(tmp_path, monkeypatch, capsys):
+    records = fake_scan(monkeypatch, 2 * BATCH_RECORDS + 500, ValueError("stop"))
+    out = tmp_path / "r.jsonl"
+    assert main(SCAN + ["--output", str(out)]) == 2
+    assert os.listdir(tmp_path) == []
+    out.write_text("earlier report\n", encoding="utf-8")
+    assert main(SCAN + ["--output", str(out)]) == 2
+    assert os.listdir(tmp_path) == ["r.jsonl"]
+    assert out.read_text(encoding="utf-8") == "earlier report\n"
+    # stdout has had the batches written before the failure
+    capsys.readouterr()
+    assert main(SCAN) == 2
+    captured = capsys.readouterr()
+    assert captured.out == render_jsonl(records[:2 * BATCH_RECORDS])
+    assert captured.err == "error: stop\n"
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    fake_scan(monkeypatch, 3, MemoryError())
+    out = tmp_path / "r.jsonl"
+    assert main(SCAN + ["--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_follows_symlinks_and_writes_pipes_in_place(tmp_path):
+    argv = ["evolve", "--direction", "forward", "-k", "2", "--output"]
+    expected = run_cli(argv[:-1], tmp_path)[1]
+    (tmp_path / "reports").mkdir()
+    link = tmp_path / "latest"
+    link.symlink_to(tmp_path / "reports" / "r.jsonl")
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and link.read_text(encoding="utf-8") == expected
+    assert os.listdir(tmp_path / "reports") == ["r.jsonl"]
+    # a pipe is not replaced by a file: its reader gets the report
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(pipe.read_text("utf-8")),
+                              daemon=True)
+    reader.start()
+    assert main(argv + [str(pipe)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [expected]
+
+
+def test_evolve_memory_stays_flat(tmp_path):
+    # a breadth-first evolve that holds all 4096 parts, their findings and
+    # the rendered report peaks at 3.6 MiB here
+    out = tmp_path / "r.jsonl"
+    tracemalloc.start()
+    try:
+        assert main(["evolve", "--direction", "forward", "-k", "12", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert len(records_of(out.read_text(encoding="utf-8"))) == 4096 + 2
 
 
 def test_export_graph_has_no_format_option(tmp_path):
@@ -263,8 +364,8 @@ def test_cycles_zero_step_budget_truncates_every_seed(tmp_path):
 def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
     # {40+3t} has intercept >= interval, and its even-branch child {60+9t}
     # exceeds 3(40+3*3-1)/4 + 1 = 37; the odd-branch child {37+9t} meets it
-    monkeypatch.setattr(cli_module, "evolve_forward",
-                        lambda k: EvolutionState("forward", k, (Progression(40, 3),)))
+    monkeypatch.setattr(cli_module, "evolve",
+                        lambda seeds, maps, k: iter((Progression(40, 3),)))
     code, text = run_cli(["evolve", "--direction", "forward", "-k", "1"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
@@ -280,7 +381,7 @@ def test_coverage_reports_a_count_mismatch(tmp_path, monkeypatch):
     # generation 1: window [2, 11) holds 2, 5, 8 and 3, not also 4
     evolve = strings_module.evolve
     monkeypatch.setattr(strings_module, "evolve",
-                        lambda parts, maps, k: evolve(parts, maps, k)[:-1])
+                        lambda parts, maps, k: tuple(evolve(parts, maps, k))[:-1])
     code, text = run_cli(["coverage", "--direction", "forward", "-m", "2"], tmp_path)
     assert code == 1
     assert findings_of(text) == [

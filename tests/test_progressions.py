@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_strings import (
+    Family,
     Progression,
     Signature,
     backward_signature,
@@ -14,6 +15,7 @@ from collatz_strings import (
     restriction_index,
     sampling_lemma_check,
 )
+from collatz_strings.family import branch_maps
 from collatz_strings.progressions import evolve, transport
 from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS
 
@@ -103,9 +105,63 @@ def test_branch_domain_preconditions_are_enforced():
     assert transport(Progression(2, 9), *UP) is None  # 2 mod 3 only
     # ... and evolution refuses such a part instead of dropping it
     with pytest.raises(ValueError):
-        evolve((Progression(3, 6),), FORWARD_MAPS, 1)
+        tuple(evolve((Progression(3, 6),), FORWARD_MAPS, 1))
     with pytest.raises(ValueError):
-        evolve((Progression(2, 9),), BACKWARD_MAPS, 1)
+        tuple(evolve((Progression(2, 9),), BACKWARD_MAPS, 1))
+
+
+def reference_evolve(seeds, maps, generation):
+    """The breadth-first generation loop: every part of a generation at once."""
+    if generation < 0:
+        raise ValueError(f"generation must be >= 0, got {generation}")
+    parts = tuple(seeds)
+    for _ in range(generation):
+        children = []
+        for part in parts:
+            for src, dst in maps:
+                child = transport(part, src, dst)
+                if child is None:
+                    raise ValueError(f"part {part} misses branch {src}")
+                children.append(child)
+        parts = tuple(children)
+    return parts
+
+
+@pytest.mark.parametrize("seeds, maps", [
+    ((Progression(2, 3),), FORWARD_MAPS),
+    ((Progression(3, 4),), BACKWARD_MAPS),
+    ((Progression(2, 3),), branch_maps(Family(-1))),
+    ((Progression(1, 3),), branch_maps(Family(3))),
+    ((Progression(3, 3),), branch_maps(Family(3))),
+    ((Progression(1, 3), Progression(3, 3)), branch_maps(Family(3))),
+], ids=["forward", "backward", "p=-1", "p=3 seed 1", "p=3 seed 3", "p=3 both seeds"])
+def test_depth_first_evolve_matches_breadth_first_reference(seeds, maps):
+    for k in range(11):
+        assert tuple(evolve(seeds, maps, k)) == reference_evolve(seeds, maps, k), k
+
+
+def test_depth_first_evolve_misses_a_branch_where_the_reference_does():
+    # every small seed under both processes, alone and after a seed whose
+    # subtree the walk yields before it reaches the small one: equal parts,
+    # or ValueError on both
+    raised = 0
+    for maps, first in ((FORWARD_MAPS, Progression(2, 3)),
+                        (BACKWARD_MAPS, Progression(3, 4))):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for seeds in ((Progression(a, b),), (first, Progression(a, b))):
+                    for k in range(4):
+                        try:
+                            expected = reference_evolve(seeds, maps, k)
+                        except ValueError:
+                            raised += 1
+                            with pytest.raises(ValueError, match="misses branch"):
+                                tuple(evolve(seeds, maps, k))
+                        else:
+                            assert tuple(evolve(seeds, maps, k)) == expected
+    assert raised
+    with pytest.raises(ValueError):
+        evolve((Progression(2, 3),), FORWARD_MAPS, -1)  # at the call, not the first part
 
 
 def test_transport_skips_class_members_below_the_domain():

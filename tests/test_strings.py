@@ -30,7 +30,14 @@ from collatz_strings import (
     passage_sweep,
     trajectory_report,
 )
-from collatz_strings.strings import _sweep_range
+from collatz_strings.progressions import transport
+from collatz_strings.strings import (
+    BACKWARD_MAPS,
+    FORWARD_MAPS,
+    EvolutionState,
+    InterceptAuditReport,
+    _sweep_range,
+)
 
 
 def parts_of(state):
@@ -123,11 +130,44 @@ def test_intercept_audit_all_generations():
 
 
 def test_intercept_audit_flags_violations():
-    from collatz_strings.strings import EvolutionState
-
     bad = EvolutionState("forward", 1, (Progression(12, 9),))
     report = intercept_audit(bad)
     assert not report.ok and report.part_violations
+
+
+def reference_intercept_audit(state):
+    """The intercept audit as one-generation evolutions of each part."""
+    part_bad = tuple(p for p in state.parts if p.intercept >= p.interval)
+    bound_bad = []
+    forward = state.direction == "forward"
+    maps = FORWARD_MAPS if forward else BACKWARD_MAPS
+    for part in state.parts:
+        a, b = part.intercept, part.interval
+        for child in (transport(part, src, dst) for src, dst in maps):
+            if forward:
+                bad = 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1)
+            else:
+                bad = 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1)
+            if bad:
+                bound_bad.append((part, child))
+    return InterceptAuditReport(state.direction, state.generation, part_bad, tuple(bound_bad))
+
+
+def test_intercept_audit_matches_reference_on_crafted_states():
+    # every part with intercept < 80 and interval < 13 that meets both branch
+    # domains, many with intercept >= interval; forward, some children break
+    # the bound (backward children of such parts never do)
+    for direction, maps in (("forward", FORWARD_MAPS), ("backward", BACKWARD_MAPS)):
+        parts = tuple(Progression(a, b) for a in range(1, 80) for b in range(1, 13)
+                      if all(transport(Progression(a, b), *m) for m in maps))
+        state = EvolutionState(direction, 3, parts)
+        report = intercept_audit(state)
+        assert report == reference_intercept_audit(state)
+        assert report.part_violations
+        assert bool(report.bound_violations) == (direction == "forward")
+        for k in range(8):
+            state = (evolve_forward if direction == "forward" else evolve_backward)(k)
+            assert intercept_audit(state) == reference_intercept_audit(state)
 
 
 def test_coverage_published_counts():
