@@ -9,40 +9,41 @@ each generation in exactly the predicted number of positions.
 
 from fractions import Fraction
 
-from collatz_strings import (
-    coverage_count,
-    evolve_backward,
-    evolve_forward,
-    expected_coverage,
-    intercept_audit,
-)
+from collatz_strings import coverage_count, expected_coverage
+from collatz_strings.progressions import evolve
+from collatz_strings.strings import PROCESSES, audit_part, interval_weight
 
 
-def show(state):
-    parts = " u ".join(str(p) for p in state.parts)
-    print(f"  generation {state.generation}: {parts}")
+def generation(direction, k):
+    return tuple(evolve(*PROCESSES[direction], k))
+
+
+def show(direction, k):
+    parts = " u ".join(str(p) for p in generation(direction, k))
+    print(f"  generation {k}: {parts}")
 
 
 def main():
     print("forward evolution (from the heads):")
     for k in range(4):
-        show(evolve_forward(k))
+        show("forward", k)
 
     print("\nbackward evolution (from the ends):")
     for k in range(4):
-        show(evolve_backward(k))
+        show("backward", k)
 
     print("\nintercepts stay below intervals through generation 12:")
     for k in range(13):
-        assert intercept_audit(evolve_forward(k)).ok
-        assert intercept_audit(evolve_backward(k)).ok
+        for direction in PROCESSES:
+            for part in generation(direction, k):
+                assert audit_part(direction, part) == (False, [])
     print("  audited: all clear")
 
     print("\nbackward generations keep exact density 3^k/4^(k+1):")
     for k in range(5):
-        state = evolve_backward(k)
-        assert state.interval_weight() == Fraction(3 ** k, 4 ** (k + 1))
-        print(f"  generation {k}: sum of 1/interval = {state.interval_weight()}")
+        weight = interval_weight(generation("backward", k))
+        assert weight == Fraction(3 ** k, 4 ** (k + 1))
+        print(f"  generation {k}: sum of 1/interval = {weight}")
 
     print("\nwindow counts match the closed forms, for any window start:")
     for direction, m in (("forward", 3), ("backward", 2), ("backward", 3)):

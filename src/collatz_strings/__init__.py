@@ -59,14 +59,10 @@ from .progressions import (
     sampling_lemma_check,
 )
 from .strings import (
-    EvolutionState,
     SweepReport,
     build_string_containing,
     coverage_count,
-    evolve_backward,
-    evolve_forward,
     expected_coverage,
-    intercept_audit,
     partition_audit,
     passage_sweep,
 )

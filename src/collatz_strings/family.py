@@ -377,7 +377,6 @@ def find_cycles(family: Family, seed_limit: int,
 @dataclass(frozen=True)
 class TwoToOneReport:
     limit: int
-    images_checked: int
     count_violations: tuple[tuple[int, int], ...]    # (position, observed count)
     pairing_violations: tuple[tuple[int, int, int], ...]  # (image, first, second)
 
@@ -429,7 +428,7 @@ def two_to_one_audit(limit: int) -> TwoToOneReport:
         expected = 2 if y % 3 == 2 else 0
         if counts[y] != expected:
             count_bad.append((y, many.get(y, counts[y])))
-    return TwoToOneReport(limit, limit, tuple(count_bad), tuple(pairing_bad))
+    return TwoToOneReport(limit, tuple(count_bad), tuple(pairing_bad))
 
 
 @dataclass(frozen=True)

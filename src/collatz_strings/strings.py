@@ -7,6 +7,11 @@ ends {3+4t} and pull back through both inverse branches, dropping heads.
 Both evolutions stay exact unions of arithmetic progressions, which makes
 the counting identities and intercept bounds directly checkable.
 
+PROCESSES (seeds and branch maps) is the one table that tells the
+directions apart: generation k is evolve(*PROCESSES[d], k), audit_part
+checks one of its parts, interval_weight is a union's exact density, and
+the coverage counts take their window base s, the seed's interval, from it.
+
 The sweeps at the bottom verify that every chain closes: every position
 walks back to a head and forward to an end, and every trajectory of the
 conjugate map passes through 3 mod 4 (checked a residue class at a time).
@@ -14,6 +19,7 @@ conjugate map passes through 3 mod 4 (checked a residue class at a time).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -40,44 +46,9 @@ PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
              "backward": ((BACKWARD_SEED,), BACKWARD_MAPS)}
 
 
-@dataclass(frozen=True)
-class EvolutionState:
-    direction: str  # "forward" | "backward"
-    generation: int
-    parts: tuple[Progression, ...]
-
-    def interval_weight(self) -> Fraction:
-        """Exact density of the state: sum of 1/interval over parts."""
-        return sum((Fraction(1, p.interval) for p in self.parts), Fraction(0))
-
-
-def evolve_forward(generation: int) -> EvolutionState:
-    """Generation k of the forward process, as an ordered union of parts.
-
-    Child order is deterministic: even-branch child first, parent order
-    preserved.  The 3 mod 4 intersection of each part ends its chains and
-    is not propagated.
-    """
-    return EvolutionState("forward", generation,
-                          tuple(evolve(*PROCESSES["forward"], generation)))
-
-
-def evolve_backward(generation: int) -> EvolutionState:
-    """Generation k of the backward process (down-branch child first)."""
-    return EvolutionState("backward", generation,
-                          tuple(evolve(*PROCESSES["backward"], generation)))
-
-
-@dataclass(frozen=True)
-class InterceptAuditReport:
-    direction: str
-    generation: int
-    part_violations: tuple[Progression, ...]
-    bound_violations: tuple[tuple[Progression, Progression], ...]  # (parent, child)
-
-    @property
-    def ok(self) -> bool:
-        return not self.part_violations and not self.bound_violations
+def interval_weight(parts: Iterable[Progression]) -> Fraction:
+    """Exact density of a union of parts: the sum of 1/interval."""
+    return sum((Fraction(1, p.interval) for p in parts), Fraction(0))
 
 
 def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progression]]:
@@ -99,20 +70,6 @@ def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progressio
     return a >= b, over
 
 
-def intercept_audit(state: EvolutionState) -> InterceptAuditReport:
-    """Check intercept < interval for every part, plus the child bound
-    (see `audit_part`)."""
-    part_bad: list[Progression] = []
-    bound_bad: list[tuple[Progression, Progression]] = []
-    for part in state.parts:
-        bad, over = audit_part(state.direction, part)
-        if bad:
-            part_bad.append(part)
-        bound_bad += [(part, child) for child in over]
-    return InterceptAuditReport(state.direction, state.generation, tuple(part_bad),
-                                tuple(bound_bad))
-
-
 @dataclass(frozen=True)
 class CoverageCount:
     direction: str
@@ -122,37 +79,38 @@ class CoverageCount:
     open_count: int
 
 
+def _window_base(direction: str) -> int:
+    """The s of a direction's coverage window s**m: its seed's interval (3
+    forward, 4 backward), since generation k has density (s-1)^k/s^(k+1)."""
+    if direction not in PROCESSES:
+        raise ValueError(f"unknown direction {direction!r}")
+    (seed,), _ = PROCESSES[direction]
+    return seed.interval
+
+
 def expected_coverage(direction: str, m: int) -> tuple[int, int]:
     """Closed-form prediction for coverage_count: (included, open)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if direction == "forward":
-        included = sum(2 ** k * 3 ** (m - k - 1) for k in range(m))
-        return included, 2 ** m
-    if direction == "backward":
-        included = sum(3 ** k * 4 ** (m - k - 1) for k in range(m))
-        return included, 3 ** m
-    raise ValueError(f"unknown direction {direction!r}")
+    s = _window_base(direction)
+    included = sum((s - 1) ** k * s ** (m - k - 1) for k in range(m))
+    return included, (s - 1) ** m
 
 
 def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCount:
     """Count window members covered by the first m generations.
 
-    The window is [window_start, window_start + 3**m) forward, 4**m
-    backward.  Membership is an explicit union over the parts of
-    generations 0..m-1, marked one byte per window position, so the count
-    does not presuppose disjointness.
+    The window is [window_start, window_start + s**m), with s the seed's
+    interval: 3 forward, 4 backward.  Membership is an explicit union over
+    the parts of generations 0..m-1, marked one byte per window position,
+    so the count does not presuppose disjointness.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if window_start < 2:
         raise ValueError(f"window_start must be >= 2, got {window_start}")
-    if direction == "forward":
-        window, parts, maps = 3 ** m, (FORWARD_SEED,), FORWARD_MAPS
-    elif direction == "backward":
-        window, parts, maps = 4 ** m, (BACKWARD_SEED,), BACKWARD_MAPS
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    window = _window_base(direction) ** m
+    parts, maps = PROCESSES[direction]
     _checked(window_start + window)
     covered = bytearray(window)  # covered[i]: window_start + i is a member
     for generation in range(m):
@@ -217,7 +175,7 @@ def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT) -> String
 @dataclass(frozen=True)
 class PartitionAuditReport:
     limit: int
-    heads: frozenset[int]
+    heads: set[int]
     truncated: tuple[tuple[int, str], ...]      # (position, direction)
     conflicts: tuple[tuple[int, int, int], ...]  # (element, head_a, head_b)
     longest_chain: int
@@ -282,7 +240,7 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
                 conflicts.append((element, seen, head))
     return PartitionAuditReport(
         limit=limit,
-        heads=frozenset(heads),
+        heads=heads,
         truncated=tuple(truncated),
         conflicts=tuple(conflicts),
         longest_chain=longest,

@@ -19,8 +19,6 @@ from collatz_strings import (
     build_string_containing,
     conjugate_step,
     coverage_count,
-    evolve_backward,
-    evolve_forward,
     expected_coverage,
     find_cycles,
     first_recurrence_backward,
@@ -28,13 +26,18 @@ from collatz_strings import (
     forward_signature,
     higher_equivalent,
     higher_equivalent_n,
-    intercept_audit,
     partition_audit,
     passage_sweep,
     sampling_lemma_check,
     trajectory_report,
     two_to_one_audit,
 )
+from collatz_strings.progressions import evolve
+from collatz_strings.strings import PROCESSES, audit_part, interval_weight
+
+
+def generation(direction, k):
+    return tuple(evolve(*PROCESSES[direction], k))
 
 
 @contextmanager
@@ -83,20 +86,20 @@ def test_criterion_2_string_partition():
 def test_criterion_3_evolution_structure():
     with verdict(3, "evolution structure through generation 12"):
         for k in range(13):
-            fwd = evolve_forward(k)
-            assert len(fwd.parts) == 2 ** k
-            assert all(p.interval == 3 ** (k + 1) for p in fwd.parts)
-            assert intercept_audit(fwd).ok
-            bwd = evolve_backward(k)
-            assert len(bwd.parts) == 2 ** k
-            assert bwd.interval_weight() == Fraction(3 ** k, 4 ** (k + 1))
-            assert intercept_audit(bwd).ok
-        def parts(state):
-            return [(p.intercept, p.interval) for p in state.parts]
-        assert parts(evolve_forward(1)) == [(3, 9), (4, 9)]
-        assert parts(evolve_forward(2)) == [(18, 27), (16, 27), (6, 27), (10, 27)]
-        assert parts(evolve_backward(1)) == [(2, 8), (9, 16)]
-        assert parts(evolve_backward(2)) == [(12, 16), (13, 32), (6, 32), (33, 64)]
+            fwd = generation("forward", k)
+            assert len(fwd) == 2 ** k
+            assert all(p.interval == 3 ** (k + 1) for p in fwd)
+            assert all(audit_part("forward", p) == (False, []) for p in fwd)
+            bwd = generation("backward", k)
+            assert len(bwd) == 2 ** k
+            assert interval_weight(bwd) == Fraction(3 ** k, 4 ** (k + 1))
+            assert all(audit_part("backward", p) == (False, []) for p in bwd)
+        def parts(direction, k):
+            return [(p.intercept, p.interval) for p in generation(direction, k)]
+        assert parts("forward", 1) == [(3, 9), (4, 9)]
+        assert parts("forward", 2) == [(18, 27), (16, 27), (6, 27), (10, 27)]
+        assert parts("backward", 1) == [(2, 8), (9, 16)]
+        assert parts("backward", 2) == [(12, 16), (13, 32), (6, 32), (33, 64)]
 
 
 def test_criterion_4_counting_identities():

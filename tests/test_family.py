@@ -13,7 +13,6 @@ from collatz_strings import (
     audit_case_system,
     case_system,
     conjugate_step,
-    evolve_forward,
     exceptional_positions,
     family_equivalent,
     family_equivalent_n,
@@ -28,6 +27,8 @@ from collatz_strings import (
     two_to_one_audit,
 )
 from collatz_strings.family import OrphanRecord, branch_maps, predecessor_rule
+from collatz_strings.progressions import evolve
+from collatz_strings.strings import PROCESSES
 
 
 def test_family_validation():
@@ -431,7 +432,7 @@ def test_family_evolution_children_are_elementwise_step_images(p):
         parents = family_evolve_forward(fam, k)
         children = family_evolve_forward(fam, k + 1)
         if p == 1:  # the p=1 process is this one
-            assert evolve_forward(k + 1).parts == children
+            assert tuple(evolve(*PROCESSES["forward"], k + 1)) == children
         assert len(children) == len(maps) * len(parents)
         for i, child in enumerate(children):
             parent = parents[i // len(maps)]

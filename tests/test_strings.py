@@ -19,63 +19,65 @@ from collatz_strings import (
     WidthExceededError,
     build_string_containing,
     coverage_count,
-    evolve_backward,
-    evolve_forward,
     expected_coverage,
     family_evolve_forward,
-    intercept_audit,
     inverse_lower_step,
     lower_step,
     partition_audit,
     passage_sweep,
     trajectory_report,
 )
-from collatz_strings.progressions import transport
+from collatz_strings.progressions import evolve, transport
 from collatz_strings.strings import (
     BACKWARD_MAPS,
     FORWARD_MAPS,
-    EvolutionState,
-    InterceptAuditReport,
+    PROCESSES,
     _sweep_range,
+    audit_part,
+    interval_weight,
 )
 
 
-def parts_of(state):
-    return [(p.intercept, p.interval) for p in state.parts]
+def generation(direction, k):
+    return tuple(evolve(*PROCESSES[direction], k))
+
+
+def parts_of(direction, k):
+    return [(p.intercept, p.interval) for p in generation(direction, k)]
 
 
 def test_forward_generations_match_published_displays():
-    assert parts_of(evolve_forward(0)) == [(2, 3)]
-    assert parts_of(evolve_forward(1)) == [(3, 9), (4, 9)]
-    assert parts_of(evolve_forward(2)) == [(18, 27), (16, 27), (6, 27), (10, 27)]
+    assert parts_of("forward", 0) == [(2, 3)]
+    assert parts_of("forward", 1) == [(3, 9), (4, 9)]
+    assert parts_of("forward", 2) == [(18, 27), (16, 27), (6, 27), (10, 27)]
 
 
 def test_backward_generations_match_published_displays():
-    assert parts_of(evolve_backward(0)) == [(3, 4)]
-    assert parts_of(evolve_backward(1)) == [(2, 8), (9, 16)]
-    assert parts_of(evolve_backward(2)) == [(12, 16), (13, 32), (6, 32), (33, 64)]
+    assert parts_of("backward", 0) == [(3, 4)]
+    assert parts_of("backward", 1) == [(2, 8), (9, 16)]
+    assert parts_of("backward", 2) == [(12, 16), (13, 32), (6, 32), (33, 64)]
 
 
 def test_forward_structure_through_generation_12():
     for k in range(13):
-        state = evolve_forward(k)
-        assert len(state.parts) == 2 ** k
-        assert all(p.interval == 3 ** (k + 1) for p in state.parts)
+        parts = generation("forward", k)
+        assert len(parts) == 2 ** k
+        assert all(p.interval == 3 ** (k + 1) for p in parts)
 
 
 def test_backward_structure_through_generation_12():
     for k in range(13):
-        state = evolve_backward(k)
-        assert len(state.parts) == 2 ** k
-        assert state.interval_weight() == Fraction(3 ** k, 4 ** (k + 1))
+        parts = generation("backward", k)
+        assert len(parts) == 2 ** k
+        assert interval_weight(parts) == Fraction(3 ** k, 4 ** (k + 1))
 
 
 def test_generations_are_pairwise_disjoint():
     # exhaustive below the largest interval, both within and across generations
-    for kmax, build, bound in ((6, evolve_forward, 3 ** 7), (5, evolve_backward, 4 ** 6)):
+    for kmax, direction, bound in ((6, "forward", 3 ** 7), (5, "backward", 4 ** 6)):
         owner = {}
         for k in range(kmax + 1):
-            for i, part in enumerate(build(k).parts):
+            for i, part in enumerate(generation(direction, k)):
                 for x in range(part.intercept, bound, part.interval):
                     assert x not in owner, (x, owner[x], (k, i))
                     owner[x] = (k, i)
@@ -84,8 +86,8 @@ def test_generations_are_pairwise_disjoint():
 def test_membership_equals_walk_depth():
     # x sits in forward generation k iff exactly k inverse steps reach a head;
     # x sits in backward generation k iff exactly k forward steps reach an end
-    fwd = [evolve_forward(k) for k in range(8)]
-    bwd = [evolve_backward(k) for k in range(8)]
+    fwd = [generation("forward", k) for k in range(8)]
+    bwd = [generation("backward", k) for k in range(8)]
 
     def head_depth(x):
         d = 0
@@ -108,49 +110,47 @@ def test_membership_equals_walk_depth():
     for x in range(2, 10001):
         hd = head_depth(x)
         for k in range(8):
-            assert any(p.contains(x) for p in fwd[k].parts) == (hd == k), (x, k)
+            assert any(p.contains(x) for p in fwd[k]) == (hd == k), (x, k)
         ed = end_depth(x)
         for k in range(8):
-            assert any(p.contains(x) for p in bwd[k].parts) == (ed == k), (x, k)
+            assert any(p.contains(x) for p in bwd[k]) == (ed == k), (x, k)
+
+
+def audit_ok(direction, k):
+    return all(audit_part(direction, p) == (False, []) for p in generation(direction, k))
 
 
 def test_intercept_audit_first_generations():
-    a1 = intercept_audit(evolve_forward(1))
-    assert a1.ok
-    b1 = intercept_audit(evolve_backward(1))
-    assert b1.ok
-    a2 = intercept_audit(evolve_forward(2))
-    assert a2.ok
+    assert audit_ok("forward", 1)
+    assert audit_ok("backward", 1)
+    assert audit_ok("forward", 2)
 
 
 def test_intercept_audit_all_generations():
     for k in range(13):
-        assert intercept_audit(evolve_forward(k)).ok, k
-        assert intercept_audit(evolve_backward(k)).ok, k
+        assert audit_ok("forward", k), k
+        assert audit_ok("backward", k), k
 
 
 def test_intercept_audit_flags_violations():
-    bad = EvolutionState("forward", 1, (Progression(12, 9),))
-    report = intercept_audit(bad)
-    assert not report.ok and report.part_violations
+    bad, _ = audit_part("forward", Progression(12, 9))
+    assert bad
 
 
-def reference_intercept_audit(state):
-    """The intercept audit as one-generation evolutions of each part."""
-    part_bad = tuple(p for p in state.parts if p.intercept >= p.interval)
-    bound_bad = []
-    forward = state.direction == "forward"
+def reference_audit_part(direction, part):
+    """The intercept audit of one part, through a transport per branch."""
+    forward = direction == "forward"
     maps = FORWARD_MAPS if forward else BACKWARD_MAPS
-    for part in state.parts:
-        a, b = part.intercept, part.interval
-        for child in (transport(part, src, dst) for src, dst in maps):
-            if forward:
-                bad = 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1)
-            else:
-                bad = 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1)
-            if bad:
-                bound_bad.append((part, child))
-    return InterceptAuditReport(state.direction, state.generation, part_bad, tuple(bound_bad))
+    a, b = part.intercept, part.interval
+    over = []
+    for child in (transport(part, src, dst) for src, dst in maps):
+        if forward:
+            bad = 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1)
+        else:
+            bad = 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1)
+        if bad:
+            over.append(child)
+    return a >= b, over
 
 
 def test_intercept_audit_matches_reference_on_crafted_states():
@@ -160,14 +160,13 @@ def test_intercept_audit_matches_reference_on_crafted_states():
     for direction, maps in (("forward", FORWARD_MAPS), ("backward", BACKWARD_MAPS)):
         parts = tuple(Progression(a, b) for a in range(1, 80) for b in range(1, 13)
                       if all(transport(Progression(a, b), *m) for m in maps))
-        state = EvolutionState(direction, 3, parts)
-        report = intercept_audit(state)
-        assert report == reference_intercept_audit(state)
-        assert report.part_violations
-        assert bool(report.bound_violations) == (direction == "forward")
+        results = [audit_part(direction, part) for part in parts]
+        assert results == [reference_audit_part(direction, part) for part in parts]
+        assert any(bad for bad, _ in results)
+        assert any(over for _, over in results) == (direction == "forward")
         for k in range(8):
-            state = (evolve_forward if direction == "forward" else evolve_backward)(k)
-            assert intercept_audit(state) == reference_intercept_audit(state)
+            for part in generation(direction, k):
+                assert audit_part(direction, part) == reference_audit_part(direction, part)
 
 
 def test_coverage_published_counts():
@@ -207,6 +206,8 @@ def test_coverage_rejects_bad_windows():
         coverage_count("forward", 2, window_start=1)
     with pytest.raises(ValueError):
         coverage_count("sideways", 2)
+    with pytest.raises(ValueError):
+        expected_coverage("sideways", 2)
 
 
 def test_coverage_memory_stays_near_one_byte_per_position():
@@ -277,6 +278,18 @@ def test_partition_audit_clean_at_10k():
     assert report.ok
     assert report.positions_checked == 10 ** 4 - 1
     assert report.string_count > 2000
+
+
+def test_partition_audit_memory_holds_one_head_set():
+    # the report keeps the set of heads it built, not a second frozenset copy
+    tracemalloc.start()
+    try:
+        report = partition_audit(200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 17 * 2 ** 20
 
 
 def reference_partition_audit(limit, max_len):
@@ -396,8 +409,8 @@ def test_three_n_minus_one_contrast():
         parts = family_evolve_forward(Family(-1), k)
         assert not any(p.contains(3) or p.contains(4) for p in parts), k
     # the p=1 process reaches both within two generations
-    assert any(p.contains(3) for p in evolve_forward(1).parts)
-    assert any(p.contains(4) for p in evolve_forward(1).parts)
+    assert any(p.contains(3) for p in generation("forward", 1))
+    assert any(p.contains(4) for p in generation("forward", 1))
 
 
 def test_passage_sweep_small_range():
