@@ -15,7 +15,6 @@ from collatz_strings import (
     higher_equivalent,
     odd_of,
     restriction_index,
-    restriction_of,
 )
 
 
@@ -50,9 +49,10 @@ def main():
     print("\nbranch classes recur at power-of-two intervals:")
     for z in range(1, 7):
         members = [x for x in range(1, 130) if restriction_index(x) == z]
-        r = restriction_of(members[0])
-        print(f"  branch {z} ({r.base_kind} base, depth {r.depth}): "
-              f"{members[:4]} ... interval {r.interval}")
+        base, depth = base_equivalent(members[0])
+        kind = "even" if base % 2 == 0 else "one-mod-four"
+        print(f"  branch {z} ({kind} base, depth {depth}): "
+              f"{members[:4]} ... interval {1 << z}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ and the 3n+p generalization.
 from .core import (
     DEFAULT_WALK_LIMIT,
     MAX_VALUE,
-    Restriction,
     WidthExceededError,
     accelerated_step,
     base_equivalent,
@@ -19,15 +18,11 @@ from .core import (
     conjugate_step,
     conjugate_step_casewise,
     higher_equivalent,
-    higher_equivalent_n,
     inverse_lower_step,
-    lower_equivalent,
     lower_step,
     odd_of,
     position_of,
-    residual_mod3,
     restriction_index,
-    restriction_of,
     trajectory_report,
 )
 from .family import (

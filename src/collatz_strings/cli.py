@@ -30,7 +30,6 @@ from itertools import islice
 
 from .core import (
     DEFAULT_WALK_LIMIT,
-    WidthExceededError,
     higher_equivalent,
     lower_step,
 )
@@ -450,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
-    except (WidthExceededError, ValueError, KeyError, OSError) as exc:
+    except (OverflowError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_FINDINGS if failed else EXIT_OK

@@ -112,30 +112,12 @@ def higher_equivalent(x: int) -> int:
     return _checked(4 * x - 1)
 
 
-def higher_equivalent_n(x: int, count: int) -> int:
-    """count-fold application of higher_equivalent; count=0 returns x."""
-    _require_position(x)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    for _ in range(count):
-        x = _checked(4 * x - 1)
-    return x
-
-
-def lower_equivalent(x: int) -> int | None:
-    """Inverse of higher_equivalent, or None when x is not 3 mod 4."""
-    _require_position(x)
-    if x & 3 != 3:
-        return None
-    return (x + 1) >> 2
-
-
 def base_equivalent(x: int) -> tuple[int, int]:
     """Strip lower equivalents from x until none remain.
 
     Returns (base, depth) with base either even or 1 mod 4, and
-    higher_equivalent_n(base, depth) == x.  Terminates because each strip
-    strictly decreases the position.
+    family_equivalent_n(base, depth, Family(1)) == x.  Terminates because
+    each strip strictly decreases the position.
     """
     _require_position(x)
     depth = 0
@@ -154,28 +136,6 @@ def restriction_index(x: int) -> int:
     return 2 * depth + (1 if base & 1 == 0 else 2)
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Branch classification of a position: index z, base kind, and depth."""
-
-    z: int
-    base_kind: str  # "even" or "one-mod-four"
-    depth: int
-
-    @property
-    def interval(self) -> int:
-        """Spacing of consecutive positions in this branch class."""
-        return 1 << self.z
-
-
-def restriction_of(x: int) -> Restriction:
-    """Classify x by the branch of the conjugate step that maps it."""
-    base, depth = base_equivalent(x)
-    if base & 1 == 0:
-        return Restriction(z=2 * depth + 1, base_kind="even", depth=depth)
-    return Restriction(z=2 * depth + 2, base_kind="one-mod-four", depth=depth)
-
-
 def lower_step(x: int) -> int | None:
     """The one-to-one part of the conjugate step.
 
@@ -189,12 +149,6 @@ def lower_step(x: int) -> int | None:
     if x & 3 == 1:
         return _checked((3 * x + 1) // 4)
     return None
-
-
-def residual_mod3(x: int) -> int:
-    """Residue of x mod 3; selects the inverse branch of lower_step."""
-    _require_position(x)
-    return x % 3
 
 
 def inverse_lower_step(x: int) -> int | None:

@@ -20,12 +20,12 @@ from collatz_strings import (
     conjugate_step,
     coverage_count,
     expected_coverage,
+    family_equivalent_n,
     find_cycles,
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
     higher_equivalent,
-    higher_equivalent_n,
     partition_audit,
     passage_sweep,
     sampling_lemma_check,
@@ -178,7 +178,7 @@ def test_criterion_9_lemma_properties():
         for x in range(1, 10 ** 5 + 1):
             base, depth = base_equivalent(x)
             assert base % 4 != 3
-            assert higher_equivalent_n(base, depth) == x
+            assert family_equivalent_n(base, depth, Family(1)) == x
             assert (base, depth) not in seen
             seen.add((base, depth))
         for base in (2, 3):

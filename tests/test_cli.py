@@ -65,6 +65,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["passage", "--lo", "5", "--hi", "100", "--checkpoint-every", "0",
                  "--checkpoint", ck]) == 2
     assert not os.path.exists(ck)
+    capsys.readouterr()
     for argv in (["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
                  ["cycles", "-p", "5", "--seed-limit", "5", "--max-steps", "-1"],
@@ -75,8 +76,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["coverage", "--direction", "forward", "-m", "2", "--random-starts", "-4"],
                  ["family-audit", "-p", "7", "--n-limit", "-1"],
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
-                 ["family-audit", "-p", "7", "--m-limit", "-1"]):
+                 ["family-audit", "-p", "7", "--m-limit", "-1"],
+                 ["strings", "--limit", str(10 ** 29)],
+                 ["scan", "-p", "5", "--limit", str(10 ** 29)],
+                 ["audit-3n3", "--limit", str(10 ** 29)],
+                 ["coverage", "--direction", "forward", "-m", "40"],
+                 ["coverage", "--direction", "backward", "-m", "32"]):
         assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
     out = os.path.join(tmp_path, "never.jsonl")
     assert main(["evolve", "--direction", "forward", "-k", "-1", "--output", out]) == 2
     assert os.listdir(tmp_path) == []

@@ -3,24 +3,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_strings import (
+    Family,
     MAX_VALUE,
-    Restriction,
     WidthExceededError,
     accelerated_step,
     base_equivalent,
     collatz_step,
     conjugate_step,
     conjugate_step_casewise,
+    family_equivalent_n,
     higher_equivalent,
-    higher_equivalent_n,
     inverse_lower_step,
-    lower_equivalent,
     lower_step,
     odd_of,
     position_of,
-    residual_mod3,
     restriction_index,
-    restriction_of,
     trajectory_report,
 )
 
@@ -101,21 +98,22 @@ def test_conjugate_step_case_form_agrees(x):
 
 def test_equivalent_examples():
     assert higher_equivalent(1) == 3
-    assert higher_equivalent_n(1, 2) == higher_equivalent(higher_equivalent(1)) == 11
-    assert higher_equivalent_n(9, 0) == 9
-    assert lower_equivalent(7) == 2
-    assert lower_equivalent(8) is None
+    assert family_equivalent_n(1, 2, Family(1)) == higher_equivalent(higher_equivalent(1)) == 11
+    assert family_equivalent_n(9, 0, Family(1)) == 9
+    assert base_equivalent(7) == (2, 1)
+    assert base_equivalent(8) == (8, 0)
 
 
 @given(positions, st.integers(min_value=0, max_value=8))
 @settings(max_examples=200)
 def test_equivalents_share_an_image(x, k):
-    assert conjugate_step(higher_equivalent_n(x, k)) == conjugate_step(x)
+    assert conjugate_step(family_equivalent_n(x, k, Family(1))) == conjugate_step(x)
 
 
 @given(positions)
 def test_lower_equivalent_inverts_higher(x):
-    assert lower_equivalent(higher_equivalent(x)) == x
+    base, depth = base_equivalent(x)
+    assert base_equivalent(higher_equivalent(x)) == (base, depth + 1)
 
 
 def test_base_equivalent_examples():
@@ -129,17 +127,16 @@ def test_base_equivalent_roundtrip(x):
     base, depth = base_equivalent(x)
     assert base % 4 != 3
     assert base % 2 == 0 or base % 4 == 1
-    assert higher_equivalent_n(base, depth) == x
+    assert family_equivalent_n(base, depth, Family(1)) == x
 
 
 def test_base_chain_strictly_decreases():
+    # read from x down to its base, the equivalence chain strictly decreases
     for x in range(1, 20000):
-        prev = x
-        v = x
-        while v % 4 == 3:
-            v = lower_equivalent(v)
-            assert v < prev
-            prev = v
+        base, depth = base_equivalent(x)
+        chain = [family_equivalent_n(base, d, Family(1)) for d in range(depth + 1)]
+        assert chain[-1] == x
+        assert all(lo < hi for lo, hi in zip(chain, chain[1:]))
 
 
 def test_every_position_in_exactly_one_equivalence_class():
@@ -152,15 +149,9 @@ def test_every_position_in_exactly_one_equivalence_class():
 
 
 def test_restriction_examples():
-    assert restriction_of(2) == Restriction(z=1, base_kind="even", depth=0)
-    assert restriction_of(7).z == 3
-    assert restriction_of(11) == Restriction(z=6, base_kind="one-mod-four", depth=2)
-    assert restriction_of(11).interval == 64
-
-
-def test_restriction_index_agrees_with_record():
-    for x in range(1, 5000):
-        assert restriction_index(x) == restriction_of(x).z
+    assert restriction_index(2) == 1 and base_equivalent(2) == (2, 0)
+    assert restriction_index(7) == 3
+    assert restriction_index(11) == 6 and base_equivalent(11) == (1, 2)
 
 
 def test_restriction_classes_are_progressions():
@@ -209,7 +200,6 @@ def test_inverse_lower_step_worked_chain():
     assert inverse_lower_step(6) == 4
     assert inverse_lower_step(4) == 5
     assert inverse_lower_step(2) is None
-    assert residual_mod3(2) == 2
 
 
 def test_inverse_branch_direction():
