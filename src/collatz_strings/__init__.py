@@ -50,7 +50,6 @@ from .progressions import (
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
-    intersect_residue,
     sampling_lemma_check,
 )
 from .strings import (

@@ -125,18 +125,20 @@ def cmd_strings(args) -> Report:
 def cmd_evolve(args) -> Report:
     """One measurement per part as the depth-first walk yields it; the
     audit's rare violations are kept and follow the measurements."""
-    parts = evolve(*PROCESSES[args.direction], args.generations)
+    direction = args.direction
     part_bad: list[Progression] = []
     bound_bad: list[tuple[Progression, Progression]] = []
     count = 0
-    for part in parts:
+    for part in evolve(*PROCESSES[direction], args.generations):
+        a, b = part
         yield finding("measurement", f"part[{count}]", str(part),
-                      {"intercept": part.intercept, "interval": part.interval})
+                      {"intercept": a, "interval": b})
         count += 1
-        bad, over = audit_part(args.direction, part)
+        bad, over = audit_part(direction, part)
         if bad:
             part_bad.append(part)
-        bound_bad += [(part, child) for child in over]
+        if over:
+            bound_bad += [(part, child) for child in over]
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
                       {"intercept": part.intercept, "interval": part.interval})

@@ -18,7 +18,7 @@ sweep can never silently outgrow the precision it started with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 WIDTH_BITS = 128
 MAX_VALUE = (1 << WIDTH_BITS) - 1
@@ -167,15 +167,14 @@ def inverse_lower_step(x: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class TrajectoryReport:
-    """First-passage data for one position iterated under the conjugate step."""
+class TrajectoryReport(namedtuple("TrajectoryReport", "start steps_to_first_3mod4 "
+                                  "first_3mod4_value steps_to_one truncated")):
+    """First-passage data for one position iterated under the conjugate step.
 
-    start: int
-    steps_to_first_3mod4: int | None
-    first_3mod4_value: int | None
-    steps_to_one: int | None
-    truncated: bool
+    The steps and the value are None where the walk never got there.
+    """
+
+    __slots__ = ()
 
     @property
     def hit_3mod4(self) -> bool:

@@ -15,8 +15,8 @@ generic step, which is the oracle throughout this module.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .core import DEFAULT_WALK_LIMIT, _checked
 from .progressions import Progression, evolve
@@ -26,15 +26,15 @@ class NonpositiveImageError(ValueError):
     """3n+p fell below 1, so the family's step is undefined there."""
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "p")):
     """One member of the 3n+p family, for odd p (negative allowed)."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p % 2 == 0:
-            raise ValueError(f"family parameter must be odd, got {self.p}")
+    def __new__(cls, p: int):
+        if p % 2 == 0:
+            raise ValueError(f"family parameter must be odd, got {p}")
+        return super().__new__(cls, p)
 
     @property
     def q(self) -> int:
@@ -230,14 +230,14 @@ CASE_SYSTEMS: dict[int, tuple[_Rule, ...]] = {
 CASE_SYSTEM_PARAMS = tuple(sorted(CASE_SYSTEMS))
 
 
-@dataclass(frozen=True)
-class CaseRule:
-    """One rule of a published system: a progression or a single position."""
+class CaseRule(namedtuple("CaseRule",
+                          "domain_offset domain_stride image_offset image_stride")):
+    """One rule of a published system: a progression or a single position.
 
-    domain_offset: int
-    domain_stride: int  # 0 for a one-off rule
-    image_offset: int
-    image_stride: int
+    domain_stride is 0 for a one-off rule.
+    """
+
+    __slots__ = ()
 
     def instances(self, value_limit: int | None = None, m_limit: int | None = None):
         """Yield (domain value, expected image), bounded by value and/or index.
@@ -268,11 +268,9 @@ def case_system(p: int) -> tuple[CaseRule, ...]:
     return tuple(CaseRule(*r) for r in CASE_SYSTEMS[p])
 
 
-@dataclass(frozen=True)
-class CaseAuditReport:
-    p: int
-    checked: int
-    mismatches: tuple[tuple[int, int, int, int], ...]  # (domain, depth, expected, got)
+# mismatches: (domain, depth, expected, got) tuples
+class CaseAuditReport(namedtuple("CaseAuditReport", "p checked mismatches")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -317,13 +315,10 @@ def _canonical_rotation(members: tuple[int, ...]) -> tuple[int, ...]:
     return members[pivot:] + members[:pivot]
 
 
-@dataclass(frozen=True)
-class CycleSearchReport:
-    p: int
-    seed_limit: int
-    cycles: tuple[tuple[int, ...], ...]
-    truncated_seeds: tuple[int, ...]
-    rejected_seeds: tuple[int, ...]  # seeds whose walk hit a nonpositive image
+# rejected_seeds: seeds whose walk hit a nonpositive image
+class CycleSearchReport(namedtuple("CycleSearchReport",
+                                   "p seed_limit cycles truncated_seeds rejected_seeds")):
+    __slots__ = ()
 
     @property
     def cycle_set(self) -> frozenset[tuple[int, ...]]:
@@ -374,11 +369,11 @@ def find_cycles(family: Family, seed_limit: int,
     return CycleSearchReport(family.p, seed_limit, cycles, tuple(truncated), tuple(rejected))
 
 
-@dataclass(frozen=True)
-class TwoToOneReport:
-    limit: int
-    count_violations: tuple[tuple[int, int], ...]    # (position, observed count)
-    pairing_violations: tuple[tuple[int, int, int], ...]  # (image, first, second)
+# count_violations: (position, observed count); pairing_violations:
+# (image, first, second)
+class TwoToOneReport(namedtuple("TwoToOneReport",
+                                "limit count_violations pairing_violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -431,20 +426,13 @@ def two_to_one_audit(limit: int) -> TwoToOneReport:
     return TwoToOneReport(limit, tuple(count_bad), tuple(pairing_bad))
 
 
-@dataclass(frozen=True)
-class OrphanRecord:
-    position: int
-    direction: str  # "forward" | "backward"
-    reason: str     # "cycle" | "truncated" | "rejected"
-    cycle: tuple[int, ...] | None
+# direction: "forward" | "backward"; reason: "cycle" | "truncated" |
+# "rejected"; cycle: the cycle's members, or None
+OrphanRecord = namedtuple("OrphanRecord", "position direction reason cycle")
 
 
-@dataclass(frozen=True)
-class StringScanReport:
-    p: int
-    limit: int
-    scanned: int
-    orphans: tuple[OrphanRecord, ...]
+class StringScanReport(namedtuple("StringScanReport", "p limit scanned orphans")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -4,11 +4,11 @@ The objects of study are half-open progressions {a + b*t : t >= 0}.  The
 conjugate step and its inverse act on such sets branch by branch: each
 branch sends one progression onto another member by member (2+2m -> 3+3m
 and 1+4m -> 1+3m forwards), turning an interval b into 3b/2 or 3b/4
-forwards and 2b/3 or 4b/3 backwards.  This module provides exact residue
-intersection, transport of a progression through one such branch map and
-the generation loop built on it, the co-prime sampling check that keeps
-the recurrence bookkeeping honest, and the branch-signature recurrence
-search.
+forwards and 2b/3 or 4b/3 backwards.  This module provides the transport
+of a progression through one such branch map (an exact residue
+intersection) and the generation loop built on it, the co-prime
+sampling check that keeps the recurrence bookkeeping honest, and the
+branch-signature recurrence search.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -19,8 +19,8 @@ it holds one root-to-leaf path: O(k) parts, not 2^k.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import gcd
 
 from .core import (
@@ -31,18 +31,17 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(namedtuple("Progression", "intercept interval")):
     """The set {intercept + interval*t : t >= 0}."""
 
-    intercept: int
-    interval: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.intercept < 1:
-            raise ValueError(f"intercept must be >= 1, got {self.intercept}")
-        if self.interval < 1:
-            raise ValueError(f"interval must be >= 1, got {self.interval}")
+    def __new__(cls, intercept: int, interval: int):
+        if intercept < 1:
+            raise ValueError(f"intercept must be >= 1, got {intercept}")
+        if interval < 1:
+            raise ValueError(f"interval must be >= 1, got {interval}")
+        return super().__new__(cls, intercept, interval)
 
     def element(self, t: int) -> int:
         return self.intercept + self.interval * t
@@ -54,39 +53,32 @@ class Progression:
         return f"{{{self.intercept}+{self.interval}t}}"
 
 
-def intersect_residue(p: Progression, residue: int, mod: int) -> Progression | None:
-    """Restrict p to its members congruent to residue (mod mod).
-
-    Standard CRT split: solvable iff gcd(interval, mod) divides the offset,
-    in which case the result is a progression with interval lcm(interval, mod).
-    Returns None when the intersection is empty.
-    """
-    if mod < 1:
-        raise ValueError(f"mod must be >= 1, got {mod}")
-    residue %= mod
-    a, b = p.intercept, p.interval
-    g = gcd(b, mod)
-    if (residue - a) % g != 0:
-        return None
-    m = mod // g
-    # solve b*t = residue - a (mod mod); t is fixed mod m
-    t0 = ((residue - a) // g * pow(b // g, -1, m)) % m if m > 1 else 0
-    return Progression(_checked(a + b * t0), _checked(b * m))
+# Builds a Progression without the checks of Progression(): transport's
+# images always pass them (intercept and interval are at least 1).
+_new = tuple.__new__
 
 
 def transport(part: Progression, src: Progression, dst: Progression) -> Progression | None:
     """Members of part that lie in src, mapped src.element(m) -> dst.element(m).
 
-    Returns None when part has no member in src.
+    Solves a + b*t = r (mod s) for part (a, b) and src (r, s).  With
+    g = gcd(b, s) there is a solution iff g divides r - a, and then t is
+    fixed mod s/g: the members in src are every (b/g)-th member of src from
+    the first.  Returns None when part has no member in src.
     """
-    dom = intersect_residue(part, src.intercept, src.interval)
-    if dom is None:
+    a, b = part
+    r, s = src
+    g = gcd(b, s)
+    if (r - a) % g:
         return None
-    stride = dom.interval // src.interval  # src indices between members of dom
-    m = (dom.intercept - src.intercept) // src.interval
+    n, stride = s // g, b // g
+    first = _checked(a + b * ((r - a) // g * pow(stride, -1, n) % n))
+    _checked(b * n)  # the class interval, lcm(b, s), must stay in range too
+    m = (first - r) // s
     if m < 0:  # members of the residue class below src's intercept are not in src
         m %= stride
-    return Progression(_checked(dst.element(m)), _checked(stride * dst.interval))
+    c, d = dst
+    return _new(Progression, (_checked(c + d * m), _checked(stride * d)))
 
 
 def children(part: Progression,
@@ -131,10 +123,8 @@ def _depth_first(seeds, maps, generation):
             stack += [(left - 1, child) for child in reversed(children(part, maps))]
 
 
-@dataclass(frozen=True)
-class SamplingVerdict:
-    holds: bool
-    counterexample: tuple[int, int] | None  # (sample index, observed gap)
+# counterexample: (sample index, observed gap), or None when the check holds
+SamplingVerdict = namedtuple("SamplingVerdict", "holds counterexample")
 
 
 def _first_gap_violation(tags, interval: int) -> tuple[int, int] | None:
@@ -182,26 +172,26 @@ _DIRECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(namedtuple("Signature", "direction steps")):
     """Branch record of a walk, one entry per step.
 
-    Forward entries are branch indices (1 = even branch, 2 = branch inside
+    direction is "forward" or "backward", steps a tuple of ints.  Forward
+    entries are branch indices (1 = even branch, 2 = branch inside
     1 mod 4, >= 3 = chain end, allowed only in final place).  Backward
     entries are residues mod 3 (0 = step down, 1 = step up, 2 = chain head,
     final place only).
     """
 
-    direction: str  # "forward" | "backward"
-    steps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if not self.steps:
+    def __new__(cls, direction: str, steps: tuple[int, ...]):
+        if direction not in _DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+        if not steps:
             raise ValueError("a signature needs at least one step")
-        if any(s >= _DIRECTIONS[self.direction][1] for s in self.steps[:-1]):
+        if any(s >= _DIRECTIONS[direction][1] for s in steps[:-1]):
             raise ValueError("a chain end may only appear as the final entry")
+        return super().__new__(cls, direction, steps)
 
     @property
     def truncated(self) -> bool:

@@ -19,9 +19,8 @@ conjugate map passes through 3 mod 4 (checked a residue class at a time).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import (
@@ -48,6 +47,9 @@ PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
 
 def interval_weight(parts: Iterable[Progression]) -> Fraction:
     """Exact density of a union of parts: the sum of 1/interval."""
+    # imported here: no CLI command uses it, and importing it costs every run
+    from fractions import Fraction
+
     return sum((Fraction(1, p.interval) for p in parts), Fraction(0))
 
 
@@ -60,23 +62,19 @@ def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progressio
     children c <= 4(a+2b-1)/3 + 1.  Both are compared in
     cleared-denominator integer form.
     """
-    a, b = part.intercept, part.interval
+    a, b = part
     if direction == "forward":
         scale, bound = 4, 3 * (a + 3 * b - 1)
     else:
         scale, bound = 3, 4 * (a + 2 * b - 1)
-    over = [child for child in children(part, PROCESSES[direction][1])
-            if scale * (child.intercept - 1) > bound]
+    over = []
+    for child in children(part, PROCESSES[direction][1]):
+        if scale * (child.intercept - 1) > bound:
+            over.append(child)
     return a >= b, over
 
 
-@dataclass(frozen=True)
-class CoverageCount:
-    direction: str
-    m: int
-    window_start: int
-    included: int
-    open_count: int
+CoverageCount = namedtuple("CoverageCount", "direction m window_start included open_count")
 
 
 def _window_base(direction: str) -> int:
@@ -125,20 +123,15 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     return CoverageCount(direction, m, window_start, included, window - included)
 
 
-@dataclass(frozen=True)
-class StringRecord:
+class StringRecord(namedtuple("StringRecord", "head tail length elements "
+                              "truncated_backward truncated_forward")):
     """One chain of the one-to-one map, from head (2 mod 3) to end (3 mod 4).
 
     elements is None only when a walk truncated; head/tail are None on the
     truncated side.
     """
 
-    head: int | None
-    tail: int | None
-    length: int
-    elements: tuple[int, ...] | None
-    truncated_backward: bool
-    truncated_forward: bool
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -172,13 +165,11 @@ def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT) -> String
     return StringRecord(head, chain[-1], len(chain), tuple(chain), False, False)
 
 
-@dataclass(frozen=True)
-class PartitionAuditReport:
-    limit: int
-    heads: set[int]
-    truncated: tuple[tuple[int, str], ...]      # (position, direction)
-    conflicts: tuple[tuple[int, int, int], ...]  # (element, head_a, head_b)
-    longest_chain: int
+# truncated: (position, direction) pairs; conflicts: (element, head_a,
+# head_b) triples; heads: the set of chain heads
+class PartitionAuditReport(namedtuple("PartitionAuditReport",
+                                      "limit heads truncated conflicts longest_chain")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -247,20 +238,14 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
     )
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """Aggregates of a first-passage sweep over [lo, hi]."""
+class SweepReport(namedtuple("SweepReport", "lo hi max_steps processed hits truncated "
+                             "total_steps max_steps_observed argmax_position next_position")):
+    """Aggregates of a first-passage sweep over [lo, hi].
 
-    lo: int
-    hi: int
-    max_steps: int
-    processed: int
-    hits: int
-    truncated: tuple[int, ...]
-    total_steps: int
-    max_steps_observed: int
-    argmax_position: int
-    next_position: int  # first position not yet processed; hi+1 when complete
+    next_position is the first position not yet processed, hi+1 when complete.
+    """
+
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -414,7 +399,7 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
         done = done.merge(_sweep_range(a, min(a + chunk - 1, deadline), max_steps))
         if checkpoint_path is not None:
             _save_sweep_checkpoint(checkpoint_path, done, hi)
-    return replace(done, hi=hi, next_position=deadline + 1)
+    return done._replace(hi=hi, next_position=deadline + 1)
 
 
 def _save_sweep_checkpoint(path: str, done: SweepReport, hi: int) -> None:

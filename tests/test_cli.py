@@ -290,6 +290,36 @@ def test_determinism_across_processes(tmp_path):
     assert a.returncode == 0 and a.stdout == b.stdout
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Runs `python -m collatz_strings ARGV` through runpy and prints, after the
+# report, its exit code and the modules the run loaded.
+_STARTUP_PROBE = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["collatz_strings", *sys.argv[1:]]
+try:
+    runpy.run_module("collatz_strings", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--direction", "forward", "-k", "0"],
+                                  ["passage", "--lo", "2", "--hi", "1000"]],
+                         ids=["evolve", "passage"])
+def test_start_up_loads_no_dataclasses_fractions_or_inspect(argv):
+    # every run is a new process, and importing these costs each one's start
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv],
+                         capture_output=True, text=True, env=env)
+    code, *loaded = run.stdout.splitlines()[-1].split()
+    assert code == "0", run.stderr
+    assert "collatz_strings.cli" in loaded
+    assert not {"dataclasses", "fractions", "inspect"} & set(loaded)
+
+
 def test_csv_format(tmp_path):
     out = os.path.join(tmp_path, "report.csv")
     code = main(["evolve", "--direction", "backward", "-k", "1",

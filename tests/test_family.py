@@ -39,6 +39,22 @@ def test_family_validation():
     assert Family(37).q == 17
 
 
+def test_family_is_a_value():
+    for p in (4, 0, -2):
+        with pytest.raises(ValueError, match=f"^family parameter must be odd, got {p}$"):
+            Family(p)
+    fam = Family(-3)
+    assert repr(fam) == str(fam) == "Family(p=-3)"
+    assert fam == Family(-3) == Family(p=-3) == (-3,)
+    assert fam != Family(3)
+    assert hash(fam) == hash(Family(-3))
+    assert len({fam, Family(-3), Family(5)}) == 2
+    for name in ("p", "q", "other"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, 5)
+    assert fam.p == -3 and fam.q == -3
+
+
 def test_trivial_loop_positions_are_fixed_points():
     for p in CASE_SYSTEM_PARAMS:
         fam = Family(p)

@@ -1,5 +1,7 @@
+from math import gcd
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collatz_strings import (
@@ -11,10 +13,10 @@ from collatz_strings import (
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
-    intersect_residue,
     restriction_index,
     sampling_lemma_check,
 )
+from collatz_strings.core import MAX_VALUE, WidthExceededError, _checked
 from collatz_strings.family import branch_maps
 from collatz_strings.progressions import evolve, transport
 from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS
@@ -24,14 +26,130 @@ EVEN, ODD = FORWARD_MAPS
 DOWN, UP = BACKWARD_MAPS
 
 
+def intersect_residue(p, residue, mod):
+    """Oracle: p's members congruent to residue (mod mod), or None.
+
+    Standard CRT split: solvable iff gcd(interval, mod) divides the offset,
+    in which case the result is a progression with interval lcm(interval, mod).
+    """
+    if mod < 1:
+        raise ValueError(f"mod must be >= 1, got {mod}")
+    residue %= mod
+    a, b = p.intercept, p.interval
+    g = gcd(b, mod)
+    if (residue - a) % g != 0:
+        return None
+    m = mod // g
+    # solve b*t = residue - a (mod mod); t is fixed mod m
+    t0 = ((residue - a) // g * pow(b // g, -1, m)) % m if m > 1 else 0
+    return Progression(_checked(a + b * t0), _checked(b * m))
+
+
+def reference_transport(part, src, dst):
+    """Oracle for transport, through the intersection with src's residue class."""
+    dom = intersect_residue(part, src.intercept, src.interval)
+    if dom is None:
+        return None
+    stride = dom.interval // src.interval  # src indices between members of dom
+    m = (dom.intercept - src.intercept) // src.interval
+    if m < 0:  # members of the residue class below src's intercept are not in src
+        m %= stride
+    return Progression(_checked(dst.element(m)), _checked(stride * dst.interval))
+
+
+def _outcome(fn, *args):
+    """fn's result with its type, or the WidthExceededError it raised."""
+    try:
+        result = fn(*args)
+    except WidthExceededError as exc:
+        return "raised", str(exc)
+    return type(result), result
+
+
 def test_progression_validation_and_membership():
     p = Progression(5, 12)
     assert p.contains(5) and p.contains(29)
     assert not p.contains(6) and not p.contains(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^intercept must be >= 1, got 0$"):
         Progression(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^interval must be >= 1, got 0$"):
         Progression(1, 0)
+    with pytest.raises(ValueError, match="^intercept must be >= 1, got -2$"):
+        Progression(-2, -1)  # the intercept is checked first
+
+
+def test_progression_is_a_value():
+    p = Progression(5, 12)
+    assert str(p) == "{5+12t}"
+    assert repr(p) == "Progression(intercept=5, interval=12)"
+    assert p == Progression(5, 12) == Progression(interval=12, intercept=5) == (5, 12)
+    assert p != Progression(5, 24) and p != Progression(12, 5)
+    assert hash(p) == hash(Progression(5, 12))
+    assert len({p, Progression(5, 12), Progression(17, 12)}) == 2
+    assert (p.intercept, p.interval) == tuple(p) == (5, 12)
+    assert p.element(0) == 5 and p.element(3) == 41
+    for name in ("intercept", "interval", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 7)
+    assert p == (5, 12)  # unchanged
+
+
+def test_signature_is_a_value():
+    sig = Signature("forward", (1, 2, 4))
+    assert repr(sig) == "Signature(direction='forward', steps=(1, 2, 4))"
+    assert str(sig) == repr(sig)
+    assert sig == Signature("forward", (1, 2, 4)) == ("forward", (1, 2, 4))
+    assert sig != Signature("backward", (1, 0, 1)) and sig != ("backward", (1, 2, 4))
+    assert hash(sig) == hash(Signature("forward", (1, 2, 4)))
+    assert len({sig, Signature("forward", (1, 2, 4)), Signature("forward", (1,))}) == 2
+    for name in ("direction", "steps", "other"):
+        with pytest.raises(AttributeError):
+            setattr(sig, name, ())
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$"):
+        Signature("sideways", (1,))
+    with pytest.raises(ValueError, match="^a signature needs at least one step$"):
+        Signature("backward", ())
+    with pytest.raises(ValueError, match="^a chain end may only appear as the final entry$"):
+        Signature("forward", (3, 1))
+    with pytest.raises(ValueError, match="^a chain end may only appear as the final entry$"):
+        Signature("backward", (2, 0))
+
+
+def test_transport_matches_the_intersection_reference_on_a_grid():
+    # every small part and domain: misses, domains whose interval shares a
+    # factor with the part's, and domains starting above the class's first
+    # member (the m < 0 branch), each seen at least once
+    seen = {"miss": 0, "shared factor": 0, "below domain": 0}
+    dst = Progression(5, 3)
+    for a in range(1, 13):
+        for b in range(1, 13):
+            for r in range(1, 13):
+                for s in range(1, 13):
+                    part, src = Progression(a, b), Progression(r, s)
+                    assert _outcome(transport, part, src, dst) == \
+                        _outcome(reference_transport, part, src, dst)
+                    dom = intersect_residue(part, r, s)
+                    seen["miss"] += dom is None
+                    seen["shared factor"] += dom is not None and gcd(b, s) > 1
+                    seen["below domain"] += dom is not None and dom.intercept < r
+    assert all(seen.values()), seen
+
+
+_SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1 << 40),
+                   st.integers(MAX_VALUE - (1 << 40), MAX_VALUE))
+
+
+@given(_SIZES, _SIZES, _SIZES, _SIZES, _SIZES, _SIZES)
+@settings(max_examples=500)
+@example(2, 6, 1 << 40, 4, 1, 1)                 # the class starts below the domain
+@example(2, 6, 3, 4, 1, 1)                       # a miss: even members, odd domain
+@example(MAX_VALUE, 2, 1, 3, 1, 1)               # the first member leaves the range
+@example(1, (1 << 127) + 1, 1, 4, 1, 1)          # the class interval leaves the range
+@example(5, 1, 3, 2, MAX_VALUE, 1)               # the image intercept leaves the range
+@example(1, 1 << 100, 1, 2, 1, MAX_VALUE)        # the image interval leaves the range
+def test_transport_matches_the_intersection_reference(a, b, r, s, c, d):
+    args = Progression(a, b), Progression(r, s), Progression(c, d)
+    assert _outcome(transport, *args) == _outcome(reference_transport, *args)
 
 
 def test_intersect_residue_examples():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -60,6 +62,37 @@ def test_csv_rendering_flattens_payload():
     lines = text.splitlines()
     assert lines[0] == "record,kind,location,details,data"
     assert lines[1].startswith("finding,violation,12,broken,")
+
+
+def _one_at_a_time(records, fmt):
+    """Reference rendering: one json.dumps per record or payload."""
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    if fmt == "jsonl":
+        return "".join(dumps(r) + "\n" for r in records)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["record", "kind", "location", "details", "data"])
+    for r in records:
+        data = r.get("data") or {k: v for k, v in r.items()
+                                 if k not in ("record", "kind", "location", "details")}
+        writer.writerow([r.get("record", ""), r.get("kind", ""), r.get("location", ""),
+                         r.get("details", ""), dumps(data) if data else ""])
+    return out.getvalue()
+
+
+def test_rendering_matches_one_record_at_a_time():
+    # batches render in one encoder call; a "},{" inside a string or in a
+    # list of dicts must not be taken for the join between two records
+    records = [header_record("demo", {"b": 1, "a": 2}),
+               finding("measurement", "a},{b", "value", {"z": 1, "a": 2}),
+               finding("violation", "7", "pairs", {"cells": [{"a": 1}, {"b": 2}]}),
+               finding("mismatch", "8", "no data"),
+               {"record": "summary", "command": "demo", "count": 0}]
+    for batch in (records, records[1:2], records[2:3], records[3:], records[:1], []):
+        assert render_jsonl(batch) == _one_at_a_time(batch, "jsonl")
+        assert render_csv(batch) == _one_at_a_time(batch, "csv")
 
 
 def test_signature_validation():
