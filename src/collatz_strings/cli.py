@@ -452,7 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
     except (OverflowError, ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes included
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_FINDINGS if failed else EXIT_OK
 

@@ -139,13 +139,12 @@ def _first_gap_violation(tags, interval: int) -> tuple[int, int] | None:
 
 
 def sampling_lemma_check(base: int, power: int, period: int,
-                         probe_len: int | None = None,
-                         start: int = 0) -> SamplingVerdict:
+                         probe_len: int | None = None) -> SamplingVerdict:
     """Check that co-prime sampling preserves a periodic sequence's interval.
 
     Builds the tag sequence q_k = k mod base**power, whose identical tags sit
     exactly base**power apart, samples every period-th element starting at
-    `start`, and verifies that consecutive identical tags in the sampled
+    q_0, and verifies that consecutive identical tags in the sampled
     sequence again sit exactly base**power apart.  The sampling period must
     be co-prime with base; probe_len must cover at least two recurrences.
     """
@@ -158,7 +157,7 @@ def sampling_lemma_check(base: int, power: int, period: int,
         probe_len = 3 * interval
     if probe_len < 2 * interval + 1:
         raise ValueError(f"probe_len must be >= {2 * interval + 1} to see two recurrences")
-    sampled = ((start + i * period) % interval for i in range(probe_len))
+    sampled = (i * period % interval for i in range(probe_len))
     violation = _first_gap_violation(sampled, interval)
     return SamplingVerdict(violation is None, violation)
 

@@ -255,42 +255,10 @@ class SweepReport(namedtuple("SweepReport", "lo hi max_steps processed hits trun
     def mean_steps(self) -> float:
         return self.total_steps / self.hits if self.hits else 0.0
 
-    def merge(self, other: "SweepReport") -> "SweepReport":
-        """Combine complete sweeps of disjoint ranges (associative, commutative)."""
-        if not (self.complete and other.complete):
-            raise ValueError("only complete sweeps can be merged")
-        if self.max_steps != other.max_steps:
-            raise ValueError("sweeps were run with different step budgets")
-        # the larger max wins, a tie the first position to reach it (the loop's strict >)
-        best = min(self, other, key=lambda r: (-r.max_steps_observed, r.argmax_position))
-        if self.hi < other.lo:
-            truncated = self.truncated + other.truncated
-        elif other.hi < self.lo:
-            truncated = other.truncated + self.truncated
-        else:  # the spans interleave
-            truncated = tuple(sorted(self.truncated + other.truncated))
-        return SweepReport(
-            lo=min(self.lo, other.lo),
-            hi=max(self.hi, other.hi),
-            max_steps=self.max_steps,
-            processed=self.processed + other.processed,
-            hits=self.hits + other.hits,
-            truncated=truncated,
-            total_steps=self.total_steps + other.total_steps,
-            max_steps_observed=best.max_steps_observed,
-            argmax_position=best.argmax_position,
-            next_position=max(self.hi, other.hi) + 1,
-        )
 
-    def aggregates(self) -> dict:
-        return {
-            "processed": self.processed,
-            "hits": self.hits,
-            "truncated": list(self.truncated),
-            "total_steps": self.total_steps,
-            "max_steps_observed": self.max_steps_observed,
-            "argmax_position": self.argmax_position,
-        }
+# the checkpoint's aggregate fields of a SweepReport
+_CHECKPOINT_AGGREGATES = ("hits", "truncated", "total_steps", "max_steps_observed",
+                          "argmax_position")
 
 
 def _sweep_identity(lo: int, hi: int, max_steps: int) -> dict:
@@ -298,8 +266,11 @@ def _sweep_identity(lo: int, hi: int, max_steps: int) -> dict:
             "max_steps": max_steps}
 
 
-def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
-    """Complete report of [lo, hi] (empty when hi < lo), one residue class at a time.
+def _sweep_range(lo: int, hi: int, max_steps: int,
+                 done: SweepReport | None = None) -> SweepReport:
+    """Complete report of [done.lo, hi]: done, the report of [done.lo, lo-1],
+    extended by [lo, hi] swept one residue class at a time (the report of
+    [lo, hi] when done is None).
 
     Until its first 3 mod 4 value a trajectory takes only lower_step's two
     affine branches.  So a class of members x = a + m*t, t in [0, c), with
@@ -309,12 +280,17 @@ def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
     tree, walked depth first).  A class of one member never splits: it steps
     by the same two branches until it hits, truncates or leaves the working
     range.  A tie on the maximum goes to the smallest member, as in a
-    position loop.  When a member about to step would leave the working
-    range, each position of [lo, hi] is swept again on its own in increasing
-    order, so WidthExceededError names the first position to leave it.
+    position loop, so a maximum already in done keeps its position.  When a
+    member about to step would leave the working range, each position of
+    [lo, hi] is swept again on its own in increasing order, so
+    WidthExceededError names the first position to leave it.
     """
-    hits = total_steps = max_seen = 0
-    argmax = lo
+    if done is None:
+        first, hits, before, total_steps, max_seen, argmax = lo, 0, (), 0, 0, lo
+    else:
+        first, hits, before, total_steps, max_seen, argmax = (
+            done.lo, done.hits, done.truncated, done.total_steps,
+            done.max_steps_observed, done.argmax_position)
     truncated: list[int] = []
     try:
         stack = [(lo, 1, hi - lo + 1, lo, 1, 0)] if hi >= lo else []
@@ -351,8 +327,8 @@ def _sweep_range(lo: int, hi: int, max_steps: int) -> SweepReport:
         raise
     truncated.sort()
     return SweepReport(
-        lo=lo, hi=hi, max_steps=max_steps, processed=hi - lo + 1,
-        hits=hits, truncated=tuple(truncated), total_steps=total_steps,
+        lo=first, hi=hi, max_steps=max_steps, processed=hi - first + 1,
+        hits=hits, truncated=before + tuple(truncated), total_steps=total_steps,
         max_steps_observed=max_seen, argmax_position=argmax, next_position=hi + 1,
     )
 
@@ -370,10 +346,10 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     move together while they share a branch, down to classes of one member,
     and a chunk where a step would leave the working range is swept again
     one position at a time, so WidthExceededError names the first position
-    to leave it.  The sweep folds chunk reports with SweepReport.merge.
+    to leave it.  Each chunk extends the report of the chunks before it.
     With checkpoint_path set, a chunk is checkpoint_every positions and
     after each one the report of [lo, next_position-1] is saved atomically;
-    resume=True continues from it (ValueError for a malformed or
+    resume=True extends the saved report (ValueError for a malformed or
     inconsistent checkpoint).  budget caps the positions processed in this
     call (the report is then incomplete).
     """
@@ -390,13 +366,12 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     if resume and checkpoint_path is None:
         raise ValueError("resume requires a checkpoint path")
 
-    done = (_load_sweep_checkpoint(checkpoint_path, lo, hi, max_steps) if resume
-            else _sweep_range(lo, lo - 1, max_steps))
-    start = done.next_position
+    done = _load_sweep_checkpoint(checkpoint_path, lo, hi, max_steps) if resume else None
+    start = lo if done is None else done.next_position
     deadline = hi if budget is None else min(hi, start + budget - 1)
     chunk = checkpoint_every if checkpoint_path is not None else deadline - start + 1
     for a in range(start, deadline + 1, chunk):
-        done = done.merge(_sweep_range(a, min(a + chunk - 1, deadline), max_steps))
+        done = _sweep_range(a, min(a + chunk - 1, deadline), max_steps, done)
         if checkpoint_path is not None:
             _save_sweep_checkpoint(checkpoint_path, done, hi)
     return done._replace(hi=hi, next_position=deadline + 1)
@@ -407,8 +382,7 @@ def _save_sweep_checkpoint(path: str, done: SweepReport, hi: int) -> None:
     payload = _sweep_identity(done.lo, hi, done.max_steps)
     payload["next_position"] = done.next_position
     payload["last_completed"] = done.hi
-    payload["aggregates"] = done.aggregates()
-    del payload["aggregates"]["processed"]
+    payload["aggregates"] = {k: getattr(done, k) for k in _CHECKPOINT_AGGREGATES}
     save_checkpoint(path, payload)
 
 
@@ -425,8 +399,7 @@ def _load_sweep_checkpoint(path: str, lo: int, hi: int, max_steps: int) -> Sweep
     agg = state.get("aggregates")
     if not isinstance(agg, dict):
         raise ValueError("checkpoint aggregates are not an object")
-    hits, truncated, total, top, argmax = (agg.get(k) for k in (
-        "hits", "truncated", "total_steps", "max_steps_observed", "argmax_position"))
+    hits, truncated, total, top, argmax = (agg.get(k) for k in _CHECKPOINT_AGGREGATES)
     if not isinstance(truncated, list) or any(
             type(v) is not int for v in (hits, total, top, argmax, *truncated)):
         raise ValueError("checkpoint aggregates are not integers")

@@ -66,6 +66,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  "--checkpoint", ck]) == 2
     assert not os.path.exists(ck)
     capsys.readouterr()
+    exact = {("family-audit", "-p", "39"): "error: no transcribed system for p=39\n"}
     for argv in (["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
                  ["cycles", "-p", "5", "--seed-limit", "5", "--max-steps", "-1"],
@@ -77,6 +78,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["family-audit", "-p", "7", "--n-limit", "-1"],
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
                  ["family-audit", "-p", "7", "--m-limit", "-1"],
+                 ["family-audit", "-p", "39"],
                  ["strings", "--limit", str(10 ** 29)],
                  ["scan", "-p", "5", "--limit", str(10 ** 29)],
                  ["audit-3n3", "--limit", str(10 ** 29)],
@@ -85,6 +87,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+        assert exact.get(tuple(argv), err) == err, argv
     out = os.path.join(tmp_path, "never.jsonl")
     assert main(["evolve", "--direction", "forward", "-k", "-1", "--output", out]) == 2
     assert os.listdir(tmp_path) == []
