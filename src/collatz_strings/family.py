@@ -18,7 +18,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Callable
 
-from .core import DEFAULT_WALK_LIMIT, _checked
+from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WIDTH_BITS, WidthExceededError, _checked
 from .progressions import Progression, evolve
 
 
@@ -64,10 +64,11 @@ def family_step(x: int, family: Family) -> int:
     """
     if x < 1:
         raise ValueError(f"position must be >= 1, got {x}")
-    t = 6 * x - 3 + family.p
+    t = 6 * x - 3 + family[0]  # family.p through the namedtuple descriptor is slower
     if t < 1:
         raise NonpositiveImageError(f"3n+p is {t} at position {x} for p={family.p}")
-    _checked(t)
+    if t > MAX_VALUE:
+        raise WidthExceededError(f"value exceeds the {WIDTH_BITS}-bit working range")
     j = (t & -t).bit_length() - 1
     return ((t >> j) + 1) >> 1
 
@@ -310,11 +311,6 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
     return CaseAuditReport(family.p, checked, tuple(mismatches))
 
 
-def _canonical_rotation(members: tuple[int, ...]) -> tuple[int, ...]:
-    pivot = members.index(min(members))
-    return members[pivot:] + members[:pivot]
-
-
 # rejected_seeds: seeds whose walk hit a nonpositive image
 class CycleSearchReport(namedtuple("CycleSearchReport",
                                    "p seed_limit cycles truncated_seeds rejected_seeds")):
@@ -329,44 +325,30 @@ def find_cycles(family: Family, seed_limit: int,
                 max_steps: int = DEFAULT_WALK_LIMIT) -> CycleSearchReport:
     """Collect the cycles reachable from positions 1..seed_limit.
 
-    Each seed is iterated with per-seed visited tracking; walks stop once
-    they dip below the seed (that region was classified by an earlier
-    seed), so every cycle whose minimum is <= seed_limit is discovered
-    exactly once.  Cycles are reported in canonical min-first rotation.
+    Each seed walks until it dips below itself (that region was classified
+    by an earlier seed), repeats a position, records more than max_steps
+    positions (a truncated seed) or reaches 3n+p below 1 (a rejected
+    seed).  So every cycle whose minimum is <= seed_limit is discovered.
+    The seeds move as residue classes (see walks.forward_walk), and the
+    dip is one interval cut per class.  Cycles are reported in canonical
+    min-first rotation.
     """
     if seed_limit < 1:
         raise ValueError(f"seed_limit must be >= 1, got {seed_limit}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    found: set[tuple[int, ...]] = set()
-    truncated: list[int] = []
-    rejected: list[int] = []
-    # Not _walk: most seeds dip below themselves within a few steps, and the
-    # extra call per step (a bound step, a floor check) made the search up to
-    # twice as slow at seed limit 10^5.
-    for seed in range(1, seed_limit + 1):
-        index: dict[int, int] = {}
-        path: list[int] = []
-        v = seed
-        while True:
-            if v < seed:
-                break
-            at = index.get(v)
-            if at is not None:
-                found.add(_canonical_rotation(tuple(path[at:])))
-                break
-            index[v] = len(path)
-            path.append(v)
-            if len(path) > max_steps:
-                truncated.append(seed)
-                break
-            try:
-                v = family_step(v, family)
-            except NonpositiveImageError:
-                rejected.append(seed)
-                break
+    # imported here: only the cycle search and the scan use it, and compiling
+    # it costs every run that has no bytecode cache
+    from .walks import forward_walk, require_tree_work
+
+    require_tree_work("seed_limit", seed_limit, 8)
+    outcomes = sorted(forward_walk(family.p, ((1, seed_limit),), max_steps, True,
+                                lambda u: family_step(u, family)))  # one per seed
+    found = {cycle for _, _, cycle in outcomes if cycle is not None}
     cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
-    return CycleSearchReport(family.p, seed_limit, cycles, tuple(truncated), tuple(rejected))
+    return CycleSearchReport(family.p, seed_limit, cycles,
+                             tuple(x for x, reason, _ in outcomes if reason == "truncated"),
+                             tuple(x for x, reason, _ in outcomes if reason == "rejected"))
 
 
 # count_violations: (position, observed count); pairing_violations:
@@ -455,110 +437,32 @@ def string_scan(family: Family, limit: int,
     or hits a nonpositive image makes the start an orphan.  The family's
     built-in fixed point is skipped; it is a loop, not a chain.
 
-    Walks are memoized per direction for positions <= limit (see _walk),
-    so each position's walk is followed once however many starts reach
-    it; the orphans are those of walking every start on its own.
+    The starts move as residue classes (see walks), forward on the 2-adic
+    tree of family_step and backward on the 3-adic tree of the
+    predecessor branches; the orphans are those of walking every start
+    on its own.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    trivial = family.trivial_loop_position
-    is_end = family.is_equivalent_position
+    from .walks import backward_walk, forward_walk, require_tree_work  # as in find_cycles
 
-    def forward(v: int) -> int:  # 0 at a chain end, -1 rejected
-        try:
-            v = family_step(v, family)
-        except NonpositiveImageError:
-            return -1
-        return 0 if is_end(v) else v
-
-    walks = [("forward", forward)]
-    if family.p % 3 != 0:
-        predecessors = predecessor_rule(family)
-
-        def backward(v: int) -> int:  # the unique predecessor; 0 at a head
-            found = predecessors(v)
-            return found[0] if found else 0
-
-        walks.append(("backward", backward))
-    # memo entries are below 4*(max_len+2): four bytes each unless max_len is huge
-    typecode = "I" if max_len < 1 << 29 else "q"
-    memos = [(direction, step, array(typecode, [0]) * (limit + 1), {})
-             for direction, step in walks]
-    orphans: list[OrphanRecord] = []
-    for x in range(1, limit + 1):
-        if x == trivial:
-            continue
-        for direction, step, memo, cycles in memos:
-            if direction == "forward" and is_end(x):
-                continue  # an equivalent position ends its chain
-            entry = memo[x] or _walk(x, step, memo, cycles, max_len)
-            if entry >> 2 > max_len:
-                orphans.append(OrphanRecord(x, direction, "truncated", None))
-            elif entry & 3 == _CYCLE:
-                orphans.append(OrphanRecord(x, direction, "cycle", cycles[x]))
-            elif entry & 3 != _END:
-                orphans.append(OrphanRecord(x, direction, "rejected", None))
+    require_tree_work("limit", limit, 5)
+    p, trivial = family.p, family.trivial_loop_position
+    starts = ((1, min(limit, trivial - 1)), (trivial + 1, limit))
+    orphans = [(x, "forward", reason, cycle) for x, reason, cycle in
+             forward_walk(p, starts, max_len, False, lambda u: family_step(u, family))]
+    if p % 3 != 0:  # predecessor_rule's branches by image residue, above its one-off images
+        branches = {img.intercept % 3: (img.intercept, dom.intercept, dom.interval)
+                    for dom, img in branch_maps(family)}
+        low = max([b for b, _, _ in branches.values()]
+                  + [family_step(e, family) + 1 for e in exceptional_positions(family)])
+        orphans += [(x, "backward", reason, cycle) for x, reason, cycle in
+                  backward_walk(p, starts, max_len, predecessor_rule(family), branches, low)]
+    orphans.sort(key=lambda o: (o[0], o[1] == "backward"))
     scanned = limit - (1 if trivial <= limit else 0)
-    return StringScanReport(family.p, limit, scanned, tuple(orphans))
-
-
-_END, _CYCLE, _REJECTED = 1, 2, 3  # terminal kinds of a memoized walk
-
-
-def _walk(x: int, step, memo: array, cycles: dict, max_len: int) -> int:
-    """Walk from x by step until a known position or a terminal; returns memo[x].
-
-    step gives the next position, 0 at a chain end or -1 when rejected.
-    memo[v], for every v <= len(memo)-1 whose walk is known, is 4*n + kind:
-    the walk from v records n positions (counted up to max_len+1) before
-    its terminal kind, and cycles[v] is the cycle when kind is _CYCLE.  So
-    n > max_len is exactly a truncation.  A start that truncates records
-    only itself, with kind 0: the rest of its path is not known.
-    """
-    cap = max_len + 1
-    limit = len(memo) - 1
-    index: dict[int, int] = {}
-    path: list[int] = []
-    v = x
-    cycle = None
-    while True:
-        if v <= limit and memo[v]:
-            n, kind = memo[v] >> 2, memo[v] & 3
-            if kind == _CYCLE:
-                cycle = cycles[v]
-                # members of this cycle above the limit, walked just before v,
-                # are already counted in n: keep only the path's tail
-                while path and path[-1] > limit and path[-1] in cycle:
-                    path.pop()
-            break
-        at = index.get(v)
-        if at is not None:  # a new cycle: each member walks all of it
-            cycle = _canonical_rotation(tuple(path[at:]))
-            n, kind = len(path) - at, _CYCLE
-            for u in path[at:]:
-                if u <= limit:
-                    memo[u] = (n if n < cap else cap) << 2 | _CYCLE
-                    cycles[u] = cycle
-            del path[at:]
-            break
-        index[v] = len(path)
-        path.append(v)
-        if len(path) > max_len:
-            memo[x] = cap << 2
-            return memo[x]
-        v = step(v)
-        if v < 1:
-            n, kind = 0, _END if v == 0 else _REJECTED
-            break
-    for u in reversed(path):
-        n += 1
-        if u <= limit:
-            memo[u] = (n if n < cap else cap) << 2 | kind
-            if cycle is not None:
-                cycles[u] = cycle
-    return memo[x]
+    return StringScanReport(p, limit, scanned, tuple(OrphanRecord(*o) for o in orphans))
 
 
 def family_evolve_forward(family: Family, generation: int) -> tuple[Progression, ...]:

@@ -81,6 +81,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["family-audit", "-p", "39"],
                  ["strings", "--limit", str(10 ** 29)],
                  ["scan", "-p", "5", "--limit", str(10 ** 29)],
+                 ["cycles", "-p", "5", "--seed-limit", str(10 ** 29)],
                  ["audit-3n3", "--limit", str(10 ** 29)],
                  ["coverage", "--direction", "forward", "-m", "40"],
                  ["coverage", "--direction", "backward", "-m", "32"]):

@@ -230,6 +230,62 @@ def test_branch_maps_of_strongly_negative_families(p):
         family_evolve_forward(family, 1)
 
 
+def reference_cycles(family, seed_limit, max_steps):
+    """find_cycles written out as one walk per seed."""
+    found, truncated, rejected = set(), [], []
+    for seed in range(1, seed_limit + 1):
+        index, path, v = {}, [], seed
+        while v >= seed:
+            at = index.get(v)
+            if at is not None:
+                cycle = tuple(path[at:])
+                pivot = cycle.index(min(cycle))
+                found.add(cycle[pivot:] + cycle[:pivot])
+                break
+            index[v] = len(path)
+            path.append(v)
+            if len(path) > max_steps:
+                truncated.append(seed)
+                break
+            try:
+                v = family_step(v, family)
+            except NonpositiveImageError:
+                rejected.append(seed)
+                break
+    cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
+    return (family.p, seed_limit, cycles, tuple(truncated), tuple(rejected))
+
+
+CYCLE_PARAMS = sorted(set(CASE_SYSTEM_PARAMS) | {-3, -11, -25, 39, 81})
+
+
+@given(p=st.sampled_from(CYCLE_PARAMS), seed_limit=st.integers(1, 3000),
+       max_steps=st.sampled_from([0, 1, 2, 3, 5, 8, DEFAULT_WALK_LIMIT]))
+@settings(max_examples=60, deadline=None)
+def test_find_cycles_matches_reference_walks(p, seed_limit, max_steps):
+    family = Family(p)
+    assert tuple(find_cycles(family, seed_limit, max_steps)) == \
+        reference_cycles(family, seed_limit, max_steps)
+
+
+def test_find_cycles_sees_a_cycle_close_inside_a_class():
+    # p=-11 cycles 28 -> 39 -> 28; seed 28 closes it at its second step,
+    # while it still shares a residue class with other seeds
+    report = find_cycles(Family(-11), 50, max_steps=2)
+    assert tuple(report) == reference_cycles(Family(-11), 50, 2)
+    assert (28, 39) in report.cycle_set
+    assert 28 not in report.truncated_seeds
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the cycles oracle check at 10^6")
+def test_long_cycles_match_reference_walks():
+    for p in CASE_SYSTEM_PARAMS:
+        family = Family(p)
+        assert tuple(find_cycles(family, 10 ** 6)) == \
+            reference_cycles(family, 10 ** 6, DEFAULT_WALK_LIMIT), p
+
+
 def test_find_cycles_p1_exactly_the_loop():
     report = find_cycles(Family(1), 1000)
     assert report.cycle_set == {(1,)}
