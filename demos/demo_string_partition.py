@@ -3,9 +3,10 @@
 Restricted to positions without a lower equivalent, the conjugated map is
 one-to-one and chains positions into runs from a head (2 mod 3, nothing
 maps there) to an end (3 mod 4, maps nowhere under the restriction).  The
-audit below builds each chain once, from the first position up to a limit
-that no earlier chain has placed, and confirms the runs tile everything
-above the fixed point exactly once.
+audit below checks once that the two branches make the map one-to-one,
+then counts the chains through a range by walking whole residue classes of
+positions back to their heads and forward to their ends, and confirms the
+runs tile everything above the fixed point, none of them truncated.
 """
 
 from collatz_strings import build_string_containing, partition_audit, passage_sweep
@@ -30,7 +31,7 @@ def main():
     print(f"  distinct chains   : {report.string_count}")
     print(f"  longest chain     : {report.longest_chain} positions")
     print(f"  truncated walks   : {len(report.truncated)}")
-    print(f"  head conflicts    : {len(report.conflicts)}")
+    print(f"  branch conflicts  : {len(report.conflicts)}")
     assert report.ok
 
     print("\nfirst-passage sweep (every trajectory must cross 3 mod 4):")

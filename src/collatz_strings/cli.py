@@ -112,9 +112,9 @@ def cmd_strings(args) -> Report:
     for x, direction in report.truncated:
         yield finding("truncation", str(x), f"{direction} walk exceeded max_len",
                       {"position": x, "direction": direction})
-    for element, a, b in report.conflicts:
-        yield finding("violation", str(element), "element reached from two distinct heads",
-                      {"element": element, "heads": [a, b]})
+    for domain, image, problem in report.conflicts:
+        yield finding("violation", f"{domain}->{image}", f"lower_step branch {problem}",
+                      {"domain": list(domain), "image": list(image)})
     return {
         "limit": report.limit, "positions_checked": report.positions_checked,
         "strings": report.string_count, "longest_chain": report.longest_chain,

@@ -12,9 +12,13 @@ directions apart: generation k is evolve(*PROCESSES[d], k), audit_part
 checks one of its parts, interval_weight is a union's exact density, and
 the coverage counts take their window base s, the seed's interval, from it.
 
-The sweeps at the bottom verify that every chain closes: every position
-walks back to a head and forward to an end, and every trajectory of the
-conjugate map passes through 3 mod 4 (checked a residue class at a time).
+The audits at the bottom verify that the chains tile the positions and
+that every trajectory of the conjugate map passes through 3 mod 4.  Both
+move whole residue classes of positions at once: the passage sweep walks
+the 2-adic tree of lower_step (_sweep_classes), and the partition audit
+walks positions back to their heads on the 3-adic tree of its inverse
+(walks.partition_walk), then forward to their chain ends on the 2-adic
+one.
 """
 
 from __future__ import annotations
@@ -165,10 +169,10 @@ def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT) -> String
     return StringRecord(head, chain[-1], len(chain), tuple(chain), False, False)
 
 
-# truncated: (position, direction) pairs; conflicts: (element, head_a,
-# head_b) triples; heads: the set of chain heads
+# strings: the number of chains; truncated: (position, direction) pairs;
+# conflicts: (domain, image, problem) for each faulty branch of FORWARD_MAPS
 class PartitionAuditReport(namedtuple("PartitionAuditReport",
-                                      "limit heads truncated conflicts longest_chain")):
+                                      "limit strings truncated conflicts longest_chain")):
     __slots__ = ()
 
     @property
@@ -181,61 +185,30 @@ class PartitionAuditReport(namedtuple("PartitionAuditReport",
 
     @property
     def string_count(self) -> int:
-        return len(self.heads)
+        return self.strings
 
 
 def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:
     """Verify that every position in [2, limit] sits in exactly one chain.
 
-    Each chain is built once, from the first position in range that no
-    earlier chain has placed.  Every element met keeps the head of the
-    first chain that held it -- in a list slot per position in range, in a
-    dict above the range -- and an element later met under a second head
-    is a conflict (the one-to-one map should make this impossible).
-    Truncated walks record nothing, so every member of a truncated chain
-    is walked and reported on its own.  Truncated walks are findings, not
-    errors.
+    That holds for every position if lower_step is one-to-one, which
+    rests on premises about its two branches (FORWARD_MAPS) that are
+    checked once, for all positions; a broken one is a conflict, and then
+    nothing is walked.  The chains are then counted, each once at its
+    first member in range, by walks.partition_walk: whole residue classes
+    of positions walk back to their heads and forward to their ends
+    together, in memory that grows with the depth of the class tree, not
+    with limit.  A position whose backward walk or whose chain exceeds
+    max_len is a truncation finding, not an error.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    # a list, not array('q'): heads are unbounded, and `heads` holds them anyway
-    head_in: list[int] = [0] * (limit + 1)  # 0: no complete chain holds it yet
-    head_above: dict[int, int] = {}
-    truncated: list[tuple[int, str]] = []
-    conflicts: list[tuple[int, int, int]] = []
-    heads: set[int] = set()
-    longest = 0
-    for x in range(2, limit + 1):
-        if head_in[x]:
-            continue
-        record = build_string_containing(x, max_len)
-        if record.truncated_backward:
-            truncated.append((x, "backward"))
-            continue
-        head = record.head
-        heads.add(head)
-        if record.truncated_forward:
-            truncated.append((x, "forward"))
-            continue
-        longest = max(longest, record.length)
-        for element in record.elements:
-            if element > limit:
-                seen = head_above.setdefault(element, head)
-            else:
-                seen = head_in[element]
-                if not seen:
-                    head_in[element] = seen = head
-            if seen != head:
-                conflicts.append((element, seen, head))
-    return PartitionAuditReport(
-        limit=limit,
-        heads=heads,
-        truncated=tuple(truncated),
-        conflicts=tuple(conflicts),
-        longest_chain=longest,
-    )
+    from .walks import partition_walk, require_tree_work  # as in family.find_cycles
+
+    require_tree_work("limit", limit, 5)
+    return PartitionAuditReport(limit, *partition_walk(limit, max_len, FORWARD_MAPS))
 
 
 class SweepReport(namedtuple("SweepReport", "lo hi max_steps processed hits truncated "
@@ -266,66 +239,80 @@ def _sweep_identity(lo: int, hi: int, max_steps: int) -> dict:
             "max_steps": max_steps}
 
 
+def _sweep_classes(a: int, m: int, c: int, max_steps: int):
+    """(hits, total_steps, max_steps_observed, argmax_position, truncated) of
+    the members x = a + m*t, t in [0, c), each walked forward to its first
+    3 mod 4 value; truncated is unsorted.
+
+    Until its first 3 mod 4 value a trajectory takes only lower_step's two
+    affine branches.  So a class of members whose values after s steps are
+    v = b + n*t moves as one while 4 | n (or n = 2 mod 4 and b is even):
+    all of it hits 3 mod 4, runs out of steps or takes one branch.
+    Otherwise it splits on the parity of t (Terras's parity-vector tree,
+    walked depth first).  A class of one member never splits: it steps by
+    the same two branches until it hits, truncates or leaves the working
+    range.  A tie on the maximum goes to the smallest member.  A member
+    about to step out of the working range raises WidthExceededError.
+    """
+    hits, total_steps, max_seen, argmax = 0, 0, 0, a
+    truncated: list[int] = []
+    stack = [(a, m, c, a, m, 0)] if c > 0 else []
+    while stack:
+        a, m, c, b, n, s = stack.pop()
+        while True:
+            if c > 1 and n & 3 and (n | b) & 1:  # residues mod 4 differ: split on t
+                half = c >> 1
+                stack.append((a + m, 2 * m, half, b + n, 2 * n, s))
+                m, c, n = 2 * m, c - half, 2 * n
+                continue
+            elif b & 3 != 3:
+                if s >= max_steps:
+                    truncated.extend(range(a, a + m * c, m))
+                    break
+                if 6 * (b + n * (c - 1)) - 2 > MAX_VALUE:
+                    raise WidthExceededError(
+                        f"trajectory of {a + m * (c - 1)} left the working range")
+                if b & 1:
+                    b, n = (3 * b + 1) >> 2, (3 * n) >> 2
+                else:
+                    b, n = (3 * b) >> 1, (3 * n) >> 1
+                s += 1
+                continue
+            hits += c
+            total_steps += c * s
+            if s > max_seen or (s == max_seen and a < argmax):
+                max_seen, argmax = s, a
+            break
+    return hits, total_steps, max_seen, argmax, truncated
+
+
 def _sweep_range(lo: int, hi: int, max_steps: int,
                  done: SweepReport | None = None) -> SweepReport:
     """Complete report of [done.lo, hi]: done, the report of [done.lo, lo-1],
-    extended by [lo, hi] swept one residue class at a time (the report of
-    [lo, hi] when done is None).
+    extended by [lo, hi] swept one residue class at a time by _sweep_classes
+    (the report of [lo, hi] when done is None).
 
-    Until its first 3 mod 4 value a trajectory takes only lower_step's two
-    affine branches.  So a class of members x = a + m*t, t in [0, c), with
-    values v = b + n*t after s steps moves as one while 4 | n (or n = 2 mod 4
-    and b is even): all of it hits 3 mod 4, runs out of steps or takes one
-    branch.  Otherwise it splits on the parity of t (Terras's parity-vector
-    tree, walked depth first).  A class of one member never splits: it steps
-    by the same two branches until it hits, truncates or leaves the working
-    range.  A tie on the maximum goes to the smallest member, as in a
-    position loop, so a maximum already in done keeps its position.  When a
-    member about to step would leave the working range, each position of
-    [lo, hi] is swept again on its own in increasing order, so
+    A maximum already in done keeps its position on a tie, as in a position
+    loop.  When a member about to step would leave the working range, each
+    position of [lo, hi] is swept again on its own in increasing order, so
     WidthExceededError names the first position to leave it.
     """
-    if done is None:
-        first, hits, before, total_steps, max_seen, argmax = lo, 0, (), 0, 0, lo
-    else:
-        first, hits, before, total_steps, max_seen, argmax = (
-            done.lo, done.hits, done.truncated, done.total_steps,
-            done.max_steps_observed, done.argmax_position)
-    truncated: list[int] = []
     try:
-        stack = [(lo, 1, hi - lo + 1, lo, 1, 0)] if hi >= lo else []
-        while stack:
-            a, m, c, b, n, s = stack.pop()
-            while True:
-                if c > 1 and n & 3 and (n | b) & 1:  # residues mod 4 differ: split on t
-                    half = c >> 1
-                    stack.append((a + m, 2 * m, half, b + n, 2 * n, s))
-                    m, c, n = 2 * m, c - half, 2 * n
-                    continue
-                elif b & 3 != 3:
-                    if s >= max_steps:
-                        truncated.extend(range(a, a + m * c, m))
-                        break
-                    if 6 * (b + n * (c - 1)) - 2 > MAX_VALUE:
-                        raise WidthExceededError(
-                            f"trajectory of {a + m * (c - 1)} left the working range")
-                    if b & 1:
-                        b, n = (3 * b + 1) >> 2, (3 * n) >> 2
-                    else:
-                        b, n = (3 * b) >> 1, (3 * n) >> 1
-                    s += 1
-                    continue
-                hits += c
-                total_steps += c * s
-                if s > max_seen or (s == max_seen and a < argmax):
-                    max_seen, argmax = s, a
-                break
+        hits, total_steps, max_seen, argmax, truncated = _sweep_classes(
+            lo, 1, hi - lo + 1, max_steps)
     except WidthExceededError:
         if hi > lo:  # a one-position sweep raises for the first member to leave
             for x in range(lo, hi + 1):
                 _sweep_range(x, x, max_steps)
         raise
     truncated.sort()
+    first, before = lo, ()
+    if done is not None:
+        first, before = done.lo, done.truncated
+        hits += done.hits
+        total_steps += done.total_steps
+        if max_seen <= done.max_steps_observed:
+            max_seen, argmax = done.max_steps_observed, done.argmax_position
     return SweepReport(
         lo=first, hi=hi, max_steps=max_steps, processed=hi - first + 1,
         hits=hits, truncated=before + tuple(truncated), total_steps=total_steps,

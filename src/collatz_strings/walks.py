@@ -1,13 +1,14 @@
-"""Residue-class walks for the 3n+p family's chain scan and cycle search.
+"""Residue-class walks: the 3n+p family's chain scan and cycle search, and
+the p=1 partition audit (partition_walk, at the end).
 
-Both report, for every start x in a range, how the walk from x ends.
-Instead of walking each start, these walks move whole residue classes of
-starts x = a + m*t, t in [0, c), whose values after s steps are b + n*t,
-Terras's parity-vector tree walked depth first.  A class moves as one
-while every member takes the same branch, splits on t mod 2 (forward) or
-t mod 3 (backward) when its members differ, and becomes a class of one
-member that steps on its own.  So the work grows with the tree, not with
-the number of starts.
+The scan and the cycle search report, for every start x in a range, how
+the walk from x ends.  Instead of walking each start, these walks move
+whole residue classes of starts x = a + m*t, t in [0, c), whose values
+after s steps are b + n*t, Terras's parity-vector tree walked depth
+first.  A class moves as one while every member takes the same branch,
+splits on t mod 2 (forward) or t mod 3 (backward) when its members
+differ, and becomes a class of one member that steps on its own.  So the
+work grows with the tree, not with the number of starts.
 
 Three rules keep the result exactly that of walking every start on its
 own.  Values below a small bound `low`, where the family's one-off
@@ -23,11 +24,21 @@ from __future__ import annotations
 
 import math
 
-from .core import MAX_VALUE, WIDTH_BITS, WidthExceededError, _checked
+from .core import (
+    MAX_VALUE,
+    WIDTH_BITS,
+    WidthExceededError,
+    _checked,
+    inverse_lower_step,
+    lower_step,
+)
+from .strings import _sweep_classes
 
 # Tree nodes measured for p=5: scan 56 k at 10^6 and 1.3 M at 10^8, about 5x
 # per decade; cycles 66 k at 10^6 and 3.8 M at 10^8, about 8x.  A node costs
-# 2-6 us, so the cap refuses runs of more than about 4-10 minutes.
+# 2-6 us, so the cap refuses runs of more than about 4-10 minutes.  The
+# partition audit (backward and forward classes) has 58 k nodes at 10^6
+# and 1.33 M at 10^8, about 5x, at about 1 us each.
 MAX_TREE_NODES = 10 ** 8
 
 
@@ -187,3 +198,99 @@ def backward_walk(p: int, starts, max_len: int, predecessors, branches: dict, lo
             if not found:
                 break
             v, s = found[0], s + 1
+
+
+def branch_faults(maps) -> tuple:
+    """(domain, image, problem) for each branch of maps, lower_step's
+    (domain, image) Progression pairs, that breaks a premise of
+    partition_walk.
+
+    The premises make lower_step one-to-one on every position, not just up
+    to a limit.  Each branch maps domain.element(t) to image.element(t),
+    one to one onto a whole class mod 3.  lower_step and
+    inverse_lower_step agree with it on two members, so on all of them,
+    since both are affine on the branch.  No two images meet: with
+    interval 3, that is no two residues mod 3 alike.
+    """
+    faults, owner = [], {}  # owner: residue mod 3 -> the first branch onto it
+    for domain, image in maps:
+        if any(lower_step(domain.element(t)) != image.element(t)
+               or inverse_lower_step(image.element(t)) != domain.element(t) for t in (0, 1)):
+            faults.append((domain, image, "disagrees with lower_step or inverse_lower_step"))
+        if domain.interval < 1 or image.interval != 3:
+            faults.append((domain, image, "is not one-to-one onto a class mod 3"))
+        elif image.intercept % 3 in owner:
+            faults.append((domain, image, "meets the image of {}->{}".format(
+                *owner[image.intercept % 3])))
+        else:
+            owner[image.intercept % 3] = domain, image
+    return tuple(faults)
+
+
+def partition_walk(limit: int, max_len: int, maps):
+    """(strings, truncated, conflicts, longest_chain) of the chains of
+    lower_step through positions 2..limit, maps being its branches.
+
+    conflicts is branch_faults(maps); with any, nothing is walked.
+    Otherwise each position x is back(x) steps of inverse_lower_step from
+    its chain's head (2 mod 3), and its chain is back(x) + 1 + f(x) long,
+    f(x) being the steps from x to the first 3 mod 4 value.  x truncates
+    backward when back(x) > max_len, else forward when its chain is longer
+    than max(max_len, 1).  A chain counts in strings at its first member
+    in range, the x whose ancestors all lie above limit, unless that
+    truncates backward; longest_chain is the longest chain that does not
+    truncate.  truncated lists (x, "backward" | "forward") by increasing x.
+
+    The positions move as classes x = a + m*t, t in [0, c), whose values
+    after s backward steps are b + n*t: backward_walk's 3-adic tree, which
+    splits on t mod 3 unless 3 | n.  Values rise with t, so the members
+    with an ancestor in range are a prefix t < k of the class, carried as
+    the index k.  At their head the other members walk forward by
+    strings._sweep_classes, and each that truncates forward lists the
+    members in range of its chain that follow it and do not truncate
+    backward (all of them cut).  A class step raises WidthExceededError
+    when any member would leave the working range.
+    """
+    conflicts = branch_faults(maps)
+    if conflicts:
+        return 0, (), conflicts, 0
+    branches = {img.intercept % 3: (img.intercept, dom.intercept, dom.interval)
+                for dom, img in maps}
+    reach = max(max_len, 1)  # the longest chain that does not truncate
+    strings, longest, truncated = 0, 0, []
+    stack = [(2, 1, limit - 1, 2, 1, 0, 0)]
+    while stack:
+        a, m, c, b, n, s, k = stack.pop()
+        while True:
+            if c > 1 and n % 3:  # residues mod 3 differ: split on t mod 3
+                stack += [(a + i * m, 3 * m, (c - i + 2) // 3, b + i * n, 3 * n, s,
+                           (k - i + 2) // 3) for i in (1, 2) if c > i]
+                m, c, n, k = 3 * m, (c + 2) // 3, 3 * n, (k + 2) // 3
+            elif b % 3 not in branches:  # every member's head, after s steps
+                strings += c - k
+                over = range(a + m * k, a + m * c, m)  # all truncate when s >= reach
+                if c > k and s < reach:
+                    hits, _, top, _, over = _sweep_classes(a + m * k, m, c - k,
+                                                           reach - s - 1)
+                    if hits:
+                        longest = max(longest, s + 1 + top)
+                # each truncates forward with the later members of its chain
+                # in range that do not truncate backward, all of them cut
+                for x in over:
+                    truncated.append((x, "forward"))
+                    for _ in range(max_len - s):
+                        x = lower_step(x)
+                        if x <= limit:
+                            truncated.append((x, "forward"))
+                break
+            elif s >= max_len:
+                truncated += [(x, "backward") for x in range(a, a + m * c, m)]
+                break
+            else:
+                b0, a0, m0 = branches[b % 3]
+                b, n, s = a0 + m0 * (b - b0) // 3, m0 * n // 3, s + 1
+                _checked(b + n * (c - 1))
+                if b <= limit:  # members with this value in range are not first
+                    k = max(k, min(c, (limit - b) // n + 1))
+    truncated.sort()
+    return strings, tuple(truncated), (), longest

@@ -80,6 +80,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["family-audit", "-p", "7", "--m-limit", "-1"],
                  ["family-audit", "-p", "39"],
                  ["strings", "--limit", str(10 ** 29)],
+                 ["strings", "--limit", str(10 ** 12)],
                  ["scan", "-p", "5", "--limit", str(10 ** 29)],
                  ["cycles", "-p", "5", "--seed-limit", str(10 ** 29)],
                  ["audit-3n3", "--limit", str(10 ** 29)],
@@ -463,15 +464,15 @@ def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
 
 
 def test_strings_reports_conflicts(tmp_path, monkeypatch):
-    # 30 -> 49 runs the chain of head 20 into the chain of head 65
-    step = strings_module.lower_step
-    monkeypatch.setattr(strings_module, "lower_step", lambda v: 49 if v == 30 else step(v))
+    # 4+2t -> 6+3t is a piece of lower_step whose image meets that of 2+2t -> 3+3t
+    overlap = (Progression(4, 2), Progression(6, 3))
+    monkeypatch.setattr(strings_module, "FORWARD_MAPS", (*strings_module.FORWARD_MAPS, overlap))
     code, text = run_cli(["strings", "--limit", "100"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
-        ("violation", "element reached from two distinct heads",
-         {"element": element, "heads": [20, 65]})
-        for element in (49, 37, 28, 42, 63)]
+        ("violation", "lower_step branch meets the image of {2+2t}->{3+3t}",
+         {"domain": [4, 2], "image": [6, 3]})]
+    assert records_of(text)[-1]["conflicts"] == 1
 
 
 def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):

@@ -280,15 +280,17 @@ def test_partition_audit_clean_at_10k():
 
 
 def test_partition_audit_memory_holds_one_head_set():
-    # the report keeps the set of heads it built, not a second frozenset copy
+    # the class walk holds one root-to-leaf path of the class tree, not a
+    # slot per position or a set of heads
+    partition_audit(2)  # imports the walk outside the measurement
     tracemalloc.start()
     try:
-        report = partition_audit(200_000)
+        report = partition_audit(10 ** 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert report.ok
-    assert peak < 17 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def reference_partition_audit(limit, max_len):
@@ -324,78 +326,81 @@ def reference_partition_audit(limit, max_len):
     return frozenset(heads), tuple(truncated), tuple(conflicts), longest
 
 
-@pytest.mark.parametrize("limit", [2, 700, 1000, 3000])
-@pytest.mark.parametrize("max_len", [0, 1, 2, 3, 5, 20, None])
-def test_partition_audit_matches_per_position_reference(max_len, limit):
-    walk = DEFAULT_WALK_LIMIT if max_len is None else max_len
-    report = (partition_audit(limit) if max_len is None
-              else partition_audit(limit, max_len=max_len))
-    got = (report.heads, report.truncated, report.conflicts, report.longest_chain)
-    assert got == reference_partition_audit(limit, walk)
+def assert_partition_matches_reference(limit, max_len):
+    report = partition_audit(limit, max_len)
+    heads, truncated, conflicts, longest = reference_partition_audit(limit, max_len)
+    assert conflicts == ()
+    assert (report.strings, report.truncated, report.conflicts, report.longest_chain) == (
+        len(heads), truncated, (), longest), (limit, max_len)
     assert report.positions_checked == limit - 1
 
 
-def dict_partition_audit(limit, max_len):
-    """partition_audit as it was with a head_of dict over every element."""
-    head_of, truncated, conflicts, heads, longest = {}, [], [], set(), 0
-    for x in range(2, limit + 1):
-        if x in head_of:
-            continue
-        record = build_string_containing(x, max_len)
-        if record.truncated_backward:
-            truncated.append((x, "backward"))
-            continue
-        heads.add(record.head)
-        if record.truncated_forward:
-            truncated.append((x, "forward"))
-            continue
-        longest = max(longest, record.length)
-        for element in record.elements:
-            seen = head_of.get(element)
-            if seen is None:
-                head_of[element] = record.head
-            elif seen != record.head:
-                conflicts.append((element, seen, record.head))
-    return frozenset(heads), tuple(truncated), tuple(conflicts), longest
+@pytest.mark.parametrize("limit", [2, 700, 1000, 3000])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3, 5, 20, None])
+def test_partition_audit_matches_per_position_reference(max_len, limit):
+    assert_partition_matches_reference(
+        limit, DEFAULT_WALK_LIMIT if max_len is None else max_len)
 
 
-# Faulty steps that join chains.  30 -> 49 lets the chain of head 20 mark the
-# chain of head 65 first, so 49's first head is 20, not the head it walks back
-# to.  1653 -> 2184 sends the chain of head 1469 into the chain of head 1022,
-# which runs above the limit (3276, 4914, 7371).
-CHAIN_JOINS = {30: 49, 1653: 2184}
+@given(limit=st.integers(2, 30_000),
+       max_len=st.sampled_from([0, 1, 2, 3, 5, 20, DEFAULT_WALK_LIMIT]))
+@settings(max_examples=60, deadline=None)
+def test_partition_audit_matches_reference_at_random_limits(limit, max_len):
+    assert_partition_matches_reference(limit, max_len)
+
+
+def test_partition_audit_matches_reference_at_every_small_limit():
+    for limit in range(2, 401):
+        assert_partition_matches_reference(limit, DEFAULT_WALK_LIMIT)
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the partition oracle check at 10^6")
+def test_long_partition_audit_matches_reference():
+    assert_partition_matches_reference(10 ** 6, DEFAULT_WALK_LIMIT)
+
+
+# Faulty branch tables.  4+2t -> 6+3t agrees with lower_step but its image
+# meets that of 2+2t -> 3+3t, so two chains could join.  2+2t -> 4+3t is not
+# a branch of lower_step, and inverse_lower_step does not undo it; its image
+# then meets that of 1+4t -> 1+3t.  2+4t -> 3+6t agrees with lower_step but
+# covers half of its class mod 3, so the walk would take 6+6t for heads.
+EVEN, ODD = FORWARD_MAPS
+OVERLAP = (Progression(4, 2), Progression(6, 3))
+NOT_UNDONE = (Progression(2, 2), Progression(4, 3))
+HALF_CLASS = (Progression(2, 4), Progression(3, 6))
+FAULTY_TABLES = [
+    ((EVEN, ODD, OVERLAP),
+     ((*OVERLAP, "meets the image of {2+2t}->{3+3t}"),)),
+    ((NOT_UNDONE, ODD),
+     ((*NOT_UNDONE, "disagrees with lower_step or inverse_lower_step"),
+      (*ODD, "meets the image of {2+2t}->{4+3t}"))),
+    ((HALF_CLASS, ODD),
+     ((*HALF_CLASS, "is not one-to-one onto a class mod 3"),)),
+]
 
 
 @pytest.mark.parametrize("max_len", [5, 20, None])
 def test_partition_audit_conflicts_match_dict_reference(monkeypatch, max_len):
-    step = strings_module.lower_step
-    monkeypatch.setattr(strings_module, "lower_step",
-                        lambda v: CHAIN_JOINS.get(v) or step(v))
     walk = DEFAULT_WALK_LIMIT if max_len is None else max_len
-    expected = dict_partition_audit(3000, walk)
-    report = partition_audit(3000, walk)
-    assert (report.heads, report.truncated, report.conflicts,
-            report.longest_chain) == expected
-    if max_len is None:
-        conflicts = expected[2]
-        assert (49, 20, 65) in conflicts
-        assert (2184, 1022, 1469) in conflicts
-        assert any(element > 3000 for element, _, _ in conflicts)
+    for table, conflicts in FAULTY_TABLES:
+        monkeypatch.setattr(strings_module, "FORWARD_MAPS", table)
+        report = partition_audit(3000, walk)
+        assert report == (3000, 0, (), conflicts, 0)
+        assert not report.ok
 
 
 def test_partition_audit_many_conflicts_stay_linear(monkeypatch):
-    # every position 30 mod 50 joins the chain 49 -> 37 -> 28 -> 42 -> 63, so
-    # thousands of conflicts fall in range; each must cost one lookup
-    step = strings_module.lower_step
-    monkeypatch.setattr(strings_module, "lower_step",
-                        lambda v: 49 if v % 50 == 30 else step(v))
-    expected = dict_partition_audit(20_000, DEFAULT_WALK_LIMIT)
+    # every copy of the even branch shifted along it agrees with lower_step
+    # and meets the image of the first; each must cost one lookup
+    copies = tuple((Progression(2 + 2 * j, 2), Progression(3 + 3 * j, 3))
+                   for j in range(20_000))
+    monkeypatch.setattr(strings_module, "FORWARD_MAPS", copies + (ODD,))
     started = time.perf_counter()
     report = partition_audit(20_000)
     elapsed = time.perf_counter() - started
-    assert (report.heads, report.truncated, report.conflicts,
-            report.longest_chain) == expected
-    assert len(report.conflicts) > 1000
+    assert report.conflicts == tuple((*branch, "meets the image of {2+2t}->{3+3t}")
+                                     for branch in copies[1:])
     assert elapsed < 5.0
 
 
