@@ -213,6 +213,13 @@ def cmd_cycles(args) -> Report:
 
 def cmd_audit_3n3(args) -> Report:
     report = two_to_one_audit(args.limit)
+    for domain, image, problem in report.conflicts:
+        if domain is None:  # the branch domains leave positions uncovered
+            yield finding("violation", "domains", f"p=3 branch {problem}",
+                          {"domain": None, "image": None})
+        else:
+            yield finding("violation", f"{domain}->{image}", f"p=3 branch {problem}",
+                          {"domain": list(domain), "image": list(image)})
     for y, count in report.count_violations:
         yield finding("violation", str(y), "image position not hit exactly twice",
                       {"position": y, "count": count})

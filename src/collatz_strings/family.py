@@ -14,7 +14,6 @@ generic step, which is the oracle throughout this module.
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -351,61 +350,44 @@ def find_cycles(family: Family, seed_limit: int,
                              tuple(x for x, reason, _ in outcomes if reason == "rejected"))
 
 
+# (domain, image) per branch of the p=3 step: 1+2t -> 2+3t, 2+4t -> 2+3t
+TWO_TO_ONE_MAPS = branch_maps(Family(3))
+
+
 # count_violations: (position, observed count); pairing_violations:
-# (image, first, second)
+# (image, first, second); conflicts: (domain, image, problem) for each
+# broken premise of TWO_TO_ONE_MAPS, (None, None, problem) for a gap
 class TwoToOneReport(namedtuple("TwoToOneReport",
-                                "limit count_violations pairing_violations")):
+                                "limit count_violations pairing_violations conflicts")):
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return not self.count_violations and not self.pairing_violations
+        return not self.count_violations and not self.pairing_violations and not self.conflicts
 
 
 def two_to_one_audit(limit: int) -> TwoToOneReport:
     """Audit the p=3 map: every image position is hit exactly twice.
 
-    Tallies images of every base-domain position (positions not divisible
-    by 4) through the generic step.  Positions 2 mod 3 up to limit must be
-    hit exactly twice, everything else zero times, and the two predecessors
-    of an image must pair as (x, 2x) -- each chain member's companion is
-    exactly half or double.
+    The base domain (positions not divisible by 4) must hit positions
+    2 mod 3 up to limit exactly twice and everything else zero times, and
+    the two predecessors of an image must pair as (x, 2x) -- each chain
+    member's companion is exactly half or double.
 
-    On the base domain the image is at least (3x+2)/4, so predecessors of
-    images <= limit all lie at or below (4*limit - 2)/3.  Counts are
-    tallied in a byte per image, and an image hit more than 255 times
-    keeps its exact count in a dict; the first predecessor of each image
-    sits in an integer array.
+    The step's two branches (TWO_TO_ONE_MAPS) are checked once against
+    family_step, for all positions; a broken premise is a conflict.  Their
+    images are then counted as whole classes by walks.two_to_one_walk, in
+    work and memory that do not grow with limit.  Raises
+    WidthExceededError when a predecessor of an image up to limit would
+    leave the working range.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    from .walks import two_to_one_walk  # as in find_cycles
+
     family = Family(3)
-    x_max = (4 * limit - 2) // 3 + 1
-    counts = bytearray(limit + 1)
-    many: dict[int, int] = {}  # exact counts of images hit more than 255 times
-    first_seen = array("q", [0]) * (limit + 1)
-    pairing_bad: list[tuple[int, int, int]] = []
-    for x in range(1, x_max + 1):
-        if x & 3 == 0:
-            continue
-        y = family_step(x, family)
-        if y > limit:
-            continue
-        c = counts[y]
-        if c == 0:
-            first_seen[y] = x
-        elif c == 1 and x != 2 * first_seen[y]:
-            pairing_bad.append((y, first_seen[y], x))
-        if c < 255:
-            counts[y] = c + 1
-        else:
-            many[y] = many.get(y, 255) + 1
-    count_bad = []
-    for y in range(1, limit + 1):
-        expected = 2 if y % 3 == 2 else 0
-        if counts[y] != expected:
-            count_bad.append((y, many.get(y, counts[y])))
-    return TwoToOneReport(limit, tuple(count_bad), tuple(pairing_bad))
+    return TwoToOneReport(limit, *two_to_one_walk(limit, TWO_TO_ONE_MAPS,
+                                                  lambda x: family_step(x, family)))
 
 
 # direction: "forward" | "backward"; reason: "cycle" | "truncated" |

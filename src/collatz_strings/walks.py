@@ -1,5 +1,6 @@
-"""Residue-class walks: the 3n+p family's chain scan and cycle search, and
-the p=1 partition audit (partition_walk, at the end).
+"""Residue-class walks: the 3n+p family's chain scan and cycle search, the
+p=1 partition audit (partition_walk) and, at the end, the p=3 two-to-one
+audit (two_to_one_walk), which counts images as classes and walks no tree.
 
 The scan and the cycle search report, for every start x in a range, how
 the walk from x ends.  Instead of walking each start, these walks move
@@ -294,3 +295,93 @@ def partition_walk(limit: int, max_len: int, maps):
                     k = max(k, min(c, (limit - b) // n + 1))
     truncated.sort()
     return strings, tuple(truncated), (), longest
+
+
+def _predecessors(branches, y: int) -> list:
+    """(x, k) for the predecessor x of y on each branch k, in increasing x."""
+    return sorted((a + s * (y - b) // 3, k) for k, (b, _, a, s) in enumerate(branches))
+
+
+def two_to_one_walk(limit: int, maps, step):
+    """(count_violations, pairing_violations, conflicts) of the p=3 step on
+    images 1..limit, maps being its (domain, image) Progression pairs and
+    step the family's step: what stepping each base position in turn
+    finds, counted by classes.
+
+    conflicts lists (domain, image, problem) per broken premise, or
+    (None, None, problem) for uncovered positions.  With v2(a) < v2(s) on a
+    domain a+s*t, 6x has one power of 2 on every member, so step is affine
+    there and agrees with the image everywhere once it does at t = 0 and 1.
+    A branch that does not is a conflict, and is still counted.  The count
+    needs the domains to partition the positions not divisible by 4, each
+    from its least member, and images of interval 3; else nothing is.
+
+    Each branch hits its image class from the intercept up to a cut set by
+    x_max = (4*limit-2)//3+1 and limit, so the hit count is constant
+    between cuts.  Predecessors are linear in y: a stretch with two or more
+    hits pairs as (x, 2x) throughout when its ends do in one branch order.
+    Any other stretch is checked image by image; it pairs at no more than
+    two of them, or has three hits and is a count violation throughout, so
+    the work stays within the length of the report.  Raises
+    WidthExceededError when 6*x_max leaves the working range.
+    """
+    x_max = (4 * limit - 2) // 3 + 1
+    _checked(6 * x_max)
+    conflicts, seen, shaped = [], [], True
+    for domain, image in maps:
+        (a, s), (b, i) = domain, image
+        if (a & -a) >= (s & -s) or any(step(domain.element(t)) != image.element(t)
+                                       for t in (0, 1)):
+            conflicts.append((domain, image, "disagrees with family_step"))
+        if i != 3:
+            conflicts.append((domain, image, "has an image interval other than 3"))
+            shaped = False
+        if a % math.gcd(s, 4) == 0:
+            problem = "reaches positions divisible by 4"
+        elif a > s:
+            problem = f"starts above its least member {(a - 1) % s + 1}"
+        else:
+            problem = next(("meets the domain of {}->{}".format(*other) for other in seen
+                            if (a - other[0][0]) % math.gcd(s, other[0][1]) == 0), None)
+        if problem:
+            conflicts.append((domain, image, problem))
+            shaped = False
+        else:
+            seen.append((domain, image))
+    if shaped:  # disjoint classes inside the base domain: they cover it at density 3/4
+        period = math.lcm(4, *(domain[1] for domain, _ in maps))
+        covered = sum(period // domain[1] for domain, _ in maps)
+        if 4 * covered != 3 * period:
+            share = math.gcd(covered, period)
+            conflicts.append((None, None, f"domains cover {covered // share}/{period // share} "
+                              "of the positions, not the 3/4 that 4 does not divide"))
+            shaped = False
+    if not shaped:
+        return (), (), tuple(conflicts)
+    hits: dict[int, list] = {0: [], 1: [], 2: []}  # image residue -> (b, cut, a, s)
+    for (a, s), (b, _) in maps:
+        top = min((x_max - a) // s, (limit - b) // 3)
+        if top >= 0:
+            hits[b % 3].append((b, b + 3 * top, a, s))
+    count_bad, pairing_bad = [], []
+    for r, branches in hits.items():
+        first, last = r or 3, limit - (limit - r) % 3
+        cuts = sorted({first} | {b for b, _, _, _ in branches}
+                      | {cut + 3 for _, cut, _, _ in branches if cut < last})
+        for lo, hi in zip(cuts, [c - 3 for c in cuts[1:]] + [last]):
+            active = [h for h in branches if h[0] <= lo <= h[1]]
+            if len(active) != (2 if r == 2 else 0):
+                count_bad += [(y, len(active)) for y in range(lo, hi + 1, 3)]
+            if len(active) < 2:
+                continue
+            ends = [_predecessors(active, y) for y in (lo, hi)]
+            if ([k for _, k in ends[0]] == [k for _, k in ends[1]]
+                    and all(e[1][0] == 2 * e[0][0] for e in ends)):
+                continue  # one branch order throughout, so second - 2*first is 0 throughout
+            for y in range(lo, hi + 1, 3):
+                (x1, _), (x2, _), *_ = _predecessors(active, y)
+                if x2 != 2 * x1:
+                    pairing_bad.append((y, x1, x2))
+    count_bad.sort()
+    pairing_bad.sort(key=lambda v: v[2])
+    return tuple(count_bad), tuple(pairing_bad), tuple(conflicts)

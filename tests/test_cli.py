@@ -83,7 +83,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["strings", "--limit", str(10 ** 12)],
                  ["scan", "-p", "5", "--limit", str(10 ** 29)],
                  ["cycles", "-p", "5", "--seed-limit", str(10 ** 29)],
-                 ["audit-3n3", "--limit", str(10 ** 29)],
+                 ["audit-3n3", "--limit", str(10 ** 40)],
                  ["coverage", "--direction", "forward", "-m", "40"],
                  ["coverage", "--direction", "backward", "-m", "32"]):
         assert main(argv) == 2, argv
@@ -251,6 +251,15 @@ def test_audit_3n3_command(tmp_path):
     assert code == 0
     summary = records_of(text)[-1]
     assert summary["count_violations"] == 0 and summary["pairing_violations"] == 0
+
+
+def test_audit_3n3_proves_a_huge_limit(tmp_path):
+    # the images are counted as classes, so 10^29 costs what 3000 does
+    code, text = run_cli(["audit-3n3", "--limit", str(10 ** 29)], tmp_path)
+    assert code == 0
+    summary = records_of(text)[-1]
+    del summary["record"], summary["command"]
+    assert summary == {"limit": 10 ** 29, "count_violations": 0, "pairing_violations": 0}
 
 
 def test_scan_command_reports_orphans(tmp_path):
@@ -448,19 +457,31 @@ def test_family_audit_reports_rule_mismatches(tmp_path, monkeypatch):
 
 
 def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
-    # 7 -> 5 (not 11) gives 5 a third hit; 9 -> 11 (not 14) leaves 14 one
-    # hit and pairs 11's predecessors as (9, 14)
-    step = family_module.family_step
-    monkeypatch.setattr(family_module, "family_step",
-                        lambda x, family: {7: 5, 9: 11}.get(x) or step(x, family))
-    code, text = run_cli(["audit-3n3", "--limit", "20"], tmp_path)
+    # 2+4t -> 5+3t (family_step sends 2+4t to 2+3t) leaves image 2 one hit
+    # and pairs the predecessors of 5 as (2, 3) and those of 8 as (5, 6)
+    odd, _ = family_module.TWO_TO_ONE_MAPS
+    monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS",
+                        (odd, (Progression(2, 4), Progression(5, 3))))
+    code, text = run_cli(["audit-3n3", "--limit", "8"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
-        ("violation", "image position not hit exactly twice", {"position": 5, "count": 3}),
-        ("violation", "image position not hit exactly twice", {"position": 14, "count": 1}),
+        ("violation", "p=3 branch disagrees with family_step",
+         {"domain": [2, 4], "image": [5, 3]}),
+        ("violation", "image position not hit exactly twice", {"position": 2, "count": 1}),
         ("violation", "predecessors do not pair as half and double",
-         {"image": 11, "first": 9, "second": 14}),
+         {"image": 5, "first": 2, "second": 3}),
+        ("violation", "predecessors do not pair as half and double",
+         {"image": 8, "first": 5, "second": 6}),
     ]
+    # without the even branch the domains leave positions uncovered, and
+    # nothing is counted
+    monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", (odd,))
+    code, text = run_cli(["audit-3n3", "--limit", "8"], tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("violation", "p=3 branch domains cover 1/2 of the positions, "
+         "not the 3/4 that 4 does not divide", {"domain": None, "image": None})]
+    assert records_of(text)[-1]["count_violations"] == 0
 
 
 def test_strings_reports_conflicts(tmp_path, monkeypatch):

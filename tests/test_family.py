@@ -1,4 +1,5 @@
 import os
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from collatz_strings import (
     two_to_one_audit,
 )
 from collatz_strings.family import OrphanRecord, branch_maps, predecessor_rule
-from collatz_strings.progressions import evolve
+from collatz_strings.progressions import Progression, evolve
 from collatz_strings.strings import PROCESSES
 
 
@@ -321,15 +322,20 @@ def test_two_to_one_examples():
     assert report.ok
 
 
-def list_two_to_one_audit(limit):
-    """two_to_one_audit as it was with a list of counts and a dict of first hits."""
-    family = Family(3)
-    counts = [0] * (limit + 1)
-    first_seen, pairing_bad = {}, []
+def list_two_to_one_audit(limit, step=None):
+    """two_to_one_audit as a loop that steps every base-domain position in
+    turn, by step or else by family_step, with one count and one first
+    predecessor per image."""
+    if step is None:
+        family = Family(3)
+        step = lambda x: family_module.family_step(x, family)  # noqa: E731
+    counts = bytearray(limit + 1)
+    first_seen = array("q", bytes(8 * (limit + 1)))
+    pairing_bad = []
     for x in range(1, (4 * limit - 2) // 3 + 2):
         if x & 3 == 0:
             continue
-        y = family_module.family_step(x, family)
+        y = step(x)
         if y > limit:
             continue
         counts[y] += 1
@@ -342,25 +348,106 @@ def list_two_to_one_audit(limit):
     return count_bad, tuple(pairing_bad)
 
 
+def test_two_to_one_matches_list_reference_at_small_limits():
+    for limit in range(2, 401):
+        assert two_to_one_audit(limit) == (limit, *list_two_to_one_audit(limit), ()), limit
+
+
+@given(limit=st.integers(2, 30_000))
+@settings(max_examples=25, deadline=None)
+def test_two_to_one_matches_list_reference(limit):
+    report = two_to_one_audit(limit)
+    assert report == (limit, *list_two_to_one_audit(limit), ())
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the two-to-one oracle check at 10^7")
+def test_long_two_to_one_matches_list_reference():
+    report = two_to_one_audit(10 ** 7)
+    assert report == (10 ** 7, *list_two_to_one_audit(10 ** 7), ())
+    assert report.ok
+
+
+def table_step(maps):
+    """The p=3 step as maps, (domain, image) branches, say it is."""
+    def step(x):
+        (image_value,) = [image.element((x - domain.intercept) // domain.interval)
+                          for domain, image in maps if domain.contains(x)]
+        return image_value
+    return step
+
+
+# Faulty branch tables of the p=3 step.  Each of the counted ones
+# partitions the positions not divisible by 4 into classes with image
+# interval 3, but some branch disagrees with family_step (which sends 1+2t
+# to 2+3t and 2+4t to 2+3t): a wrong image intercept, a branch onto the
+# wrong residue, a third branch from splitting 1+2t, a fourth from
+# splitting it again, whose stride-8 domains reach x_max before their
+# images reach the limit, and ORDER_SWAP.  The audit counts them as they
+# stand.  The others break a premise of the count and are not counted.
+ODD3, EVEN3 = family_module.TWO_TO_ONE_MAPS
+DISAGREES = "disagrees with family_step"
+WRONG_INTERCEPT = (Progression(2, 4), Progression(5, 3))
+WRONG_RESIDUE = (Progression(2, 4), Progression(1, 3))
+SPLIT_LOW = (Progression(1, 4), Progression(2, 3))
+SPLIT_HIGH = (Progression(3, 4), Progression(5, 3))
+SPLIT_3 = (Progression(3, 8), Progression(5, 3))
+SPLIT_7 = (Progression(7, 8), Progression(2, 3))
+# 1+6t, 2+8t and 14+16t hit the images 38 to 47 that are 2 mod 3; the two
+# least predecessors pair as (7, 14) at 38 and as (25, 50) at 47 but not
+# between, so a stretch is not judged by its ends alone.  The other three
+# branches hit no image below 100.
+ORDER_SWAP = tuple((Progression(*domain), Progression(b, 3)) for domain, b in (
+    ((1, 6), 35), ((3, 6), 100), ((5, 6), 100), ((2, 8), 29), ((6, 16), 100), ((14, 16), 38)))
+COUNTED_TABLES = [
+    ((ODD3, WRONG_INTERCEPT), ((*WRONG_INTERCEPT, DISAGREES),)),
+    ((ODD3, WRONG_RESIDUE), ((*WRONG_RESIDUE, DISAGREES),)),
+    ((SPLIT_LOW, SPLIT_HIGH, EVEN3), ((*SPLIT_LOW, DISAGREES), (*SPLIT_HIGH, DISAGREES))),
+    ((SPLIT_LOW, SPLIT_3, SPLIT_7, EVEN3),
+     ((*SPLIT_LOW, DISAGREES), (*SPLIT_3, DISAGREES), (*SPLIT_7, DISAGREES))),
+    (ORDER_SWAP, tuple((*branch, DISAGREES) for branch in ORDER_SWAP)),
+]
+WIDE = (Progression(2, 4), Progression(2, 6))
+FOURS = (Progression(8, 4), Progression(2, 3))  # agrees with family_step at 8 and 12, not 16
+OVERLAP = (Progression(3, 4), Progression(5, 3))
+LATE = (Progression(6, 4), Progression(5, 3))  # agrees with family_step
+UNCOUNTED_TABLES = [
+    ((ODD3, WIDE), ((*WIDE, DISAGREES), (*WIDE, "has an image interval other than 3"))),
+    ((ODD3, EVEN3, FOURS), ((*FOURS, DISAGREES), (*FOURS, "reaches positions divisible by 4"))),
+    ((ODD3, EVEN3, OVERLAP),
+     ((*OVERLAP, DISAGREES), (*OVERLAP, "meets the domain of {1+2t}->{2+3t}"))),
+    ((ODD3, LATE), ((*LATE, "starts above its least member 2"),)),
+    ((ODD3,), ((None, None,
+                "domains cover 1/2 of the positions, not the 3/4 that 4 does not divide"),)),
+]
+
+
 def test_two_to_one_violations_match_list_reference(monkeypatch):
-    # 7 -> 5 (not 11) gives image 5 a third hit; 9 -> 11 (not 14) leaves
-    # image 14 a single hit and pairs 11's predecessors as (9, 14); every x
-    # in [1001, 1600] sent to 29 hits it about 450 times, past what one
-    # byte counts
+    for table, conflicts in COUNTED_TABLES:
+        monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", table)
+        for limit in [*range(2, 151), 1000, 3001]:
+            report = two_to_one_audit(limit)
+            assert report.conflicts == conflicts
+            assert (report.count_violations, report.pairing_violations) == \
+                list_two_to_one_audit(limit, table_step(table)), (table, limit)
+            assert not report.ok
+
+
+def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
+    for table, conflicts in UNCOUNTED_TABLES:
+        monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", table)
+        report = two_to_one_audit(3000)
+        assert report == (3000, (), (), conflicts)
+        assert not report.ok
+
+
+def test_two_to_one_checks_the_table_against_family_step(monkeypatch):
+    # the table stands, the step it was derived from does not
     step = family_module.family_step
-
-    def faulty(x, family):
-        if 1000 < x <= 1600:
-            return 29
-        return {7: 5, 9: 11}.get(x) or step(x, family)
-
-    monkeypatch.setattr(family_module, "family_step", faulty)
+    monkeypatch.setattr(family_module, "family_step", lambda x, family: step(x, family) + 3)
     report = two_to_one_audit(3000)
-    expected = list_two_to_one_audit(3000)
-    assert (report.count_violations, report.pairing_violations) == expected
-    counts = dict(expected[0])
-    assert counts[5] == 3 and counts[14] == 1 and counts[29] > 255
-    assert (11, 9, 14) in expected[1]
+    assert report == (3000, (), (), ((*ODD3, DISAGREES), (*EVEN3, DISAGREES)))
+    assert not report.ok
 
 
 def test_string_scan_p1_clean():
