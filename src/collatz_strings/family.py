@@ -15,7 +15,6 @@ generic step, which is the oracle throughout this module.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 
 from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WIDTH_BITS, WidthExceededError, _checked
 from .progressions import Progression, evolve
@@ -140,8 +139,8 @@ def lower_preimages(x: int, family: Family) -> tuple[int, ...]:
     the 4x+q images of shallower ones, so reducing every solution to its
     base yields the distinct predecessors: at most one for p not divisible
     by 3, at most two otherwise.  Every result is verified by stepping it.
-    This search is the oracle for the closed form of predecessor_rule,
-    which the chain scans use.
+    This search is the oracle for the predecessor table that the backward
+    chain scan (walks.backward_walk) reads.
     """
     if x < 1:
         raise ValueError(f"position must be >= 1, got {x}")
@@ -166,36 +165,6 @@ def lower_preimages(x: int, family: Family) -> tuple[int, ...]:
         except NonpositiveImageError:
             pass  # a position whose step is undefined precedes nothing
     return tuple(sorted(bases))
-
-
-def predecessor_rule(family: Family) -> Callable[[int], tuple[int, ...]]:
-    """lower_preimages in closed form: a function v -> sorted predecessors of v.
-
-    Derived once from branch_maps: a value v = b + 3m on the image of a
-    branch with domain a + s*m has the predecessor a + s*(v-b)/3.  The
-    exceptional positions, which no branch covers, form a small table from
-    image to positions.  Like lower_preimages, a predecessor whose 3n+p
-    leaves the working range raises WidthExceededError.
-    """
-    p = family.p
-    branches = tuple((img.intercept, img.intercept % 3, dom.intercept, dom.interval)
-                     for dom, img in branch_maps(family))
-    one_off: dict[int, tuple[int, ...]] = {}
-    for e in exceptional_positions(family):
-        y = family_step(e, family)
-        one_off[y] = one_off.get(y, ()) + (e,)
-
-    def predecessors(v: int) -> tuple[int, ...]:
-        if v < 1:
-            raise ValueError(f"position must be >= 1, got {v}")
-        r = v % 3
-        found = [a + s * (v - b) // 3 for b, rb, a, s in branches if r == rb and v >= b]
-        found += one_off.get(v, ())
-        for x in found:
-            _checked(6 * x - 3 + p)
-        return tuple(sorted(found))
-
-    return predecessors
 
 
 # Position-map systems for small |p|, transcribed verbatim as published.
@@ -341,8 +310,7 @@ def find_cycles(family: Family, seed_limit: int,
     from .walks import forward_walk, require_tree_work
 
     require_tree_work("seed_limit", seed_limit, 8)
-    outcomes = sorted(forward_walk(family.p, ((1, seed_limit),), max_steps, True,
-                                lambda u: family_step(u, family)))  # one per seed
+    outcomes = sorted(forward_walk(family, ((1, seed_limit),), max_steps, True))  # one per seed
     found = {cycle for _, _, cycle in outcomes if cycle is not None}
     cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
     return CycleSearchReport(family.p, seed_limit, cycles,
@@ -414,15 +382,15 @@ def string_scan(family: Family, limit: int,
     Forward, every position should walk to a chain end (an equivalent
     position).  Backward -- only for families with unique predecessors,
     i.e. p not divisible by 3 -- every position should walk to a head
-    (a position with no predecessor), one predecessor_rule step at a time.
+    (a position with no predecessor), one predecessor at a time.
     A walk that cycles, truncates (records more than max_len positions),
     or hits a nonpositive image makes the start an orphan.  The family's
     built-in fixed point is skipped; it is a loop, not a chain.
 
     The starts move as residue classes (see walks), forward on the 2-adic
-    tree of family_step and backward on the 3-adic tree of the
-    predecessor branches; the orphans are those of walking every start
-    on its own.
+    tree of family_step and backward on the 3-adic tree of the branch
+    maps' inverses; the orphans are those of walking every start on its
+    own.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -434,14 +402,10 @@ def string_scan(family: Family, limit: int,
     p, trivial = family.p, family.trivial_loop_position
     starts = ((1, min(limit, trivial - 1)), (trivial + 1, limit))
     orphans = [(x, "forward", reason, cycle) for x, reason, cycle in
-             forward_walk(p, starts, max_len, False, lambda u: family_step(u, family))]
-    if p % 3 != 0:  # predecessor_rule's branches by image residue, above its one-off images
-        branches = {img.intercept % 3: (img.intercept, dom.intercept, dom.interval)
-                    for dom, img in branch_maps(family)}
-        low = max([b for b, _, _ in branches.values()]
-                  + [family_step(e, family) + 1 for e in exceptional_positions(family)])
+               forward_walk(family, starts, max_len, False)]
+    if p % 3 != 0:
         orphans += [(x, "backward", reason, cycle) for x, reason, cycle in
-                  backward_walk(p, starts, max_len, predecessor_rule(family), branches, low)]
+                    backward_walk(family, starts, max_len)]
     orphans.sort(key=lambda o: (o[0], o[1] == "backward"))
     scanned = limit - (1 if trivial <= limit else 0)
     return StringScanReport(p, limit, scanned, tuple(OrphanRecord(*o) for o in orphans))

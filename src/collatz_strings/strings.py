@@ -251,10 +251,13 @@ def _sweep_classes(a: int, m: int, c: int, max_steps: int):
     Otherwise it splits on the parity of t (Terras's parity-vector tree,
     walked depth first).  A class of one member never splits: it steps by
     the same two branches until it hits, truncates or leaves the working
-    range.  A tie on the maximum goes to the smallest member.  A member
-    about to step out of the working range raises WidthExceededError.
+    range.  A tie on the maximum goes to the smallest member.  Members
+    whose next step would leave the working range are cut from their
+    class, and once the walk is done WidthExceededError names the least of
+    them: the first position whose trajectory leaves the range.
     """
-    hits, total_steps, max_seen, argmax = 0, 0, 0, a
+    bound = (MAX_VALUE + 2) // 6  # 6v-2 leaves the working range for v > bound
+    hits, total_steps, max_seen, argmax, left = 0, 0, 0, a, None
     truncated: list[int] = []
     stack = [(a, m, c, a, m, 0)] if c > 0 else []
     while stack:
@@ -269,9 +272,11 @@ def _sweep_classes(a: int, m: int, c: int, max_steps: int):
                 if s >= max_steps:
                     truncated.extend(range(a, a + m * c, m))
                     break
-                if 6 * (b + n * (c - 1)) - 2 > MAX_VALUE:
-                    raise WidthExceededError(
-                        f"trajectory of {a + m * (c - 1)} left the working range")
+                if b + n * (c - 1) > bound:  # members t >= c leave: cut them
+                    c = max(0, (bound - b) // n + 1)
+                    left = a + m * c if left is None else min(left, a + m * c)
+                    if not c:
+                        break
                 if b & 1:
                     b, n = (3 * b + 1) >> 2, (3 * n) >> 2
                 else:
@@ -283,6 +288,8 @@ def _sweep_classes(a: int, m: int, c: int, max_steps: int):
             if s > max_seen or (s == max_seen and a < argmax):
                 max_seen, argmax = s, a
             break
+    if left is not None:
+        raise WidthExceededError(f"trajectory of {left} left the working range")
     return hits, total_steps, max_seen, argmax, truncated
 
 
@@ -293,18 +300,11 @@ def _sweep_range(lo: int, hi: int, max_steps: int,
     (the report of [lo, hi] when done is None).
 
     A maximum already in done keeps its position on a tie, as in a position
-    loop.  When a member about to step would leave the working range, each
-    position of [lo, hi] is swept again on its own in increasing order, so
-    WidthExceededError names the first position to leave it.
+    loop.  WidthExceededError from _sweep_classes names the first position
+    of [lo, hi] whose trajectory leaves the working range.
     """
-    try:
-        hits, total_steps, max_seen, argmax, truncated = _sweep_classes(
-            lo, 1, hi - lo + 1, max_steps)
-    except WidthExceededError:
-        if hi > lo:  # a one-position sweep raises for the first member to leave
-            for x in range(lo, hi + 1):
-                _sweep_range(x, x, max_steps)
-        raise
+    hits, total_steps, max_seen, argmax, truncated = _sweep_classes(
+        lo, 1, hi - lo + 1, max_steps)
     truncated.sort()
     first, before = lo, ()
     if done is not None:
@@ -331,14 +331,13 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     value; positions exhausting max_steps are truncation findings.  Each
     chunk is swept by _sweep_range: whole residue classes x = a (mod 2^k)
     move together while they share a branch, down to classes of one member,
-    and a chunk where a step would leave the working range is swept again
-    one position at a time, so WidthExceededError names the first position
-    to leave it.  Each chunk extends the report of the chunks before it.
-    With checkpoint_path set, a chunk is checkpoint_every positions and
-    after each one the report of [lo, next_position-1] is saved atomically;
-    resume=True extends the saved report (ValueError for a malformed or
-    inconsistent checkpoint).  budget caps the positions processed in this
-    call (the report is then incomplete).
+    and WidthExceededError names the first position whose trajectory
+    leaves the working range.  Each chunk extends the report of the chunks
+    before it.  With checkpoint_path set, a chunk is checkpoint_every
+    positions and after each one the report of [lo, next_position-1] is
+    saved atomically; resume=True extends the saved report (ValueError for
+    a malformed or inconsistent checkpoint).  budget caps the positions
+    processed in this call (the report is then incomplete).
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")

@@ -9,7 +9,8 @@ after s steps are b + n*t, Terras's parity-vector tree walked depth
 first.  A class moves as one while every member takes the same branch,
 splits on t mod 2 (forward) or t mod 3 (backward) when its members
 differ, and becomes a class of one member that steps on its own.  So the
-work grows with the tree, not with the number of starts.
+work grows with the tree, not with the number of starts.  Backward, the
+class step and the one-member step read one predecessor table.
 
 Three rules keep the result exactly that of walking every start on its
 own.  Values below a small bound `low`, where the family's one-off
@@ -17,8 +18,9 @@ positions lie, go one member at a time: the smallest member is peeled
 off the class.  A cycle can close while a member still shares its class,
 where it is not seen; such a member truncates, or finds the same cycle a
 lap later.  So a walk that truncates after s > 0 steps in a class is
-walked again from its start.  A class step raises WidthExceededError
-when any member would leave the working range, as its own walk would.
+walked again from its start; a member on its own reads a cycle off its
+path.  A class step raises WidthExceededError when any member would
+leave the working range, as its own walk would.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .core import (
     inverse_lower_step,
     lower_step,
 )
+from .family import branch_maps, exceptional_positions, family_step
 from .strings import _sweep_classes
 
-# Tree nodes measured for p=5: scan 56 k at 10^6 and 1.3 M at 10^8, about 5x
+# Tree nodes measured for p=5: scan 39 k at 10^6 and 0.89 M at 10^8, about 5x
 # per decade; cycles 66 k at 10^6 and 3.8 M at 10^8, about 8x.  A node costs
 # 2-6 us, so the cap refuses runs of more than about 4-10 minutes.  The
 # partition audit (backward and forward classes) has 58 k nodes at 10^6
@@ -55,19 +58,49 @@ def require_tree_work(name: str, limit: int, growth: int) -> None:
                          f"above the cap of {MAX_TREE_NODES:.0e}")
 
 
-def _cycle_from(v: int, step) -> tuple[int, ...]:
-    """The cycle through v under step, rotated to start at its minimum."""
-    members = [v]
-    while (u := step(members[-1])) != v:
-        members.append(u)
-    pivot = members.index(min(members))
-    return tuple(members[pivot:] + members[:pivot])
+def _image_branches(maps) -> dict:
+    """Residue mod 3 -> (b, a, s) for the branches of maps, (domain, image)
+    Progression pairs with images of interval 3: a value v = b (mod 3),
+    v >= b, has the predecessor a + s*(v-b)/3 on the branch onto b."""
+    return {img.intercept % 3: (img.intercept, dom.intercept, dom.interval)
+            for dom, img in maps}
 
 
-def forward_walk(p: int, starts, max_steps: int, dip: bool, step):
+def _predecessor_table(family) -> tuple:
+    """(p, branches, one_off) of a family with at most one predecessor per
+    position (3 does not divide p): the _image_branches of its branch maps,
+    and its exceptional positions keyed by their images."""
+    one_off = {family_step(e, family): e for e in exceptional_positions(family)}
+    return family.p, _image_branches(branch_maps(family)), one_off
+
+
+def _predecessor(v: int, p: int, branches: dict, one_off: dict) -> int | None:
+    """The predecessor of v by the _predecessor_table (p, branches, one_off),
+    or None when v is a head.  Like lower_preimages, a predecessor whose
+    3n+p leaves the working range raises WidthExceededError."""
+    x = one_off.get(v)
+    if x is None:
+        branch = branches.get(v % 3)
+        if branch is None or v < branch[0]:
+            return None
+        b, a, s = branch
+        x = a + s * (v - b) // 3
+    _checked(6 * x - 3 + p)
+    return x
+
+
+def _cycle_on(path: dict, v: int) -> tuple[int, ...]:
+    """The cycle that closes at v on path, a walk's positions in order,
+    rotated to start at its minimum."""
+    cycle = list(path)[path[v]:]
+    pivot = cycle.index(min(cycle))
+    return tuple(cycle[pivot:] + cycle[:pivot])
+
+
+def forward_walk(family, starts, max_steps: int, dip: bool):
     """Yield (x, reason, cycle) for every start x in the (lo, hi) ranges of
-    starts whose walk under step, the family's step for p, cycles,
-    truncates or is rejected.
+    starts whose walk under the family's step cycles, truncates or is
+    rejected.
 
     A walk records positions from x until one ends it: a chain end (an
     equivalent position) or, with dip, a position below x.  Recording a
@@ -75,26 +108,26 @@ def forward_walk(p: int, starts, max_steps: int, dip: bool, step):
     more than max_steps positions truncate it; a 3n+p below 1 rejects it.
     Other reasons carry None.
 
-    While v2(6b-3+p) <= v2(n), 6v-3+p has the same number of factors 2
-    on every member, so the step is affine on the class and moves it as
-    one; otherwise the class splits on the parity of t.  The dip is
-    linear in t, so it cuts the class to an interval.
+    A class whose members are all chain ends ends at once.  Otherwise,
+    while v2(6b-3+p) <= v2(n), 6v-3+p has the same number of factors 2 on
+    every member, so the step is affine on the class and moves it as one;
+    else the class splits on the parity of t.  The dip is linear in t, so
+    it cuts the class to an interval.
     """
+    p = family.p
     q = (p - 3) >> 1
     q4, low = q & 3, max(q + 4, (9 - p) // 6)  # from low up, ends are v = q mod 4
     stack = [(lo, 1, hi - lo + 1, lo, 1, 0) for lo, hi in starts if hi >= lo]
     while stack:
         a, m, c, b, n, s = stack.pop()
         while c > 1:
-            if dip:
+            if dip:  # n = m only at s = 0, where b = a and no member dips
                 d = n - m
                 if d > 0:  # the low members dip: b + n*t < a + m*t for t < (a-b)/d
                     k = min(c, -((b - a) // d)) if a > b else 0
                     a, b, c = a + k * m, b + k * n, c - k
                 elif d < 0:  # the high members dip: t > (b-a)/(m-n)
                     c = min(c, (b - a) // -d + 1) if b >= a else 0
-                elif b < a:
-                    c = 0
                 if c < 2:
                     break
             if b < low:
@@ -103,12 +136,12 @@ def forward_walk(p: int, starts, max_steps: int, dip: bool, step):
                 continue
             t = 6 * b - 3 + p
             j = (t & -t).bit_length() - 1
-            if n & ((1 << j) - 1):  # members differ in v2: split on the parity of t
+            if not dip and b & 3 == q4 and not n & 3:  # every member is a chain end
+                c = 0
+            elif n & ((1 << j) - 1):  # members differ in v2: split on the parity of t
                 half = c >> 1
                 stack.append((a + m, 2 * m, half, b + n, 2 * n, s))
                 m, c, n = 2 * m, c - half, 2 * n
-            elif not dip and b & 3 == q4:  # every member is a chain end
-                c = 0
             elif s >= max_steps:
                 members = range(a, a + m * c, m)
                 if s:
@@ -121,17 +154,17 @@ def forward_walk(p: int, starts, max_steps: int, dip: bool, step):
                 b, n, s = ((t >> j) + 1) >> 1, (3 * n) >> j, s + 1
         if c != 1:
             continue
-        x, v, fresh, seen = a, b, s == 0, set()
+        x, v, fresh, path = a, b, s == 0, {}
         while not (v < x if dip else v & 3 == q4 and v >= low):
-            if v in seen:
-                yield x, "cycle", _cycle_from(v, step)
+            if v in path:
+                yield x, "cycle", _cycle_on(path, v)
                 break
-            seen.add(v)
+            path[v] = len(path)
             if s >= max_steps:
                 if fresh:
                     yield x, "truncated", None
                     break
-                v, s, fresh, seen = x, 0, True, set()
+                v, s, fresh, path = x, 0, True, {}
                 continue
             t = 6 * v - 3 + p
             if t < 1:
@@ -143,20 +176,22 @@ def forward_walk(p: int, starts, max_steps: int, dip: bool, step):
             s += 1
 
 
-def backward_walk(p: int, starts, max_len: int, predecessors, branches: dict, low: int):
+def backward_walk(family, starts, max_len: int):
     """Yield (x, reason, cycle) for every start x in the (lo, hi) ranges of
-    starts whose walk by predecessors, the family's predecessor_rule,
-    cycles or truncates.
+    starts whose walk by the family's predecessors cycles or truncates.
 
     For p not divisible by 3 only, where each position has at most one
-    predecessor.  A walk records positions until one has no predecessor
-    (a head); more than max_len recorded positions truncate it, so the
-    truncation test comes before the head test.  branches maps a residue
-    mod 3 to its branch (b, a, s): a value v = b (mod 3), v >= low, has
-    the predecessor a + s*(v-b)/3; the other residues have none.  So a
-    class with 3 | n takes one branch, or every member is a head;
-    otherwise it splits on t mod 3.
+    predecessor, read from _predecessor_table.  A walk records positions
+    until one has no predecessor (a head); more than max_len recorded
+    positions truncate it, so the truncation test comes before the head
+    test.  From low up, above every one-off image, a value v = b (mod 3)
+    has the predecessor a + s*(v-b)/3 on the branch (b, a, s) of its
+    residue, and the other residues have none.  So a class with 3 | n
+    takes one branch, or every member is a head; otherwise it splits on
+    t mod 3.
     """
+    p, branches, one_off = table = _predecessor_table(family)
+    low = max([b for b, _, _ in branches.values()] + [y + 1 for y in one_off])
     stack = [(lo, 1, hi - lo + 1, lo, 1, 0) for lo, hi in starts if hi >= lo]
     while stack:
         a, m, c, b, n, s = stack.pop()
@@ -183,22 +218,22 @@ def backward_walk(p: int, starts, max_len: int, predecessors, branches: dict, lo
                 _checked(6 * (b + n * (c - 1)) - 3 + p)
         if c != 1:
             continue
-        x, v, fresh, seen = a, b, s == 0, set()
+        x, v, fresh, path = a, b, s == 0, {}
         while True:
-            if v in seen:
-                yield x, "cycle", _cycle_from(v, lambda u: predecessors(u)[0])
+            if v in path:
+                yield x, "cycle", _cycle_on(path, v)
                 break
-            seen.add(v)
+            path[v] = len(path)
             if s >= max_len:
                 if fresh:
                     yield x, "truncated", None
                     break
-                v, s, fresh, seen = x, 0, True, set()
+                v, s, fresh, path = x, 0, True, {}
                 continue
-            found = predecessors(v)
-            if not found:
+            v = _predecessor(v, *table)
+            if v is None:
                 break
-            v, s = found[0], s + 1
+            s += 1
 
 
 def branch_faults(maps) -> tuple:
@@ -255,8 +290,7 @@ def partition_walk(limit: int, max_len: int, maps):
     conflicts = branch_faults(maps)
     if conflicts:
         return 0, (), conflicts, 0
-    branches = {img.intercept % 3: (img.intercept, dom.intercept, dom.interval)
-                for dom, img in maps}
+    branches = _image_branches(maps)
     reach = max(max_len, 1)  # the longest chain that does not truncate
     strings, longest, truncated = 0, 0, []
     stack = [(2, 1, limit - 1, 2, 1, 0, 0)]

@@ -85,7 +85,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["cycles", "-p", "5", "--seed-limit", str(10 ** 29)],
                  ["audit-3n3", "--limit", str(10 ** 40)],
                  ["coverage", "--direction", "forward", "-m", "40"],
-                 ["coverage", "--direction", "backward", "-m", "32"]):
+                 ["coverage", "--direction", "backward", "-m", "32"],
+                 ["export-graph", "--limit", "0"],
+                 ["coverage", "--direction", "forward", "-m", "0"],
+                 ["passage", "--lo", "2", "--hi", "10", "--max-steps", "0"],
+                 ["passage", "--lo", "2", "--hi", str(2 ** 129)],
+                 ["passage", "--lo", "2", "--hi", "10", "--resume"],
+                 ["cycles", "-p", "5", "--seed-limit", "0"],
+                 ["audit-3n3", "--limit", "1"],
+                 ["scan", "-p", "5", "--limit", "0"]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
@@ -331,7 +339,7 @@ def test_start_up_loads_no_dataclasses_fractions_or_inspect(argv):
     code, *loaded = run.stdout.splitlines()[-1].split()
     assert code == "0", run.stderr
     assert "collatz_strings.cli" in loaded
-    assert not {"dataclasses", "fractions", "inspect"} & set(loaded)
+    assert not {"dataclasses", "fractions", "inspect", "collatz_strings.walks"} & set(loaded)
 
 
 def test_csv_format(tmp_path):

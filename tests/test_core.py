@@ -42,6 +42,10 @@ def test_collatz_step_examples():
 def test_collatz_step_rejects_nonpositive():
     with pytest.raises(ValueError):
         collatz_step(0)
+    with pytest.raises(ValueError, match="^position must be a positive integer, got 0$"):
+        conjugate_step(0)
+    with pytest.raises(ValueError, match="^max_steps must be >= 1, got 0$"):
+        trajectory_report(2, max_steps=0)
 
 
 def test_accelerated_step_examples():
@@ -265,5 +269,11 @@ def test_width_guard():
         higher_equivalent(MAX_VALUE // 2)
     with pytest.raises(WidthExceededError):
         conjugate_step(MAX_VALUE // 2)
+    with pytest.raises(WidthExceededError):
+        conjugate_step(MAX_VALUE + 1)
+    with pytest.raises(WidthExceededError):
+        accelerated_step(MAX_VALUE + 2)
+    with pytest.raises(WidthExceededError):
+        collatz_step(MAX_VALUE + 1)
     # even values only halve and stay in range
     assert collatz_step(MAX_VALUE - 1) == (MAX_VALUE - 1) // 2

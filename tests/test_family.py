@@ -26,14 +26,18 @@ from collatz_strings import (
     string_scan,
     two_to_one_audit,
 )
-from collatz_strings.family import OrphanRecord, branch_maps, predecessor_rule
+from collatz_strings.core import MAX_VALUE, WidthExceededError
+from collatz_strings.family import CaseRule, OrphanRecord, branch_maps
 from collatz_strings.progressions import Progression, evolve
 from collatz_strings.strings import PROCESSES
+from collatz_strings.walks import _predecessor, _predecessor_table, forward_walk
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
         Family(4)
+    with pytest.raises(ValueError, match="^4x\\+q is -8; p=-21 has no equivalent of 1$"):
+        family_equivalent(1, Family(-21))
     assert Family(-1).q == -2
     assert Family(1).q == -1
     assert Family(3).q == 0
@@ -72,6 +76,13 @@ def test_family_step_examples():
 def test_family_step_nonpositive_guard():
     with pytest.raises(NonpositiveImageError):
         family_step(1, Family(-5))  # 3*1 - 5 < 1
+    with pytest.raises(ValueError, match="^position must be >= 1, got 0$"):
+        family_step(0, Family(5))
+    x = MAX_VALUE // 6 + 1  # not a chain end for p=5, and its 3n+p leaves the range
+    with pytest.raises(WidthExceededError):
+        family_step(x, Family(5))
+    with pytest.raises(WidthExceededError):
+        list(forward_walk(Family(5), [(x, x)], 10, False))
 
 
 def test_family_equivalent_examples():
@@ -114,6 +125,8 @@ def test_family_equivalent_n():
         for n in (0, 1):
             with pytest.raises(ValueError):
                 family_equivalent_n(x, n, fam)
+    with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+        family_equivalent_n(1, -1, fam)
 
 
 def test_p1_reduces_to_core_maps():
@@ -173,6 +186,8 @@ def test_audit_detects_a_wrong_rule():
 def test_unlisted_system_raises():
     with pytest.raises(KeyError):
         case_system(41)
+    with pytest.raises(ValueError, match="^need value_limit or m_limit$"):
+        next(CaseRule(1, 2, 4, 3).instances())
 
 
 def test_lower_preimages_counts():
@@ -198,6 +213,32 @@ def test_lower_preimages_step_back():
             for pre in lower_preimages(x, fam):
                 assert family_step(pre, fam) == x
                 assert not fam.is_equivalent_position(pre)
+    with pytest.raises(ValueError, match="^position must be >= 1, got 0$"):
+        lower_preimages(0, Family(5))
+
+
+def predecessor_rule(family):
+    """x -> the sorted predecessors of x in closed form.  For p not divisible
+    by 3, the backward walk's predecessor table; for 3 | p, where the scan
+    walks no predecessors, one on each branch of branch_maps whose image
+    holds x and the exceptional positions stepping to x."""
+    if family.p % 3:
+        table = _predecessor_table(family)
+        return lambda x: tuple(v for v in [_predecessor(x, *table)] if v is not None)
+    one_off = [(family_step(e, family), e) for e in exceptional_positions(family)]
+    maps = branch_maps(family)
+    return lambda x: tuple(sorted(
+        [dom.element((x - img.intercept) // 3) for dom, img in maps
+         if x >= img.intercept and (x - img.intercept) % 3 == 0]
+        + [e for y, e in one_off if y == x]))
+
+
+def outcome(fn, *args):
+    """fn's result, or WidthExceededError when it raised one."""
+    try:
+        return fn(*args)
+    except WidthExceededError:
+        return WidthExceededError
 
 
 @pytest.mark.parametrize("p", range(-41, 42, 2))
@@ -206,6 +247,10 @@ def test_predecessor_rule_matches_lower_preimages(p):
     predecessors = predecessor_rule(family)
     for x in range(1, 20_001):
         assert predecessors(x) == lower_preimages(x, family), (p, x)
+    if p % 3:  # near the top of the range, the table raises where the search does
+        for top in (MAX_VALUE // 8, MAX_VALUE // 4):
+            for x in range(top - 30, top + 30):
+                assert outcome(predecessors, x) == outcome(lower_preimages, x, family), (p, x)
 
 
 @given(p=st.integers(-20, 20).map(lambda k: 2 * k + 1), x=st.integers(1, 2 ** 100))
@@ -578,6 +623,8 @@ def test_published_tables_regenerate(base, column):
 def test_family_evolution_rejects_families_with_exceptional_positions():
     with pytest.raises(ValueError):
         family_evolve_forward(Family(5), 1)
+    with pytest.raises(ValueError, match="^generation must be >= 0, got -1$"):
+        family_evolve_forward(Family(1), -1)
     # p=3 has none: both head classes evolve
     parts = family_evolve_forward(Family(3), 1)
     assert len(parts) == 4

@@ -296,6 +296,8 @@ def test_sampling_lemma_examples():
     assert sampling_lemma_check(3, 2, 4).holds
     with pytest.raises(ValueError):
         sampling_lemma_check(2, 1, 2)  # period shares a factor with the base
+    with pytest.raises(ValueError, match="^need base >= 2, power >= 1, period >= 1$"):
+        sampling_lemma_check(1, 1, 1)
 
 
 def test_sampling_lemma_grid():

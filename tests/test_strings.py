@@ -31,6 +31,7 @@ from collatz_strings.strings import (
     BACKWARD_MAPS,
     FORWARD_MAPS,
     PROCESSES,
+    StringRecord,
     _sweep_range,
     audit_part,
     interval_weight,
@@ -256,7 +257,8 @@ def test_string_excludes_the_fixed_point():
 def test_string_truncation_is_reported():
     record = build_string_containing(64, max_len=1)
     assert not record.complete
-    assert record.truncated_forward or record.truncated_backward
+    assert record == StringRecord(None, None, 2, None, True, False)
+    assert build_string_containing(2, max_len=1) == StringRecord(2, None, 2, None, False, True)
 
 
 def test_partition_covers_small_range_exactly_once():
