@@ -43,8 +43,8 @@ from .family import (
 )
 from .progressions import (
     Progression,
+    _families,
     backward_signature,
-    evolve,
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
@@ -59,7 +59,7 @@ from .reporting import (
 )
 from .strings import (
     PROCESSES,
-    audit_part,
+    _over_bound,
     coverage_count,
     expected_coverage,
     partition_audit,
@@ -123,20 +123,20 @@ def cmd_strings(args) -> Report:
 
 
 def cmd_evolve(args) -> Report:
-    """One measurement per part as the depth-first walk yields it; the
-    audit's rare violations are kept and follow the measurements."""
+    """One measurement per part as the walk yields it with its children;
+    the audit's rare violations are kept and follow the measurements."""
     direction = args.direction
     part_bad: list[Progression] = []
     bound_bad: list[tuple[Progression, Progression]] = []
     count = 0
-    for part in evolve(*PROCESSES[direction], args.generations):
+    for part, kids in _families(*PROCESSES[direction], args.generations):
         a, b = part
-        yield finding("measurement", f"part[{count}]", str(part),
-                      {"intercept": a, "interval": b})
+        yield {"record": "finding", "kind": "measurement", "location": f"part[{count}]",
+               "details": f"{{{a}+{b}t}}", "data": {"intercept": a, "interval": b}}
         count += 1
-        bad, over = audit_part(direction, part)
-        if bad:
+        if a >= b:
             part_bad.append(part)
+        over = _over_bound(direction, part, kids)
         if over:
             bound_bad += [(part, child) for child in over]
     for part in part_bad:

@@ -24,6 +24,7 @@ WIDTH_BITS = 128
 MAX_VALUE = (1 << WIDTH_BITS) - 1
 
 DEFAULT_WALK_LIMIT = 100_000  # step and chain-length budget of every walk
+MAX_TREE_NODES = 10 ** 8  # work cap: class-tree nodes of a walk, parts of a generation
 
 
 class WidthExceededError(OverflowError):

@@ -309,7 +309,7 @@ def find_cycles(family: Family, seed_limit: int,
     # it costs every run that has no bytecode cache
     from .walks import forward_walk, require_tree_work
 
-    require_tree_work("seed_limit", seed_limit, 8)
+    require_tree_work("seed_limit", seed_limit, 6.6e4, 8)
     outcomes = sorted(forward_walk(family, ((1, seed_limit),), max_steps, True))  # one per seed
     found = {cycle for _, _, cycle in outcomes if cycle is not None}
     cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
@@ -398,7 +398,7 @@ def string_scan(family: Family, limit: int,
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     from .walks import backward_walk, forward_walk, require_tree_work  # as in find_cycles
 
-    require_tree_work("limit", limit, 5)
+    require_tree_work("limit", limit, 3.9e4, 5)
     p, trivial = family.p, family.trivial_loop_position
     starts = ((1, min(limit, trivial - 1)), (trivial + 1, limit))
     orphans = [(x, "forward", reason, cycle) for x, reason, cycle in

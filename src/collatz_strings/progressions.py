@@ -13,8 +13,8 @@ branch-signature recurrence search.
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
 the sequence.  That is the order of a depth-first walk of the branch
-tree, so `evolve` yields the parts of generation k one at a time while
-it holds one root-to-leaf path: O(k) parts, not 2^k.
+tree: one walk (`_families`) yields each part with its children, holding
+one root-to-leaf path (O(k) parts, not 2^k) and one residue-solve kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from collections.abc import Iterator
 from math import gcd
 
 from .core import (
+    MAX_TREE_NODES,
+    MAX_VALUE,
     _checked,
     inverse_lower_step,
     lower_step,
@@ -53,9 +55,37 @@ class Progression(namedtuple("Progression", "intercept interval")):
         return f"{{{self.intercept}+{self.interval}t}}"
 
 
-# Builds a Progression without the checks of Progression(): transport's
-# images always pass them (intercept and interval are at least 1).
-_new = tuple.__new__
+def _kernel(maps):
+    """part -> its transports through maps in order, or None if it misses a
+    domain; what depends only on its interval b is set up once per b."""
+    setups = {}  # interval b -> per map: what the solve for b needs
+
+    def images(part):
+        a, b = part
+        setup = setups.get(b)
+        if setup is None:
+            setup = setups[b] = []
+            for (r, s), (c, d) in maps:
+                g = gcd(b, s)
+                n, stride = s // g, b // g
+                # top is -1 when the class interval lcm(b, s) = b*n or the image's leaves the range
+                top = MAX_VALUE if max(b * n, stride * d) <= MAX_VALUE else -1
+                setup.append((r, s, g, stride * pow(stride, -1, n), b * n, stride, c, d, top))
+        out = []
+        for r, s, g, scale, width, stride, c, d, top in setup:
+            if (r - a) % g:
+                return None
+            first = a + (r - a) * scale % width  # a + b*((r-a)/g * stride^-1 mod n)
+            m = (first - r) // s
+            if m < 0:  # members of the residue class below src's intercept are not in src
+                m %= stride
+            intercept = c + d * m
+            if first > top or intercept > top:
+                _checked(max(first, intercept, width, stride * d))
+            # without Progression()'s checks: intercept and interval are at least 1
+            out.append(tuple.__new__(Progression, (intercept, stride * d)))
+        return out
+    return images
 
 
 def transport(part: Progression, src: Progression, dst: Progression) -> Progression | None:
@@ -66,34 +96,15 @@ def transport(part: Progression, src: Progression, dst: Progression) -> Progress
     fixed mod s/g: the members in src are every (b/g)-th member of src from
     the first.  Returns None when part has no member in src.
     """
-    a, b = part
-    r, s = src
-    g = gcd(b, s)
-    if (r - a) % g:
-        return None
-    n, stride = s // g, b // g
-    first = _checked(a + b * ((r - a) // g * pow(stride, -1, n) % n))
-    _checked(b * n)  # the class interval, lcm(b, s), must stay in range too
-    m = (first - r) // s
-    if m < 0:  # members of the residue class below src's intercept are not in src
-        m %= stride
-    c, d = dst
-    return _new(Progression, (_checked(c + d * m), _checked(stride * d)))
+    image = _kernel(((src, dst),))(part)
+    return image and image[0]
 
 
 def children(part: Progression,
              maps: tuple[tuple[Progression, Progression], ...]) -> list[Progression]:
-    """part's transports through every (domain, image) map, in map order.
-
-    A part with no member in some branch domain raises ValueError.
-    """
-    out = []
-    for src, dst in maps:
-        child = transport(part, src, dst)
-        if child is None:
-            raise ValueError(f"part {part} misses branch {src}")
-        out.append(child)
-    return out
+    """part's transports through every (domain, image) map, in map order;
+    a part with no member in some branch domain raises ValueError."""
+    return next(_families((part,), maps, 0))[1]
 
 
 def evolve(seeds: tuple[Progression, ...],
@@ -101,26 +112,42 @@ def evolve(seeds: tuple[Progression, ...],
            generation: int) -> Iterator[Progression]:
     """Generation k of seeds under (domain, image) branch maps, as ordered parts.
 
-    Each part is replaced by its children (see `children`), so children
-    keep their parent's order and the order of maps.  The parts are
-    yielded depth first; a part that misses a branch raises ValueError
-    when the walk reaches it.  A negative generation raises at the call.
+    Each part is replaced by its children (see `children`), in the order of
+    maps, depth first.  A part that misses a branch raises ValueError when
+    the walk reaches it; a negative generation, or one of more than
+    MAX_TREE_NODES parts, raises at the call.
     """
+    seeds, maps = tuple(seeds), tuple(maps)
+    _require_parts(seeds, maps, generation)
+    if not generation:
+        return iter(seeds)
+    return (kid for _, kids in _families(seeds, maps, generation - 1) for kid in kids)
+
+
+def _require_parts(seeds, maps, generation: int) -> None:
     if generation < 0:
         raise ValueError(f"generation must be >= 0, got {generation}")
-    return _depth_first(tuple(seeds), tuple(maps), generation)
+    if len(seeds) * len(maps) ** min(generation, 64) > MAX_TREE_NODES:
+        raise ValueError(f"generation {generation} has {len(seeds)}*{len(maps)}^{generation} "
+                         f"parts, above the cap of {MAX_TREE_NODES:.0e}")
 
 
-def _depth_first(seeds, maps, generation):
+def _families(seeds, maps, generation):
+    """Yield (part, its children) for each part of generation k, in order;
+    checks generation as `evolve` does, when the walk starts."""
+    _require_parts(seeds, maps, generation)
+    images = _kernel(maps)
     stack = [(generation, part) for part in reversed(seeds)]  # (generations left, part)
     while stack:
         left, part = stack.pop()
-        if not left:
-            yield part
-        elif left == 1:
-            yield from children(part, maps)
+        kids = images(part)
+        if kids is None:
+            src = next(src for src, dst in maps if transport(part, src, dst) is None)
+            raise ValueError(f"part {part} misses branch {src}")
+        if left:
+            stack += [(left - 1, kid) for kid in reversed(kids)]
         else:
-            stack += [(left - 1, child) for child in reversed(children(part, maps))]
+            yield part, kids
 
 
 # counterexample: (sample index, observed gap), or None when the check holds

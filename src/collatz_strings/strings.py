@@ -59,23 +59,21 @@ def interval_weight(parts: Iterable[Progression]) -> Fraction:
 
 def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progression]]:
     """Whether part's intercept is not below its interval, and its children
-    that break the recursion bound.
+    that break the recursion bound (see `_over_bound`)."""
+    return part.intercept >= part.interval, _over_bound(
+        direction, part, children(part, PROCESSES[direction][1]))
 
-    The children of a part (a, b) must respect the recursion bound on new
-    intercepts: forward children c satisfy c <= 3(a+3b-1)/4 + 1, backward
-    children c <= 4(a+2b-1)/3 + 1.  Both are compared in
-    cleared-denominator integer form.
-    """
+
+def _over_bound(direction: str, part: Progression, kids: list[Progression]) -> list[Progression]:
+    """The children kids of part (a, b) that break the recursion bound on new
+    intercepts c: c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1
+    backward, compared in cleared-denominator integer form."""
     a, b = part
     if direction == "forward":
         scale, bound = 4, 3 * (a + 3 * b - 1)
     else:
         scale, bound = 3, 4 * (a + 2 * b - 1)
-    over = []
-    for child in children(part, PROCESSES[direction][1]):
-        if scale * (child.intercept - 1) > bound:
-            over.append(child)
-    return a >= b, over
+    return [kid for kid in kids if scale * (kid.intercept - 1) > bound]
 
 
 CoverageCount = namedtuple("CoverageCount", "direction m window_start included open_count")
@@ -207,7 +205,7 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     from .walks import partition_walk, require_tree_work  # as in family.find_cycles
 
-    require_tree_work("limit", limit, 5)
+    require_tree_work("limit", limit, 5.8e4, 5)
     return PartitionAuditReport(limit, *partition_walk(limit, max_len, FORWARD_MAPS))
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 
 from .core import (
+    MAX_TREE_NODES,
     MAX_VALUE,
     WIDTH_BITS,
     WidthExceededError,
@@ -38,21 +39,14 @@ from .core import (
 from .family import branch_maps, exceptional_positions, family_step
 from .strings import _sweep_classes
 
-# Tree nodes measured for p=5: scan 39 k at 10^6 and 0.89 M at 10^8, about 5x
-# per decade; cycles 66 k at 10^6 and 3.8 M at 10^8, about 8x.  A node costs
-# 2-6 us, so the cap refuses runs of more than about 4-10 minutes.  The
-# partition audit (backward and forward classes) has 58 k nodes at 10^6
-# and 1.33 M at 10^8, about 5x, at about 1 us each.
-MAX_TREE_NODES = 10 ** 8
-
-
-def require_tree_work(name: str, limit: int, growth: int) -> None:
-    """ValueError when a walk of 1..limit needs more than MAX_TREE_NODES nodes.
-
-    growth is the measured factor per decade of limit, from about 6e4
-    nodes at 10^6.
-    """
-    nodes = 6e4 * growth ** (math.log10(limit) - 6)
+# Tree nodes measured for p=5, which the callers pass: scan 39 k at 10^6 and
+# 0.89 M at 10^8 (5x per decade), cycles 66 k and 3.8 M (8x), at 2-6 us a node,
+# so the cap refuses runs of more than about 4-10 minutes; the partition audit
+# (backward and forward classes) 58 k and 1.33 M (5x), at about 1 us a node.
+def require_tree_work(name: str, limit: int, nodes: float, growth: int) -> None:
+    """ValueError when a walk of 1..limit needs more than MAX_TREE_NODES nodes:
+    its measured count at 10^6, times its measured growth per decade."""
+    nodes *= growth ** (math.log10(limit) - 6)
     if nodes > MAX_TREE_NODES:
         raise ValueError(f"{name} {limit} needs about {nodes:.2g} class-tree nodes, "
                          f"above the cap of {MAX_TREE_NODES:.0e}")

@@ -82,6 +82,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["strings", "--limit", str(10 ** 29)],
                  ["strings", "--limit", str(10 ** 12)],
                  ["scan", "-p", "5", "--limit", str(10 ** 29)],
+                 ["scan", "-p", "5", "--limit", str(10 ** 11)],
+                 ["evolve", "--direction", "forward", "-k", "27"],
+                 ["evolve", "--direction", "backward", "-k", "27"],
                  ["cycles", "-p", "5", "--seed-limit", str(10 ** 29)],
                  ["audit-3n3", "--limit", str(10 ** 40)],
                  ["coverage", "--direction", "forward", "-m", "40"],
@@ -95,8 +98,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["audit-3n3", "--limit", "1"],
                  ["scan", "-p", "5", "--limit", "0"]):
         assert main(argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+        assert out == "" and err.count("\n") == 1, (argv, out, err)
         assert exact.get(tuple(argv), err) == err, argv
     out = os.path.join(tmp_path, "never.jsonl")
     assert main(["evolve", "--direction", "forward", "-k", "-1", "--output", out]) == 2
@@ -424,9 +428,9 @@ def test_cycles_zero_step_budget_truncates_every_seed(tmp_path):
 def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
     # {40+3t} has intercept >= interval, and its even-branch child {60+9t}
     # exceeds 3(40+3*3-1)/4 + 1 = 37; the odd-branch child {37+9t} meets it
-    monkeypatch.setattr(cli_module, "evolve",
-                        lambda seeds, maps, k: iter((Progression(40, 3),)))
-    code, text = run_cli(["evolve", "--direction", "forward", "-k", "1"], tmp_path)
+    monkeypatch.setitem(strings_module.PROCESSES, "forward",
+                        ((Progression(40, 3),), strings_module.FORWARD_MAPS))
+    code, text = run_cli(["evolve", "--direction", "forward", "-k", "0"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
         ("measurement", "{40+3t}", {"intercept": 40, "interval": 3}),

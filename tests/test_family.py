@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collatz_strings.family as family_module
+import collatz_strings.walks as walks_module
 from collatz_strings import (
     CASE_SYSTEM_PARAMS,
     DEFAULT_WALK_LIMIT,
@@ -30,7 +31,7 @@ from collatz_strings.core import MAX_VALUE, WidthExceededError
 from collatz_strings.family import CaseRule, OrphanRecord, branch_maps
 from collatz_strings.progressions import Progression, evolve
 from collatz_strings.strings import PROCESSES
-from collatz_strings.walks import _predecessor, _predecessor_table, forward_walk
+from collatz_strings.walks import _predecessor, _predecessor_table, backward_walk, forward_walk
 
 
 def test_family_validation():
@@ -83,6 +84,23 @@ def test_family_step_nonpositive_guard():
         family_step(x, Family(5))
     with pytest.raises(WidthExceededError):
         list(forward_walk(Family(5), [(x, x)], 10, False))
+
+
+def test_class_steps_raise_when_a_member_leaves_the_range():
+    # forward, p=5: B-3 and B+1 (B = MAX_VALUE // 6) are a class mod 4 that
+    # steps as one; 6(B+1)-3+5, the 3n+p of position B+1, leaves the range,
+    # and the image of B+1 is a chain end, so no later step of B+1 sees it
+    # (max_steps=1 stops the other members after one step)
+    b = MAX_VALUE // 6
+    with pytest.raises(WidthExceededError):
+        list(forward_walk(Family(5), [(b - 3, b + 1)], 1, False))
+    # backward, p=1: B and B+3 (B = MAX_VALUE // 8) are a class mod 3 whose
+    # predecessors (4v-1)/3 the class step computes; 6x-3+1 of the
+    # predecessor x of B+3 leaves the range, and the one-member walk from x
+    # checks only the predecessors it computes itself
+    b = MAX_VALUE // 8
+    with pytest.raises(WidthExceededError):
+        list(backward_walk(Family(1), [(b, b + 3)], 50))
 
 
 def test_family_equivalent_examples():
@@ -571,6 +589,20 @@ def test_scan_counts_a_cycle_across_the_limit_once():
     report = string_scan(Family(15), 40, max_len=4)
     assert report.orphans == reference_scan(Family(15), 40, 4)
     assert OrphanRecord(27, "forward", "cycle", (35, 56, 44)) in report.orphans
+
+
+def test_scan_work_estimate_uses_the_scan_count(monkeypatch):
+    # scan walks about 3.9e4 nodes at 10^6, 5x per decade: 5*10^10 needs
+    # about 7.5e7 nodes, under the cap, and 10^11 about 1.2e8, over it.
+    # The walk is replaced, so only the estimate runs.
+    def walk(*args):
+        raise LookupError("walked")
+
+    monkeypatch.setattr(walks_module, "forward_walk", walk)
+    with pytest.raises(LookupError, match="walked"):
+        string_scan(Family(5), 5 * 10 ** 10)
+    with pytest.raises(ValueError, match="class-tree nodes, above the cap"):
+        string_scan(Family(5), 10 ** 11)
 
 
 @given(p=st.sampled_from(sorted(set(CASE_SYSTEM_PARAMS) | {-5, -7, -9, -11, -13})),

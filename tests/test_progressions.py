@@ -1,3 +1,4 @@
+import os
 from math import gcd
 
 import pytest
@@ -18,8 +19,8 @@ from collatz_strings import (
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError, _checked
 from collatz_strings.family import branch_maps
-from collatz_strings.progressions import evolve, transport
-from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS
+from collatz_strings.progressions import _families, evolve, transport
+from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound, audit_part
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS
@@ -280,6 +281,81 @@ def test_depth_first_evolve_misses_a_branch_where_the_reference_does():
     assert raised
     with pytest.raises(ValueError):
         evolve((Progression(2, 3),), FORWARD_MAPS, -1)  # at the call, not the first part
+
+
+def reference_families(seeds, maps, generation):
+    """(part, children) for each part of generation k, by recursion over the
+    branch tree with a transport per map; a part that misses a branch
+    raises when the recursion reaches it."""
+    for part in seeds:
+        kids = [transport(part, src, dst) for src, dst in maps]
+        if None in kids:
+            raise ValueError(f"part {part} misses branch {maps[kids.index(None)][0]}")
+        if generation:
+            yield from reference_families(kids, maps, generation - 1)
+        else:
+            yield part, kids
+
+
+def _walked(walk, *args):
+    """The pairs a walk yields, and the message of the ValueError that ends it."""
+    pairs = []
+    try:
+        for pair in walk(*args):
+            pairs.append(pair)
+    except ValueError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_families_pair_each_part_with_its_transports(direction):
+    seeds, maps = PROCESSES[direction]
+    for k in range(11):
+        pairs = list(_families(seeds, maps, k))
+        assert pairs == list(reference_families(seeds, maps, k)), k
+        assert [part for part, _ in pairs] == list(reference_evolve(seeds, maps, k))
+        assert [kid for _, kids in pairs for kid in kids] == \
+            list(reference_evolve(seeds, maps, k + 1))
+
+
+def test_families_miss_a_branch_at_the_part_the_reference_does():
+    # every small seed, alone and after a seed whose subtree comes first,
+    # under tables whose domains share factors with the parts' intervals
+    # (g > 1) and, for p=-5, start above a class's first member (m < 0)
+    seen = {"miss": 0, "shared factor": 0, "below domain": 0}
+    for maps, first in ((FORWARD_MAPS, Progression(2, 3)),
+                        (BACKWARD_MAPS, Progression(3, 4)),
+                        (branch_maps(Family(-5)), Progression(1, 3))):
+        for a in range(1, 13):
+            for b in range(1, 13):
+                for seeds in ((Progression(a, b),), (first, Progression(a, b))):
+                    for k in range(4):
+                        pairs, error = _walked(_families, seeds, maps, k)
+                        assert (pairs, error) == _walked(reference_families, seeds, maps, k)
+                        seen["miss"] += error is not None
+                for src, _ in maps:
+                    dom = intersect_residue(Progression(a, b), src.intercept, src.interval)
+                    seen["shared factor"] += dom is not None and gcd(b, src.interval) > 1
+                    seen["below domain"] += dom is not None and dom.intercept < src.intercept
+    assert all(seen.values()), seen
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the evolve oracle check at k = 16")
+def test_long_evolve_matches_reference():
+    from test_strings import reference_audit_part
+
+    for direction, (seeds, maps) in PROCESSES.items():
+        parts = reference_evolve(seeds, maps, 16)
+        kids = reference_evolve(parts, maps, 1)
+        pairs = list(_families(seeds, maps, 16))
+        assert pairs == [(part, list(kids[2 * i:2 * i + 2])) for i, part in enumerate(parts)]
+        for part, children in pairs:
+            expected = reference_audit_part(direction, part)
+            assert audit_part(direction, part) == expected
+            assert (part.intercept >= part.interval,
+                    _over_bound(direction, part, children)) == expected
 
 
 def test_transport_skips_class_members_below_the_domain():
