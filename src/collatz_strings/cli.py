@@ -11,11 +11,13 @@ memory exhausted).
 Each command handler is a generator: it checks its arguments, yields its
 findings as they are made and returns the summary.  `main` renders the
 records in batches of BATCH_RECORDS and writes each batch as it is made,
-so a report's size does not bound the memory of a run.  A run that stops
-with status 2 after the first batch has left that part of the report on
-stdout; `--output` goes through a temporary file beside the target that
-replaces it only once the summary is written, so a failed run leaves no
-report file.
+so a report's size does not bound the memory of a run.  `evolve` yields
+its part measurements as text, BATCH_RECORDS fixed-shape lines at a time
+(`reporting.render_parts`), which `main` writes as they come.  A run that
+stops with status 2 has left on stdout the whole records of the batches
+written before the error, a prefix of its report; `--output` goes through
+a temporary file beside the target that replaces it only once the summary
+is written, so a failed run leaves no report file.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import random
 import sys
 from collections.abc import Generator
-from itertools import islice
+from itertools import chain, islice
 
 from .core import (
     DEFAULT_WALK_LIMIT,
@@ -55,6 +57,7 @@ from .reporting import (
     header_record,
     render_csv,
     render_jsonl,
+    render_parts,
     summary_record,
 )
 from .strings import (
@@ -72,10 +75,11 @@ EXIT_ERROR = 2
 
 CHECKPOINT_DIR_ENV = "COLLATZ_STRINGS_CHECKPOINT_DIR"
 GRAPH_CAP = 10_000
-BATCH_RECORDS = 512  # an evolve finding holds about 1 KiB until its batch is written
+BATCH_RECORDS = 512  # records rendered and written at a time, evolve parts too
 
-# A handler yields finding records and returns the summary fields.
-Report = Generator[dict, None, dict]
+# A handler yields finding records, or text chunks of measurement records
+# it has rendered itself, and returns the summary fields.
+Report = Generator[dict | str, None, dict]
 
 
 def _resolve_checkpoint(path: str | None) -> str | None:
@@ -123,22 +127,23 @@ def cmd_strings(args) -> Report:
 
 
 def cmd_evolve(args) -> Report:
-    """One measurement per part as the walk yields it with its children;
-    the audit's rare violations are kept and follow the measurements."""
+    """Each batch of BATCH_RECORDS parts, as the walk yields them with their
+    children, is audited and yielded as one text chunk of measurement lines
+    in args.format; the audit's rare violations follow the measurements."""
     direction = args.direction
+    walk = _families(*PROCESSES[direction], args.generations)
     part_bad: list[Progression] = []
     bound_bad: list[tuple[Progression, Progression]] = []
     count = 0
-    for part, kids in _families(*PROCESSES[direction], args.generations):
-        a, b = part
-        yield {"record": "finding", "kind": "measurement", "location": f"part[{count}]",
-               "details": f"{{{a}+{b}t}}", "data": {"intercept": a, "interval": b}}
-        count += 1
-        if a >= b:
-            part_bad.append(part)
-        over = _over_bound(direction, part, kids)
-        if over:
-            bound_bad += [(part, child) for child in over]
+    while families := list(islice(walk, BATCH_RECORDS)):
+        for part, kids in families:
+            if part.intercept >= part.interval:
+                part_bad.append(part)
+            over = _over_bound(direction, part, kids)
+            if over:
+                bound_bad += [(part, child) for child in over]
+        yield render_parts([part for part, _ in families], count, args.format)
+        count += len(families)
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
                       {"intercept": part.intercept, "interval": part.interval})
@@ -426,22 +431,35 @@ def _report_stream(path: str | None):
         raise
 
 
-def _records(args) -> Generator[dict, None, None]:
+def _records(args) -> Generator[dict | str, None, None]:
     yield header_record(args.command, _config_dict(args))
     summary = yield from args.handler(args)
     yield summary_record(args.command, summary)
 
 
 def _write_report(args, out) -> bool:
-    """Stream the command's report to out; whether any finding failed."""
-    records = _records(args)
+    """Stream the command's report to out; whether any finding failed.
+
+    Dict records are rendered in batches of BATCH_RECORDS.  A text chunk,
+    records a handler has rendered in args.format itself, is written as it
+    is, after the records before it; its records are measurements.
+    """
     failed = False
     column_row = True
-    while batch := list(islice(records, BATCH_RECORDS)):
-        failed = failed or any(r.get("kind") in FAILING_KINDS for r in batch)
-        out.write(render_csv(batch, column_row) if args.format == "csv"
-                  else render_jsonl(batch))
-        column_row = False
+    batch: list[dict] = []
+    for record in chain(_records(args), ("",)):  # the empty chunk ends the last batch
+        if isinstance(record, dict):
+            batch.append(record)
+            if len(batch) < BATCH_RECORDS:
+                continue
+        if batch:
+            failed = failed or any(r.get("kind") in FAILING_KINDS for r in batch)
+            out.write(render_csv(batch, column_row) if args.format == "csv"
+                      else render_jsonl(batch))
+            column_row = False
+            batch = []
+        if isinstance(record, str):
+            out.write(record)
     return failed
 
 

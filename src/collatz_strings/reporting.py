@@ -5,6 +5,9 @@ JSON-lines is the primary format (one record per line, sorted keys, no
 timestamps, so identical runs are byte-identical); CSV is supported for
 flat summary tables.  Both render a report batch by batch to the same
 bytes as all at once, the CSV column row going with the first batch only.
+The measurement records of evolve's parts, a report's bulk, skip the
+encoders: render_parts fills one fixed-shape line per format with the
+same bytes.
 """
 
 from __future__ import annotations
@@ -84,3 +87,21 @@ def render_csv(records: list[dict], column_row: bool = True) -> str:
                       r.get("details", ""), next(texts) if data else ""]
                      for r, data in zip(records, payloads))
     return out.getvalue()
+
+
+# The measurement record of an evolve part {A+Bt} numbered I, as one
+# fixed-shape line per format: the bytes render_jsonl and render_csv (with
+# no column row) give finding("measurement", "part[I]", "{A+Bt}",
+# {"intercept": A, "interval": B}), filled in by %-formatting.
+_PART_JSONL = ('{"data":{"intercept":%d,"interval":%d},"details":"{%d+%dt}",'
+               '"kind":"measurement","location":"part[%d]","record":"finding"}\n')
+_PART_CSV = 'finding,measurement,part[%d],{%d+%dt},"{""intercept"":%d,""interval"":%d}"\n'
+
+
+def render_parts(parts: list[tuple[int, int]], start: int, fmt: str) -> str:
+    """The measurement lines of parts (intercept, interval) numbered from
+    start, in fmt ("jsonl" or "csv"), at about a fifth of the cost of
+    record dicts through the encoders."""
+    if fmt == "csv":
+        return "".join([_PART_CSV % (i, a, b, a, b) for i, (a, b) in enumerate(parts, start)])
+    return "".join([_PART_JSONL % (a, b, a, b, i) for i, (a, b) in enumerate(parts, start)])

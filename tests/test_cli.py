@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -15,6 +16,7 @@ import collatz_strings.strings as strings_module
 from collatz_strings import DEFAULT_WALK_LIMIT, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.reporting import (
+    FAILING_KINDS,
     finding,
     header_record,
     render_csv,
@@ -202,6 +204,126 @@ def test_evolve_memory_stays_flat(tmp_path):
         tracemalloc.stop()
     assert peak < 2 ** 20, peak
     assert len(records_of(out.read_text(encoding="utf-8"))) == 4096 + 2
+
+
+def reference_evolve_records(args):
+    """The records of an evolve run, a dict each, audited part by part:
+    through the encoders, the oracle of evolve's fixed-shape lines."""
+    direction = args.direction
+    yield header_record("evolve", cli_module._config_dict(args))
+    part_bad = []
+    bound_bad = []
+    count = 0
+    for part, kids in progressions_module._families(*strings_module.PROCESSES[direction],
+                                                    args.generations):
+        a, b = part
+        yield finding("measurement", f"part[{count}]", str(part),
+                      {"intercept": a, "interval": b})
+        count += 1
+        if a >= b:
+            part_bad.append(part)
+        bound_bad += [(part, child)
+                      for child in strings_module._over_bound(direction, part, kids)]
+    for part in part_bad:
+        yield finding("violation", str(part), "intercept not below interval",
+                      {"intercept": part.intercept, "interval": part.interval})
+    for parent, child in bound_bad:
+        yield finding("violation", str(child), "child intercept exceeds recursion bound",
+                      {"parent": str(parent), "child": str(child)})
+    yield summary_record("evolve", {
+        "direction": direction, "generation": args.generations,
+        "parts": count, "intercepts_ok": not part_bad and not bound_bad})
+
+
+def reference_evolve(argv):
+    """(exit code, report) of an evolve run, its dict records rendered in one shot."""
+    args = cli_module.build_parser().parse_args(argv)
+    records = list(reference_evolve_records(args))
+    code = 1 if any(r.get("kind") in FAILING_KINDS for r in records) else 0
+    return code, (render_csv if args.format == "csv" else render_jsonl)(records)
+
+
+COLUMN_ROW = "record,kind,location,details,data\n"
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_evolve_reports_equal_the_dict_record_oracle(tmp_path, capsys, direction, fmt):
+    # k = 9 is exactly one chunk of parts, k = 10 two
+    out = tmp_path / "r"
+    for k in range(13):
+        argv = ["evolve", "--direction", direction, "-k", str(k), "--format", fmt]
+        expected = reference_evolve(argv)
+        assert (main(argv + ["--output", str(out)]), out.read_text(encoding="utf-8")) \
+            == expected, k
+        if k in (9, 10):
+            assert (main(argv), capsys.readouterr().out) == expected, k
+        assert expected[1].count(COLUMN_ROW) == (fmt == "csv"), k
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_evolve_violations_follow_every_chunk(tmp_path, monkeypatch, fmt):
+    # from the seed {40+3t}, generation 10 has two parts with intercept >=
+    # interval and generation 11 also a child over the recursion bound; from
+    # {3+3t}, generation 10 has one part {3^11+3^11t}, intercept = interval
+    out = tmp_path / "r"
+    for seed, k, violations in (((40, 3), 10, 2), ((40, 3), 11, 3), ((3, 3), 10, 1)):
+        monkeypatch.setitem(strings_module.PROCESSES, "forward",
+                            ((Progression(*seed),), strings_module.FORWARD_MAPS))
+        argv = ["evolve", "--direction", "forward", "-k", str(k), "--format", fmt]
+        code, text = reference_evolve(argv)
+        assert main(argv + ["--output", str(out)]) == code == 1
+        assert out.read_text(encoding="utf-8") == text
+        lines = text.splitlines()
+        assert sum("violation" in line for line in lines[-violations - 1:]) == violations
+        assert text.count(COLUMN_ROW) == (fmt == "csv")
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_evolve_failing_mid_walk_writes_whole_records(tmp_path, monkeypatch, capsys, fmt):
+    argv = ["evolve", "--direction", "forward", "-k", "11", "--format", fmt]
+    expected = reference_evolve(argv)[1]
+    families = progressions_module._families
+
+    def failing(*walk):
+        for i, family in enumerate(families(*walk)):
+            if i == 2 * BATCH_RECORDS + 100:
+                raise ValueError("stop")
+            yield family
+
+    monkeypatch.setattr(cli_module, "_families", failing)
+    out = tmp_path / "r"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert os.listdir(tmp_path) == []
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: stop\n"
+    # the header (and column row) and the two chunks written before the error
+    head = 1 + (fmt == "csv") + 2 * BATCH_RECORDS
+    assert captured.out == "".join(expected.splitlines(keepends=True)[:head])
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the evolve report check at k = 18")
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_long_evolve_reports_equal_the_dict_record_oracle(tmp_path, direction, fmt):
+    # 2^18 dict records would take hundreds of MiB at once, so the oracle's
+    # report is rendered in batches, which give the bytes of one shot
+    argv = ["evolve", "--direction", direction, "-k", "18", "--format", fmt]
+    out = os.path.join(tmp_path, "r")
+    code = main(argv + ["--output", out])
+    records = reference_evolve_records(cli_module.build_parser().parse_args(argv))
+    digest = hashlib.sha256()
+    failed = False
+    column_row = True
+    while batch := list(islice(records, 4096)):
+        failed = failed or any(r.get("kind") in FAILING_KINDS for r in batch)
+        digest.update((render_csv(batch, column_row) if fmt == "csv"
+                       else render_jsonl(batch)).encode("utf-8"))
+        column_row = False
+    assert (code, _sha256_of(out)) == (int(failed), digest.hexdigest())
 
 
 def test_export_graph_has_no_format_option(tmp_path):

@@ -4,10 +4,19 @@ import json
 import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collatz_strings.checkpoint import load_checkpoint, save_checkpoint
-from collatz_strings.progressions import Signature, _first_gap_violation
-from collatz_strings.reporting import finding, header_record, render_csv, render_jsonl
+from collatz_strings.core import MAX_VALUE
+from collatz_strings.progressions import Progression, Signature, _first_gap_violation
+from collatz_strings.reporting import (
+    finding,
+    header_record,
+    render_csv,
+    render_jsonl,
+    render_parts,
+)
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -93,6 +102,14 @@ def test_rendering_matches_one_record_at_a_time():
     for batch in (records, records[1:2], records[2:3], records[3:], records[:1], []):
         assert render_jsonl(batch) == _one_at_a_time(batch, "jsonl")
         assert render_csv(batch) == _one_at_a_time(batch, "csv")
+
+
+@given(st.integers(1, MAX_VALUE), st.integers(1, MAX_VALUE), st.integers(min_value=0))
+def test_part_lines_equal_the_encoders(a, b, i):
+    rec = finding("measurement", f"part[{i}]", str(Progression(a, b)),
+                  {"intercept": a, "interval": b})
+    assert render_parts([Progression(a, b)], i, "jsonl") == render_jsonl([rec])
+    assert render_parts([Progression(a, b)], i, "csv") == render_csv([rec], column_row=False)
 
 
 def test_signature_validation():
