@@ -28,11 +28,11 @@ def main():
     report = partition_audit(limit)
     print(f"\npartition audit up to {limit}:")
     print(f"  positions checked : {report.positions_checked}")
-    print(f"  distinct chains   : {report.string_count}")
+    print(f"  distinct chains   : {report.strings}")
     print(f"  longest chain     : {report.longest_chain} positions")
     print(f"  truncated walks   : {len(report.truncated)}")
     print(f"  branch conflicts  : {len(report.conflicts)}")
-    assert report.ok
+    assert report.truncated == report.conflicts == ()
 
     print("\nfirst-passage sweep (every trajectory must cross 3 mod 4):")
     sweep = passage_sweep(2, 10 ** 6)

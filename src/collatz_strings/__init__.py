@@ -16,7 +16,6 @@ from .core import (
     base_equivalent,
     collatz_step,
     conjugate_step,
-    conjugate_step_casewise,
     higher_equivalent,
     inverse_lower_step,
     lower_step,

@@ -121,7 +121,7 @@ def cmd_strings(args) -> Report:
                       {"domain": list(domain), "image": list(image)})
     return {
         "limit": report.limit, "positions_checked": report.positions_checked,
-        "strings": report.string_count, "longest_chain": report.longest_chain,
+        "strings": report.strings, "longest_chain": report.longest_chain,
         "truncated": len(report.truncated), "conflicts": len(report.conflicts),
     }
 

@@ -94,19 +94,6 @@ def conjugate_step(x: int) -> int:
     return ((t >> j) + 1) >> 1
 
 
-def conjugate_step_casewise(x: int) -> int:
-    """Conjugate step evaluated through its closed branch forms.
-
-    Reduces x to its base equivalent, then applies the affine branch for
-    that base (even base 2+2m -> 3+3m, base 1+4m -> 1+3m).  Must agree
-    with conjugate_step everywhere; tests cross-assert the two routes.
-    """
-    base, _ = base_equivalent(x)
-    if base & 1 == 0:
-        return _checked(3 * base // 2)
-    return _checked((3 * base + 1) // 4)
-
-
 def higher_equivalent(x: int) -> int:
     """The next position sharing x's image under the conjugate step: 4x-1."""
     _require_position(x)
@@ -168,18 +155,10 @@ def inverse_lower_step(x: int) -> int | None:
     return None
 
 
-class TrajectoryReport(namedtuple("TrajectoryReport", "start steps_to_first_3mod4 "
-                                  "first_3mod4_value steps_to_one truncated")):
-    """First-passage data for one position iterated under the conjugate step.
-
-    The steps and the value are None where the walk never got there.
-    """
-
-    __slots__ = ()
-
-    @property
-    def hit_3mod4(self) -> bool:
-        return self.steps_to_first_3mod4 is not None
+# First-passage data for one position iterated under the conjugate step; the
+# steps and the value are None where the walk never got there.
+TrajectoryReport = namedtuple("TrajectoryReport", "start steps_to_first_3mod4 "
+                              "first_3mod4_value steps_to_one truncated")
 
 
 def trajectory_report(x: int, max_steps: int = DEFAULT_WALK_LIMIT) -> TrajectoryReport:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WIDTH_BITS, WidthExceededError, _checked
+from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, MAX_VALUE, WIDTH_BITS,
+                   WidthExceededError, _checked)
 from .progressions import Progression, evolve
 
 
@@ -238,12 +239,7 @@ def case_system(p: int) -> tuple[CaseRule, ...]:
 
 
 # mismatches: (domain, depth, expected, got) tuples
-class CaseAuditReport(namedtuple("CaseAuditReport", "p checked mismatches")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+CaseAuditReport = namedtuple("CaseAuditReport", "p checked mismatches")
 
 
 def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
@@ -254,16 +250,30 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
     For each rule instance (d -> i), bounded by domain value and/or index m,
     and each equivalence depth n <= n_limit, asserts
     family_step(equiv^n(d)) == i.  Mismatches are report content, not
-    exceptions.
+    exceptions.  Raises ValueError when the checks, counted before any is
+    made, are more than MAX_TREE_NODES.
     """
     if n_limit < 0:
         raise ValueError(f"n_limit must be >= 0, got {n_limit}")
+    if value_limit is None and m_limit is None:
+        raise ValueError("need value_limit or m_limit")
     if value_limit is not None and value_limit < 1:
         raise ValueError(f"value_limit must be >= 1, got {value_limit}")
     if m_limit is not None and m_limit < 0:
         raise ValueError(f"m_limit must be >= 0, got {m_limit}")
     if rules is None:
         rules = case_system(family.p)
+    instances = 0  # a one-off rule counts 1, a progression rule its bounded instances
+    for offset, stride, _, _ in rules:
+        bounds = [1] if not stride else [] if m_limit is None else [m_limit + 1]
+        if stride and value_limit is not None:
+            bounds.append(max(0, (value_limit - offset) // stride + 1))
+        instances += min(bounds)
+    checks = instances * (n_limit + 1)
+    if checks > MAX_TREE_NODES:
+        from decimal import Decimal  # formats counts beyond the range of a float
+        raise ValueError(f"the case audit needs about {Decimal(checks):.2g} checks, "
+                         f"above the cap of {MAX_TREE_NODES:.0e}")
     mismatches: list[tuple[int, int, int, int]] = []
     checked = 0
     for rule in rules:
@@ -280,13 +290,8 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
 
 
 # rejected_seeds: seeds whose walk hit a nonpositive image
-class CycleSearchReport(namedtuple("CycleSearchReport",
-                                   "p seed_limit cycles truncated_seeds rejected_seeds")):
-    __slots__ = ()
-
-    @property
-    def cycle_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.cycles)
+CycleSearchReport = namedtuple("CycleSearchReport",
+                               "p seed_limit cycles truncated_seeds rejected_seeds")
 
 
 def find_cycles(family: Family, seed_limit: int,
@@ -325,13 +330,8 @@ TWO_TO_ONE_MAPS = branch_maps(Family(3))
 # count_violations: (position, observed count); pairing_violations:
 # (image, first, second); conflicts: (domain, image, problem) for each
 # broken premise of TWO_TO_ONE_MAPS, (None, None, problem) for a gap
-class TwoToOneReport(namedtuple("TwoToOneReport",
-                                "limit count_violations pairing_violations conflicts")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.count_violations and not self.pairing_violations and not self.conflicts
+TwoToOneReport = namedtuple("TwoToOneReport",
+                            "limit count_violations pairing_violations conflicts")
 
 
 def two_to_one_audit(limit: int) -> TwoToOneReport:
@@ -363,16 +363,7 @@ def two_to_one_audit(limit: int) -> TwoToOneReport:
 OrphanRecord = namedtuple("OrphanRecord", "position direction reason cycle")
 
 
-class StringScanReport(namedtuple("StringScanReport", "p limit scanned orphans")):
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.orphans
-
-    @property
-    def orphan_positions(self) -> tuple[int, ...]:
-        return tuple(sorted({o.position for o in self.orphans}))
+StringScanReport = namedtuple("StringScanReport", "p limit scanned orphans")
 
 
 def string_scan(family: Family, limit: int,

@@ -100,22 +100,15 @@ def transport(part: Progression, src: Progression, dst: Progression) -> Progress
     return image and image[0]
 
 
-def children(part: Progression,
-             maps: tuple[tuple[Progression, Progression], ...]) -> list[Progression]:
-    """part's transports through every (domain, image) map, in map order;
-    a part with no member in some branch domain raises ValueError."""
-    return next(_families((part,), maps, 0))[1]
-
-
 def evolve(seeds: tuple[Progression, ...],
            maps: tuple[tuple[Progression, Progression], ...],
            generation: int) -> Iterator[Progression]:
     """Generation k of seeds under (domain, image) branch maps, as ordered parts.
 
-    Each part is replaced by its children (see `children`), in the order of
-    maps, depth first.  A part that misses a branch raises ValueError when
-    the walk reaches it; a negative generation, or one of more than
-    MAX_TREE_NODES parts, raises at the call.
+    Each part is replaced by its transports through every map, in the
+    order of maps, depth first.  A part that misses a branch raises
+    ValueError when the walk reaches it; a negative generation, or one of
+    more than MAX_TREE_NODES parts, raises at the call.
     """
     seeds, maps = tuple(seeds), tuple(maps)
     _require_parts(seeds, maps, generation)
@@ -133,7 +126,8 @@ def _require_parts(seeds, maps, generation: int) -> None:
 
 
 def _families(seeds, maps, generation):
-    """Yield (part, its children) for each part of generation k, in order;
+    """Yield (part, its children) for each part of generation k, in order,
+    the children being part's transports through every map in map order;
     checks generation as `evolve` does, when the walk starts."""
     _require_parts(seeds, maps, generation)
     images = _kernel(maps)

@@ -47,25 +47,8 @@ def summary_record(command: str, summary: dict) -> dict:
     return {"record": "summary", "command": command, **summary}
 
 
-def _encode_joined(dicts: list[dict], sep: str) -> str:
-    """The JSON texts of dicts, joined by sep.
-
-    One encoder call renders the whole list, at about half the cost of a
-    call per dict: the list's text is the dicts' texts joined by ",", so
-    when "},{" occurs in it exactly len(dicts)-1 times, those are the
-    joins.  A string or a list of dicts inside a record can hold "},{"
-    too, and then each dict is encoded on its own.
-    """
-    if not dicts:
-        return ""
-    text = _ENCODER.encode(dicts)
-    if text.count("},{") == len(dicts) - 1:
-        return text[1:-1].replace("},{", "}" + sep + "{")
-    return sep.join(map(_ENCODER.encode, dicts))
-
-
 def render_jsonl(records: list[dict]) -> str:
-    return _encode_joined(records, "\n") + "\n" if records else ""
+    return "".join([_ENCODER.encode(r) + "\n" for r in records])
 
 
 def render_csv(records: list[dict], column_row: bool = True) -> str:
@@ -78,14 +61,11 @@ def render_csv(records: list[dict], column_row: bool = True) -> str:
     writer = csv.writer(out, lineterminator="\n")
     if column_row:
         writer.writerow(["record", "kind", "location", "details", "data"])
-    payloads = [r.get("data") or {k: v for k, v in r.items()
-                                  if k not in ("record", "kind", "location", "details")}
-                for r in records]
-    # JSON text holds no raw newline, so the joined payloads split back exactly
-    texts = iter(_encode_joined([data for data in payloads if data], "\n").split("\n"))
-    writer.writerows([r.get("record", ""), r.get("kind", ""), r.get("location", ""),
-                      r.get("details", ""), next(texts) if data else ""]
-                     for r, data in zip(records, payloads))
+    for r in records:
+        data = r.get("data") or {k: v for k, v in r.items()
+                                 if k not in ("record", "kind", "location", "details")}
+        writer.writerow([r.get("record", ""), r.get("kind", ""), r.get("location", ""),
+                         r.get("details", ""), _ENCODER.encode(data) if data else ""])
     return out.getvalue()
 
 

@@ -36,7 +36,7 @@ from .core import (
     lower_step,
 )
 from .family import Family, branch_maps
-from .progressions import Progression, children, evolve
+from .progressions import Progression, _families, evolve
 
 FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
 BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
@@ -60,8 +60,8 @@ def interval_weight(parts: Iterable[Progression]) -> Fraction:
 def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progression]]:
     """Whether part's intercept is not below its interval, and its children
     that break the recursion bound (see `_over_bound`)."""
-    return part.intercept >= part.interval, _over_bound(
-        direction, part, children(part, PROCESSES[direction][1]))
+    kids = next(_families((part,), PROCESSES[direction][1], 0))[1]
+    return part.intercept >= part.interval, _over_bound(direction, part, kids)
 
 
 def _over_bound(direction: str, part: Progression, kids: list[Progression]) -> list[Progression]:
@@ -125,19 +125,11 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     return CoverageCount(direction, m, window_start, included, window - included)
 
 
-class StringRecord(namedtuple("StringRecord", "head tail length elements "
-                              "truncated_backward truncated_forward")):
-    """One chain of the one-to-one map, from head (2 mod 3) to end (3 mod 4).
-
-    elements is None only when a walk truncated; head/tail are None on the
-    truncated side.
-    """
-
-    __slots__ = ()
-
-    @property
-    def complete(self) -> bool:
-        return not (self.truncated_backward or self.truncated_forward)
+# One chain of the one-to-one map, from head (2 mod 3) to end (3 mod 4).
+# elements is None only when a walk truncated; head/tail are None on the
+# truncated side.
+StringRecord = namedtuple("StringRecord", "head tail length elements "
+                          "truncated_backward truncated_forward")
 
 
 def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT) -> StringRecord:
@@ -174,16 +166,8 @@ class PartitionAuditReport(namedtuple("PartitionAuditReport",
     __slots__ = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.truncated and not self.conflicts
-
-    @property
     def positions_checked(self) -> int:
         return self.limit - 1
-
-    @property
-    def string_count(self) -> int:
-        return self.strings
 
 
 def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:

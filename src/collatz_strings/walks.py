@@ -17,10 +17,10 @@ own.  Values below a small bound `low`, where the family's one-off
 positions lie, go one member at a time: the smallest member is peeled
 off the class.  A cycle can close while a member still shares its class,
 where it is not seen; such a member truncates, or finds the same cycle a
-lap later.  So a walk that truncates after s > 0 steps in a class is
-walked again from its start; a member on its own reads a cycle off its
-path.  A class step raises WidthExceededError when any member would
-leave the working range, as its own walk would.
+lap later.  So a walk that truncates in a class is walked again from its
+start; a member on its own reads a cycle off its path.  A class step
+raises WidthExceededError when any member would leave the working range,
+as its own walk would.
 """
 
 from __future__ import annotations
@@ -136,12 +136,8 @@ def forward_walk(family, starts, max_steps: int, dip: bool):
                 half = c >> 1
                 stack.append((a + m, 2 * m, half, b + n, 2 * n, s))
                 m, c, n = 2 * m, c - half, 2 * n
-            elif s >= max_steps:
-                members = range(a, a + m * c, m)
-                if s:
-                    stack.extend((x, 1, 1, x, 1, 0) for x in members)
-                else:
-                    yield from ((x, "truncated", None) for x in members)
+            elif s >= max_steps:  # each member walks again on its own
+                stack.extend((x, 1, 1, x, 1, 0) for x in range(a, a + m * c, m))
                 c = 0
             else:
                 _checked(t + 6 * n * (c - 1))
@@ -197,12 +193,8 @@ def backward_walk(family, starts, max_len: int):
                 stack += [(a + i * m, 3 * m, (c - i + 2) // 3, b + i * n, 3 * n, s)
                           for i in (1, 2) if c > i]
                 m, c, n = 3 * m, (c + 2) // 3, 3 * n
-            elif s >= max_len:
-                members = range(a, a + m * c, m)
-                if s:
-                    stack.extend((x, 1, 1, x, 1, 0) for x in members)
-                else:
-                    yield from ((x, "truncated", None) for x in members)
+            elif s >= max_len:  # each member walks again on its own
+                stack.extend((x, 1, 1, x, 1, 0) for x in range(a, a + m * c, m))
                 c = 0
             elif b % 3 not in branches:  # every member is a head
                 c = 0

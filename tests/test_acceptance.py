@@ -61,7 +61,7 @@ def test_criterion_1_passage_claim():
         assert elapsed < 10.0, f"sweep took {elapsed:.1f}s"
         # the largest start the original simulation reached, as one trajectory
         anchor = trajectory_report(159902416)
-        assert anchor.hit_3mod4 and anchor.first_3mod4_value % 4 == 3
+        assert anchor.steps_to_first_3mod4 is not None and anchor.first_3mod4_value % 4 == 3
 
 
 def test_criterion_1_long_mode():
@@ -145,14 +145,14 @@ def test_criterion_6_generalized_case_systems():
                                            23, 25, 27, 31, 33, 37, -1}
         for p in CASE_SYSTEM_PARAMS:
             report = audit_case_system(Family(p), value_limit=10 ** 4, n_limit=4)
-            assert report.ok, (p, report.mismatches[:3])
+            assert report.mismatches == (), (p, report.mismatches[:3])
 
 
 def test_criterion_7_cycles():
     with verdict(7, "family cycle inventories"):
-        assert find_cycles(Family(1), 1000).cycle_set == {(1,)}
-        assert (3, 4) in find_cycles(Family(-1), 1000).cycle_set
-        assert (1,) in find_cycles(Family(5), 1000).cycle_set
+        assert find_cycles(Family(1), 1000).cycles == ((1,),)
+        assert (3, 4) in find_cycles(Family(-1), 1000).cycles
+        assert (1,) in find_cycles(Family(5), 1000).cycles
 
 
 def test_criterion_8_two_to_one():

@@ -13,7 +13,7 @@ import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
 import collatz_strings.strings as strings_module
-from collatz_strings import DEFAULT_WALK_LIMIT, Progression
+from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.reporting import (
     FAILING_KINDS,
@@ -68,7 +68,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  "--checkpoint", ck]) == 2
     assert not os.path.exists(ck)
     capsys.readouterr()
-    exact = {("family-audit", "-p", "39"): "error: no transcribed system for p=39\n"}
+    huge_value = ("family-audit", "-p", "5", "--value-limit", str(MAX_VALUE), "--n-limit", "0")
+    exact = {("family-audit", "-p", "39"): "error: no transcribed system for p=39\n",
+             huge_value: "error: the case audit needs about 2.6e+38 checks, "
+                         "above the cap of 1e+08\n"}
     for argv in (["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
                  ["cycles", "-p", "5", "--seed-limit", "5", "--max-steps", "-1"],
@@ -81,6 +84,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
                  ["family-audit", "-p", "7", "--m-limit", "-1"],
                  ["family-audit", "-p", "39"],
+                 list(huge_value),
+                 ["family-audit", "-p", "5", "--m-limit", str(10 ** 29)],
                  ["strings", "--limit", str(10 ** 29)],
                  ["strings", "--limit", str(10 ** 12)],
                  ["scan", "-p", "5", "--limit", str(10 ** 29)],

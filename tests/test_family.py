@@ -2,7 +2,7 @@ import os
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import collatz_strings.family as family_module
@@ -189,7 +189,7 @@ def test_case_system_spot_values():
 def test_audit_every_published_system():
     for p in CASE_SYSTEM_PARAMS:
         report = audit_case_system(Family(p), value_limit=2000, n_limit=4)
-        assert report.ok, (p, report.mismatches[:3])
+        assert report.mismatches == (), (p, report.mismatches[:3])
         assert report.checked > 0
 
 
@@ -198,7 +198,7 @@ def test_audit_detects_a_wrong_rule():
 
     bad = (CaseRule(1, 2, 4, 3),)  # p=7 maps 1+2m to 3+3m, not 4+3m
     report = audit_case_system(Family(7), bad, value_limit=50, n_limit=1)
-    assert not report.ok
+    assert report.mismatches
 
 
 def test_unlisted_system_raises():
@@ -326,6 +326,8 @@ CYCLE_PARAMS = sorted(set(CASE_SYSTEM_PARAMS) | {-3, -11, -25, 39, 81})
 @given(p=st.sampled_from(CYCLE_PARAMS), seed_limit=st.integers(1, 3000),
        max_steps=st.sampled_from([0, 1, 2, 3, 5, 8, DEFAULT_WALK_LIMIT]))
 @settings(max_examples=60, deadline=None)
+@example(p=5, seed_limit=3000, max_steps=0)  # classes truncate at s = 0
+@example(p=9, seed_limit=3000, max_steps=0)
 def test_find_cycles_matches_reference_walks(p, seed_limit, max_steps):
     family = Family(p)
     assert tuple(find_cycles(family, seed_limit, max_steps)) == \
@@ -337,7 +339,7 @@ def test_find_cycles_sees_a_cycle_close_inside_a_class():
     # while it still shares a residue class with other seeds
     report = find_cycles(Family(-11), 50, max_steps=2)
     assert tuple(report) == reference_cycles(Family(-11), 50, 2)
-    assert (28, 39) in report.cycle_set
+    assert (28, 39) in report.cycles
     assert 28 not in report.truncated_seeds
 
 
@@ -352,20 +354,20 @@ def test_long_cycles_match_reference_walks():
 
 def test_find_cycles_p1_exactly_the_loop():
     report = find_cycles(Family(1), 1000)
-    assert report.cycle_set == {(1,)}
+    assert report.cycles == ((1,),)
     assert report.truncated_seeds == ()
 
 
 def test_find_cycles_3n_minus_1():
     report = find_cycles(Family(-1), 1000)
-    assert (3, 4) in report.cycle_set
-    assert (1,) in report.cycle_set
+    assert (3, 4) in report.cycles
+    assert (1,) in report.cycles
 
 
 def test_find_cycles_p5():
     report = find_cycles(Family(5), 1000)
-    assert (1,) in report.cycle_set
-    assert (3,) in report.cycle_set  # the built-in fixed point
+    assert (1,) in report.cycles
+    assert (3,) in report.cycles  # the built-in fixed point
 
 
 def test_cycles_are_canonical_and_closed():
@@ -382,7 +384,7 @@ def test_two_to_one_examples():
     assert family_step(1, fam) == 2 and family_step(2, fam) == 2
     assert family_step(3, fam) == 5 and family_step(6, fam) == 5
     report = two_to_one_audit(10 ** 4)
-    assert report.ok
+    assert report.count_violations == report.pairing_violations == report.conflicts == ()
 
 
 def list_two_to_one_audit(limit, step=None):
@@ -428,7 +430,7 @@ def test_two_to_one_matches_list_reference(limit):
 def test_long_two_to_one_matches_list_reference():
     report = two_to_one_audit(10 ** 7)
     assert report == (10 ** 7, *list_two_to_one_audit(10 ** 7), ())
-    assert report.ok
+    assert report.count_violations == report.pairing_violations == report.conflicts == ()
 
 
 def table_step(maps):
@@ -493,7 +495,7 @@ def test_two_to_one_violations_match_list_reference(monkeypatch):
             assert report.conflicts == conflicts
             assert (report.count_violations, report.pairing_violations) == \
                 list_two_to_one_audit(limit, table_step(table)), (table, limit)
-            assert not report.ok
+            assert report.count_violations or report.pairing_violations or report.conflicts
 
 
 def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
@@ -501,7 +503,7 @@ def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
         monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", table)
         report = two_to_one_audit(3000)
         assert report == (3000, (), (), conflicts)
-        assert not report.ok
+        assert report.count_violations or report.pairing_violations or report.conflicts
 
 
 def test_two_to_one_checks_the_table_against_family_step(monkeypatch):
@@ -510,27 +512,27 @@ def test_two_to_one_checks_the_table_against_family_step(monkeypatch):
     monkeypatch.setattr(family_module, "family_step", lambda x, family: step(x, family) + 3)
     report = two_to_one_audit(3000)
     assert report == (3000, (), (), ((*ODD3, DISAGREES), (*EVEN3, DISAGREES)))
-    assert not report.ok
+    assert report.count_violations or report.pairing_violations or report.conflicts
 
 
 def test_string_scan_p1_clean():
     report = string_scan(Family(1), 10 ** 4)
-    assert report.ok
+    assert report.orphans == ()
     assert report.scanned == 10 ** 4 - 1  # the fixed point is skipped
 
 
 def test_string_scan_3n_minus_1_orphans():
     report = string_scan(Family(-1), 10 ** 4)
-    assert 3 in report.orphan_positions
-    assert 4 in report.orphan_positions
+    assert 3 in {o.position for o in report.orphans}
+    assert 4 in {o.position for o in report.orphans}
     cycle_orphans = {o.position: o for o in report.orphans if o.reason == "cycle"}
     assert cycle_orphans[3].cycle == (3, 4)
 
 
 def test_string_scan_p5_orphans_include_the_loop():
     report = string_scan(Family(5), 10 ** 4)
-    assert 1 in report.orphan_positions
-    assert 3 not in report.orphan_positions  # trivial fixed point is skipped
+    assert 1 in {o.position for o in report.orphans}
+    assert 3 not in {o.position for o in report.orphans}  # trivial fixed point is skipped
 
 
 def _reference_walk(x, family, direction, max_len):
@@ -609,6 +611,8 @@ def test_scan_work_estimate_uses_the_scan_count(monkeypatch):
        limit=st.integers(1, 3000),
        max_len=st.sampled_from([0, 1, 2, 3, 4, 5, DEFAULT_WALK_LIMIT]))
 @settings(max_examples=40, deadline=None)
+@example(p=5, limit=3000, max_len=0)  # classes truncate at s = 0
+@example(p=9, limit=3000, max_len=0)
 def test_memoized_scan_matches_reference_walks(p, limit, max_len):
     family = Family(p)
     assert string_scan(family, limit, max_len).orphans == reference_scan(family, limit, max_len)
@@ -694,7 +698,7 @@ def test_exceptional_positions_examples():
 
 def test_audit_accepts_index_bound():
     report = audit_case_system(Family(7), m_limit=1000, n_limit=2)
-    assert report.ok
+    assert report.mismatches == ()
     # both bounds together: the tighter one wins per rule
     small = audit_case_system(Family(7), value_limit=100, m_limit=3, n_limit=0)
     assert small.checked == 4 + 4 + 1  # two progressive rules (m<=3) + one-off
@@ -703,8 +707,8 @@ def test_audit_accepts_index_bound():
 def test_string_scan_survives_strongly_negative_families():
     # positions whose step would go nonpositive are findings, not crashes
     report = string_scan(Family(-5), 300)
-    assert not report.ok
-    assert 1 in report.orphan_positions
+    assert report.orphans
+    assert 1 in {o.position for o in report.orphans}
 
 
 @pytest.mark.parametrize("p,limit,rejected", [

@@ -92,8 +92,8 @@ def _one_at_a_time(records, fmt):
 
 
 def test_rendering_matches_one_record_at_a_time():
-    # batches render in one encoder call; a "},{" inside a string or in a
-    # list of dicts must not be taken for the join between two records
+    # a batch renders to the bytes of its records one at a time, also for
+    # records holding "},{" in a string or between dicts in a list
     records = [header_record("demo", {"b": 1, "a": 2}),
                finding("measurement", "a},{b", "value", {"z": 1, "a": 2}),
                finding("violation", "7", "pairs", {"cells": [{"a": 1}, {"b": 2}]}),

@@ -238,7 +238,7 @@ def test_singleton_string():
 def test_string_record_structure():
     for x in (2, 6, 12, 17, 100, 731):
         record = build_string_containing(x)
-        assert record.complete
+        assert not (record.truncated_backward or record.truncated_forward)
         assert record.elements[0] == record.head and record.elements[-1] == record.tail
         assert record.head % 3 == 2
         assert record.tail % 4 == 3
@@ -256,14 +256,14 @@ def test_string_excludes_the_fixed_point():
 
 def test_string_truncation_is_reported():
     record = build_string_containing(64, max_len=1)
-    assert not record.complete
+    assert record.truncated_backward or record.truncated_forward
     assert record == StringRecord(None, None, 2, None, True, False)
     assert build_string_containing(2, max_len=1) == StringRecord(2, None, 2, None, False, True)
 
 
 def test_partition_covers_small_range_exactly_once():
     report = partition_audit(27)
-    assert report.ok
+    assert report.truncated == report.conflicts == ()
     owner = {}
     for x in range(2, 28):
         record = build_string_containing(x)
@@ -276,9 +276,9 @@ def test_partition_covers_small_range_exactly_once():
 
 def test_partition_audit_clean_at_10k():
     report = partition_audit(10 ** 4)
-    assert report.ok
+    assert report.truncated == report.conflicts == ()
     assert report.positions_checked == 10 ** 4 - 1
-    assert report.string_count > 2000
+    assert report.strings > 2000
 
 
 def test_partition_audit_memory_holds_one_head_set():
@@ -291,7 +291,7 @@ def test_partition_audit_memory_holds_one_head_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.ok
+    assert report.truncated == report.conflicts == ()
     assert peak < 2 ** 20
 
 
@@ -389,7 +389,7 @@ def test_partition_audit_conflicts_match_dict_reference(monkeypatch, max_len):
         monkeypatch.setattr(strings_module, "FORWARD_MAPS", table)
         report = partition_audit(3000, walk)
         assert report == (3000, 0, (), conflicts, 0)
-        assert not report.ok
+        assert report.truncated or report.conflicts
 
 
 def test_partition_audit_many_conflicts_stay_linear(monkeypatch):
@@ -448,7 +448,7 @@ def test_passage_sweep_agrees_with_trajectory_report():
     total = 0
     for x in range(2, 501):
         tr = trajectory_report(x)
-        assert tr.hit_3mod4
+        assert tr.steps_to_first_3mod4 is not None
         total += tr.steps_to_first_3mod4
     assert report.total_steps == total
     assert trajectory_report(2).steps_to_first_3mod4 == 1
