@@ -8,12 +8,10 @@ power-of-two recurrence of the branch classes.
 """
 
 from collatz_strings import (
-    accelerated_step,
     base_equivalent,
     conjugate_step,
     higher_equivalent,
     lower_step,
-    odd_of,
     restriction_index,
 )
 
@@ -21,13 +19,16 @@ from collatz_strings import (
 def main():
     print("positions and their odd values:")
     for x in range(1, 7):
-        print(f"  position {x} holds odd value {odd_of(x)}")
+        print(f"  position {x} holds odd value {2 * x - 1}")
 
     print("\none accelerated step, seen from both coordinates:")
     for x in (1, 2, 3, 4, 5, 6, 7):
-        n = odd_of(x)
-        image, halvings = accelerated_step(n)
-        print(f"  {n} -> 3n+1 = {3 * n + 1} -> /2^{halvings} = {image}"
+        n = 2 * x - 1
+        t = 3 * n + 1
+        halvings = (t & -t).bit_length() - 1  # the factors of two in t
+        image = t >> halvings
+        assert conjugate_step(x) == (image + 1) // 2
+        print(f"  {n} -> 3n+1 = {t} -> /2^{halvings} = {image}"
               f"   i.e. position {x} -> {conjugate_step(x)}")
 
     print("\nthe same map through its closed branch forms "

@@ -7,11 +7,13 @@ intercept stays below its interval, any window of the right length meets
 each generation in exactly the predicted number of positions.
 """
 
+import os
 from fractions import Fraction
 
 from collatz_strings import coverage_count, expected_coverage
+from collatz_strings.cli import EXIT_OK, main as run_command
 from collatz_strings.progressions import evolve
-from collatz_strings.strings import PROCESSES, audit_part, interval_weight
+from collatz_strings.strings import PROCESSES
 
 
 def generation(direction, k):
@@ -35,13 +37,14 @@ def main():
     print("\nintercepts stay below intervals through generation 12:")
     for k in range(13):
         for direction in PROCESSES:
-            for part in generation(direction, k):
-                assert audit_part(direction, part) == (False, [])
+            # evolve audits every part it reports; exit 0 means all held
+            argv = ["evolve", "--direction", direction, "-k", str(k), "--output", os.devnull]
+            assert run_command(argv) == EXIT_OK
     print("  audited: all clear")
 
     print("\nbackward generations keep exact density 3^k/4^(k+1):")
     for k in range(5):
-        weight = interval_weight(generation("backward", k))
+        weight = sum(Fraction(1, p.interval) for p in generation("backward", k))
         assert weight == Fraction(3 ** k, 4 ** (k + 1))
         print(f"  generation {k}: sum of 1/interval = {weight}")
 

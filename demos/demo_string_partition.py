@@ -9,14 +9,19 @@ positions back to their heads and forward to their ends, and confirms the
 runs tile everything above the fixed point, none of them truncated.
 """
 
-from collatz_strings import build_string_containing, partition_audit, passage_sweep
+from collatz_strings import inverse_lower_step, lower_step, partition_audit, passage_sweep
 
 
 def show_chain(x):
-    record = build_string_containing(x)
-    arrow = " -> ".join(str(e) for e in record.elements)
-    print(f"  chain through {x:>3}: {arrow}"
-          f"   (head {record.head}, end {record.tail})")
+    head = x
+    while head % 3 != 2:  # back to the head, where nothing maps
+        head = inverse_lower_step(head)
+    chain = [head]
+    while chain[-1] % 4 != 3:  # forward to the end, which maps nowhere
+        chain.append(lower_step(chain[-1]))
+    assert x in chain
+    arrow = " -> ".join(str(e) for e in chain)
+    print(f"  chain through {x:>3}: {arrow}   (head {head}, end {chain[-1]})")
 
 
 def main():

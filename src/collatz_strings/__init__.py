@@ -12,15 +12,11 @@ from .core import (
     DEFAULT_WALK_LIMIT,
     MAX_VALUE,
     WidthExceededError,
-    accelerated_step,
     base_equivalent,
-    collatz_step,
     conjugate_step,
     higher_equivalent,
     inverse_lower_step,
     lower_step,
-    odd_of,
-    position_of,
     restriction_index,
     trajectory_report,
 )
@@ -34,8 +30,6 @@ from .family import (
     case_system,
     exceptional_positions,
     family_equivalent,
-    family_equivalent_n,
-    family_evolve_forward,
     family_step,
     find_cycles,
     lower_preimages,
@@ -49,11 +43,9 @@ from .progressions import (
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
-    sampling_lemma_check,
 )
 from .strings import (
     SweepReport,
-    build_string_containing,
     coverage_count,
     expected_coverage,
     partition_audit,

@@ -33,8 +33,11 @@ def save_checkpoint(path: str, payload: dict) -> None:
 
 def load_checkpoint(path: str) -> dict:
     """Read a checkpoint, validating format and version."""
-    with open(path, "r", encoding="ascii") as fh:
-        record = json.loads(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            record = json.loads(fh.read())
+    except RecursionError:  # nested deeper than the parser's stack: no checkpoint
+        record = None
     if not isinstance(record, dict) or record.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     if record.get("version") != CHECKPOINT_VERSION:

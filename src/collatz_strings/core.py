@@ -44,49 +44,11 @@ def _require_position(x: int) -> None:
         raise WidthExceededError(f"position exceeds the {WIDTH_BITS}-bit working range")
 
 
-def _require_odd(n: int) -> None:
-    if n < 1 or n & 1 == 0:
-        raise ValueError(f"expected a positive odd integer, got {n}")
-    if n > MAX_VALUE:
-        raise WidthExceededError(f"value exceeds the {WIDTH_BITS}-bit working range")
-
-
-def collatz_step(n: int) -> int:
-    """One step of the classic map: n/2 for even n, 3n+1 for odd n."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    if n > MAX_VALUE:
-        raise WidthExceededError(f"value exceeds the {WIDTH_BITS}-bit working range")
-    if n & 1 == 0:
-        return n >> 1
-    return _checked(3 * n + 1)
-
-
-def accelerated_step(n: int) -> tuple[int, int]:
-    """Map odd n to the odd part of 3n+1.  Returns (result, halvings)."""
-    _require_odd(n)
-    t = _checked(3 * n + 1)
-    j = (t & -t).bit_length() - 1
-    return t >> j, j
-
-
-def position_of(n: int) -> int:
-    """Position of an odd integer in the odd enumeration: (n+1)/2."""
-    _require_odd(n)
-    return (n + 1) >> 1
-
-
-def odd_of(x: int) -> int:
-    """Odd integer sitting at position x: 2x-1.  Inverse of position_of."""
-    _require_position(x)
-    return _checked(2 * x - 1)
-
-
 def conjugate_step(x: int) -> int:
     """Accelerated step transported to positions.
 
-    Computed by the defining composition position_of(accelerated(odd_of(x))),
-    folded into plain integer arithmetic on x.
+    The position (n+1)/2 of the odd part n of 3(2x-1)+1, the accelerated
+    step of the odd value 2x-1 at position x, in plain integer arithmetic.
     """
     _require_position(x)
     t = _checked(6 * x - 2)  # = 3*(2x-1) + 1
@@ -103,8 +65,8 @@ def higher_equivalent(x: int) -> int:
 def base_equivalent(x: int) -> tuple[int, int]:
     """Strip lower equivalents from x until none remain.
 
-    Returns (base, depth) with base either even or 1 mod 4, and
-    family_equivalent_n(base, depth, Family(1)) == x.  Terminates because
+    Returns (base, depth) with base either even or 1 mod 4, and x the
+    depth-fold higher_equivalent of base.  Terminates because
     each strip strictly decreases the position.
     """
     _require_position(x)

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, MAX_VALUE, WIDTH_BITS,
                    WidthExceededError, _checked)
-from .progressions import Progression, evolve
+from .progressions import Progression
 
 
 class NonpositiveImageError(ValueError):
@@ -80,17 +80,6 @@ def family_equivalent(x: int, family: Family) -> int:
     if result < 1:
         raise ValueError(f"4x+q is {result}; p={family.p} has no equivalent of {x}")
     return result
-
-
-def family_equivalent_n(x: int, count: int, family: Family) -> int:
-    """count-fold family_equivalent; count=0 returns x."""
-    if x < 1:
-        raise ValueError(f"position must be >= 1, got {x}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    for _ in range(count):
-        x = family_equivalent(x, family)
-    return x
 
 
 def branch_maps(family: Family) -> tuple[tuple[Progression, Progression], ...]:
@@ -401,29 +390,3 @@ def string_scan(family: Family, limit: int,
     scanned = limit - (1 if trivial <= limit else 0)
     return StringScanReport(p, limit, scanned, tuple(OrphanRecord(*o) for o in orphans))
 
-
-def family_evolve_forward(family: Family, generation: int) -> tuple[Progression, ...]:
-    """Forward chain evolution for a generalized family.
-
-    Starts from the family's head classes and pushes every part through
-    both lower branches, dropping the equivalent class.  Requires a family
-    whose equivalent residue class contains no exceptional positions
-    (p in {-1, 1, 3}, among small parameters), so that dropping the class
-    drops only true chain ends, and whose branch domains start at their
-    residue (for p <= -5 the smallest members have no image); anything
-    else would silently misplace those positions.
-    """
-    if generation < 0:
-        raise ValueError(f"generation must be >= 0, got {generation}")
-    maps = branch_maps(family)
-    if exceptional_positions(family) or any(dom.intercept > dom.interval
-                                            for dom, _ in maps):
-        raise ValueError(
-            f"p={family.p} has exceptional or rejected positions; its evolution is "
-            "not a plain two-branch progression process"
-        )
-    if family.p % 3 == 0:
-        seeds: tuple[Progression, ...] = (Progression(1, 3), Progression(3, 3))
-    else:
-        seeds = (Progression(2, 3),)
-    return tuple(evolve(seeds, maps, generation))

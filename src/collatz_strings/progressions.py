@@ -4,11 +4,9 @@ The objects of study are half-open progressions {a + b*t : t >= 0}.  The
 conjugate step and its inverse act on such sets branch by branch: each
 branch sends one progression onto another member by member (2+2m -> 3+3m
 and 1+4m -> 1+3m forwards), turning an interval b into 3b/2 or 3b/4
-forwards and 2b/3 or 4b/3 backwards.  This module provides the transport
-of a progression through one such branch map (an exact residue
-intersection) and the generation loop built on it, the co-prime
-sampling check that keeps the recurrence bookkeeping honest, and the
-branch-signature recurrence search.
+forwards and 2b/3 or 4b/3 backwards.  This module provides the generation
+loop that transports progressions through such branch maps (an exact
+residue intersection per map) and the branch-signature recurrence search.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -56,8 +54,11 @@ class Progression(namedtuple("Progression", "intercept interval")):
 
 
 def _kernel(maps):
-    """part -> its transports through maps in order, or None if it misses a
-    domain; what depends only on its interval b is set up once per b."""
+    """part (a, b) -> its transports through maps in order: its members
+    a + b*t in each domain (r, s), with t fixed mod s/g by b*t = r - a
+    (mod s), g = gcd(b, s), mapped r + s*m -> c + d*m.  ValueError names the
+    first domain part misses (g does not divide r - a).  What depends only
+    on b is set up once per b."""
     setups = {}  # interval b -> per map: what the solve for b needs
 
     def images(part):
@@ -65,16 +66,17 @@ def _kernel(maps):
         setup = setups.get(b)
         if setup is None:
             setup = setups[b] = []
-            for (r, s), (c, d) in maps:
+            for src, (c, d) in maps:
+                r, s = src
                 g = gcd(b, s)
                 n, stride = s // g, b // g
                 # top is -1 when the class interval lcm(b, s) = b*n or the image's leaves the range
                 top = MAX_VALUE if max(b * n, stride * d) <= MAX_VALUE else -1
-                setup.append((r, s, g, stride * pow(stride, -1, n), b * n, stride, c, d, top))
+                setup.append((r, s, src, g, stride * pow(stride, -1, n), b * n, stride, c, d, top))
         out = []
-        for r, s, g, scale, width, stride, c, d, top in setup:
+        for r, s, src, g, scale, width, stride, c, d, top in setup:
             if (r - a) % g:
-                return None
+                raise ValueError(f"part {part} misses branch {src}")
             first = a + (r - a) * scale % width  # a + b*((r-a)/g * stride^-1 mod n)
             m = (first - r) // s
             if m < 0:  # members of the residue class below src's intercept are not in src
@@ -86,18 +88,6 @@ def _kernel(maps):
             out.append(tuple.__new__(Progression, (intercept, stride * d)))
         return out
     return images
-
-
-def transport(part: Progression, src: Progression, dst: Progression) -> Progression | None:
-    """Members of part that lie in src, mapped src.element(m) -> dst.element(m).
-
-    Solves a + b*t = r (mod s) for part (a, b) and src (r, s).  With
-    g = gcd(b, s) there is a solution iff g divides r - a, and then t is
-    fixed mod s/g: the members in src are every (b/g)-th member of src from
-    the first.  Returns None when part has no member in src.
-    """
-    image = _kernel(((src, dst),))(part)
-    return image and image[0]
 
 
 def evolve(seeds: tuple[Progression, ...],
@@ -128,59 +118,18 @@ def _require_parts(seeds, maps, generation: int) -> None:
 def _families(seeds, maps, generation):
     """Yield (part, its children) for each part of generation k, in order,
     the children being part's transports through every map in map order;
-    checks generation as `evolve` does, when the walk starts."""
+    ValueError at the first part that misses a branch.  Checks generation
+    as `evolve` does, when the walk starts."""
     _require_parts(seeds, maps, generation)
     images = _kernel(maps)
     stack = [(generation, part) for part in reversed(seeds)]  # (generations left, part)
     while stack:
         left, part = stack.pop()
         kids = images(part)
-        if kids is None:
-            src = next(src for src, dst in maps if transport(part, src, dst) is None)
-            raise ValueError(f"part {part} misses branch {src}")
         if left:
             stack += [(left - 1, kid) for kid in reversed(kids)]
         else:
             yield part, kids
-
-
-# counterexample: (sample index, observed gap), or None when the check holds
-SamplingVerdict = namedtuple("SamplingVerdict", "holds counterexample")
-
-
-def _first_gap_violation(tags, interval: int) -> tuple[int, int] | None:
-    """First place where identical tags are not exactly `interval` apart."""
-    last_seen: dict[int, int] = {}
-    for i, tag in enumerate(tags):
-        prev = last_seen.get(tag)
-        if prev is not None and i - prev != interval:
-            return i, i - prev
-        last_seen[tag] = i
-    return None
-
-
-def sampling_lemma_check(base: int, power: int, period: int,
-                         probe_len: int | None = None) -> SamplingVerdict:
-    """Check that co-prime sampling preserves a periodic sequence's interval.
-
-    Builds the tag sequence q_k = k mod base**power, whose identical tags sit
-    exactly base**power apart, samples every period-th element starting at
-    q_0, and verifies that consecutive identical tags in the sampled
-    sequence again sit exactly base**power apart.  The sampling period must
-    be co-prime with base; probe_len must cover at least two recurrences.
-    """
-    if base < 2 or power < 1 or period < 1:
-        raise ValueError("need base >= 2, power >= 1, period >= 1")
-    if gcd(period, base) != 1:
-        raise ValueError(f"sampling period {period} is not co-prime with base {base}")
-    interval = base ** power
-    if probe_len is None:
-        probe_len = 3 * interval
-    if probe_len < 2 * interval + 1:
-        raise ValueError(f"probe_len must be >= {2 * interval + 1} to see two recurrences")
-    sampled = (i * period % interval for i in range(probe_len))
-    violation = _first_gap_violation(sampled, interval)
-    return SamplingVerdict(violation is None, violation)
 
 
 # direction -> (tag of a position, least tag that ends a chain, step name,

@@ -8,9 +8,9 @@ Both evolutions stay exact unions of arithmetic progressions, which makes
 the counting identities and intercept bounds directly checkable.
 
 PROCESSES (seeds and branch maps) is the one table that tells the
-directions apart: generation k is evolve(*PROCESSES[d], k), audit_part
-checks one of its parts, interval_weight is a union's exact density, and
-the coverage counts take their window base s, the seed's interval, from it.
+directions apart: generation k is evolve(*PROCESSES[d], k), _over_bound
+checks a part's children against the recursion bound, and the coverage
+counts take their window base s, the seed's interval, from it.
 
 The audits at the bottom verify that the chains tile the positions and
 that every trajectory of the conjugate map passes through 3 mod 4.  Both
@@ -24,19 +24,11 @@ one.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import (
-    DEFAULT_WALK_LIMIT,
-    MAX_VALUE,
-    WidthExceededError,
-    _checked,
-    inverse_lower_step,
-    lower_step,
-)
+from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError, _checked
 from .family import Family, branch_maps
-from .progressions import Progression, _families, evolve
+from .progressions import Progression, evolve
 
 FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
 BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
@@ -47,21 +39,6 @@ BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
 # direction -> (seeds, branch maps) of the evolution
 PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
              "backward": ((BACKWARD_SEED,), BACKWARD_MAPS)}
-
-
-def interval_weight(parts: Iterable[Progression]) -> Fraction:
-    """Exact density of a union of parts: the sum of 1/interval."""
-    # imported here: no CLI command uses it, and importing it costs every run
-    from fractions import Fraction
-
-    return sum((Fraction(1, p.interval) for p in parts), Fraction(0))
-
-
-def audit_part(direction: str, part: Progression) -> tuple[bool, list[Progression]]:
-    """Whether part's intercept is not below its interval, and its children
-    that break the recursion bound (see `_over_bound`)."""
-    kids = next(_families((part,), PROCESSES[direction][1], 0))[1]
-    return part.intercept >= part.interval, _over_bound(direction, part, kids)
 
 
 def _over_bound(direction: str, part: Progression, kids: list[Progression]) -> list[Progression]:
@@ -123,40 +100,6 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
             covered[first::part.interval] = b"\1" * len(range(first, window, part.interval))
     included = covered.count(1)
     return CoverageCount(direction, m, window_start, included, window - included)
-
-
-# One chain of the one-to-one map, from head (2 mod 3) to end (3 mod 4).
-# elements is None only when a walk truncated; head/tail are None on the
-# truncated side.
-StringRecord = namedtuple("StringRecord", "head tail length elements "
-                          "truncated_backward truncated_forward")
-
-
-def build_string_containing(x: int, max_len: int = DEFAULT_WALK_LIMIT) -> StringRecord:
-    """Walk x back to its chain head, then forward to the chain end.
-
-    Position 1 is excluded: it is the fixed point of the map, not a chain.
-    Either walk exceeding max_len marks the record truncated on that side;
-    nothing is silently dropped.
-    """
-    if x < 2:
-        raise ValueError(f"chains cover positions >= 2, got {x}")
-    v = x
-    back_steps = 0
-    while v % 3 != 2:
-        v = inverse_lower_step(v)
-        back_steps += 1
-        if back_steps > max_len:
-            return StringRecord(None, None, back_steps, None, True, False)
-    head = v
-    chain = [head]
-    v = head
-    while v & 3 != 3:
-        v = lower_step(v)
-        chain.append(v)
-        if len(chain) > max_len:
-            return StringRecord(head, None, len(chain), None, False, True)
-    return StringRecord(head, chain[-1], len(chain), tuple(chain), False, False)
 
 
 # strings: the number of chains; truncated: (position, direction) pairs;
@@ -255,7 +198,7 @@ def _sweep_classes(a: int, m: int, c: int, max_steps: int):
                     truncated.extend(range(a, a + m * c, m))
                     break
                 if b + n * (c - 1) > bound:  # members t >= c leave: cut them
-                    c = max(0, (bound - b) // n + 1)
+                    c = (bound - b) // n + 1 if b <= bound else 0  # n is 0 for one member
                     left = a + m * c if left is None else min(left, a + m * c)
                     if not c:
                         break

@@ -45,11 +45,17 @@ from .strings import _sweep_classes
 # (backward and forward classes) 58 k and 1.33 M (5x), at about 1 us a node.
 def require_tree_work(name: str, limit: int, nodes: float, growth: int) -> None:
     """ValueError when a walk of 1..limit needs more than MAX_TREE_NODES nodes:
-    its measured count at 10^6, times its measured growth per decade."""
-    nodes *= growth ** (math.log10(limit) - 6)
-    if nodes > MAX_TREE_NODES:
-        raise ValueError(f"{name} {limit} needs about {nodes:.2g} class-tree nodes, "
-                         f"above the cap of {MAX_TREE_NODES:.0e}")
+    its measured count at 10^6, times its measured growth per decade.  The
+    estimate is kept as its logarithm, because for huge limits it leaves the
+    range of a float."""
+    digits = math.log10(nodes) + (math.log10(limit) - 6) * math.log10(growth)
+    if digits > math.log10(MAX_TREE_NODES):
+        exponent, fraction = divmod(digits, 1)
+        mantissa = round(10 ** fraction, 1)
+        if mantissa == 10:
+            exponent, mantissa = exponent + 1, 1
+        raise ValueError(f"{name} {limit} needs about {mantissa:.2g}e+{int(exponent):02d} "
+                         f"class-tree nodes, above the cap of {MAX_TREE_NODES:.0e}")
 
 
 def _image_branches(maps) -> dict:

@@ -1,0 +1,158 @@
+"""References the tests check the package against, and claim helpers only
+the tests need.  Each reference solves its problem another way than the
+package: a transport by an explicit residue intersection, the evolutions
+breadth first or by recursion, the audit part by part; none calls the
+package's residue-solve kernel, and none validates its input."""
+
+from fractions import Fraction
+from math import gcd
+
+from collatz_strings.core import _checked, inverse_lower_step, lower_step
+from collatz_strings.family import branch_maps, family_equivalent
+from collatz_strings.progressions import Progression, evolve
+from collatz_strings.strings import PROCESSES
+
+
+def collatz_step(n):
+    """One step of the classic map: n/2 for even n, 3n+1 for odd n."""
+    return n >> 1 if n & 1 == 0 else 3 * n + 1
+
+
+def accelerated_step(n):
+    """Odd n to the odd part of 3n+1: (result, halvings)."""
+    t = 3 * n + 1
+    j = (t & -t).bit_length() - 1
+    return t >> j, j
+
+
+def position_of(n):
+    """Position of an odd integer in the odd enumeration: (n+1)/2."""
+    return (n + 1) >> 1
+
+
+def odd_of(x):
+    """Odd integer at position x: 2x-1."""
+    return 2 * x - 1
+
+
+def family_equivalent_n(x, count, family):
+    """count-fold family_equivalent; count=0 returns x."""
+    for _ in range(count):
+        x = family_equivalent(x, family)
+    return x
+
+
+def first_gap_violation(tags, interval):
+    """First (index, gap) where identical tags are not exactly interval apart."""
+    last_seen = {}
+    for i, tag in enumerate(tags):
+        prev = last_seen.get(tag)
+        if prev is not None and i - prev != interval:
+            return i, i - prev
+        last_seen[tag] = i
+    return None
+
+
+def sampling_lemma_holds(base, power, period):
+    """Whether every period-th tag of q_k = k mod base**power, from q_0, again
+    repeats exactly base**power apart (period co-prime with base)."""
+    interval = base ** power
+    return first_gap_violation((i * period % interval for i in range(3 * interval)),
+                               interval) is None
+
+
+def interval_weight(parts):
+    """Exact density of a union of parts: the sum of 1/interval."""
+    return sum((Fraction(1, p.interval) for p in parts), Fraction(0))
+
+
+def chain_of(x):
+    """The chain through position x >= 2, from its head (2 mod 3) to its end (3 mod 4)."""
+    head = x
+    while head % 3 != 2:
+        head = inverse_lower_step(head)
+    chain = [head]
+    while chain[-1] % 4 != 3:
+        chain.append(lower_step(chain[-1]))
+    return tuple(chain)
+
+
+def family_evolve_forward(family, generation):
+    """Generation k of the forward evolution of a family whose branch domains
+    start at their residues and whose equivalent class holds no exceptional
+    position (p in {-1, 1, 3}): from its head classes, through both branches."""
+    heads = ((Progression(1, 3), Progression(3, 3)) if family.p % 3 == 0
+             else (Progression(2, 3),))
+    return tuple(evolve(heads, branch_maps(family), generation))
+
+
+def intersect_residue(p, residue, mod):
+    """p's members congruent to residue (mod mod), or None.
+
+    Standard CRT split: solvable iff gcd(interval, mod) divides the offset,
+    in which case the result is a progression with interval lcm(interval, mod).
+    """
+    residue %= mod
+    a, b = p.intercept, p.interval
+    g = gcd(b, mod)
+    if (residue - a) % g != 0:
+        return None
+    m = mod // g
+    # solve b*t = residue - a (mod mod); t is fixed mod m
+    t0 = ((residue - a) // g * pow(b // g, -1, m)) % m if m > 1 else 0
+    return Progression(_checked(a + b * t0), _checked(b * m))
+
+
+def reference_transport(part, src, dst):
+    """Members of part in src, mapped src.element(m) -> dst.element(m), through
+    the intersection with src's residue class; None when part misses src."""
+    dom = intersect_residue(part, src.intercept, src.interval)
+    if dom is None:
+        return None
+    stride = dom.interval // src.interval  # src indices between members of dom
+    m = (dom.intercept - src.intercept) // src.interval
+    if m < 0:  # members of the residue class below src's intercept are not in src
+        m %= stride
+    return Progression(_checked(dst.element(m)), _checked(stride * dst.interval))
+
+
+def _children(part, maps):
+    """part's transports through maps in order; ValueError at the first it misses."""
+    kids = []
+    for src, dst in maps:
+        kid = reference_transport(part, src, dst)
+        if kid is None:
+            raise ValueError(f"part {part} misses branch {src}")
+        kids.append(kid)
+    return kids
+
+
+def reference_evolve(seeds, maps, generation):
+    """The breadth-first generation loop: every part of a generation at once."""
+    parts = tuple(seeds)
+    for _ in range(generation):
+        parts = tuple(kid for part in parts for kid in _children(part, maps))
+    return parts
+
+
+def reference_families(seeds, maps, generation):
+    """(part, children) for each part of generation k, by recursion over the
+    branch tree; a part that misses a branch raises when it is reached."""
+    for part in seeds:
+        kids = _children(part, maps)
+        if generation:
+            yield from reference_families(kids, maps, generation - 1)
+        else:
+            yield part, kids
+
+
+def reference_audit_part(direction, part):
+    """The intercept audit of one part: whether its intercept is not below
+    its interval, and its children above the recursion bound."""
+    a, b = part.intercept, part.interval
+    kids = [reference_transport(part, src, dst) for src, dst in PROCESSES[direction][1]]
+    if direction == "forward":
+        over = [kid for kid in kids if 4 * (kid.intercept - 1) > 3 * (a + 3 * b - 1)]
+    else:
+        over = [kid for kid in kids if 3 * (kid.intercept - 1) > 4 * (a + 2 * b - 1)]
+    return a >= b, over

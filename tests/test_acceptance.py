@@ -10,17 +10,17 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from oracles import chain_of, family_equivalent_n, interval_weight, sampling_lemma_holds
+
 from collatz_strings import (
     CASE_SYSTEM_PARAMS,
     Family,
     audit_case_system,
     backward_signature,
     base_equivalent,
-    build_string_containing,
     conjugate_step,
     coverage_count,
     expected_coverage,
-    family_equivalent_n,
     find_cycles,
     first_recurrence_backward,
     first_recurrence_forward,
@@ -28,16 +28,21 @@ from collatz_strings import (
     higher_equivalent,
     partition_audit,
     passage_sweep,
-    sampling_lemma_check,
     trajectory_report,
     two_to_one_audit,
 )
-from collatz_strings.progressions import evolve
-from collatz_strings.strings import PROCESSES, audit_part, interval_weight
+from collatz_strings.progressions import _families, evolve
+from collatz_strings.strings import PROCESSES, _over_bound
 
 
 def generation(direction, k):
     return tuple(evolve(*PROCESSES[direction], k))
+
+
+def audit_clean(direction, k):
+    """Whether every part of generation k passes evolve's intercept audit."""
+    return all(part.intercept < part.interval and not _over_bound(direction, part, kids)
+               for part, kids in _families(*PROCESSES[direction], k))
 
 
 @contextmanager
@@ -78,9 +83,9 @@ def test_criterion_2_string_partition():
         report = partition_audit(10 ** 5)
         assert report.truncated == ()   # zero truncations
         assert report.conflicts == ()   # every position maps to exactly one head
-        assert build_string_containing(6).elements == (5, 4, 6, 9, 7)
-        assert build_string_containing(12).elements == (8, 12, 18, 27)
-        assert build_string_containing(17).elements == (17, 13, 10, 15)
+        assert chain_of(6) == (5, 4, 6, 9, 7)
+        assert chain_of(12) == (8, 12, 18, 27)
+        assert chain_of(17) == (17, 13, 10, 15)
 
 
 def test_criterion_3_evolution_structure():
@@ -89,11 +94,11 @@ def test_criterion_3_evolution_structure():
             fwd = generation("forward", k)
             assert len(fwd) == 2 ** k
             assert all(p.interval == 3 ** (k + 1) for p in fwd)
-            assert all(audit_part("forward", p) == (False, []) for p in fwd)
+            assert audit_clean("forward", k)
             bwd = generation("backward", k)
             assert len(bwd) == 2 ** k
             assert interval_weight(bwd) == Fraction(3 ** k, 4 ** (k + 1))
-            assert all(audit_part("backward", p) == (False, []) for p in bwd)
+            assert audit_clean("backward", k)
         def parts(direction, k):
             return [(p.intercept, p.interval) for p in generation(direction, k)]
         assert parts("forward", 1) == [(3, 9), (4, 9)]
@@ -185,4 +190,4 @@ def test_criterion_9_lemma_properties():
             for power in range(1, 7):
                 for period in range(1, 10):
                     if gcd(period, base) == 1:
-                        assert sampling_lemma_check(base, power, period).holds
+                        assert sampling_lemma_holds(base, power, period)

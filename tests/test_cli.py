@@ -69,10 +69,24 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert not os.path.exists(ck)
     capsys.readouterr()
     huge_value = ("family-audit", "-p", "5", "--value-limit", str(MAX_VALUE), "--n-limit", "0")
+    nested = os.path.join(tmp_path, "nested.ckpt")  # nested deeper than the JSON parser's stack
+    with open(nested, "w") as fh:
+        fh.write("[" * 200_000 + "]" * 200_000)
+    resume_nested = ("passage", "--lo", "2", "--hi", "100", "--checkpoint", nested, "--resume")
     exact = {("family-audit", "-p", "39"): "error: no transcribed system for p=39\n",
              huge_value: "error: the case audit needs about 2.6e+38 checks, "
-                         "above the cap of 1e+08\n"}
-    for argv in (["strings", "--limit", "30", "--max-len", "-3"],
+                         "above the cap of 1e+08\n",
+             resume_nested: f"error: {nested} is not a collatz-strings-checkpoint file\n"}
+    seeds, limit = str(10 ** 350), str(10 ** 450)
+    nodes = "class-tree nodes, above the cap of 1e+08\n"
+    exact.update({  # work estimates beyond the range of a float
+        ("cycles", "-p", "5", "--seed-limit", seeds):
+            f"error: seed_limit {seeds} needs about 3e+315 {nodes}",
+        ("scan", "-p", "5", "--limit", limit):
+            f"error: limit {limit} needs about 8.6e+314 {nodes}",
+        ("strings", "--limit", limit): f"error: limit {limit} needs about 1.3e+315 {nodes}"})
+    for argv in (*map(list, exact),
+                 ["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
                  ["cycles", "-p", "5", "--seed-limit", "5", "--max-steps", "-1"],
                  ["proportionality", "--cases", "-3"],
@@ -83,8 +97,6 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["family-audit", "-p", "7", "--n-limit", "-1"],
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
                  ["family-audit", "-p", "7", "--m-limit", "-1"],
-                 ["family-audit", "-p", "39"],
-                 list(huge_value),
                  ["family-audit", "-p", "5", "--m-limit", str(10 ** 29)],
                  ["strings", "--limit", str(10 ** 29)],
                  ["strings", "--limit", str(10 ** 12)],
@@ -109,6 +121,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
         assert out == "" and err.count("\n") == 1, (argv, out, err)
         assert exact.get(tuple(argv), err) == err, argv
+    os.remove(nested)
     out = os.path.join(tmp_path, "never.jsonl")
     assert main(["evolve", "--direction", "forward", "-k", "-1", "--output", out]) == 2
     assert os.listdir(tmp_path) == []

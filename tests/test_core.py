@@ -2,20 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import accelerated_step, collatz_step, family_equivalent_n, odd_of, position_of
+
 from collatz_strings import (
     Family,
     MAX_VALUE,
     WidthExceededError,
-    accelerated_step,
     base_equivalent,
-    collatz_step,
     conjugate_step,
-    family_equivalent_n,
     higher_equivalent,
     inverse_lower_step,
     lower_step,
-    odd_of,
-    position_of,
     restriction_index,
     trajectory_report,
 )
@@ -39,8 +36,7 @@ def test_collatz_step_examples():
 
 
 def test_collatz_step_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        collatz_step(0)
+    # the package's step is the conjugate step, on positions from 1
     with pytest.raises(ValueError, match="^position must be a positive integer, got 0$"):
         conjugate_step(0)
     with pytest.raises(ValueError, match="^max_steps must be >= 1, got 0$"):
@@ -56,11 +52,6 @@ def test_accelerated_step_examples():
 def test_accelerated_step_matches_halving_oracle():
     for n in range(1, 4001, 2):
         assert accelerated_step(n) == halvings_oracle(3 * n + 1)
-
-
-def test_accelerated_step_requires_odd():
-    with pytest.raises(ValueError):
-        accelerated_step(4)
 
 
 def test_enumeration_examples():
@@ -263,16 +254,8 @@ def test_trajectory_report_large_anchor():
 
 def test_width_guard():
     with pytest.raises(WidthExceededError):
-        collatz_step(MAX_VALUE)  # MAX_VALUE is odd, so 3n+1 overflows
-    with pytest.raises(WidthExceededError):
         higher_equivalent(MAX_VALUE // 2)
     with pytest.raises(WidthExceededError):
         conjugate_step(MAX_VALUE // 2)
     with pytest.raises(WidthExceededError):
         conjugate_step(MAX_VALUE + 1)
-    with pytest.raises(WidthExceededError):
-        accelerated_step(MAX_VALUE + 2)
-    with pytest.raises(WidthExceededError):
-        collatz_step(MAX_VALUE + 1)
-    # even values only halve and stay in range
-    assert collatz_step(MAX_VALUE - 1) == (MAX_VALUE - 1) // 2

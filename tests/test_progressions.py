@@ -5,66 +5,53 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    chain_of,
+    intersect_residue,
+    reference_audit_part,
+    reference_evolve,
+    reference_families,
+    reference_transport,
+    sampling_lemma_holds,
+)
+
 from collatz_strings import (
     Family,
     Progression,
     Signature,
     backward_signature,
-    build_string_containing,
     first_recurrence_backward,
     first_recurrence_forward,
     forward_signature,
     restriction_index,
-    sampling_lemma_check,
 )
-from collatz_strings.core import MAX_VALUE, WidthExceededError, _checked
+from collatz_strings.core import MAX_VALUE, WidthExceededError
 from collatz_strings.family import branch_maps
-from collatz_strings.progressions import _families, evolve, transport
-from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound, audit_part
+from collatz_strings.progressions import _families, evolve
+from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS
 DOWN, UP = BACKWARD_MAPS
 
 
-def intersect_residue(p, residue, mod):
-    """Oracle: p's members congruent to residue (mod mod), or None.
-
-    Standard CRT split: solvable iff gcd(interval, mod) divides the offset,
-    in which case the result is a progression with interval lcm(interval, mod).
-    """
-    if mod < 1:
-        raise ValueError(f"mod must be >= 1, got {mod}")
-    residue %= mod
-    a, b = p.intercept, p.interval
-    g = gcd(b, mod)
-    if (residue - a) % g != 0:
-        return None
-    m = mod // g
-    # solve b*t = residue - a (mod mod); t is fixed mod m
-    t0 = ((residue - a) // g * pow(b // g, -1, m)) % m if m > 1 else 0
-    return Progression(_checked(a + b * t0), _checked(b * m))
-
-
-def reference_transport(part, src, dst):
-    """Oracle for transport, through the intersection with src's residue class."""
-    dom = intersect_residue(part, src.intercept, src.interval)
-    if dom is None:
-        return None
-    stride = dom.interval // src.interval  # src indices between members of dom
-    m = (dom.intercept - src.intercept) // src.interval
-    if m < 0:  # members of the residue class below src's intercept are not in src
-        m %= stride
-    return Progression(_checked(dst.element(m)), _checked(stride * dst.interval))
+def transported(part, src, dst):
+    """part's one child through the branch map (src, dst), by the package's walk."""
+    return next(_families((part,), ((src, dst),), 0))[1][0]
 
 
 def _outcome(fn, *args):
-    """fn's result with its type, or the WidthExceededError it raised."""
+    """fn's result with its type, the WidthExceededError it raised, or "missed"
+    when the part misses the branch: None from the reference, ValueError
+    from the walk."""
     try:
         result = fn(*args)
     except WidthExceededError as exc:
         return "raised", str(exc)
-    return type(result), result
+    except ValueError as exc:
+        assert "misses branch" in str(exc)
+        return "missed"
+    return "missed" if result is None else (type(result), result)
 
 
 def test_progression_validation_and_membership():
@@ -127,7 +114,7 @@ def test_transport_matches_the_intersection_reference_on_a_grid():
             for r in range(1, 13):
                 for s in range(1, 13):
                     part, src = Progression(a, b), Progression(r, s)
-                    assert _outcome(transport, part, src, dst) == \
+                    assert _outcome(transported, part, src, dst) == \
                         _outcome(reference_transport, part, src, dst)
                     dom = intersect_residue(part, r, s)
                     seen["miss"] += dom is None
@@ -150,7 +137,7 @@ _SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1 << 40),
 @example(1, 1 << 100, 1, 2, 1, MAX_VALUE)        # the image interval leaves the range
 def test_transport_matches_the_intersection_reference(a, b, r, s, c, d):
     args = Progression(a, b), Progression(r, s), Progression(c, d)
-    assert _outcome(transport, *args) == _outcome(reference_transport, *args)
+    assert _outcome(transported, *args) == _outcome(reference_transport, *args)
 
 
 def test_intersect_residue_examples():
@@ -189,10 +176,10 @@ def test_intersect_residue_matches_filter(a, b, r, mod):
 
 
 def test_branch_images_match_published_first_generations():
-    assert transport(Progression(2, 6), *EVEN) == Progression(3, 9)
-    assert transport(Progression(5, 12), *ODD) == Progression(4, 9)
-    assert transport(Progression(3, 12), *DOWN) == Progression(2, 8)
-    assert transport(Progression(7, 12), *UP) == Progression(9, 16)
+    assert transported(Progression(2, 6), *EVEN) == Progression(3, 9)
+    assert transported(Progression(5, 12), *ODD) == Progression(4, 9)
+    assert transported(Progression(3, 12), *DOWN) == Progression(2, 8)
+    assert transported(Progression(7, 12), *UP) == Progression(9, 16)
 
 
 def test_branch_images_are_elementwise():
@@ -200,50 +187,35 @@ def test_branch_images_are_elementwise():
 
     fwd = [(EVEN, Progression(4, 18)), (ODD, Progression(13, 36))]
     for branch, dom in fwd:
-        img = transport(dom, *branch)
+        img = transported(dom, *branch)
         for t in range(50):
             assert img.element(t) == lower_step(dom.element(t))
     back = [(DOWN, Progression(9, 48)), (UP, Progression(25, 48))]
     for branch, dom in back:
-        img = transport(dom, *branch)
+        img = transported(dom, *branch)
         for t in range(50):
             assert img.element(t) == inverse_lower_step(dom.element(t))
 
 
 def test_branch_interval_transport():
-    assert transport(Progression(2, 6), *EVEN).interval == 9  # 6 -> 3*6/2
-    assert transport(Progression(1, 12), *ODD).interval == 9  # 12 -> 3*12/4
-    assert transport(Progression(3, 9), *DOWN).interval == 6  # 9 -> 2*9/3
-    assert transport(Progression(1, 9), *UP).interval == 12  # 9 -> 4*9/3
+    assert transported(Progression(2, 6), *EVEN).interval == 9  # 6 -> 3*6/2
+    assert transported(Progression(1, 12), *ODD).interval == 9  # 12 -> 3*12/4
+    assert transported(Progression(3, 9), *DOWN).interval == 6  # 9 -> 2*9/3
+    assert transported(Progression(1, 9), *UP).interval == 12  # 9 -> 4*9/3
 
 
 def test_branch_domain_preconditions_are_enforced():
     # a part with no member in the branch domain has no image ...
-    assert transport(Progression(3, 6), *EVEN) is None  # odd positions only
-    assert transport(Progression(3, 4), *ODD) is None  # 3 mod 4 only
-    assert transport(Progression(2, 9), *UP) is None  # 2 mod 3 only
+    for part, branch in ((Progression(3, 6), EVEN),  # odd positions only
+                         (Progression(3, 4), ODD),  # 3 mod 4 only
+                         (Progression(2, 9), UP)):  # 2 mod 3 only
+        with pytest.raises(ValueError, match="misses branch"):
+            transported(part, *branch)
     # ... and evolution refuses such a part instead of dropping it
     with pytest.raises(ValueError):
         tuple(evolve((Progression(3, 6),), FORWARD_MAPS, 1))
     with pytest.raises(ValueError):
         tuple(evolve((Progression(2, 9),), BACKWARD_MAPS, 1))
-
-
-def reference_evolve(seeds, maps, generation):
-    """The breadth-first generation loop: every part of a generation at once."""
-    if generation < 0:
-        raise ValueError(f"generation must be >= 0, got {generation}")
-    parts = tuple(seeds)
-    for _ in range(generation):
-        children = []
-        for part in parts:
-            for src, dst in maps:
-                child = transport(part, src, dst)
-                if child is None:
-                    raise ValueError(f"part {part} misses branch {src}")
-                children.append(child)
-        parts = tuple(children)
-    return parts
 
 
 @pytest.mark.parametrize("seeds, maps", [
@@ -281,20 +253,6 @@ def test_depth_first_evolve_misses_a_branch_where_the_reference_does():
     assert raised
     with pytest.raises(ValueError):
         evolve((Progression(2, 3),), FORWARD_MAPS, -1)  # at the call, not the first part
-
-
-def reference_families(seeds, maps, generation):
-    """(part, children) for each part of generation k, by recursion over the
-    branch tree with a transport per map; a part that misses a branch
-    raises when the recursion reaches it."""
-    for part in seeds:
-        kids = [transport(part, src, dst) for src, dst in maps]
-        if None in kids:
-            raise ValueError(f"part {part} misses branch {maps[kids.index(None)][0]}")
-        if generation:
-            yield from reference_families(kids, maps, generation - 1)
-        else:
-            yield part, kids
 
 
 def _walked(walk, *args):
@@ -344,36 +302,28 @@ def test_families_miss_a_branch_at_the_part_the_reference_does():
 @pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
                     reason="set COLLATZ_STRINGS_LONG=1 for the evolve oracle check at k = 16")
 def test_long_evolve_matches_reference():
-    from test_strings import reference_audit_part
-
     for direction, (seeds, maps) in PROCESSES.items():
         parts = reference_evolve(seeds, maps, 16)
         kids = reference_evolve(parts, maps, 1)
         pairs = list(_families(seeds, maps, 16))
         assert pairs == [(part, list(kids[2 * i:2 * i + 2])) for i, part in enumerate(parts)]
         for part, children in pairs:
-            expected = reference_audit_part(direction, part)
-            assert audit_part(direction, part) == expected
-            assert (part.intercept >= part.interval,
-                    _over_bound(direction, part, children)) == expected
+            assert (part.intercept >= part.interval, _over_bound(direction, part, children)) \
+                == reference_audit_part(direction, part)
 
 
 def test_transport_skips_class_members_below_the_domain():
     # 4 is 0 mod 4 but not in {8+4m}; the first member of {1+t} there is 8
-    assert transport(Progression(1, 1), Progression(8, 4), Progression(5, 3)) == \
+    assert transported(Progression(1, 1), Progression(8, 4), Progression(5, 3)) == \
         Progression(5, 3)
     # {2+6t} meets 0 mod 4 at 8, 20, 32, ...; only 20 on lie in {20+4m}
-    assert transport(Progression(2, 6), Progression(20, 4), Progression(1, 1)) == \
+    assert transported(Progression(2, 6), Progression(20, 4), Progression(1, 1)) == \
         Progression(1, 3)
 
 
 def test_sampling_lemma_examples():
-    assert sampling_lemma_check(2, 3, 3).holds
-    assert sampling_lemma_check(3, 2, 4).holds
-    with pytest.raises(ValueError):
-        sampling_lemma_check(2, 1, 2)  # period shares a factor with the base
-    with pytest.raises(ValueError, match="^need base >= 2, power >= 1, period >= 1$"):
-        sampling_lemma_check(1, 1, 1)
+    assert sampling_lemma_holds(2, 3, 3)
+    assert sampling_lemma_holds(3, 2, 4)
 
 
 def test_sampling_lemma_grid():
@@ -384,12 +334,7 @@ def test_sampling_lemma_grid():
             for period in range(1, 10):
                 if gcd(period, base) != 1:
                     continue
-                assert sampling_lemma_check(base, power, period).holds
-
-
-def test_sampling_lemma_probe_too_short():
-    with pytest.raises(ValueError):
-        sampling_lemma_check(2, 3, 3, probe_len=10)
+                assert sampling_lemma_holds(base, power, period)
 
 
 def test_forward_signature_examples():
@@ -424,7 +369,7 @@ def test_signature_walks_match_the_chain_builder():
     # the shared walk, run either way, tags exactly the chain positions that
     # the independent builder lists between x and the chain's end or head
     for x in range(2, 3001):
-        chain = build_string_containing(x).elements
+        chain = chain_of(x)
         i = chain.index(x)
         fwd = forward_signature(x, len(chain))
         assert fwd.steps == tuple(restriction_index(v) for v in chain[i:]), x

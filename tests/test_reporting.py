@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import first_gap_violation
+
 from collatz_strings.checkpoint import load_checkpoint, save_checkpoint
 from collatz_strings.core import MAX_VALUE
-from collatz_strings.progressions import Progression, Signature, _first_gap_violation
+from collatz_strings.progressions import Progression, Signature
 from collatz_strings.reporting import (
     finding,
     header_record,
@@ -40,6 +42,10 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     with open(path, "w") as fh:
         fh.write(json.dumps([1]))
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+    with open(path, "w") as fh:  # nested deeper than the JSON parser's stack
+        fh.write("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ValueError, match="is not a collatz-strings-checkpoint file$"):
         load_checkpoint(path)
 
 
@@ -126,6 +132,6 @@ def test_signature_validation():
 
 def test_gap_violation_detector():
     # consecutive equal tags must sit exactly `interval` apart
-    assert _first_gap_violation([0, 1, 2, 0, 1, 2, 0], 3) is None
-    assert _first_gap_violation([0, 1, 0, 2, 1, 2], 3) == (2, 2)
-    assert _first_gap_violation([0, 1, 2, 3, 0], 3) == (4, 4)
+    assert first_gap_violation([0, 1, 2, 0, 1, 2, 0], 3) is None
+    assert first_gap_violation([0, 1, 0, 2, 1, 2], 3) == (2, 2)
+    assert first_gap_violation([0, 1, 2, 3, 0], 3) == (4, 4)

@@ -5,8 +5,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from oracles import (
+    chain_of,
+    family_evolve_forward,
+    interval_weight,
+    reference_audit_part,
+    reference_transport,
+)
 
 import collatz_strings.strings as strings_module
 from collatz_strings import (
@@ -16,25 +24,21 @@ from collatz_strings import (
     Progression,
     SweepReport,
     WidthExceededError,
-    build_string_containing,
     coverage_count,
     expected_coverage,
-    family_evolve_forward,
     inverse_lower_step,
     lower_step,
     partition_audit,
     passage_sweep,
     trajectory_report,
 )
-from collatz_strings.progressions import evolve, transport
+from collatz_strings.progressions import _families, evolve
 from collatz_strings.strings import (
     BACKWARD_MAPS,
     FORWARD_MAPS,
     PROCESSES,
-    StringRecord,
+    _over_bound,
     _sweep_range,
-    audit_part,
-    interval_weight,
 )
 
 
@@ -116,8 +120,14 @@ def test_membership_equals_walk_depth():
             assert any(p.contains(x) for p in bwd[k]) == (ed == k), (x, k)
 
 
+def audit(direction, part):
+    """evolve's audit of one part: (intercept >= interval, children over the bound)."""
+    kids = next(_families((part,), PROCESSES[direction][1], 0))[1]
+    return part.intercept >= part.interval, _over_bound(direction, part, kids)
+
+
 def audit_ok(direction, k):
-    return all(audit_part(direction, p) == (False, []) for p in generation(direction, k))
+    return all(audit(direction, p) == (False, []) for p in generation(direction, k))
 
 
 def test_intercept_audit_first_generations():
@@ -133,24 +143,8 @@ def test_intercept_audit_all_generations():
 
 
 def test_intercept_audit_flags_violations():
-    bad, _ = audit_part("forward", Progression(12, 9))
+    bad, _ = audit("forward", Progression(12, 9))
     assert bad
-
-
-def reference_audit_part(direction, part):
-    """The intercept audit of one part, through a transport per branch."""
-    forward = direction == "forward"
-    maps = FORWARD_MAPS if forward else BACKWARD_MAPS
-    a, b = part.intercept, part.interval
-    over = []
-    for child in (transport(part, src, dst) for src, dst in maps):
-        if forward:
-            bad = 4 * (child.intercept - 1) > 3 * (a + 3 * b - 1)
-        else:
-            bad = 3 * (child.intercept - 1) > 4 * (a + 2 * b - 1)
-        if bad:
-            over.append(child)
-    return a >= b, over
 
 
 def test_intercept_audit_matches_reference_on_crafted_states():
@@ -159,14 +153,14 @@ def test_intercept_audit_matches_reference_on_crafted_states():
     # the bound (backward children of such parts never do)
     for direction, maps in (("forward", FORWARD_MAPS), ("backward", BACKWARD_MAPS)):
         parts = tuple(Progression(a, b) for a in range(1, 80) for b in range(1, 13)
-                      if all(transport(Progression(a, b), *m) for m in maps))
-        results = [audit_part(direction, part) for part in parts]
+                      if all(reference_transport(Progression(a, b), *m) for m in maps))
+        results = [audit(direction, part) for part in parts]
         assert results == [reference_audit_part(direction, part) for part in parts]
         assert any(bad for bad, _ in results)
         assert any(over for _, over in results) == (direction == "forward")
         for k in range(8):
             for part in generation(direction, k):
-                assert audit_part(direction, part) == reference_audit_part(direction, part)
+                assert audit(direction, part) == reference_audit_part(direction, part)
 
 
 def test_coverage_published_counts():
@@ -224,41 +218,25 @@ def test_coverage_memory_stays_near_one_byte_per_position():
 
 
 def test_worked_strings():
-    assert build_string_containing(6).elements == (5, 4, 6, 9, 7)
-    assert build_string_containing(12).elements == (8, 12, 18, 27)
-    assert build_string_containing(17).elements == (17, 13, 10, 15)
+    assert chain_of(6) == (5, 4, 6, 9, 7)
+    assert chain_of(12) == (8, 12, 18, 27)
+    assert chain_of(17) == (17, 13, 10, 15)
 
 
 def test_singleton_string():
-    record = build_string_containing(11)
-    assert record.elements == (11,)
-    assert record.head == record.tail == 11
+    assert chain_of(11) == (11,)
 
 
 def test_string_record_structure():
     for x in (2, 6, 12, 17, 100, 731):
-        record = build_string_containing(x)
-        assert not (record.truncated_backward or record.truncated_forward)
-        assert record.elements[0] == record.head and record.elements[-1] == record.tail
-        assert record.head % 3 == 2
-        assert record.tail % 4 == 3
-        assert x in record.elements
-        for a, b in zip(record.elements, record.elements[1:]):
+        chain = chain_of(x)
+        assert chain[0] % 3 == 2
+        assert chain[-1] % 4 == 3
+        assert x in chain
+        for a, b in zip(chain, chain[1:]):
             assert lower_step(a) == b
-        for interior in record.elements[:-1]:
+        for interior in chain[:-1]:
             assert interior % 4 != 3
-
-
-def test_string_excludes_the_fixed_point():
-    with pytest.raises(ValueError):
-        build_string_containing(1)
-
-
-def test_string_truncation_is_reported():
-    record = build_string_containing(64, max_len=1)
-    assert record.truncated_backward or record.truncated_forward
-    assert record == StringRecord(None, None, 2, None, True, False)
-    assert build_string_containing(2, max_len=1) == StringRecord(2, None, 2, None, False, True)
 
 
 def test_partition_covers_small_range_exactly_once():
@@ -266,11 +244,11 @@ def test_partition_covers_small_range_exactly_once():
     assert report.truncated == report.conflicts == ()
     owner = {}
     for x in range(2, 28):
-        record = build_string_containing(x)
-        for e in record.elements:
+        chain = chain_of(x)
+        for e in chain:
             if e in owner:
-                assert owner[e] == record.head
-            owner[e] = record.head
+                assert owner[e] == chain[0]
+            owner[e] = chain[0]
     assert set(range(2, 28)) <= set(owner)
 
 
@@ -534,6 +512,8 @@ NEAR_WIDTH_LIMIT = [MAX_VALUE // 6, MAX_VALUE // 7, MAX_VALUE // 4]
     cuts=st.lists(st.integers(0, 5000), max_size=4),
 )
 @settings(max_examples=300, deadline=None)
+# a one-member class whose stride has shrunk to 0 leaves the range
+@example(lo=56_713_727_820_156_410_577_229_101_238_628_034_629, width=1, max_steps=3, cuts=[])
 def test_sweep_range_matches_position_oracle(lo, width, max_steps, cuts):
     # small max_steps put truncations and tied maxima on chunk boundaries
     hi = lo + width - 1
