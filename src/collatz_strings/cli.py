@@ -32,6 +32,7 @@ from itertools import chain, islice
 
 from .core import (
     DEFAULT_WALK_LIMIT,
+    MAX_TREE_NODES,
     higher_equivalent,
     lower_step,
 )
@@ -159,6 +160,9 @@ def cmd_evolve(args) -> Report:
 def cmd_coverage(args) -> Report:
     if args.random_starts < 0:
         raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
+    if args.random_starts > MAX_TREE_NODES:  # refused before the start list is built
+        raise ValueError(f"random_starts {args.random_starts} is above the cap of "
+                         f"{MAX_TREE_NODES:.0e}")
     expected_included, expected_open = expected_coverage(args.direction, args.m)
     starts = [args.window_start]
     rng = random.Random(args.seed)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError, _checked
+from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WIDTH_BITS, WidthExceededError, _checked
 from .family import Family, branch_maps
 from .progressions import Progression, evolve
 
@@ -66,10 +66,15 @@ def _window_base(direction: str) -> int:
 
 
 def expected_coverage(direction: str, m: int) -> tuple[int, int]:
-    """Closed-form prediction for coverage_count: (included, open)."""
+    """Closed-form prediction for coverage_count: (included, open).
+
+    Raises WidthExceededError, before the m-term sum, when the window s**m
+    leaves the working range.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     s = _window_base(direction)
+    _checked(s ** min(m, WIDTH_BITS))  # s >= 3: s**WIDTH_BITS is out of range too
     included = sum((s - 1) ** k * s ** (m - k - 1) for k in range(m))
     return included, (s - 1) ** m
 

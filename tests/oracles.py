@@ -1,14 +1,15 @@
 """References the tests check the package against, and claim helpers only
 the tests need.  Each reference solves its problem another way than the
 package: a transport by an explicit residue intersection, the evolutions
-breadth first or by recursion, the audit part by part; none calls the
-package's residue-solve kernel, and none validates its input."""
+breadth first or by recursion, the audit part by part, the case audit
+instance by instance; none calls the package's residue-solve kernel or
+its class proofs, and none validates its input."""
 
 from fractions import Fraction
 from math import gcd
 
 from collatz_strings.core import _checked, inverse_lower_step, lower_step
-from collatz_strings.family import branch_maps, family_equivalent
+from collatz_strings.family import CaseAuditReport, branch_maps, family_equivalent, family_step
 from collatz_strings.progressions import Progression, evolve
 from collatz_strings.strings import PROCESSES
 
@@ -40,6 +41,29 @@ def family_equivalent_n(x, count, family):
     for _ in range(count):
         x = family_equivalent(x, family)
     return x
+
+
+def reference_case_audit(family, rules, *, value_limit, m_limit, n_limit):
+    """The case audit instance by instance: every rule instance d + s*m ->
+    i + r*m within the bounds, stepped at each equivalence depth up to
+    n_limit; the first error of a step or an equivalent propagates."""
+    checked, mismatches = 0, []
+    for offset, stride, image, image_stride in rules:
+        m = 0
+        while ((m_limit is None or m <= m_limit)
+               and (value_limit is None or offset + stride * m <= value_limit)):
+            v = domain = offset + stride * m
+            for depth in range(n_limit + 1):
+                got = family_step(v, family)
+                checked += 1
+                if got != image + image_stride * m:
+                    mismatches.append((domain, depth, image + image_stride * m, got))
+                if depth < n_limit:
+                    v = family_equivalent(v, family)
+            if not stride:  # a one-off rule has one instance
+                break
+            m += 1
+    return CaseAuditReport(family.p, checked, tuple(mismatches))
 
 
 def first_gap_violation(tags, interval):

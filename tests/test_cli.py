@@ -94,6 +94,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                  ["proportionality", "--cases", "1", "--x-max", "0"],
                  ["strings", "--limit", "1"],
                  ["coverage", "--direction", "forward", "-m", "2", "--random-starts", "-4"],
+                 ["coverage", "--direction", "forward", "-m", "100000"],
+                 ["coverage", "--direction", "forward", "-m", "2", "--random-starts", str(2 ** 128)],
                  ["family-audit", "-p", "7", "--n-limit", "-1"],
                  ["family-audit", "-p", "7", "--value-limit", "-5"],
                  ["family-audit", "-p", "7", "--m-limit", "-1"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import family_equivalent_n, family_evolve_forward
+from oracles import family_equivalent_n, family_evolve_forward, reference_case_audit
 
 import collatz_strings.family as family_module
 import collatz_strings.walks as walks_module
@@ -193,6 +193,124 @@ def test_audit_detects_a_wrong_rule():
     bad = (CaseRule(1, 2, 4, 3),)  # p=7 maps 1+2m to 3+3m, not 4+3m
     report = audit_case_system(Family(7), bad, value_limit=50, n_limit=1)
     assert report.mismatches
+
+
+def _case_audit_outcome(audit, family, rules, value_limit, m_limit, n_limit):
+    """The audit's report, or the type and message of the error it raised."""
+    try:
+        return audit(family, rules, value_limit=value_limit, m_limit=m_limit, n_limit=n_limit)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_case_rules = st.lists(st.builds(CaseRule,
+                                 st.integers(-2, 40), st.sampled_from((0, 1, 2, 3, 4, 8)),
+                                 st.integers(-2, 40), st.sampled_from((0, 1, 3, 6))),
+                       max_size=3)
+
+
+@st.composite
+def _case_audits(draw):
+    """(p, rules): a published system with a few generated rules mixed in, or
+    generated rules alone, for odd p in -41..41 (p <= -5 has nonpositive images)."""
+    extra = draw(_case_rules)
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(CASE_SYSTEM_PARAMS))
+        rules = list(case_system(p))
+        for rule in extra:
+            rules.insert(draw(st.integers(0, len(rules))), rule)
+        return p, tuple(rules)
+    return draw(st.integers(-21, 20)) * 2 + 1, tuple(extra)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_case_audits(), st.none() | st.integers(1, 400), st.none() | st.integers(0, 60),
+       st.integers(0, 8))
+@example((7, case_system(7)), 1, None, 0)  # a one-off rule above value_limit has no instance
+@example((7, (CaseRule(0, 4, 1, 3),)), None, 1, 0)  # affine on its class, but from position 0
+@example((7, (CaseRule(4, 2, 4, 1),)), None, 1, 0)  # 3n+p = 28 + 12m halves 2 times, then 3
+@example((7, (CaseRule(1, 2, 3, 6),)), None, 1, 0)  # the image stride is 3, not 6
+@example((-7, (CaseRule(1, 4, 0, 3),)), None, 1, 0)  # 3n+p = -4 + 24m: no image at m = 0
+def test_case_audit_matches_reference(case, value_limit, m_limit, n_limit):
+    # equal reports, mismatches in the same order, or the same error
+    p, rules = case
+    if value_limit is None and m_limit is None:
+        m_limit = 5
+    args = Family(p), rules, value_limit, m_limit, n_limit
+    assert (_case_audit_outcome(audit_case_system, *args)
+            == _case_audit_outcome(reference_case_audit, *args))
+
+
+def test_case_audit_falls_back_where_the_step_is_not_affine():
+    # on the stride-1 class 1 + m, 3n+p = 10 + 6m halves once at m = 0 but
+    # more often at m = 1, so the affine image 3 + m of the first member's
+    # halving holds there only
+    rules = (CaseRule(1, 1, 3, 1),)
+    report = audit_case_system(Family(7), rules, value_limit=4, n_limit=1)
+    assert report == reference_case_audit(Family(7), rules, value_limit=4, m_limit=None, n_limit=1)
+    assert report.checked == 8
+    assert report.mismatches == ((2, 0, 4, 1), (2, 1, 4, 1), (3, 0, 5, 6), (3, 1, 5, 6),
+                                 (4, 0, 6, 4), (4, 1, 6, 4))
+
+
+def test_case_audit_proves_every_published_rule_on_its_class(monkeypatch):
+    # a one-off rule is a class of one member; no instance is stepped
+    steps = []
+    monkeypatch.setattr(family_module, "family_step",
+                        lambda x, family: steps.append(x) or family_step(x, family))
+    for p in CASE_SYSTEM_PARAMS:
+        report = audit_case_system(Family(p), value_limit=10 ** 4, n_limit=4)
+        assert steps == [] and report.mismatches == (), p
+
+
+def test_case_audit_falls_back_on_a_nonpositive_first_image():
+    # p=-7 steps 2 + 2m to 1 + 3m, proved on its class; at position 1 of the
+    # rule after it 3n+p is -4
+    rules = (CaseRule(2, 2, 1, 3), CaseRule(1, 2, 1, 3))
+    report = audit_case_system(Family(-7), rules[:1], value_limit=50, n_limit=2)
+    assert report.checked == 25 * 3 and report.mismatches == ()
+    for audit in (reference_case_audit, audit_case_system):
+        with pytest.raises(NonpositiveImageError, match="^3n\\+p is -4 at position 1 for p=-7$"):
+            audit(Family(-7), rules, value_limit=50, m_limit=None, n_limit=2)
+
+
+def test_case_audit_falls_back_where_the_deepest_equivalent_leaves_the_width():
+    # p=5 rule 2 + 2m -> 4 + 3m for m <= 3: at depth 62 the largest member's
+    # 3n+p passes 2^128 while the smallest one's does not yet
+    rules = case_system(5)[:1]
+    report = audit_case_system(Family(5), rules, m_limit=3, n_limit=61)
+    assert report == reference_case_audit(Family(5), rules, value_limit=None, m_limit=3,
+                                          n_limit=61)
+    assert report.checked == 4 * 62 and report.mismatches == ()
+    assert 6 * family_equivalent_n(2, 62, Family(5)) + 2 <= MAX_VALUE
+    for audit in (reference_case_audit, audit_case_system):
+        with pytest.raises(WidthExceededError, match="^value exceeds the 128-bit working range$"):
+            audit(Family(5), rules, value_limit=None, m_limit=3, n_limit=62)
+
+
+def test_case_audit_falls_back_where_an_equivalent_leaves_the_width():
+    # for p about -5.5 * 2^128, positions near 0.92 * 2^128 have 3n+p in
+    # range, and so have their equivalents (3n+p grows 4-fold), but 4x+q
+    # itself is past 2^128
+    family = Family(-(11 * (MAX_VALUE // 2) | 1))
+    a = (MAX_VALUE // 5 - family.p) // 6
+    assert 6 * (a + 2) - 3 + family.p <= MAX_VALUE // 4 < MAX_VALUE < 4 * (a + 2) + family.q
+    rules = (CaseRule(a, 2, family_step(a, family), 3),)
+    report = audit_case_system(family, rules, m_limit=1, n_limit=0)
+    assert report.checked == 2 and report.mismatches == ()
+    for audit in (reference_case_audit, audit_case_system):
+        with pytest.raises(WidthExceededError, match="^value exceeds the 128-bit working range$"):
+            audit(family, rules, value_limit=None, m_limit=1, n_limit=1)
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the case audit oracle check at 10^5")
+def test_long_case_audit_matches_reference():
+    for p in CASE_SYSTEM_PARAMS:
+        rules = case_system(p)
+        assert (audit_case_system(Family(p), rules, value_limit=10 ** 5, n_limit=6)
+                == reference_case_audit(Family(p), rules, value_limit=10 ** 5, m_limit=None,
+                                        n_limit=6)), p
 
 
 def test_unlisted_system_raises():
@@ -676,6 +794,12 @@ def test_exceptional_positions_examples():
     assert exceptional_positions(Family(3)) == ()
     assert exceptional_positions(Family(13)) == (1, 5)
     assert exceptional_positions(Family(37)) == (1, 5, 9, 13, 17)
+
+
+def test_audit_rejects_a_descending_rule():
+    # value_limit bounds a rule from above, so only a rising one is bounded by it
+    with pytest.raises(ValueError, match="^domain stride must be >= 0, got -2$"):
+        audit_case_system(Family(7), (CaseRule(9, -2, 15, -3),), value_limit=100, n_limit=0)
 
 
 def test_audit_accepts_index_bound():
