@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from collatz_strings import coverage_count, expected_coverage
 from collatz_strings.cli import EXIT_OK, main as run_command
+from collatz_strings.family import PROCESSES
 from collatz_strings.progressions import evolve
-from collatz_strings.strings import PROCESSES
 
 
 def generation(direction, k):

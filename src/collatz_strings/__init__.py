@@ -6,50 +6,40 @@ odd-integer positions: the equivalence x ~ 4x-1, the power-of-two branch
 recurrences, the chain ("string") partition of the positions, the
 forward/backward progression evolutions with their counting identities,
 and the 3n+p generalization.
+
+The public names are imported from their modules on first access (PEP
+562), so that a command-line run compiles only the modules it uses.
 """
 
-from .core import (
-    DEFAULT_WALK_LIMIT,
-    MAX_VALUE,
-    WidthExceededError,
-    base_equivalent,
-    conjugate_step,
-    higher_equivalent,
-    inverse_lower_step,
-    lower_step,
-    restriction_index,
-    trajectory_report,
-)
-from .family import (
-    CASE_SYSTEM_PARAMS,
-    CASE_SYSTEMS,
-    CaseRule,
-    Family,
-    NonpositiveImageError,
-    audit_case_system,
-    case_system,
-    exceptional_positions,
-    family_equivalent,
-    family_step,
-    find_cycles,
-    lower_preimages,
-    string_scan,
-    two_to_one_audit,
-)
-from .progressions import (
-    Progression,
-    Signature,
-    backward_signature,
-    first_recurrence_backward,
-    first_recurrence_forward,
-    forward_signature,
-)
-from .strings import (
-    SweepReport,
-    coverage_count,
-    expected_coverage,
-    partition_audit,
-    passage_sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines
+_PUBLIC = {
+    "core": ("DEFAULT_WALK_LIMIT", "MAX_VALUE", "WidthExceededError", "base_equivalent",
+             "conjugate_step", "higher_equivalent", "inverse_lower_step", "lower_step",
+             "restriction_index", "trajectory_report"),
+    "family": ("CASE_SYSTEM_PARAMS", "CASE_SYSTEMS", "CaseRule", "Family",
+               "NonpositiveImageError", "audit_case_system", "case_system",
+               "exceptional_positions", "family_equivalent", "family_step", "find_cycles",
+               "lower_preimages", "string_scan", "two_to_one_audit"),
+    "progressions": ("Progression", "Signature", "backward_signature", "coverage_count",
+                     "expected_coverage", "first_recurrence_backward",
+                     "first_recurrence_forward", "forward_signature"),
+    "strings": ("SweepReport", "partition_audit", "passage_sweep"),
+}
+_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

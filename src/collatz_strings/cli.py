@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import os
 import random
 import sys
@@ -36,22 +37,6 @@ from .core import (
     higher_equivalent,
     lower_step,
 )
-from .family import (
-    CASE_SYSTEM_PARAMS,
-    Family,
-    audit_case_system,
-    find_cycles,
-    string_scan,
-    two_to_one_audit,
-)
-from .progressions import (
-    Progression,
-    _families,
-    backward_signature,
-    first_recurrence_backward,
-    first_recurrence_forward,
-    forward_signature,
-)
 from .reporting import (
     FAILING_KINDS,
     finding,
@@ -61,14 +46,31 @@ from .reporting import (
     render_parts,
     summary_record,
 )
-from .strings import (
-    PROCESSES,
-    _over_bound,
-    coverage_count,
-    expected_coverage,
-    partition_audit,
-    passage_sweep,
-)
+
+# The layer names the handlers use, by module.  Each is imported on its
+# first access as an attribute of this module (`_cli.<name>` in a handler,
+# getattr or hasattr from outside) and kept in the module's namespace,
+# where a test or a tracer can replace it; so a run compiles only the
+# layers its command calls.
+_LAYERS = {
+    "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES", "_over_bound",
+               "audit_case_system", "find_cycles", "string_scan", "two_to_one_audit"),
+    "progressions": ("Progression", "_families", "backward_signature", "coverage_count",
+                     "expected_coverage", "first_recurrence_backward",
+                     "first_recurrence_forward", "forward_signature"),
+    "strings": ("partition_audit", "passage_sweep"),
+}
+_LAYER_OF = {name: module for module, names in _LAYERS.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAYER_OF[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -93,7 +95,7 @@ def _resolve_checkpoint(path: str | None) -> str | None:
 
 
 def cmd_passage(args) -> Report:
-    report = passage_sweep(
+    report = _cli.passage_sweep(
         args.lo, args.hi, max_steps=args.max_steps,
         checkpoint_path=_resolve_checkpoint(args.checkpoint),
         checkpoint_every=args.checkpoint_every,
@@ -113,7 +115,7 @@ def cmd_passage(args) -> Report:
 
 
 def cmd_strings(args) -> Report:
-    report = partition_audit(args.limit, max_len=args.max_len)
+    report = _cli.partition_audit(args.limit, max_len=args.max_len)
     for x, direction in report.truncated:
         yield finding("truncation", str(x), f"{direction} walk exceeded max_len",
                       {"position": x, "direction": direction})
@@ -132,7 +134,8 @@ def cmd_evolve(args) -> Report:
     children, is audited and yielded as one text chunk of measurement lines
     in args.format; the audit's rare violations follow the measurements."""
     direction = args.direction
-    walk = _families(*PROCESSES[direction], args.generations)
+    walk = _cli._families(*_cli.PROCESSES[direction], args.generations)
+    over_bound = _cli._over_bound
     part_bad: list[Progression] = []
     bound_bad: list[tuple[Progression, Progression]] = []
     count = 0
@@ -140,7 +143,7 @@ def cmd_evolve(args) -> Report:
         for part, kids in families:
             if part.intercept >= part.interval:
                 part_bad.append(part)
-            over = _over_bound(direction, part, kids)
+            over = over_bound(direction, part, kids)
             if over:
                 bound_bad += [(part, child) for child in over]
         yield render_parts([part for part, _ in families], count, args.format)
@@ -163,13 +166,13 @@ def cmd_coverage(args) -> Report:
     if args.random_starts > MAX_TREE_NODES:  # refused before the start list is built
         raise ValueError(f"random_starts {args.random_starts} is above the cap of "
                          f"{MAX_TREE_NODES:.0e}")
-    expected_included, expected_open = expected_coverage(args.direction, args.m)
+    expected_included, expected_open = _cli.expected_coverage(args.direction, args.m)
     starts = [args.window_start]
     rng = random.Random(args.seed)
     starts += [rng.randint(2, 10 ** 6) for _ in range(args.random_starts)]
     mismatches = 0
     for start in starts:
-        cc = coverage_count(args.direction, args.m, start)
+        cc = _cli.coverage_count(args.direction, args.m, start)
         ok = (cc.included, cc.open_count) == (expected_included, expected_open)
         if not ok:
             mismatches += 1
@@ -192,8 +195,8 @@ def cmd_family_audit(args) -> Report:
     value_limit = args.value_limit
     if value_limit is None and args.m_limit is None:
         value_limit = 10_000
-    report = audit_case_system(Family(args.p), value_limit=value_limit,
-                               m_limit=args.m_limit, n_limit=args.n_limit)
+    report = _cli.audit_case_system(_cli.Family(args.p), value_limit=value_limit,
+                                    m_limit=args.m_limit, n_limit=args.n_limit)
     for domain, depth, expected, got in report.mismatches:
         yield finding("mismatch", str(domain), "rule image disagrees with the generic step",
                       {"domain": domain, "depth": depth, "expected": expected, "got": got})
@@ -202,7 +205,7 @@ def cmd_family_audit(args) -> Report:
 
 
 def cmd_cycles(args) -> Report:
-    report = find_cycles(Family(args.p), args.seed_limit, max_steps=args.max_steps)
+    report = _cli.find_cycles(_cli.Family(args.p), args.seed_limit, max_steps=args.max_steps)
     for cycle in report.cycles:
         yield finding("measurement", str(cycle[0]), "cycle",
                       {"members": list(cycle), "length": len(cycle)})
@@ -221,7 +224,7 @@ def cmd_cycles(args) -> Report:
 
 
 def cmd_audit_3n3(args) -> Report:
-    report = two_to_one_audit(args.limit)
+    report = _cli.two_to_one_audit(args.limit)
     for domain, image, problem in report.conflicts:
         if domain is None:  # the branch domains leave positions uncovered
             yield finding("violation", "domains", f"p=3 branch {problem}",
@@ -243,7 +246,7 @@ def cmd_audit_3n3(args) -> Report:
 
 
 def cmd_scan(args) -> Report:
-    report = string_scan(Family(args.p), args.limit, max_len=args.max_len)
+    report = _cli.string_scan(_cli.Family(args.p), args.limit, max_len=args.max_len)
     for orphan in report.orphans:
         yield finding("violation" if orphan.reason == "cycle" else "truncation",
                       str(orphan.position), f"{orphan.direction} walk {orphan.reason}",
@@ -255,11 +258,11 @@ def cmd_scan(args) -> Report:
 
 def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
     if direction == "forward":
-        sig = forward_signature(x, steps)
-        found = first_recurrence_forward(x, steps)
+        sig = _cli.forward_signature(x, steps)
+        found = _cli.first_recurrence_forward(x, steps)
     else:
-        sig = backward_signature(x, steps)
-        found = first_recurrence_backward(x, steps)
+        sig = _cli.backward_signature(x, steps)
+        found = _cli.first_recurrence_backward(x, steps)
     predicted = x + sig.recurrence_gap
     data = {"x": x, "steps_requested": steps, "signature": list(sig.steps),
             "predicted": predicted, "found": found, "direction": direction}
@@ -315,6 +318,15 @@ def export_graph(limit: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _PublishedHelp(str):
+    """A help string that lists the published case systems.  argparse
+    formats it with % only to print the help, and only then is `family`
+    imported for the list."""
+
+    def __mod__(self, params: dict) -> str:
+        return str.__mod__(self, {**params, "published": sorted(_cli.CASE_SYSTEM_PARAMS)})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatz-strings",
@@ -357,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family-audit", parents=[common],
                        help="published case system vs generic step")
-    p.add_argument("-p", type=int, required=True,
-                   help=f"family parameter, one of {sorted(CASE_SYSTEM_PARAMS)}")
+    # assigned after add_argument, which in newer Pythons formats a help to check it
+    p.add_argument("-p", type=int, required=True).help = _PublishedHelp(
+        "family parameter, one of %(published)s")
     p.add_argument("--value-limit", type=int,
                    help="cap rule instances by domain value (default 10000)")
     p.add_argument("--m-limit", type=int,
@@ -413,17 +426,17 @@ def _report_stream(path: str | None):
     A report for a regular file is written to a temporary file in the
     same directory and moved over `path` after the block ends; an error
     removes the temporary file and leaves `path` as it was.  A path that
-    exists and is not a regular file (a device or a pipe) is written in
-    place.
+    exists and is not a regular file (a device or a pipe, also through a
+    symlink such as /dev/stdout) is written in place.
     """
     if path is None:
         yield sys.stdout
         return
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8") as fh:
+    if os.path.exists(path) and not os.path.isfile(path):  # both follow symlinks
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

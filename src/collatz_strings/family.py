@@ -10,6 +10,15 @@ get their own one-off rules.
 CASE_SYSTEMS transcribes the published position-map systems for each small
 p; audit_case_system checks every transcribed rule instance against the
 generic step, which is the oracle throughout this module.
+
+The string formation of the p=1 map is tabled here too.  Forward process:
+start from the chain heads {2+3t} and push every part through both
+branches of the one-to-one map, dropping the 3 mod 4 class (chain ends)
+at each generation.  Backward process: start from the chain ends {3+4t}
+and pull back through both inverse branches, dropping heads.  PROCESSES
+(seeds and branch maps) is the one table that tells the directions
+apart: generation k is progressions.evolve(*PROCESSES[d], k), and
+_over_bound checks a part's children against the recursion bound.
 """
 
 from __future__ import annotations
@@ -333,6 +342,29 @@ def find_cycles(family: Family, seed_limit: int,
     return CycleSearchReport(family.p, seed_limit, cycles,
                              tuple(x for x, reason, _ in outcomes if reason == "truncated"),
                              tuple(x for x, reason, _ in outcomes if reason == "rejected"))
+
+
+FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
+BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
+
+# (domain, image) per branch, even branch first: 2+2m -> 3+3m, 1+4m -> 1+3m
+FORWARD_MAPS = branch_maps(Family(1))
+BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
+# direction -> (seeds, branch maps) of the evolution
+PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
+             "backward": ((BACKWARD_SEED,), BACKWARD_MAPS)}
+
+
+def _over_bound(direction: str, part: Progression, kids: list[Progression]) -> list[Progression]:
+    """The children kids of part (a, b) that break the recursion bound on new
+    intercepts c: c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1
+    backward, compared in cleared-denominator integer form."""
+    a, b = part
+    if direction == "forward":
+        scale, bound = 4, 3 * (a + 3 * b - 1)
+    else:
+        scale, bound = 3, 4 * (a + 2 * b - 1)
+    return [kid for kid in kids if scale * (kid.intercept - 1) > bound]
 
 
 # (domain, image) per branch of the p=3 step: 1+2t -> 2+3t, 2+4t -> 2+3t

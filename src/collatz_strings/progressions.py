@@ -6,7 +6,8 @@ branch sends one progression onto another member by member (2+2m -> 3+3m
 and 1+4m -> 1+3m forwards), turning an interval b into 3b/2 or 3b/4
 forwards and 2b/3 or 4b/3 backwards.  This module provides the generation
 loop that transports progressions through such branch maps (an exact
-residue intersection per map) and the branch-signature recurrence search.
+residue intersection per map), the window counts of the p=1 evolutions
+in family.PROCESSES and the branch-signature recurrence search.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -24,6 +25,7 @@ from math import gcd
 from .core import (
     MAX_TREE_NODES,
     MAX_VALUE,
+    WIDTH_BITS,
     _checked,
     inverse_lower_step,
     lower_step,
@@ -130,6 +132,64 @@ def _families(seeds, maps, generation):
             stack += [(left - 1, kid) for kid in reversed(kids)]
         else:
             yield part, kids
+
+
+CoverageCount = namedtuple("CoverageCount", "direction m window_start included open_count")
+
+
+def _window_base(direction: str) -> int:
+    """The s of a direction's coverage window s**m: its seed's interval (3
+    forward, 4 backward), since generation k has density (s-1)^k/s^(k+1)."""
+    from .family import PROCESSES  # family imports this module
+
+    if direction not in PROCESSES:
+        raise ValueError(f"unknown direction {direction!r}")
+    (seed,), _ = PROCESSES[direction]
+    return seed.interval
+
+
+def expected_coverage(direction: str, m: int) -> tuple[int, int]:
+    """Closed-form prediction for coverage_count: (included, open).
+
+    Raises WidthExceededError, before the m-term sum, when the window s**m
+    leaves the working range.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    s = _window_base(direction)
+    _checked(s ** min(m, WIDTH_BITS))  # s >= 3: s**WIDTH_BITS is out of range too
+    included = sum((s - 1) ** k * s ** (m - k - 1) for k in range(m))
+    return included, (s - 1) ** m
+
+
+def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCount:
+    """Count window members covered by the first m generations.
+
+    The window is [window_start, window_start + s**m), with s the seed's
+    interval: 3 forward, 4 backward.  Membership is an explicit union over
+    the parts of generations 0..m-1, marked one byte per window position,
+    so the count does not presuppose disjointness.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if window_start < 2:
+        raise ValueError(f"window_start must be >= 2, got {window_start}")
+    from .family import PROCESSES
+
+    window = _window_base(direction) ** m
+    parts, maps = PROCESSES[direction]
+    _checked(window_start + window)
+    covered = bytearray(window)  # covered[i]: window_start + i is a member
+    for generation in range(m):
+        if generation:
+            parts = tuple(evolve(parts, maps, 1))
+        for part in parts:
+            first = part.intercept - window_start
+            if first < 0:
+                first %= part.interval
+            covered[first::part.interval] = b"\1" * len(range(first, window, part.interval))
+    included = covered.count(1)
+    return CoverageCount(direction, m, window_start, included, window - included)
 
 
 # direction -> (tag of a position, least tag that ends a chain, step name,

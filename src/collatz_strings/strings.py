@@ -1,24 +1,12 @@
-"""String formation: progression evolution, counting identities, and sweeps.
+"""The chain audits: the chains tile the positions, and every trajectory
+of the conjugate map passes through 3 mod 4.
 
-Forward process: start from the chain heads {2+3t} and push every part
-through both branches of the one-to-one map, dropping the 3 mod 4 class
-(chain ends) at each generation.  Backward process: start from the chain
-ends {3+4t} and pull back through both inverse branches, dropping heads.
-Both evolutions stay exact unions of arithmetic progressions, which makes
-the counting identities and intercept bounds directly checkable.
-
-PROCESSES (seeds and branch maps) is the one table that tells the
-directions apart: generation k is evolve(*PROCESSES[d], k), _over_bound
-checks a part's children against the recursion bound, and the coverage
-counts take their window base s, the seed's interval, from it.
-
-The audits at the bottom verify that the chains tile the positions and
-that every trajectory of the conjugate map passes through 3 mod 4.  Both
-move whole residue classes of positions at once: the passage sweep walks
-the 2-adic tree of lower_step (_sweep_classes), and the partition audit
-walks positions back to their heads on the 3-adic tree of its inverse
-(walks.partition_walk), then forward to their chain ends on the 2-adic
-one.
+Both move whole residue classes of positions at once: the passage sweep
+walks the 2-adic tree of lower_step (_sweep_classes), and the partition
+audit walks positions back to their heads on the 3-adic tree of its
+inverse (walks.partition_walk), then forward to their chain ends on the
+2-adic one.  The evolution of the chains as progressions, and its
+counting identities, are in family (PROCESSES).
 """
 
 from __future__ import annotations
@@ -26,89 +14,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WIDTH_BITS, WidthExceededError, _checked
-from .family import Family, branch_maps
-from .progressions import Progression, evolve
-
-FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
-BACKWARD_SEED = Progression(3, 4)  # chain ends: residue 3 mod 4
-
-# (domain, image) per branch, even branch first: 2+2m -> 3+3m, 1+4m -> 1+3m
-FORWARD_MAPS = branch_maps(Family(1))
-BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
-# direction -> (seeds, branch maps) of the evolution
-PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
-             "backward": ((BACKWARD_SEED,), BACKWARD_MAPS)}
-
-
-def _over_bound(direction: str, part: Progression, kids: list[Progression]) -> list[Progression]:
-    """The children kids of part (a, b) that break the recursion bound on new
-    intercepts c: c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1
-    backward, compared in cleared-denominator integer form."""
-    a, b = part
-    if direction == "forward":
-        scale, bound = 4, 3 * (a + 3 * b - 1)
-    else:
-        scale, bound = 3, 4 * (a + 2 * b - 1)
-    return [kid for kid in kids if scale * (kid.intercept - 1) > bound]
-
-
-CoverageCount = namedtuple("CoverageCount", "direction m window_start included open_count")
-
-
-def _window_base(direction: str) -> int:
-    """The s of a direction's coverage window s**m: its seed's interval (3
-    forward, 4 backward), since generation k has density (s-1)^k/s^(k+1)."""
-    if direction not in PROCESSES:
-        raise ValueError(f"unknown direction {direction!r}")
-    (seed,), _ = PROCESSES[direction]
-    return seed.interval
-
-
-def expected_coverage(direction: str, m: int) -> tuple[int, int]:
-    """Closed-form prediction for coverage_count: (included, open).
-
-    Raises WidthExceededError, before the m-term sum, when the window s**m
-    leaves the working range.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    s = _window_base(direction)
-    _checked(s ** min(m, WIDTH_BITS))  # s >= 3: s**WIDTH_BITS is out of range too
-    included = sum((s - 1) ** k * s ** (m - k - 1) for k in range(m))
-    return included, (s - 1) ** m
-
-
-def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCount:
-    """Count window members covered by the first m generations.
-
-    The window is [window_start, window_start + s**m), with s the seed's
-    interval: 3 forward, 4 backward.  Membership is an explicit union over
-    the parts of generations 0..m-1, marked one byte per window position,
-    so the count does not presuppose disjointness.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if window_start < 2:
-        raise ValueError(f"window_start must be >= 2, got {window_start}")
-    window = _window_base(direction) ** m
-    parts, maps = PROCESSES[direction]
-    _checked(window_start + window)
-    covered = bytearray(window)  # covered[i]: window_start + i is a member
-    for generation in range(m):
-        if generation:
-            parts = tuple(evolve(parts, maps, 1))
-        for part in parts:
-            first = part.intercept - window_start
-            if first < 0:
-                first %= part.interval
-            covered[first::part.interval] = b"\1" * len(range(first, window, part.interval))
-    included = covered.count(1)
-    return CoverageCount(direction, m, window_start, included, window - included)
+from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError
 
 
 # strings: the number of chains; truncated: (position, direction) pairs;
-# conflicts: (domain, image, problem) for each faulty branch of FORWARD_MAPS
+# conflicts: (domain, image, problem) for each faulty branch of family.FORWARD_MAPS
 class PartitionAuditReport(namedtuple("PartitionAuditReport",
                                       "limit strings truncated conflicts longest_chain")):
     __slots__ = ()
@@ -122,7 +32,7 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
     """Verify that every position in [2, limit] sits in exactly one chain.
 
     That holds for every position if lower_step is one-to-one, which
-    rests on premises about its two branches (FORWARD_MAPS) that are
+    rests on premises about its two branches (family.FORWARD_MAPS) that are
     checked once, for all positions; a broken one is a conflict, and then
     nothing is walked.  The chains are then counted, each once at its
     first member in range, by walks.partition_walk: whole residue classes
@@ -135,7 +45,9 @@ def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionA
         raise ValueError(f"limit must be >= 2, got {limit}")
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
-    from .walks import partition_walk, require_tree_work  # as in family.find_cycles
+    # imported here, as in family.find_cycles: a passage sweep needs neither
+    from .family import FORWARD_MAPS
+    from .walks import partition_walk, require_tree_work
 
     require_tree_work("limit", limit, 5.8e4, 5)
     return PartitionAuditReport(limit, *partition_walk(limit, max_len, FORWARD_MAPS))

@@ -9,9 +9,9 @@ from fractions import Fraction
 from math import gcd
 
 from collatz_strings.core import _checked, inverse_lower_step, lower_step
-from collatz_strings.family import CaseAuditReport, branch_maps, family_equivalent, family_step
+from collatz_strings.family import (PROCESSES, CaseAuditReport, branch_maps, family_equivalent,
+                                    family_step)
 from collatz_strings.progressions import Progression, evolve
-from collatz_strings.strings import PROCESSES
 
 
 def collatz_step(n):

@@ -31,8 +31,8 @@ from collatz_strings import (
     trajectory_report,
     two_to_one_audit,
 )
+from collatz_strings.family import PROCESSES, _over_bound
 from collatz_strings.progressions import _families, evolve
-from collatz_strings.strings import PROCESSES, _over_bound
 
 
 def generation(direction, k):

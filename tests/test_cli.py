@@ -12,7 +12,6 @@ import pytest
 import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
-import collatz_strings.strings as strings_module
 from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.reporting import (
@@ -212,6 +211,17 @@ def test_output_follows_symlinks_and_writes_pipes_in_place(tmp_path):
     assert not reader.is_alive() and received == [expected]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_dev_stdout_through_a_pipe():
+    # /dev/stdout is a symlink to the process's standard output, here a pipe
+    argv = [sys.executable, "-m", "collatz_strings", "family-audit", "-p", "5"]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    plain = subprocess.run(argv, capture_output=True, env=env)
+    piped = subprocess.run(argv + ["--output", "/dev/stdout"], capture_output=True, env=env)
+    assert plain.returncode == 0 and plain.stdout
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, plain.stdout, b"")
+
+
 def test_evolve_memory_stays_flat(tmp_path):
     # a breadth-first evolve that holds all 4096 parts, their findings and
     # the rendered report peaks at 3.6 MiB here
@@ -234,7 +244,7 @@ def reference_evolve_records(args):
     part_bad = []
     bound_bad = []
     count = 0
-    for part, kids in progressions_module._families(*strings_module.PROCESSES[direction],
+    for part, kids in progressions_module._families(*family_module.PROCESSES[direction],
                                                     args.generations):
         a, b = part
         yield finding("measurement", f"part[{count}]", str(part),
@@ -243,7 +253,7 @@ def reference_evolve_records(args):
         if a >= b:
             part_bad.append(part)
         bound_bad += [(part, child)
-                      for child in strings_module._over_bound(direction, part, kids)]
+                      for child in family_module._over_bound(direction, part, kids)]
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
                       {"intercept": part.intercept, "interval": part.interval})
@@ -288,8 +298,8 @@ def test_evolve_violations_follow_every_chunk(tmp_path, monkeypatch, fmt):
     # {3+3t}, generation 10 has one part {3^11+3^11t}, intercept = interval
     out = tmp_path / "r"
     for seed, k, violations in (((40, 3), 10, 2), ((40, 3), 11, 3), ((3, 3), 10, 1)):
-        monkeypatch.setitem(strings_module.PROCESSES, "forward",
-                            ((Progression(*seed),), strings_module.FORWARD_MAPS))
+        monkeypatch.setitem(family_module.PROCESSES, "forward",
+                            ((Progression(*seed),), family_module.FORWARD_MAPS))
         argv = ["evolve", "--direction", "forward", "-k", str(k), "--format", fmt]
         code, text = reference_evolve(argv)
         assert main(argv + ["--output", str(out)]) == code == 1
@@ -570,8 +580,8 @@ def test_cycles_zero_step_budget_truncates_every_seed(tmp_path):
 def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
     # {40+3t} has intercept >= interval, and its even-branch child {60+9t}
     # exceeds 3(40+3*3-1)/4 + 1 = 37; the odd-branch child {37+9t} meets it
-    monkeypatch.setitem(strings_module.PROCESSES, "forward",
-                        ((Progression(40, 3),), strings_module.FORWARD_MAPS))
+    monkeypatch.setitem(family_module.PROCESSES, "forward",
+                        ((Progression(40, 3),), family_module.FORWARD_MAPS))
     code, text = run_cli(["evolve", "--direction", "forward", "-k", "0"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
@@ -585,8 +595,8 @@ def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
 def test_coverage_reports_a_count_mismatch(tmp_path, monkeypatch):
     # dropping the last part of each new generation leaves {3+9t} alone in
     # generation 1: window [2, 11) holds 2, 5, 8 and 3, not also 4
-    evolve = strings_module.evolve
-    monkeypatch.setattr(strings_module, "evolve",
+    evolve = progressions_module.evolve
+    monkeypatch.setattr(progressions_module, "evolve",
                         lambda parts, maps, k: tuple(evolve(parts, maps, k))[:-1])
     code, text = run_cli(["coverage", "--direction", "forward", "-m", "2"], tmp_path)
     assert code == 1
@@ -641,7 +651,7 @@ def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
 def test_strings_reports_conflicts(tmp_path, monkeypatch):
     # 4+2t -> 6+3t is a piece of lower_step whose image meets that of 2+2t -> 3+3t
     overlap = (Progression(4, 2), Progression(6, 3))
-    monkeypatch.setattr(strings_module, "FORWARD_MAPS", (*strings_module.FORWARD_MAPS, overlap))
+    monkeypatch.setattr(family_module, "FORWARD_MAPS", (*family_module.FORWARD_MAPS, overlap))
     code, text = run_cli(["strings", "--limit", "100"], tmp_path)
     assert code == 1
     assert findings_of(text) == [

@@ -28,9 +28,8 @@ from collatz_strings import (
     two_to_one_audit,
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
-from collatz_strings.family import CaseRule, OrphanRecord, branch_maps
+from collatz_strings.family import PROCESSES, CaseRule, OrphanRecord, branch_maps
 from collatz_strings.progressions import Progression, evolve
-from collatz_strings.strings import PROCESSES
 from collatz_strings.walks import _predecessor, _predecessor_table, backward_walk, forward_walk
 
 

@@ -1,0 +1,86 @@
+"""What a run imports: each command loads only the modules it calls, and
+the names that tests and the benchmark's tracer replace on `cli` still
+resolve there and are the ones the handlers call."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import collatz_strings
+import collatz_strings.cli as cli_module
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh(code, *argv):
+    """The last line that `code` prints in a new interpreter."""
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+# Runs cli.main(ARGV) with its report discarded and prints the exit code and
+# the package's modules the run loaded.
+_LOADED = """
+import contextlib, io, sys
+from collatz_strings import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("collatz_strings.")))
+"""
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["passage", "--lo", "2", "--hi", "1000"], "checkpoint cli core reporting strings"),
+    (["evolve", "--direction", "forward", "-k", "0"], "cli core family progressions reporting"),
+    (["proportionality"], "cli core progressions reporting"),
+], ids=["passage", "evolve", "proportionality"])
+def test_a_run_loads_only_the_modules_its_command_calls(argv, modules):
+    code, *loaded = fresh(_LOADED, *argv).split()
+    assert code == "0"
+    assert loaded == [f"collatz_strings.{m}" for m in modules.split()]
+
+
+def test_every_public_name_resolves_and_star_import_binds_it():
+    for name in collatz_strings.__all__:
+        assert getattr(collatz_strings, name) is not None, name
+    namespace = {}
+    exec("from collatz_strings import *", namespace)
+    assert set(collatz_strings.__all__) <= set(namespace)
+    assert "passage_sweep" in dir(collatz_strings)
+    with pytest.raises(AttributeError):
+        collatz_strings.no_such_name  # noqa: B018
+
+
+# cli names that tests or the benchmark's tracer replace, and those the
+# tracer looks for but cli does not have
+PATCHED = ("passage_sweep partition_audit coverage_count string_scan find_cycles "
+           "two_to_one_audit audit_case_system first_recurrence_forward "
+           "first_recurrence_backward forward_signature backward_signature render_jsonl "
+           "render_csv _families").split()
+ABSENT = ("evolve_forward", "evolve_backward", "intercept_audit")
+
+
+def test_patched_cli_names_resolve_in_a_fresh_interpreter():
+    code = ("import sys\nimport collatz_strings.cli as cli\n"
+            "print(*(hasattr(cli, name) for name in sys.argv[1:]))")
+    assert fresh(code, *PATCHED, *ABSENT).split() == \
+        ["True"] * len(PATCHED) + ["False"] * len(ABSENT)
+
+
+def test_a_handler_calls_the_value_set_on_cli(monkeypatch, capsys):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise ValueError("fake sweep")
+
+    monkeypatch.setattr(cli_module, "passage_sweep", fake)
+    assert cli_module.main(["passage", "--lo", "2", "--hi", "10"]) == 2
+    assert capsys.readouterr().err == "error: fake sweep\n"
+    assert calls == [((2, 10), {"max_steps": 100_000, "checkpoint_path": None,
+                                "checkpoint_every": 1 << 20, "resume": False,
+                                "budget": None})]

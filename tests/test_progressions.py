@@ -26,9 +26,8 @@ from collatz_strings import (
     restriction_index,
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
-from collatz_strings.family import branch_maps
+from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound, branch_maps
 from collatz_strings.progressions import _families, evolve
-from collatz_strings.strings import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS

@@ -16,7 +16,7 @@ from oracles import (
     reference_transport,
 )
 
-import collatz_strings.strings as strings_module
+import collatz_strings.family as family_module
 from collatz_strings import (
     DEFAULT_WALK_LIMIT,
     MAX_VALUE,
@@ -32,14 +32,9 @@ from collatz_strings import (
     passage_sweep,
     trajectory_report,
 )
+from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound
 from collatz_strings.progressions import _families, evolve
-from collatz_strings.strings import (
-    BACKWARD_MAPS,
-    FORWARD_MAPS,
-    PROCESSES,
-    _over_bound,
-    _sweep_range,
-)
+from collatz_strings.strings import _sweep_range
 
 
 def generation(direction, k):
@@ -364,7 +359,7 @@ FAULTY_TABLES = [
 def test_partition_audit_conflicts_match_dict_reference(monkeypatch, max_len):
     walk = DEFAULT_WALK_LIMIT if max_len is None else max_len
     for table, conflicts in FAULTY_TABLES:
-        monkeypatch.setattr(strings_module, "FORWARD_MAPS", table)
+        monkeypatch.setattr(family_module, "FORWARD_MAPS", table)
         report = partition_audit(3000, walk)
         assert report == (3000, 0, (), conflicts, 0)
         assert report.truncated or report.conflicts
@@ -375,7 +370,7 @@ def test_partition_audit_many_conflicts_stay_linear(monkeypatch):
     # and meets the image of the first; each must cost one lookup
     copies = tuple((Progression(2 + 2 * j, 2), Progression(3 + 3 * j, 3))
                    for j in range(20_000))
-    monkeypatch.setattr(strings_module, "FORWARD_MAPS", copies + (ODD,))
+    monkeypatch.setattr(family_module, "FORWARD_MAPS", copies + (ODD,))
     started = time.perf_counter()
     report = partition_audit(20_000)
     elapsed = time.perf_counter() - started
