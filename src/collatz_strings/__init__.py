@@ -17,17 +17,17 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _PUBLIC = {
-    "core": ("DEFAULT_WALK_LIMIT", "MAX_VALUE", "WidthExceededError", "base_equivalent",
-             "conjugate_step", "higher_equivalent", "inverse_lower_step", "lower_step",
-             "restriction_index", "trajectory_report"),
+    "core": ("DEFAULT_WALK_LIMIT", "MAX_VALUE", "Progression", "WidthExceededError",
+             "base_equivalent", "conjugate_step", "higher_equivalent", "inverse_lower_step",
+             "lower_step", "restriction_index", "trajectory_report"),
     "family": ("CASE_SYSTEM_PARAMS", "CASE_SYSTEMS", "CaseRule", "Family",
                "NonpositiveImageError", "audit_case_system", "case_system",
-               "exceptional_positions", "family_equivalent", "family_step", "find_cycles",
-               "lower_preimages", "string_scan", "two_to_one_audit"),
-    "progressions": ("Progression", "Signature", "backward_signature", "coverage_count",
-                     "expected_coverage", "first_recurrence_backward",
-                     "first_recurrence_forward", "forward_signature"),
-    "strings": ("SweepReport", "partition_audit", "passage_sweep"),
+               "exceptional_positions", "family_equivalent", "family_step", "lower_preimages"),
+    "progressions": ("Signature", "backward_signature", "coverage_count", "expected_coverage",
+                     "first_recurrence_backward", "first_recurrence_forward",
+                     "forward_signature"),
+    "strings": ("SweepReport", "passage_sweep"),
+    "walks": ("find_cycles", "partition_audit", "string_scan", "two_to_one_audit"),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -34,6 +34,7 @@ from itertools import chain, islice
 from .core import (
     DEFAULT_WALK_LIMIT,
     MAX_TREE_NODES,
+    Progression,
     higher_equivalent,
     lower_step,
 )
@@ -54,11 +55,12 @@ from .reporting import (
 # layers its command calls.
 _LAYERS = {
     "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES", "_over_bound",
-               "audit_case_system", "find_cycles", "string_scan", "two_to_one_audit"),
-    "progressions": ("Progression", "_families", "backward_signature", "coverage_count",
+               "audit_case_system"),
+    "progressions": ("_families", "backward_signature", "coverage_count",
                      "expected_coverage", "first_recurrence_backward",
                      "first_recurrence_forward", "forward_signature"),
-    "strings": ("partition_audit", "passage_sweep"),
+    "strings": ("passage_sweep",),
+    "walks": ("find_cycles", "partition_audit", "string_scan", "two_to_one_audit"),
 }
 _LAYER_OF = {name: module for module, names in _LAYERS.items() for name in names}
 _cli = sys.modules[__name__]

@@ -11,6 +11,9 @@ residue structure:
   and chains positions into runs that appear to stretch from one residue
   class (2 mod 3) to another (3 mod 4).
 
+Each branch acts on a residue class as a whole; the layers above name such
+classes as progressions {a + b*t : t >= 0} (Progression).
+
 Everything is integer-exact.  Arithmetic is guarded at 128 bits: a result
 beyond that range raises WidthExceededError instead of proceeding, so a
 sweep can never silently outgrow the precision it started with.
@@ -115,6 +118,28 @@ def inverse_lower_step(x: int) -> int | None:
     if r == 1:
         return _checked((4 * x - 1) // 3)
     return None
+
+
+class Progression(namedtuple("Progression", "intercept interval")):
+    """The set {intercept + interval*t : t >= 0}."""
+
+    __slots__ = ()
+
+    def __new__(cls, intercept: int, interval: int):
+        if intercept < 1:
+            raise ValueError(f"intercept must be >= 1, got {intercept}")
+        if interval < 1:
+            raise ValueError(f"interval must be >= 1, got {interval}")
+        return super().__new__(cls, intercept, interval)
+
+    def element(self, t: int) -> int:
+        return self.intercept + self.interval * t
+
+    def contains(self, x: int) -> bool:
+        return x >= self.intercept and (x - self.intercept) % self.interval == 0
+
+    def __str__(self) -> str:
+        return f"{{{self.intercept}+{self.interval}t}}"
 
 
 # First-passage data for one position iterated under the conjugate step; the

@@ -5,7 +5,10 @@ same way the p=1 map does, with the equivalence x ~ 4x+q, q=(p-3)/2, in
 place of x ~ 4x-1.  The branch layout on positions is derived here from q
 alone: one stride-2 residue class, one stride-4 class, the class of
 equivalents (chain ends), and finitely many leftover small positions that
-get their own one-off rules.
+get their own one-off rules.  This module holds the step (family_step),
+the equivalence, the branch maps and the predecessor search; the chain
+scan, the cycle search and the p=3 two-to-one audit, which walk residue
+classes under this step, are in walks.
 
 CASE_SYSTEMS transcribes the published position-map systems for each small
 p; audit_case_system checks every transcribed rule instance against the
@@ -25,9 +28,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, MAX_VALUE, WIDTH_BITS,
-                   WidthExceededError, _checked)
-from .progressions import Progression
+from .core import (MAX_TREE_NODES, MAX_VALUE, WIDTH_BITS, Progression, WidthExceededError,
+                   _checked)
 
 
 class NonpositiveImageError(ValueError):
@@ -198,35 +200,9 @@ CASE_SYSTEMS: dict[int, tuple[_Rule, ...]] = {
 CASE_SYSTEM_PARAMS = tuple(sorted(CASE_SYSTEMS))
 
 
-class CaseRule(namedtuple("CaseRule",
-                          "domain_offset domain_stride image_offset image_stride")):
-    """One rule of a published system: a progression or a single position.
-
-    domain_stride is 0 for a one-off rule.
-    """
-
-    __slots__ = ()
-
-    def instances(self, value_limit: int | None = None, m_limit: int | None = None):
-        """Yield (domain value, expected image), bounded by value and/or index.
-
-        value_limit caps the domain value, m_limit caps the progression
-        index m; at least one bound is required (one-off rules yield their
-        single instance under either).
-        """
-        if value_limit is None and m_limit is None:
-            raise ValueError("need value_limit or m_limit")
-        if self.domain_stride == 0:
-            if value_limit is None or self.domain_offset <= value_limit:
-                yield self.domain_offset, self.image_offset
-            return
-        m = 0
-        while m_limit is None or m <= m_limit:
-            value = self.domain_offset + self.domain_stride * m
-            if value_limit is not None and value > value_limit:
-                return
-            yield value, self.image_offset + self.image_stride * m
-            m += 1
+# One rule of a published system: a progression, or a single position where
+# domain_stride is 0 (a one-off rule).
+CaseRule = namedtuple("CaseRule", "domain_offset domain_stride image_offset image_stride")
 
 
 def case_system(p: int) -> tuple[CaseRule, ...]:
@@ -299,8 +275,10 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
     for rule, count in zip(rules, counts):
         if _holds_on_class(rule, count, family, n_limit):
             continue
-        for domain_value, image_value in rule.instances(value_limit, m_limit):
-            v = domain_value
+        offset, stride, image_offset, image_stride = rule
+        for m in range(count):
+            v = domain_value = offset + stride * m
+            image_value = image_offset + image_stride * m
             for depth in range(n_limit + 1):
                 got = family_step(v, family)
                 if got != image_value:
@@ -308,40 +286,6 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
                 if depth < n_limit:
                     v = family_equivalent(v, family)
     return CaseAuditReport(family.p, checks, tuple(mismatches))
-
-
-# rejected_seeds: seeds whose walk hit a nonpositive image
-CycleSearchReport = namedtuple("CycleSearchReport",
-                               "p seed_limit cycles truncated_seeds rejected_seeds")
-
-
-def find_cycles(family: Family, seed_limit: int,
-                max_steps: int = DEFAULT_WALK_LIMIT) -> CycleSearchReport:
-    """Collect the cycles reachable from positions 1..seed_limit.
-
-    Each seed walks until it dips below itself (that region was classified
-    by an earlier seed), repeats a position, records more than max_steps
-    positions (a truncated seed) or reaches 3n+p below 1 (a rejected
-    seed).  So every cycle whose minimum is <= seed_limit is discovered.
-    The seeds move as residue classes (see walks.forward_walk), and the
-    dip is one interval cut per class.  Cycles are reported in canonical
-    min-first rotation.
-    """
-    if seed_limit < 1:
-        raise ValueError(f"seed_limit must be >= 1, got {seed_limit}")
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    # imported here: only the cycle search and the scan use it, and compiling
-    # it costs every run that has no bytecode cache
-    from .walks import forward_walk, require_tree_work
-
-    require_tree_work("seed_limit", seed_limit, 6.6e4, 8)
-    outcomes = sorted(forward_walk(family, ((1, seed_limit),), max_steps, True))  # one per seed
-    found = {cycle for _, _, cycle in outcomes if cycle is not None}
-    cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
-    return CycleSearchReport(family.p, seed_limit, cycles,
-                             tuple(x for x, reason, _ in outcomes if reason == "truncated"),
-                             tuple(x for x, reason, _ in outcomes if reason == "rejected"))
 
 
 FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3
@@ -365,83 +309,3 @@ def _over_bound(direction: str, part: Progression, kids: list[Progression]) -> l
     else:
         scale, bound = 3, 4 * (a + 2 * b - 1)
     return [kid for kid in kids if scale * (kid.intercept - 1) > bound]
-
-
-# (domain, image) per branch of the p=3 step: 1+2t -> 2+3t, 2+4t -> 2+3t
-TWO_TO_ONE_MAPS = branch_maps(Family(3))
-
-
-# count_violations: (position, observed count); pairing_violations:
-# (image, first, second); conflicts: (domain, image, problem) for each
-# broken premise of TWO_TO_ONE_MAPS, (None, None, problem) for a gap
-TwoToOneReport = namedtuple("TwoToOneReport",
-                            "limit count_violations pairing_violations conflicts")
-
-
-def two_to_one_audit(limit: int) -> TwoToOneReport:
-    """Audit the p=3 map: every image position is hit exactly twice.
-
-    The base domain (positions not divisible by 4) must hit positions
-    2 mod 3 up to limit exactly twice and everything else zero times, and
-    the two predecessors of an image must pair as (x, 2x) -- each chain
-    member's companion is exactly half or double.
-
-    The step's two branches (TWO_TO_ONE_MAPS) are checked once against
-    family_step, for all positions; a broken premise is a conflict.  Their
-    images are then counted as whole classes by walks.two_to_one_walk, in
-    work and memory that do not grow with limit.  Raises
-    WidthExceededError when a predecessor of an image up to limit would
-    leave the working range.
-    """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    from .walks import two_to_one_walk  # as in find_cycles
-
-    family = Family(3)
-    return TwoToOneReport(limit, *two_to_one_walk(limit, TWO_TO_ONE_MAPS,
-                                                  lambda x: family_step(x, family)))
-
-
-# direction: "forward" | "backward"; reason: "cycle" | "truncated" |
-# "rejected"; cycle: the cycle's members, or None
-OrphanRecord = namedtuple("OrphanRecord", "position direction reason cycle")
-
-
-StringScanReport = namedtuple("StringScanReport", "p limit scanned orphans")
-
-
-def string_scan(family: Family, limit: int,
-                max_len: int = DEFAULT_WALK_LIMIT) -> StringScanReport:
-    """Scan positions 1..limit for membership in the family's chains.
-
-    Forward, every position should walk to a chain end (an equivalent
-    position).  Backward -- only for families with unique predecessors,
-    i.e. p not divisible by 3 -- every position should walk to a head
-    (a position with no predecessor), one predecessor at a time.
-    A walk that cycles, truncates (records more than max_len positions),
-    or hits a nonpositive image makes the start an orphan.  The family's
-    built-in fixed point is skipped; it is a loop, not a chain.
-
-    The starts move as residue classes (see walks), forward on the 2-adic
-    tree of family_step and backward on the 3-adic tree of the branch
-    maps' inverses; the orphans are those of walking every start on its
-    own.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    from .walks import backward_walk, forward_walk, require_tree_work  # as in find_cycles
-
-    require_tree_work("limit", limit, 3.9e4, 5)
-    p, trivial = family.p, family.trivial_loop_position
-    starts = ((1, min(limit, trivial - 1)), (trivial + 1, limit))
-    orphans = [(x, "forward", reason, cycle) for x, reason, cycle in
-               forward_walk(family, starts, max_len, False)]
-    if p % 3 != 0:
-        orphans += [(x, "backward", reason, cycle) for x, reason, cycle in
-                    backward_walk(family, starts, max_len)]
-    orphans.sort(key=lambda o: (o[0], o[1] == "backward"))
-    scanned = limit - (1 if trivial <= limit else 0)
-    return StringScanReport(p, limit, scanned, tuple(OrphanRecord(*o) for o in orphans))
-

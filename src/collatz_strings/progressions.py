@@ -1,13 +1,14 @@
 """Arithmetic-progression algebra underlying the branch structure of the map.
 
-The objects of study are half-open progressions {a + b*t : t >= 0}.  The
-conjugate step and its inverse act on such sets branch by branch: each
-branch sends one progression onto another member by member (2+2m -> 3+3m
-and 1+4m -> 1+3m forwards), turning an interval b into 3b/2 or 3b/4
-forwards and 2b/3 or 4b/3 backwards.  This module provides the generation
-loop that transports progressions through such branch maps (an exact
-residue intersection per map), the window counts of the p=1 evolutions
-in family.PROCESSES and the branch-signature recurrence search.
+The objects of study are half-open progressions {a + b*t : t >= 0}
+(core.Progression).  The conjugate step and its inverse act on such sets
+branch by branch: each branch sends one progression onto another member
+by member (2+2m -> 3+3m and 1+4m -> 1+3m forwards), turning an interval
+b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This module
+provides the generation loop that transports progressions through such
+branch maps (an exact residue intersection per map), the window counts
+of the p=1 evolutions in family.PROCESSES and the branch-signature
+recurrence search.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -26,33 +27,12 @@ from .core import (
     MAX_TREE_NODES,
     MAX_VALUE,
     WIDTH_BITS,
+    Progression,
     _checked,
     inverse_lower_step,
     lower_step,
     restriction_index,
 )
-
-
-class Progression(namedtuple("Progression", "intercept interval")):
-    """The set {intercept + interval*t : t >= 0}."""
-
-    __slots__ = ()
-
-    def __new__(cls, intercept: int, interval: int):
-        if intercept < 1:
-            raise ValueError(f"intercept must be >= 1, got {intercept}")
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        return super().__new__(cls, intercept, interval)
-
-    def element(self, t: int) -> int:
-        return self.intercept + self.interval * t
-
-    def contains(self, x: int) -> bool:
-        return x >= self.intercept and (x - self.intercept) % self.interval == 0
-
-    def __str__(self) -> str:
-        return f"{{{self.intercept}+{self.interval}t}}"
 
 
 def _kernel(maps):
@@ -140,7 +120,7 @@ CoverageCount = namedtuple("CoverageCount", "direction m window_start included o
 def _window_base(direction: str) -> int:
     """The s of a direction's coverage window s**m: its seed's interval (3
     forward, 4 backward), since generation k has density (s-1)^k/s^(k+1)."""
-    from .family import PROCESSES  # family imports this module
+    from .family import PROCESSES  # here, so the recurrence search loads no family
 
     if direction not in PROCESSES:
         raise ValueError(f"unknown direction {direction!r}")

@@ -1,56 +1,24 @@
-"""The chain audits: the chains tile the positions, and every trajectory
-of the conjugate map passes through 3 mod 4.
+"""The first-passage sweep, which checks that every trajectory of the
+conjugate map passes through 3 mod 4, and its checkpoint format.
 
-Both move whole residue classes of positions at once: the passage sweep
-walks the 2-adic tree of lower_step (_sweep_classes), and the partition
-audit walks positions back to their heads on the 3-adic tree of its
-inverse (walks.partition_walk), then forward to their chain ends on the
-2-adic one.  The evolution of the chains as progressions, and its
-counting identities, are in family (PROCESSES).
+The sweep moves whole residue classes of positions at once, down the
+2-adic tree of lower_step (_sweep_classes); the partition audit
+(walks.partition_walk) walks its chains forward by the same function.
+
+A checkpoint is a single line of canonical JSON (sorted keys) so that two
+checkpoints with the same state are byte-identical.  It carries the format
+name and version, the sweep's identity and its aggregates.  Writes go
+through a temporary file in the same directory followed by os.replace, so
+a reader never observes a torn file.
 """
 
 from __future__ import annotations
 
+import json
+import os
 from collections import namedtuple
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError
-
-
-# strings: the number of chains; truncated: (position, direction) pairs;
-# conflicts: (domain, image, problem) for each faulty branch of family.FORWARD_MAPS
-class PartitionAuditReport(namedtuple("PartitionAuditReport",
-                                      "limit strings truncated conflicts longest_chain")):
-    __slots__ = ()
-
-    @property
-    def positions_checked(self) -> int:
-        return self.limit - 1
-
-
-def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:
-    """Verify that every position in [2, limit] sits in exactly one chain.
-
-    That holds for every position if lower_step is one-to-one, which
-    rests on premises about its two branches (family.FORWARD_MAPS) that are
-    checked once, for all positions; a broken one is a conflict, and then
-    nothing is walked.  The chains are then counted, each once at its
-    first member in range, by walks.partition_walk: whole residue classes
-    of positions walk back to their heads and forward to their ends
-    together, in memory that grows with the depth of the class tree, not
-    with limit.  A position whose backward walk or whose chain exceeds
-    max_len is a truncation finding, not an error.
-    """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    # imported here, as in family.find_cycles: a passage sweep needs neither
-    from .family import FORWARD_MAPS
-    from .walks import partition_walk, require_tree_work
-
-    require_tree_work("limit", limit, 5.8e4, 5)
-    return PartitionAuditReport(limit, *partition_walk(limit, max_len, FORWARD_MAPS))
 
 
 class SweepReport(namedtuple("SweepReport", "lo hi max_steps processed hits truncated "
@@ -203,6 +171,38 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
         if checkpoint_path is not None:
             _save_sweep_checkpoint(checkpoint_path, done, hi)
     return done._replace(hi=hi, next_position=deadline + 1)
+
+
+CHECKPOINT_FORMAT = "collatz-strings-checkpoint"
+CHECKPOINT_VERSION = 1
+
+
+def save_checkpoint(path: str, payload: dict) -> None:
+    """Atomically write payload (plus format/version header fields) to path."""
+    record = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
+    record.update(payload)
+    text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def load_checkpoint(path: str) -> dict:
+    """Read a checkpoint, validating format and version."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            record = json.loads(fh.read())
+    except RecursionError:  # nested deeper than the parser's stack: no checkpoint
+        record = None
+    if not isinstance(record, dict) or record.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
+    if record.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {record.get('version')}")
+    return record
 
 
 def _save_sweep_checkpoint(path: str, done: SweepReport, hi: int) -> None:

@@ -1,6 +1,7 @@
-"""Residue-class walks: the 3n+p family's chain scan and cycle search, the
-p=1 partition audit (partition_walk) and, at the end, the p=3 two-to-one
-audit (two_to_one_walk), which counts images as classes and walks no tree.
+"""Residue-class walks and the audits they drive: the 3n+p family's chain
+scan (string_scan) and cycle search (find_cycles), the p=1 partition audit
+(partition_audit) and, at the end, the p=3 two-to-one audit
+(two_to_one_audit), which counts images as classes and walks no tree.
 
 The scan and the cycle search report, for every start x in a range, how
 the walk from x ends.  Instead of walking each start, these walks move
@@ -26,8 +27,10 @@ as its own walk would.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 from .core import (
+    DEFAULT_WALK_LIMIT,
     MAX_TREE_NODES,
     MAX_VALUE,
     WIDTH_BITS,
@@ -36,8 +39,7 @@ from .core import (
     inverse_lower_step,
     lower_step,
 )
-from .family import branch_maps, exceptional_positions, family_step
-from .strings import _sweep_classes
+from .family import FORWARD_MAPS, Family, branch_maps, exceptional_positions, family_step
 
 # Tree nodes measured for p=5, which the callers pass: scan 39 k at 10^6 and
 # 0.89 M at 10^8 (5x per decade), cycles 66 k and 3.8 M (8x), at 2-6 us a node,
@@ -228,6 +230,78 @@ def backward_walk(family, starts, max_len: int):
             s += 1
 
 
+# direction: "forward" | "backward"; reason: "cycle" | "truncated" |
+# "rejected"; cycle: the cycle's members, or None
+OrphanRecord = namedtuple("OrphanRecord", "position direction reason cycle")
+
+
+StringScanReport = namedtuple("StringScanReport", "p limit scanned orphans")
+
+
+def string_scan(family: Family, limit: int,
+                max_len: int = DEFAULT_WALK_LIMIT) -> StringScanReport:
+    """Scan positions 1..limit for membership in the family's chains.
+
+    Forward, every position should walk to a chain end (an equivalent
+    position).  Backward -- only for families with unique predecessors,
+    i.e. p not divisible by 3 -- every position should walk to a head
+    (a position with no predecessor), one predecessor at a time.
+    A walk that cycles, truncates (records more than max_len positions),
+    or hits a nonpositive image makes the start an orphan.  The family's
+    built-in fixed point is skipped; it is a loop, not a chain.
+
+    The starts move as residue classes (forward_walk and backward_walk),
+    forward on the 2-adic tree of family_step and backward on the 3-adic
+    tree of the branch maps' inverses; the orphans are those of walking
+    every start on its own.
+    """
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    require_tree_work("limit", limit, 3.9e4, 5)
+    p, trivial = family.p, family.trivial_loop_position
+    starts = ((1, min(limit, trivial - 1)), (trivial + 1, limit))
+    orphans = [(x, "forward", reason, cycle) for x, reason, cycle in
+               forward_walk(family, starts, max_len, False)]
+    if p % 3 != 0:
+        orphans += [(x, "backward", reason, cycle) for x, reason, cycle in
+                    backward_walk(family, starts, max_len)]
+    orphans.sort(key=lambda o: (o[0], o[1] == "backward"))
+    scanned = limit - (1 if trivial <= limit else 0)
+    return StringScanReport(p, limit, scanned, tuple(OrphanRecord(*o) for o in orphans))
+
+
+# rejected_seeds: seeds whose walk hit a nonpositive image
+CycleSearchReport = namedtuple("CycleSearchReport",
+                               "p seed_limit cycles truncated_seeds rejected_seeds")
+
+
+def find_cycles(family: Family, seed_limit: int,
+                max_steps: int = DEFAULT_WALK_LIMIT) -> CycleSearchReport:
+    """Collect the cycles reachable from positions 1..seed_limit.
+
+    Each seed walks until it dips below itself (that region was classified
+    by an earlier seed), repeats a position, records more than max_steps
+    positions (a truncated seed) or reaches 3n+p below 1 (a rejected
+    seed).  So every cycle whose minimum is <= seed_limit is discovered.
+    The seeds move as residue classes (see forward_walk), and the
+    dip is one interval cut per class.  Cycles are reported in canonical
+    min-first rotation.
+    """
+    if seed_limit < 1:
+        raise ValueError(f"seed_limit must be >= 1, got {seed_limit}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    require_tree_work("seed_limit", seed_limit, 6.6e4, 8)
+    outcomes = sorted(forward_walk(family, ((1, seed_limit),), max_steps, True))  # one per seed
+    found = {cycle for _, _, cycle in outcomes if cycle is not None}
+    cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
+    return CycleSearchReport(family.p, seed_limit, cycles,
+                             tuple(x for x, reason, _ in outcomes if reason == "truncated"),
+                             tuple(x for x, reason, _ in outcomes if reason == "rejected"))
+
+
 def branch_faults(maps) -> tuple:
     """(domain, image, problem) for each branch of maps, lower_step's
     (domain, image) Progression pairs, that breaks a premise of
@@ -282,6 +356,10 @@ def partition_walk(limit: int, max_len: int, maps):
     conflicts = branch_faults(maps)
     if conflicts:
         return 0, (), conflicts, 0
+    # imported here, so that the scan, the cycle search and the two-to-one
+    # audit do not compile the passage sweep
+    from .strings import _sweep_classes
+
     branches = _image_branches(maps)
     reach = max(max_len, 1)  # the longest chain that does not truncate
     strings, longest, truncated = 0, 0, []
@@ -323,24 +401,55 @@ def partition_walk(limit: int, max_len: int, maps):
     return strings, tuple(truncated), (), longest
 
 
+# strings: the number of chains; truncated: (position, direction) pairs;
+# conflicts: (domain, image, problem) for each faulty branch of FORWARD_MAPS
+class PartitionAuditReport(namedtuple("PartitionAuditReport",
+                                      "limit strings truncated conflicts longest_chain")):
+    __slots__ = ()
+
+    @property
+    def positions_checked(self) -> int:
+        return self.limit - 1
+
+
+def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:
+    """Verify that every position in [2, limit] sits in exactly one chain.
+
+    That holds for every position if lower_step is one-to-one, which
+    rests on premises about its two branches (FORWARD_MAPS) that are
+    checked once, for all positions; a broken one is a conflict, and then
+    nothing is walked.  The chains are then counted, each once at its
+    first member in range, by partition_walk: whole residue classes
+    of positions walk back to their heads and forward to their ends
+    together, in memory that grows with the depth of the class tree, not
+    with limit.  A position whose backward walk or whose chain exceeds
+    max_len is a truncation finding, not an error.
+    """
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    require_tree_work("limit", limit, 5.8e4, 5)
+    return PartitionAuditReport(limit, *partition_walk(limit, max_len, FORWARD_MAPS))
+
+
 def _predecessors(branches, y: int) -> list:
     """(x, k) for the predecessor x of y on each branch k, in increasing x."""
     return sorted((a + s * (y - b) // 3, k) for k, (b, _, a, s) in enumerate(branches))
 
 
-def two_to_one_walk(limit: int, maps, step):
+def two_to_one_walk(limit: int, maps):
     """(count_violations, pairing_violations, conflicts) of the p=3 step on
-    images 1..limit, maps being its (domain, image) Progression pairs and
-    step the family's step: what stepping each base position in turn
-    finds, counted by classes.
+    images 1..limit, maps being its (domain, image) Progression pairs: what
+    stepping each base position in turn finds, counted by classes.
 
     conflicts lists (domain, image, problem) per broken premise, or
     (None, None, problem) for uncovered positions.  With v2(a) < v2(s) on a
-    domain a+s*t, 6x has one power of 2 on every member, so step is affine
-    there and agrees with the image everywhere once it does at t = 0 and 1.
-    A branch that does not is a conflict, and is still counted.  The count
-    needs the domains to partition the positions not divisible by 4, each
-    from its least member, and images of interval 3; else nothing is.
+    domain a+s*t, 6x has one power of 2 on every member, so family_step is
+    affine there and agrees with the image everywhere once it does at t = 0
+    and 1.  A branch that does not is a conflict, and is still counted.  The
+    count needs the domains to partition the positions not divisible by 4,
+    each from its least member, and images of interval 3; else nothing is.
 
     Each branch hits its image class from the intercept up to a cut set by
     x_max = (4*limit-2)//3+1 and limit, so the hit count is constant
@@ -353,11 +462,11 @@ def two_to_one_walk(limit: int, maps, step):
     """
     x_max = (4 * limit - 2) // 3 + 1
     _checked(6 * x_max)
-    conflicts, seen, shaped = [], [], True
+    conflicts, seen, shaped, family = [], [], True, Family(3)
     for domain, image in maps:
         (a, s), (b, i) = domain, image
-        if (a & -a) >= (s & -s) or any(step(domain.element(t)) != image.element(t)
-                                       for t in (0, 1)):
+        if (a & -a) >= (s & -s) or any(family_step(domain.element(t), family)
+                                       != image.element(t) for t in (0, 1)):
             conflicts.append((domain, image, "disagrees with family_step"))
         if i != 3:
             conflicts.append((domain, image, "has an image interval other than 3"))
@@ -411,3 +520,34 @@ def two_to_one_walk(limit: int, maps, step):
     count_bad.sort()
     pairing_bad.sort(key=lambda v: v[2])
     return tuple(count_bad), tuple(pairing_bad), tuple(conflicts)
+
+
+# (domain, image) per branch of the p=3 step: 1+2t -> 2+3t, 2+4t -> 2+3t
+TWO_TO_ONE_MAPS = branch_maps(Family(3))
+
+
+# count_violations: (position, observed count); pairing_violations:
+# (image, first, second); conflicts: (domain, image, problem) for each
+# broken premise of TWO_TO_ONE_MAPS, (None, None, problem) for a gap
+TwoToOneReport = namedtuple("TwoToOneReport",
+                            "limit count_violations pairing_violations conflicts")
+
+
+def two_to_one_audit(limit: int) -> TwoToOneReport:
+    """Audit the p=3 map: every image position is hit exactly twice.
+
+    The base domain (positions not divisible by 4) must hit positions
+    2 mod 3 up to limit exactly twice and everything else zero times, and
+    the two predecessors of an image must pair as (x, 2x) -- each chain
+    member's companion is exactly half or double.
+
+    The step's two branches (TWO_TO_ONE_MAPS) are checked once against
+    family_step, for all positions; a broken premise is a conflict.  Their
+    images are then counted as whole classes by two_to_one_walk, in
+    work and memory that do not grow with limit.  Raises
+    WidthExceededError when a predecessor of an image up to limit would
+    leave the working range.
+    """
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    return TwoToOneReport(limit, *two_to_one_walk(limit, TWO_TO_ONE_MAPS))

@@ -12,6 +12,7 @@ import pytest
 import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
+import collatz_strings.walks as walks_module
 from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.reporting import (
@@ -623,8 +624,8 @@ def test_family_audit_reports_rule_mismatches(tmp_path, monkeypatch):
 def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
     # 2+4t -> 5+3t (family_step sends 2+4t to 2+3t) leaves image 2 one hit
     # and pairs the predecessors of 5 as (2, 3) and those of 8 as (5, 6)
-    odd, _ = family_module.TWO_TO_ONE_MAPS
-    monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS",
+    odd, _ = walks_module.TWO_TO_ONE_MAPS
+    monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS",
                         (odd, (Progression(2, 4), Progression(5, 3))))
     code, text = run_cli(["audit-3n3", "--limit", "8"], tmp_path)
     assert code == 1
@@ -639,7 +640,7 @@ def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
     ]
     # without the even branch the domains leave positions uncovered, and
     # nothing is counted
-    monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", (odd,))
+    monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS", (odd,))
     code, text = run_cli(["audit-3n3", "--limit", "8"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
@@ -651,7 +652,7 @@ def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
 def test_strings_reports_conflicts(tmp_path, monkeypatch):
     # 4+2t -> 6+3t is a piece of lower_step whose image meets that of 2+2t -> 3+3t
     overlap = (Progression(4, 2), Progression(6, 3))
-    monkeypatch.setattr(family_module, "FORWARD_MAPS", (*family_module.FORWARD_MAPS, overlap))
+    monkeypatch.setattr(walks_module, "FORWARD_MAPS", (*walks_module.FORWARD_MAPS, overlap))
     code, text = run_cli(["strings", "--limit", "100"], tmp_path)
     assert code == 1
     assert findings_of(text) == [

@@ -28,9 +28,10 @@ from collatz_strings import (
     two_to_one_audit,
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
-from collatz_strings.family import PROCESSES, CaseRule, OrphanRecord, branch_maps
+from collatz_strings.family import PROCESSES, CaseRule, branch_maps
 from collatz_strings.progressions import Progression, evolve
-from collatz_strings.walks import _predecessor, _predecessor_table, backward_walk, forward_walk
+from collatz_strings.walks import (OrphanRecord, _predecessor, _predecessor_table, backward_walk,
+                                   forward_walk)
 
 
 def test_family_validation():
@@ -315,8 +316,6 @@ def test_long_case_audit_matches_reference():
 def test_unlisted_system_raises():
     with pytest.raises(KeyError):
         case_system(41)
-    with pytest.raises(ValueError, match="^need value_limit or m_limit$"):
-        next(CaseRule(1, 2, 4, 3).instances())
 
 
 def test_lower_preimages_counts():
@@ -559,7 +558,7 @@ def table_step(maps):
 # splitting it again, whose stride-8 domains reach x_max before their
 # images reach the limit, and ORDER_SWAP.  The audit counts them as they
 # stand.  The others break a premise of the count and are not counted.
-ODD3, EVEN3 = family_module.TWO_TO_ONE_MAPS
+ODD3, EVEN3 = walks_module.TWO_TO_ONE_MAPS
 DISAGREES = "disagrees with family_step"
 WRONG_INTERCEPT = (Progression(2, 4), Progression(5, 3))
 WRONG_RESIDUE = (Progression(2, 4), Progression(1, 3))
@@ -598,7 +597,7 @@ UNCOUNTED_TABLES = [
 
 def test_two_to_one_violations_match_list_reference(monkeypatch):
     for table, conflicts in COUNTED_TABLES:
-        monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", table)
+        monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS", table)
         for limit in [*range(2, 151), 1000, 3001]:
             report = two_to_one_audit(limit)
             assert report.conflicts == conflicts
@@ -609,7 +608,7 @@ def test_two_to_one_violations_match_list_reference(monkeypatch):
 
 def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
     for table, conflicts in UNCOUNTED_TABLES:
-        monkeypatch.setattr(family_module, "TWO_TO_ONE_MAPS", table)
+        monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS", table)
         report = two_to_one_audit(3000)
         assert report == (3000, (), (), conflicts)
         assert report.count_violations or report.pairing_violations or report.conflicts
@@ -617,8 +616,8 @@ def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
 
 def test_two_to_one_checks_the_table_against_family_step(monkeypatch):
     # the table stands, the step it was derived from does not
-    step = family_module.family_step
-    monkeypatch.setattr(family_module, "family_step", lambda x, family: step(x, family) + 3)
+    step = walks_module.family_step
+    monkeypatch.setattr(walks_module, "family_step", lambda x, family: step(x, family) + 3)
     report = two_to_one_audit(3000)
     assert report == (3000, (), (), ((*ODD3, DISAGREES), (*EVEN3, DISAGREES)))
     assert report.count_violations or report.pairing_violations or report.conflicts
@@ -799,6 +798,11 @@ def test_audit_rejects_a_descending_rule():
     # value_limit bounds a rule from above, so only a rising one is bounded by it
     with pytest.raises(ValueError, match="^domain stride must be >= 0, got -2$"):
         audit_case_system(Family(7), (CaseRule(9, -2, 15, -3),), value_limit=100, n_limit=0)
+
+
+def test_audit_needs_a_bound():
+    with pytest.raises(ValueError, match="^need value_limit or m_limit$"):
+        audit_case_system(Family(5), n_limit=1)
 
 
 def test_audit_accepts_index_bound():

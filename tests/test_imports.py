@@ -34,10 +34,19 @@ print(code, *sorted(m for m in sys.modules if m.startswith("collatz_strings.")))
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["passage", "--lo", "2", "--hi", "1000"], "checkpoint cli core reporting strings"),
+    (["passage", "--lo", "2", "--hi", "1000"], "cli core reporting strings"),
+    (["strings", "--limit", "100"], "cli core family reporting strings walks"),
+    (["scan", "-p", "7", "--limit", "100"], "cli core family reporting walks"),
+    (["cycles", "-p", "5", "--seed-limit", "100"], "cli core family reporting walks"),
+    (["audit-3n3", "--limit", "100"], "cli core family reporting walks"),
+    (["family-audit", "-p", "5"], "cli core family reporting"),
+    (["coverage", "--direction", "forward", "-m", "2"],
+     "cli core family progressions reporting"),
     (["evolve", "--direction", "forward", "-k", "0"], "cli core family progressions reporting"),
     (["proportionality"], "cli core progressions reporting"),
-], ids=["passage", "evolve", "proportionality"])
+    (["export-graph", "--limit", "10"], "cli core reporting"),
+], ids=["passage", "strings", "scan", "cycles", "audit-3n3", "family-audit", "coverage",
+        "evolve", "proportionality", "export-graph"])
 def test_a_run_loads_only_the_modules_its_command_calls(argv, modules):
     code, *loaded = fresh(_LOADED, *argv).split()
     assert code == "0"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import first_gap_violation
 
-from collatz_strings.checkpoint import load_checkpoint, save_checkpoint
 from collatz_strings.core import MAX_VALUE
 from collatz_strings.progressions import Progression, Signature
 from collatz_strings.reporting import (
@@ -19,6 +18,7 @@ from collatz_strings.reporting import (
     render_jsonl,
     render_parts,
 )
+from collatz_strings.strings import load_checkpoint, save_checkpoint
 
 
 def test_checkpoint_roundtrip(tmp_path):
