@@ -274,6 +274,8 @@ def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
 def cmd_proportionality(args) -> Report:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
+    if args.cases > MAX_TREE_NODES:  # refused before the case list is built
+        raise ValueError(f"cases {args.cases} is above the cap of {MAX_TREE_NODES:.0e}")
     if args.x_max < 1 or args.n_max < 1:
         raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
     cases: list[tuple[str, int, int]] = []

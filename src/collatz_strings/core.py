@@ -16,11 +16,14 @@ classes as progressions {a + b*t : t >= 0} (Progression).
 
 Everything is integer-exact.  Arithmetic is guarded at 128 bits: a result
 beyond that range raises WidthExceededError instead of proceeding, so a
-sweep can never silently outgrow the precision it started with.
+sweep can never silently outgrow the precision it started with.  Work is
+capped before it starts: require_tree_work refuses a class walk whose
+estimated tree exceeds MAX_TREE_NODES nodes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 WIDTH_BITS = 128
@@ -45,6 +48,26 @@ def _require_position(x: int) -> None:
         raise ValueError(f"position must be a positive integer, got {x}")
     if x > MAX_VALUE:
         raise WidthExceededError(f"position exceeds the {WIDTH_BITS}-bit working range")
+
+
+# Tree nodes measured, which the callers pass: for p=5, scan 39 k at 10^6 and
+# 0.89 M at 10^8 (5x per decade), cycles 66 k and 3.8 M (8x), at 2-6 us a node,
+# so the cap refuses runs of more than about 4-10 minutes; the partition audit
+# (backward and forward classes) 58 k and 1.33 M (5x), at about 1 us a node;
+# the passage sweep of a window 10^6 wide 28 k and of 10^7 136 k (5x), at any lo.
+def require_tree_work(name: str, limit: int, nodes: float, growth: int) -> None:
+    """ValueError when a walk of 1..limit needs more than MAX_TREE_NODES nodes:
+    its measured count at 10^6, times its measured growth per decade.  The
+    estimate is kept as its logarithm, because for huge limits it leaves the
+    range of a float."""
+    digits = math.log10(nodes) + (math.log10(limit) - 6) * math.log10(growth)
+    if digits > math.log10(MAX_TREE_NODES):
+        exponent, fraction = divmod(digits, 1)
+        mantissa = round(10 ** fraction, 1)
+        if mantissa == 10:
+            exponent, mantissa = exponent + 1, 1
+        raise ValueError(f"{name} {limit} needs about {mantissa:.2g}e+{int(exponent):02d} "
+                         f"class-tree nodes, above the cap of {MAX_TREE_NODES:.0e}")
 
 
 def conjugate_step(x: int) -> int:

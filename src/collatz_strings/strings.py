@@ -3,7 +3,7 @@ conjugate map passes through 3 mod 4, and its checkpoint format.
 
 The sweep moves whole residue classes of positions at once, down the
 2-adic tree of lower_step (_sweep_classes); the partition audit
-(walks.partition_walk) walks its chains forward by the same function.
+(walks.partition_audit) walks its chains forward by the same function.
 
 A checkpoint is a single line of canonical JSON (sorted keys) so that two
 checkpoints with the same state are byte-identical.  It carries the format
@@ -18,7 +18,7 @@ import json
 import os
 from collections import namedtuple
 
-from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError
+from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError, require_tree_work
 
 
 class SweepReport(namedtuple("SweepReport", "lo hi max_steps processed hits truncated "
@@ -147,7 +147,8 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     positions and after each one the report of [lo, next_position-1] is
     saved atomically; resume=True extends the saved report (ValueError for
     a malformed or inconsistent checkpoint).  budget caps the positions
-    processed in this call (the report is then incomplete).
+    processed in this call (the report is then incomplete); more than
+    require_tree_work allows are refused before any is swept.
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -165,6 +166,8 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
     done = _load_sweep_checkpoint(checkpoint_path, lo, hi, max_steps) if resume else None
     start = lo if done is None else done.next_position
     deadline = hi if budget is None else min(hi, start + budget - 1)
+    if deadline >= start:
+        require_tree_work("window", deadline - start + 1, 2.8e4, 5)
     chunk = checkpoint_every if checkpoint_path is not None else deadline - start + 1
     for a in range(start, deadline + 1, chunk):
         done = _sweep_range(a, min(a + chunk - 1, deadline), max_steps, done)

@@ -2,6 +2,9 @@
 scan (string_scan) and cycle search (find_cycles), the p=1 partition audit
 (partition_audit) and, at the end, the p=3 two-to-one audit
 (two_to_one_audit), which counts images as classes and walks no tree.
+Each audit is one function: it checks its input, caps work that grows
+with the limit (core.require_tree_work) and checks its branch premises, if
+any, once on the module's tables before it counts anything.
 
 The scan and the cycle search report, for every start x in a range, how
 the walk from x ends.  Instead of walking each start, these walks move
@@ -31,34 +34,15 @@ from collections import namedtuple
 
 from .core import (
     DEFAULT_WALK_LIMIT,
-    MAX_TREE_NODES,
     MAX_VALUE,
     WIDTH_BITS,
     WidthExceededError,
     _checked,
     inverse_lower_step,
     lower_step,
+    require_tree_work,
 )
 from .family import FORWARD_MAPS, Family, branch_maps, exceptional_positions, family_step
-
-# Tree nodes measured for p=5, which the callers pass: scan 39 k at 10^6 and
-# 0.89 M at 10^8 (5x per decade), cycles 66 k and 3.8 M (8x), at 2-6 us a node,
-# so the cap refuses runs of more than about 4-10 minutes; the partition audit
-# (backward and forward classes) 58 k and 1.33 M (5x), at about 1 us a node.
-def require_tree_work(name: str, limit: int, nodes: float, growth: int) -> None:
-    """ValueError when a walk of 1..limit needs more than MAX_TREE_NODES nodes:
-    its measured count at 10^6, times its measured growth per decade.  The
-    estimate is kept as its logarithm, because for huge limits it leaves the
-    range of a float."""
-    digits = math.log10(nodes) + (math.log10(limit) - 6) * math.log10(growth)
-    if digits > math.log10(MAX_TREE_NODES):
-        exponent, fraction = divmod(digits, 1)
-        mantissa = round(10 ** fraction, 1)
-        if mantissa == 10:
-            exponent, mantissa = exponent + 1, 1
-        raise ValueError(f"{name} {limit} needs about {mantissa:.2g}e+{int(exponent):02d} "
-                         f"class-tree nodes, above the cap of {MAX_TREE_NODES:.0e}")
-
 
 def _image_branches(maps) -> dict:
     """Residue mod 3 -> (b, a, s) for the branches of maps, (domain, image)
@@ -305,7 +289,7 @@ def find_cycles(family: Family, seed_limit: int,
 def branch_faults(maps) -> tuple:
     """(domain, image, problem) for each branch of maps, lower_step's
     (domain, image) Progression pairs, that breaks a premise of
-    partition_walk.
+    partition_audit.
 
     The premises make lower_step one-to-one on every position, not just up
     to a limit.  Each branch maps domain.element(t) to image.element(t),
@@ -329,19 +313,33 @@ def branch_faults(maps) -> tuple:
     return tuple(faults)
 
 
-def partition_walk(limit: int, max_len: int, maps):
-    """(strings, truncated, conflicts, longest_chain) of the chains of
-    lower_step through positions 2..limit, maps being its branches.
+# strings: the number of chains; truncated: (position, direction) pairs;
+# conflicts: (domain, image, problem) for each faulty branch of FORWARD_MAPS
+class PartitionAuditReport(namedtuple("PartitionAuditReport",
+                                      "limit strings truncated conflicts longest_chain")):
+    __slots__ = ()
 
-    conflicts is branch_faults(maps); with any, nothing is walked.
-    Otherwise each position x is back(x) steps of inverse_lower_step from
-    its chain's head (2 mod 3), and its chain is back(x) + 1 + f(x) long,
-    f(x) being the steps from x to the first 3 mod 4 value.  x truncates
-    backward when back(x) > max_len, else forward when its chain is longer
-    than max(max_len, 1).  A chain counts in strings at its first member
-    in range, the x whose ancestors all lie above limit, unless that
-    truncates backward; longest_chain is the longest chain that does not
-    truncate.  truncated lists (x, "backward" | "forward") by increasing x.
+    @property
+    def positions_checked(self) -> int:
+        return self.limit - 1
+
+
+def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:
+    """Verify that every position in [2, limit] sits in exactly one chain.
+
+    That holds for every position if lower_step is one-to-one, which
+    rests on premises about its two branches (FORWARD_MAPS) that are
+    checked once, for all positions, by branch_faults; a broken one is a
+    conflict, and then nothing is walked.  Otherwise each position x is
+    back(x) steps of inverse_lower_step from its chain's head (2 mod 3),
+    and its chain is back(x) + 1 + f(x) long, f(x) being the steps from x
+    to the first 3 mod 4 value.  x truncates backward when back(x) >
+    max_len, else forward when its chain is longer than max(max_len, 1): a
+    truncation finding, not an error.  A chain counts in strings at its
+    first member in range, the x whose ancestors all lie above limit,
+    unless that truncates backward; longest_chain is the longest chain
+    that does not truncate.  truncated lists (x, "backward" | "forward")
+    by increasing x.
 
     The positions move as classes x = a + m*t, t in [0, c), whose values
     after s backward steps are b + n*t: backward_walk's 3-adic tree, which
@@ -350,17 +348,23 @@ def partition_walk(limit: int, max_len: int, maps):
     the index k.  At their head the other members walk forward by
     strings._sweep_classes, and each that truncates forward lists the
     members in range of its chain that follow it and do not truncate
-    backward (all of them cut).  A class step raises WidthExceededError
-    when any member would leave the working range.
+    backward (all of them cut).  Memory grows with the depth of the class
+    tree, not with limit.  A class step raises WidthExceededError when any
+    member would leave the working range.
     """
-    conflicts = branch_faults(maps)
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    require_tree_work("limit", limit, 5.8e4, 5)
+    conflicts = branch_faults(FORWARD_MAPS)
     if conflicts:
-        return 0, (), conflicts, 0
+        return PartitionAuditReport(limit, 0, (), conflicts, 0)
     # imported here, so that the scan, the cycle search and the two-to-one
     # audit do not compile the passage sweep
     from .strings import _sweep_classes
 
-    branches = _image_branches(maps)
+    branches = _image_branches(FORWARD_MAPS)
     reach = max(max_len, 1)  # the longest chain that does not truncate
     strings, longest, truncated = 0, 0, []
     stack = [(2, 1, limit - 1, 2, 1, 0, 0)]
@@ -398,39 +402,7 @@ def partition_walk(limit: int, max_len: int, maps):
                 if b <= limit:  # members with this value in range are not first
                     k = max(k, min(c, (limit - b) // n + 1))
     truncated.sort()
-    return strings, tuple(truncated), (), longest
-
-
-# strings: the number of chains; truncated: (position, direction) pairs;
-# conflicts: (domain, image, problem) for each faulty branch of FORWARD_MAPS
-class PartitionAuditReport(namedtuple("PartitionAuditReport",
-                                      "limit strings truncated conflicts longest_chain")):
-    __slots__ = ()
-
-    @property
-    def positions_checked(self) -> int:
-        return self.limit - 1
-
-
-def partition_audit(limit: int, max_len: int = DEFAULT_WALK_LIMIT) -> PartitionAuditReport:
-    """Verify that every position in [2, limit] sits in exactly one chain.
-
-    That holds for every position if lower_step is one-to-one, which
-    rests on premises about its two branches (FORWARD_MAPS) that are
-    checked once, for all positions; a broken one is a conflict, and then
-    nothing is walked.  The chains are then counted, each once at its
-    first member in range, by partition_walk: whole residue classes
-    of positions walk back to their heads and forward to their ends
-    together, in memory that grows with the depth of the class tree, not
-    with limit.  A position whose backward walk or whose chain exceeds
-    max_len is a truncation finding, not an error.
-    """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
-    require_tree_work("limit", limit, 5.8e4, 5)
-    return PartitionAuditReport(limit, *partition_walk(limit, max_len, FORWARD_MAPS))
+    return PartitionAuditReport(limit, strings, tuple(truncated), (), longest)
 
 
 def _predecessors(branches, y: int) -> list:
@@ -438,32 +410,52 @@ def _predecessors(branches, y: int) -> list:
     return sorted((a + s * (y - b) // 3, k) for k, (b, _, a, s) in enumerate(branches))
 
 
-def two_to_one_walk(limit: int, maps):
-    """(count_violations, pairing_violations, conflicts) of the p=3 step on
-    images 1..limit, maps being its (domain, image) Progression pairs: what
-    stepping each base position in turn finds, counted by classes.
+# (domain, image) per branch of the p=3 step: 1+2t -> 2+3t, 2+4t -> 2+3t
+TWO_TO_ONE_MAPS = branch_maps(Family(3))
 
-    conflicts lists (domain, image, problem) per broken premise, or
-    (None, None, problem) for uncovered positions.  With v2(a) < v2(s) on a
-    domain a+s*t, 6x has one power of 2 on every member, so family_step is
-    affine there and agrees with the image everywhere once it does at t = 0
-    and 1.  A branch that does not is a conflict, and is still counted.  The
-    count needs the domains to partition the positions not divisible by 4,
-    each from its least member, and images of interval 3; else nothing is.
 
-    Each branch hits its image class from the intercept up to a cut set by
-    x_max = (4*limit-2)//3+1 and limit, so the hit count is constant
-    between cuts.  Predecessors are linear in y: a stretch with two or more
-    hits pairs as (x, 2x) throughout when its ends do in one branch order.
-    Any other stretch is checked image by image; it pairs at no more than
-    two of them, or has three hits and is a count violation throughout, so
-    the work stays within the length of the report.  Raises
-    WidthExceededError when 6*x_max leaves the working range.
+# count_violations: (position, observed count); pairing_violations:
+# (image, first, second); conflicts: (domain, image, problem) for each
+# broken premise of TWO_TO_ONE_MAPS, (None, None, problem) for a gap
+TwoToOneReport = namedtuple("TwoToOneReport",
+                            "limit count_violations pairing_violations conflicts")
+
+
+def two_to_one_audit(limit: int) -> TwoToOneReport:
+    """Audit the p=3 map: every image position is hit exactly twice.
+
+    The base domain (positions not divisible by 4) must hit positions
+    2 mod 3 up to limit exactly twice and everything else zero times, and
+    the two predecessors of an image must pair as (x, 2x) -- each chain
+    member's companion is exactly half or double.
+
+    The step's branches (TWO_TO_ONE_MAPS, (domain, image) Progression
+    pairs) are checked once, for all positions; conflicts lists (domain,
+    image, problem) per broken premise, or (None, None, problem) for
+    uncovered positions.  With v2(a) < v2(s) on a domain a+s*t, 6x has one
+    power of 2 on every member, so family_step is affine there and agrees
+    with the image everywhere once it does at t = 0 and 1.  A branch that
+    does not is a conflict, and is still counted.  The count needs the
+    domains to partition the positions not divisible by 4, each from its
+    least member, and images of interval 3; else nothing is.
+
+    The images are counted as whole classes, in work and memory that do
+    not grow with limit.  Each branch hits its image class from the
+    intercept up to a cut set by x_max = (4*limit-2)//3+1 and limit, so
+    the hit count is constant between cuts.  Predecessors are linear in y:
+    a stretch with two or more hits pairs as (x, 2x) throughout when its
+    ends do in one branch order.  Any other stretch is checked image by
+    image; it pairs at no more than two of them, or has three hits and is
+    a count violation throughout, so the work stays within the length of
+    the report.  Raises WidthExceededError when 6*x_max leaves the working
+    range, that is when a predecessor of an image up to limit would.
     """
+    if limit < 2:
+        raise ValueError(f"limit must be >= 2, got {limit}")
     x_max = (4 * limit - 2) // 3 + 1
     _checked(6 * x_max)
     conflicts, seen, shaped, family = [], [], True, Family(3)
-    for domain, image in maps:
+    for domain, image in TWO_TO_ONE_MAPS:
         (a, s), (b, i) = domain, image
         if (a & -a) >= (s & -s) or any(family_step(domain.element(t), family)
                                        != image.element(t) for t in (0, 1)):
@@ -484,17 +476,17 @@ def two_to_one_walk(limit: int, maps):
         else:
             seen.append((domain, image))
     if shaped:  # disjoint classes inside the base domain: they cover it at density 3/4
-        period = math.lcm(4, *(domain[1] for domain, _ in maps))
-        covered = sum(period // domain[1] for domain, _ in maps)
+        period = math.lcm(4, *(domain[1] for domain, _ in TWO_TO_ONE_MAPS))
+        covered = sum(period // domain[1] for domain, _ in TWO_TO_ONE_MAPS)
         if 4 * covered != 3 * period:
             share = math.gcd(covered, period)
             conflicts.append((None, None, f"domains cover {covered // share}/{period // share} "
                               "of the positions, not the 3/4 that 4 does not divide"))
             shaped = False
     if not shaped:
-        return (), (), tuple(conflicts)
+        return TwoToOneReport(limit, (), (), tuple(conflicts))
     hits: dict[int, list] = {0: [], 1: [], 2: []}  # image residue -> (b, cut, a, s)
-    for (a, s), (b, _) in maps:
+    for (a, s), (b, _) in TWO_TO_ONE_MAPS:
         top = min((x_max - a) // s, (limit - b) // 3)
         if top >= 0:
             hits[b % 3].append((b, b + 3 * top, a, s))
@@ -519,35 +511,4 @@ def two_to_one_walk(limit: int, maps):
                     pairing_bad.append((y, x1, x2))
     count_bad.sort()
     pairing_bad.sort(key=lambda v: v[2])
-    return tuple(count_bad), tuple(pairing_bad), tuple(conflicts)
-
-
-# (domain, image) per branch of the p=3 step: 1+2t -> 2+3t, 2+4t -> 2+3t
-TWO_TO_ONE_MAPS = branch_maps(Family(3))
-
-
-# count_violations: (position, observed count); pairing_violations:
-# (image, first, second); conflicts: (domain, image, problem) for each
-# broken premise of TWO_TO_ONE_MAPS, (None, None, problem) for a gap
-TwoToOneReport = namedtuple("TwoToOneReport",
-                            "limit count_violations pairing_violations conflicts")
-
-
-def two_to_one_audit(limit: int) -> TwoToOneReport:
-    """Audit the p=3 map: every image position is hit exactly twice.
-
-    The base domain (positions not divisible by 4) must hit positions
-    2 mod 3 up to limit exactly twice and everything else zero times, and
-    the two predecessors of an image must pair as (x, 2x) -- each chain
-    member's companion is exactly half or double.
-
-    The step's two branches (TWO_TO_ONE_MAPS) are checked once against
-    family_step, for all positions; a broken premise is a conflict.  Their
-    images are then counted as whole classes by two_to_one_walk, in
-    work and memory that do not grow with limit.  Raises
-    WidthExceededError when a predecessor of an image up to limit would
-    leave the working range.
-    """
-    if limit < 2:
-        raise ValueError(f"limit must be >= 2, got {limit}")
-    return TwoToOneReport(limit, *two_to_one_walk(limit, TWO_TO_ONE_MAPS))
+    return TwoToOneReport(limit, tuple(count_bad), tuple(pairing_bad), tuple(conflicts))

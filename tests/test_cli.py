@@ -85,6 +85,11 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         ("scan", "-p", "5", "--limit", limit):
             f"error: limit {limit} needs about 8.6e+314 {nodes}",
         ("strings", "--limit", limit): f"error: limit {limit} needs about 1.3e+315 {nodes}"})
+    wide = ("passage", "--lo", "2", "--hi", str(10 ** 30))  # a window of 10^30 - 1 positions
+    exact.update({
+        wide: f"error: window {10 ** 30 - 1} needs about 1.7e+21 {nodes}",
+        ("proportionality", "--cases", str(10 ** 12)):
+            f"error: cases {10 ** 12} is above the cap of 1e+08\n"})
     for argv in (*map(list, exact),
                  ["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
@@ -124,6 +129,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert out == "" and err.count("\n") == 1, (argv, out, err)
         assert exact.get(tuple(argv), err) == err, argv
     os.remove(nested)
+    assert main([*wide, "--budget", "1000"]) == 0  # the cap counts the positions of this run
+    capsys.readouterr()
     out = os.path.join(tmp_path, "never.jsonl")
     assert main(["evolve", "--direction", "forward", "-k", "-1", "--output", out]) == 2
     assert os.listdir(tmp_path) == []

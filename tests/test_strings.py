@@ -1,5 +1,6 @@
 import json
 import os
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -562,6 +563,30 @@ def test_passage_sweep_truncation_finding():
 def test_passage_sweep_rejects_position_one():
     with pytest.raises(ValueError):
         passage_sweep(1, 10)
+
+
+# lo log-uniform below 2^120, so that most windows lie far above a position loop's reach
+@given(s=st.integers(2, 8), data=st.data(), lo=st.integers(2, 120).flatmap(
+    lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1)))
+@settings(max_examples=100, deadline=None)
+def test_passage_sweep_obeys_the_closed_form_law(s, lo, data):
+    # Before its first 3 mod 4 value a trajectory takes lower_step's two
+    # branches, each of which leaves the next residue mod 4 uniform.  So in
+    # any window of 4^s positions exactly 3^i * 4^(s-i) have no 3 mod 4 value
+    # among their first i values (Terras 1976): 3^s truncate at s-1 steps,
+    # and 3^i * 4^(s-1-i) first reach 3 mod 4 after i steps.
+    hi = lo + 4 ** s - 1
+    whole = passage_sweep(lo, hi, max_steps=s - 1)
+    assert len(whole.truncated) == 3 ** s and whole.hits == 4 ** s - 3 ** s
+    assert whole.total_steps == sum(i * 3 ** i * 4 ** (s - 1 - i) for i in range(s))
+    assert whole.max_steps_observed == s - 1
+    assert trajectory_report(whole.argmax_position).steps_to_first_3mod4 == s - 1
+    cut = data.draw(st.integers(1, 4 ** s - 1), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = os.path.join(tmp, "law.ckpt")
+        passage_sweep(lo, hi, max_steps=s - 1, checkpoint_path=ck, budget=cut)
+        assert passage_sweep(lo, hi, max_steps=s - 1, checkpoint_path=ck,
+                             resume=True) == whole
 
 
 @pytest.mark.parametrize("max_steps", [3, DEFAULT_WALK_LIMIT])
