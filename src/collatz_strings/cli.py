@@ -12,8 +12,9 @@ Each command handler is a generator: it checks its arguments, yields its
 findings as they are made and returns the summary.  `main` renders the
 records in batches of BATCH_RECORDS and writes each batch as it is made,
 so a report's size does not bound the memory of a run.  `evolve` yields
-its part measurements as text, BATCH_RECORDS fixed-shape lines at a time
-(`reporting.render_parts`), which `main` writes as they come.  A run that
+its part measurements as text, a chunk of fixed-shape lines
+(`reporting.render_parts`) per batch of the walk, which `main` writes as
+they come.  A run that
 stops with status 2 has left on stdout the whole records of the batches
 written before the error, a prefix of its report; `--output` goes through
 a temporary file beside the target that replaces it only once the summary
@@ -29,7 +30,7 @@ import os
 import random
 import sys
 from collections.abc import Generator
-from itertools import chain, islice
+from itertools import chain
 
 from .core import (
     DEFAULT_WALK_LIMIT,
@@ -132,24 +133,20 @@ def cmd_strings(args) -> Report:
 
 
 def cmd_evolve(args) -> Report:
-    """Each batch of BATCH_RECORDS parts, as the walk yields them with their
+    """Each batch of the walk, at most BATCH_RECORDS parts with their
     children, is audited and yielded as one text chunk of measurement lines
     in args.format; the audit's rare violations follow the measurements."""
     direction = args.direction
-    walk = _cli._families(*_cli.PROCESSES[direction], args.generations)
     over_bound = _cli._over_bound
     part_bad: list[Progression] = []
     bound_bad: list[tuple[Progression, Progression]] = []
     count = 0
-    while families := list(islice(walk, BATCH_RECORDS)):
-        for part, kids in families:
-            if part.intercept >= part.interval:
-                part_bad.append(part)
-            over = over_bound(direction, part, kids)
-            if over:
-                bound_bad += [(part, child) for child in over]
-        yield render_parts([part for part, _ in families], count, args.format)
-        count += len(families)
+    for batch in _cli._families(*_cli.PROCESSES[direction], args.generations):
+        intercepts, intervals = batch[:2]
+        part_bad += [Progression(a, b) for a, b in zip(intercepts, intervals) if a >= b]
+        bound_bad += over_bound(direction, batch)
+        yield render_parts(zip(intercepts, intervals), count, args.format)
+        count += len(intercepts)
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
                       {"intercept": part.intercept, "interval": part.interval})
@@ -165,10 +162,11 @@ def cmd_evolve(args) -> Report:
 def cmd_coverage(args) -> Report:
     if args.random_starts < 0:
         raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
-    if args.random_starts > MAX_TREE_NODES:  # refused before the start list is built
-        raise ValueError(f"random_starts {args.random_starts} is above the cap of "
-                         f"{MAX_TREE_NODES:.0e}")
     expected_included, expected_open = _cli.expected_coverage(args.direction, args.m)
+    positions = (1 + args.random_starts) * (expected_included + expected_open)  # s**m each
+    if positions > MAX_TREE_NODES:  # refused before any list or window is made
+        raise ValueError(f"-m {args.m} with {args.random_starts} random starts marks "
+                         f"{positions} window positions, above the cap of {MAX_TREE_NODES:.0e}")
     starts = [args.window_start]
     rng = random.Random(args.seed)
     starts += [rng.randint(2, 10 ** 6) for _ in range(args.random_starts)]

@@ -13,15 +13,22 @@ recurrence search.
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
 the sequence.  That is the order of a depth-first walk of the branch
-tree: one walk (`_families`) yields each part with its children, holding
-one root-to-leaf path (O(k) parts, not 2^k) and one residue-solve kernel.
+tree.  One walk (`_families`) goes depth first down to subtrees of at
+most 512 leaves and expands each a level at a time, over int lists, by
+one residue formula per branch: a part's first member in a domain is
+fixed by the inverse of its interval modulo the domain's.  It yields the
+parts with their children a subtree at a time, holding one path down to
+a subtree (O(k) parts) and one subtree, not 2^k parts.  A subtree the
+formula cannot take exactly is walked part by part by the exact
+residue solve (`_images`).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from math import gcd
+from itertools import chain, repeat
+from math import gcd, prod
 
 from .core import (
     MAX_TREE_NODES,
@@ -35,41 +42,28 @@ from .core import (
 )
 
 
-def _kernel(maps):
+def _images(part, maps):
     """part (a, b) -> its transports through maps in order: its members
-    a + b*t in each domain (r, s), with t fixed mod s/g by b*t = r - a
+    a + b*t in each domain (r, s), with t fixed mod n = s/g by b*t = r - a
     (mod s), g = gcd(b, s), mapped r + s*m -> c + d*m.  ValueError names the
-    first domain part misses (g does not divide r - a).  What depends only
-    on b is set up once per b."""
-    setups = {}  # interval b -> per map: what the solve for b needs
-
-    def images(part):
-        a, b = part
-        setup = setups.get(b)
-        if setup is None:
-            setup = setups[b] = []
-            for src, (c, d) in maps:
-                r, s = src
-                g = gcd(b, s)
-                n, stride = s // g, b // g
-                # top is -1 when the class interval lcm(b, s) = b*n or the image's leaves the range
-                top = MAX_VALUE if max(b * n, stride * d) <= MAX_VALUE else -1
-                setup.append((r, s, src, g, stride * pow(stride, -1, n), b * n, stride, c, d, top))
-        out = []
-        for r, s, src, g, scale, width, stride, c, d, top in setup:
-            if (r - a) % g:
-                raise ValueError(f"part {part} misses branch {src}")
-            first = a + (r - a) * scale % width  # a + b*((r-a)/g * stride^-1 mod n)
-            m = (first - r) // s
-            if m < 0:  # members of the residue class below src's intercept are not in src
-                m %= stride
-            intercept = c + d * m
-            if first > top or intercept > top:
-                _checked(max(first, intercept, width, stride * d))
-            # without Progression()'s checks: intercept and interval are at least 1
-            out.append(tuple.__new__(Progression, (intercept, stride * d)))
-        return out
-    return images
+    first domain part misses (g does not divide r - a)."""
+    a, b = part
+    out = []
+    for src, (c, d) in maps:
+        r, s = src
+        g = gcd(b, s)
+        if (r - a) % g:
+            raise ValueError(f"part {part} misses branch {src}")
+        n, stride = s // g, b // g
+        first = a + b * ((r - a) // g * pow(stride, -1, n) % n)
+        m = (first - r) // s
+        if m < 0:  # members of the residue class below src's intercept are not in src
+            m %= stride
+        # the class interval lcm(b, s) = b*n and the image stay in the range
+        _checked(max(first, b * n, c + d * m, stride * d))
+        # without Progression()'s checks: intercept and interval are at least 1
+        out.append(tuple.__new__(Progression, (c + d * m, stride * d)))
+    return out
 
 
 def evolve(seeds: tuple[Progression, ...],
@@ -86,7 +80,8 @@ def evolve(seeds: tuple[Progression, ...],
     _require_parts(seeds, maps, generation)
     if not generation:
         return iter(seeds)
-    return (kid for _, kids in _families(seeds, maps, generation - 1) for kid in kids)
+    return chain.from_iterable(map(tuple.__new__, repeat(Progression), zip(*kids))
+                               for _, _, *kids in _families(seeds, maps, generation - 1))
 
 
 def _require_parts(seeds, maps, generation: int) -> None:
@@ -97,21 +92,77 @@ def _require_parts(seeds, maps, generation: int) -> None:
                          f"parts, above the cap of {MAX_TREE_NODES:.0e}")
 
 
+# Most leaves of a subtree expanded a level at a time: one batch of the
+# walk, which the CLI renders as one chunk of cli.BATCH_RECORDS records.
+_SUBTREE_LEAVES = 512
+
+
+def _subtrees(maps, depth: int):
+    """root (a, b) -> the batch of its subtree `depth` generations deep,
+    expanded a level at a time, or None where the formula is not exact.
+
+    Through r + s*m -> c + d*m, a part (a, b) with gcd(b, s) = 1 meets the
+    domain first at a + b*t, t = (r - a)*b^-1 mod s, and goes to the part
+    (c + d*(a + b*t - r)/s, b*d).  That is `_images`' transport, with no
+    miss, in a subtree whose intervals are all prime to the domains' (the
+    root's is, and every image interval d), whose class members never lie
+    below a domain (r <= s, since a >= 1), and whose numbers stay in range:
+    each number a level computes (first members, class intervals b*s and
+    children) is at most `growth` times the larger of its part's two.
+    The inverses mod s are tabled, for domain intervals s up to 64 (the
+    families' are 2, 3 and 4).
+    """
+    moduli = prod(s for (_, s), _ in maps)
+    limit, growth, branches = MAX_VALUE, 1, []
+    for (r, s), (c, d) in maps:
+        if not r <= s <= 64 or gcd(d, moduli) > 1:  # no subtree is exact
+            limit = 0
+            break
+        growth = max(growth, s, c + 2 * d)
+        branches.append((r, s, c, d, [pow(u, -1, s) if gcd(u, s) == 1 else 0 for u in range(s)]))
+    limit //= growth ** (depth + 1)
+    n = len(maps)
+
+    def expand(root):
+        if max(root) > limit or gcd(root[1], moduli) != 1:
+            return None
+        kids = [root[0]], [root[1]]
+        for _ in range(depth + 1):  # each level's parts and their children
+            parts, kids = kids, ([0] * (n * len(kids[0])), [0] * (n * len(kids[0])))
+            for j, (r, s, c, d, inverse) in enumerate(branches):
+                kids[0][j::n] = [c + d * ((a - r + b * ((r - a) * inverse[b % s] % s)) // s)
+                                 for a, b in zip(*parts)]
+                kids[1][j::n] = [b * d for b in parts[1]]
+        return *parts, *kids
+    return expand
+
+
 def _families(seeds, maps, generation):
-    """Yield (part, its children) for each part of generation k, in order,
-    the children being part's transports through every map in map order;
-    ValueError at the first part that misses a branch.  Checks generation
-    as `evolve` does, when the walk starts."""
+    """Yield the parts of generation k with their children, in order, as
+    batches (intercepts, intervals, kid intercepts, kid intervals) of int
+    lists: part i's children, its transports through the n maps in map
+    order, are kids n*i .. n*i+n-1.  A batch is a subtree of at most
+    _SUBTREE_LEAVES parts or, in a subtree the formula cannot take, one part
+    walked by `_images`, which raises ValueError at the first part that
+    misses a branch, or WidthExceededError at the first that leaves the
+    range, after the parts before it, as a depth-first walk does.
+    Checks generation as `evolve` does, when the walk starts."""
     _require_parts(seeds, maps, generation)
-    images = _kernel(maps)
+    depth = 0  # of the subtrees; a walk of fewer branches gets the depth of two
+    while depth < generation and max(len(maps), 2) ** (depth + 1) <= _SUBTREE_LEAVES:
+        depth += 1
+    expand = _subtrees(maps, depth)
     stack = [(generation, part) for part in reversed(seeds)]  # (generations left, part)
     while stack:
         left, part = stack.pop()
-        kids = images(part)
+        if left == depth and (batch := expand(part)) is not None:
+            yield batch
+            continue
+        kids = _images(part, maps)
         if left:
             stack += [(left - 1, kid) for kid in reversed(kids)]
         else:
-            yield part, kids
+            yield [part[0]], [part[1]], [c for c, _ in kids], [d for _, d in kids]
 
 
 CoverageCount = namedtuple("CoverageCount", "direction m window_start included open_count")
@@ -157,13 +208,11 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     from .family import PROCESSES
 
     window = _window_base(direction) ** m
-    parts, maps = PROCESSES[direction]
+    seeds, maps = PROCESSES[direction]
     _checked(window_start + window)
     covered = bytearray(window)  # covered[i]: window_start + i is a member
     for generation in range(m):
-        if generation:
-            parts = tuple(evolve(parts, maps, 1))
-        for part in parts:
+        for part in evolve(seeds, maps, generation) if generation else seeds:
             first = part.intercept - window_start
             if first < 0:
                 first %= part.interval

@@ -170,11 +170,13 @@ def reference_families(seeds, maps, generation):
             yield part, kids
 
 
-def reference_audit_part(direction, part):
+def reference_audit_part(direction, part, kids=None):
     """The intercept audit of one part: whether its intercept is not below
-    its interval, and its children above the recursion bound."""
+    its interval, and its children above the recursion bound.  kids are the
+    part's children, transported here when not given."""
     a, b = part.intercept, part.interval
-    kids = [reference_transport(part, src, dst) for src, dst in PROCESSES[direction][1]]
+    if kids is None:
+        kids = [reference_transport(part, src, dst) for src, dst in PROCESSES[direction][1]]
     if direction == "forward":
         over = [kid for kid in kids if 4 * (kid.intercept - 1) > 3 * (a + 3 * b - 1)]
     else:

@@ -41,8 +41,8 @@ def generation(direction, k):
 
 def audit_clean(direction, k):
     """Whether every part of generation k passes evolve's intercept audit."""
-    return all(part.intercept < part.interval and not _over_bound(direction, part, kids)
-               for part, kids in _families(*PROCESSES[direction], k))
+    return all(not any(a >= b for a, b in zip(*batch[:2])) and not _over_bound(direction, batch)
+               for batch in _families(*PROCESSES[direction], k))
 
 
 @contextmanager

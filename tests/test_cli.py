@@ -9,6 +9,8 @@ from itertools import islice
 
 import pytest
 
+from oracles import reference_audit_part, reference_families
+
 import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
@@ -89,7 +91,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     exact.update({
         wide: f"error: window {10 ** 30 - 1} needs about 1.7e+21 {nodes}",
         ("proportionality", "--cases", str(10 ** 12)):
-            f"error: cases {10 ** 12} is above the cap of 1e+08\n"})
+            f"error: cases {10 ** 12} is above the cap of 1e+08\n",
+        ("coverage", "--direction", "backward", "-m", "16"):  # a window of 4^16 positions
+            "error: -m 16 with 0 random starts marks 4294967296 window positions, "
+            "above the cap of 1e+08\n"})
     for argv in (*map(list, exact),
                  ["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
@@ -245,23 +250,24 @@ def test_evolve_memory_stays_flat(tmp_path):
 
 
 def reference_evolve_records(args):
-    """The records of an evolve run, a dict each, audited part by part:
-    through the encoders, the oracle of evolve's fixed-shape lines."""
+    """The records of an evolve run, a dict each, walked and audited part by
+    part by the references: through the encoders, the oracle of evolve's
+    fixed-shape lines."""
     direction = args.direction
     yield header_record("evolve", cli_module._config_dict(args))
     part_bad = []
     bound_bad = []
     count = 0
-    for part, kids in progressions_module._families(*family_module.PROCESSES[direction],
-                                                    args.generations):
+    seeds, maps = family_module.PROCESSES[direction]
+    for part, kids in reference_families(seeds, maps, args.generations):
         a, b = part
         yield finding("measurement", f"part[{count}]", str(part),
                       {"intercept": a, "interval": b})
         count += 1
-        if a >= b:
+        bad, over = reference_audit_part(direction, part, kids)
+        if bad:
             part_bad.append(part)
-        bound_bad += [(part, child)
-                      for child in family_module._over_bound(direction, part, kids)]
+        bound_bad += [(part, child) for child in over]
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
                       {"intercept": part.intercept, "interval": part.interval})
@@ -323,11 +329,11 @@ def test_evolve_failing_mid_walk_writes_whole_records(tmp_path, monkeypatch, cap
     expected = reference_evolve(argv)[1]
     families = progressions_module._families
 
-    def failing(*walk):
-        for i, family in enumerate(families(*walk)):
-            if i == 2 * BATCH_RECORDS + 100:
+    def failing(*walk):  # k = 11 is four batches of BATCH_RECORDS parts
+        for i, batch in enumerate(families(*walk)):
+            if i == 2:
                 raise ValueError("stop")
-            yield family
+            yield batch
 
     monkeypatch.setattr(cli_module, "_families", failing)
     out = tmp_path / "r"
@@ -741,6 +747,10 @@ PINNED_REPORTS = {
         (0, "bd679a6116bcd3a8f6f9ff66bd799a78c90cf0fe23d8177f7398253c84b451da"),
     "evolve --direction backward -k 5 --format csv":
         (0, "b0488aa2403c123f0678d22a4b356f4504aeb42ce9a44b304c83dfed25ee04d8"),
+    "evolve --direction forward -k 11":  # four batches of parts
+        (0, "b82f0428649fca5a468a3ee771870f0f94fc1cbef46badaee1f606f44a53591a"),
+    "evolve --direction backward -k 10 --format csv":
+        (0, "a23a5ad52163dfea8933da6f4db07961166be57d707dd446671ced696ea07fd6"),
     "coverage --direction backward -m 4 --random-starts 3":
         (0, "7cd2f537fda07b5cbd0dbf2693695f1b8a30c2a949ab99d1b5492763291edb30"),
     "family-audit -p 23 --value-limit 500":

@@ -15,6 +15,7 @@ from oracles import (
     sampling_lemma_holds,
 )
 
+import collatz_strings.progressions as progressions_module
 from collatz_strings import (
     Family,
     Progression,
@@ -34,9 +35,20 @@ EVEN, ODD = FORWARD_MAPS
 DOWN, UP = BACKWARD_MAPS
 
 
+def pairs(seeds, maps, generation):
+    """(part, children) for each part of generation k, flattened from the
+    package walk's batches."""
+    n = len(maps)
+    for intercepts, intervals, kid_intercepts, kid_intervals in _families(seeds, maps,
+                                                                          generation):
+        for i, part in enumerate(zip(intercepts, intervals)):
+            kids = zip(kid_intercepts[n * i:n * i + n], kid_intervals[n * i:n * i + n])
+            yield Progression(*part), [Progression(*kid) for kid in kids]
+
+
 def transported(part, src, dst):
     """part's one child through the branch map (src, dst), by the package's walk."""
-    return next(_families((part,), ((src, dst),), 0))[1][0]
+    return next(pairs((part,), ((src, dst),), 0))[1][0]
 
 
 def _outcome(fn, *args):
@@ -255,24 +267,25 @@ def test_depth_first_evolve_misses_a_branch_where_the_reference_does():
 
 
 def _walked(walk, *args):
-    """The pairs a walk yields, and the message of the ValueError that ends it."""
-    pairs = []
+    """The pairs a walk yields, and the type and message of the ValueError or
+    WidthExceededError that ends it."""
+    found = []
     try:
         for pair in walk(*args):
-            pairs.append(pair)
-    except ValueError as exc:
-        return pairs, str(exc)
-    return pairs, None
+            found.append(pair)
+    except (ValueError, WidthExceededError) as exc:
+        return found, type(exc).__name__, str(exc)
+    return found, None, None
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
 def test_families_pair_each_part_with_its_transports(direction):
     seeds, maps = PROCESSES[direction]
     for k in range(11):
-        pairs = list(_families(seeds, maps, k))
-        assert pairs == list(reference_families(seeds, maps, k)), k
-        assert [part for part, _ in pairs] == list(reference_evolve(seeds, maps, k))
-        assert [kid for _, kids in pairs for kid in kids] == \
+        found = list(pairs(seeds, maps, k))
+        assert found == list(reference_families(seeds, maps, k)), k
+        assert [part for part, _ in found] == list(reference_evolve(seeds, maps, k))
+        assert [kid for _, kids in found for kid in kids] == \
             list(reference_evolve(seeds, maps, k + 1))
 
 
@@ -288,14 +301,36 @@ def test_families_miss_a_branch_at_the_part_the_reference_does():
             for b in range(1, 13):
                 for seeds in ((Progression(a, b),), (first, Progression(a, b))):
                     for k in range(4):
-                        pairs, error = _walked(_families, seeds, maps, k)
-                        assert (pairs, error) == _walked(reference_families, seeds, maps, k)
-                        seen["miss"] += error is not None
+                        walked = _walked(pairs, seeds, maps, k)
+                        assert walked == _walked(reference_families, seeds, maps, k)
+                        seen["miss"] += walked[1] is not None
                 for src, _ in maps:
                     dom = intersect_residue(Progression(a, b), src.intercept, src.interval)
                     seen["shared factor"] += dom is not None and gcd(b, src.interval) > 1
                     seen["below domain"] += dom is not None and dom.intercept < src.intercept
     assert all(seen.values()), seen
+
+
+# log-uniform numbers of 1 to 127 bits: the top ones leave the range within a generation
+_NUMBERS = st.integers(0, 126).flatmap(lambda bits: st.integers(1 << bits, (2 << bits) - 1))
+_MAPS = [maps for _, maps in PROCESSES.values()] + \
+    [branch_maps(Family(p)) for p in range(-41, 42, 2)]
+
+
+@given(st.lists(st.builds(Progression, _NUMBERS, _NUMBERS), min_size=1, max_size=3),
+       st.sampled_from(_MAPS), st.integers(0, 6), st.sampled_from([1, 2, 4, 8]))
+@settings(max_examples=300, deadline=None)
+@example([Progression(2, 3)], FORWARD_MAPS, 6, 4)                # subtrees by the formula
+@example([Progression(3, 4), Progression(7, 4)], BACKWARD_MAPS, 5, 2)
+@example([Progression((1 << 120) + 5, 3)], FORWARD_MAPS, 6, 8)   # near the edge: exact
+@example([Progression((1 << 126) + 1, (1 << 126) + 1)], BACKWARD_MAPS, 0, 1)  # 4b leaves it
+@example([Progression(2, 6)], FORWARD_MAPS, 3, 2)                # a shared factor: exact
+@example([Progression(1, 3)], branch_maps(Family(-5)), 4, 4)     # below a domain: exact
+def test_batched_walk_matches_the_depth_first_reference(seeds, maps, k, leaves):
+    # small subtrees, so that a walk meets several and hands some to `_images`
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(progressions_module, "_SUBTREE_LEAVES", leaves)
+        assert _walked(pairs, seeds, maps, k) == _walked(reference_families, seeds, maps, k)
 
 
 @pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
@@ -304,11 +339,14 @@ def test_long_evolve_matches_reference():
     for direction, (seeds, maps) in PROCESSES.items():
         parts = reference_evolve(seeds, maps, 16)
         kids = reference_evolve(parts, maps, 1)
-        pairs = list(_families(seeds, maps, 16))
-        assert pairs == [(part, list(kids[2 * i:2 * i + 2])) for i, part in enumerate(parts)]
-        for part, children in pairs:
-            assert (part.intercept >= part.interval, _over_bound(direction, part, children)) \
-                == reference_audit_part(direction, part)
+        assert list(pairs(seeds, maps, 16)) == \
+            [(part, list(kids[2 * i:2 * i + 2])) for i, part in enumerate(parts)]
+        batches = list(_families(seeds, maps, 16))
+        audits = [reference_audit_part(direction, part) for part in parts]
+        assert [a >= b for batch in batches for a, b in zip(*batch[:2])] == \
+            [bad for bad, _ in audits]
+        assert [pair for batch in batches for pair in _over_bound(direction, batch)] == \
+            [(part, kid) for part, (_, over) in zip(parts, audits) for kid in over]
 
 
 def test_transport_skips_class_members_below_the_domain():

@@ -118,8 +118,8 @@ def test_membership_equals_walk_depth():
 
 def audit(direction, part):
     """evolve's audit of one part: (intercept >= interval, children over the bound)."""
-    kids = next(_families((part,), PROCESSES[direction][1], 0))[1]
-    return part.intercept >= part.interval, _over_bound(direction, part, kids)
+    batch = next(_families((part,), PROCESSES[direction][1], 0))
+    return part.intercept >= part.interval, [kid for _, kid in _over_bound(direction, batch)]
 
 
 def audit_ok(direction, k):
