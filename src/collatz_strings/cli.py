@@ -32,13 +32,7 @@ import sys
 from collections.abc import Generator
 from itertools import chain
 
-from .core import (
-    DEFAULT_WALK_LIMIT,
-    MAX_TREE_NODES,
-    Progression,
-    higher_equivalent,
-    lower_step,
-)
+from .core import DEFAULT_WALK_LIMIT, MAX_TREE_NODES, higher_equivalent, lower_step
 from .reporting import (
     FAILING_KINDS,
     finding,
@@ -55,9 +49,8 @@ from .reporting import (
 # where a test or a tracer can replace it; so a run compiles only the
 # layers its command calls.
 _LAYERS = {
-    "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES", "_over_bound",
-               "audit_case_system"),
-    "progressions": ("_families", "backward_signature", "coverage_count",
+    "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES", "audit_case_system"),
+    "progressions": ("_audit", "_families", "backward_signature", "coverage_count",
                      "expected_coverage", "first_recurrence_backward",
                      "first_recurrence_forward", "forward_signature"),
     "strings": ("passage_sweep",),
@@ -81,7 +74,7 @@ EXIT_ERROR = 2
 
 CHECKPOINT_DIR_ENV = "COLLATZ_STRINGS_CHECKPOINT_DIR"
 GRAPH_CAP = 10_000
-BATCH_RECORDS = 512  # records rendered and written at a time, evolve parts too
+BATCH_RECORDS = 512  # dict records rendered and written at a time
 
 # A handler yields finding records, or text chunks of measurement records
 # it has rendered itself, and returns the summary fields.
@@ -133,20 +126,16 @@ def cmd_strings(args) -> Report:
 
 
 def cmd_evolve(args) -> Report:
-    """Each batch of the walk, at most BATCH_RECORDS parts with their
-    children, is audited and yielded as one text chunk of measurement lines
-    in args.format; the audit's rare violations follow the measurements."""
-    direction = args.direction
-    over_bound = _cli._over_bound
-    part_bad: list[Progression] = []
-    bound_bad: list[tuple[Progression, Progression]] = []
-    count = 0
-    for batch in _cli._families(*_cli.PROCESSES[direction], args.generations):
-        intercepts, intervals = batch[:2]
-        part_bad += [Progression(a, b) for a, b in zip(intercepts, intervals) if a >= b]
-        bound_bad += over_bound(direction, batch)
-        yield render_parts(zip(intercepts, intervals), count, args.format)
-        count += len(intercepts)
+    """Each batch of the walk, its parts with their children, is audited and
+    yielded as one text chunk of measurement lines in args.format; the
+    audit's rare violations follow the measurements."""
+    part_bad, bound_bad, count = [], [], 0
+    for batch in _cli._families(*_cli.PROCESSES[args.direction], args.generations):
+        parts, over = _cli._audit(args.direction, batch)
+        part_bad += parts
+        bound_bad += over
+        yield render_parts(zip(*batch[:2]), count, args.format)
+        count += len(batch[0])
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
                       {"intercept": part.intercept, "interval": part.interval})
@@ -164,28 +153,24 @@ def cmd_coverage(args) -> Report:
         raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
     expected_included, expected_open = _cli.expected_coverage(args.direction, args.m)
     positions = (1 + args.random_starts) * (expected_included + expected_open)  # s**m each
-    if positions > MAX_TREE_NODES:  # refused before any list or window is made
+    if positions > MAX_TREE_NODES:  # refused before any window is made
         raise ValueError(f"-m {args.m} with {args.random_starts} random starts marks "
                          f"{positions} window positions, above the cap of {MAX_TREE_NODES:.0e}")
-    starts = [args.window_start]
     rng = random.Random(args.seed)
-    starts += [rng.randint(2, 10 ** 6) for _ in range(args.random_starts)]
     mismatches = 0
-    for start in starts:
+    for start in chain([args.window_start],  # each random start drawn as its window is made
+                       (rng.randint(2, 10 ** 6) for _ in range(args.random_starts))):
         cc = _cli.coverage_count(args.direction, args.m, start)
+        data = {"included": cc.included, "open": cc.open_count}
         ok = (cc.included, cc.open_count) == (expected_included, expected_open)
         if not ok:
             mismatches += 1
-            yield finding(
-                "mismatch", str(start), "window count deviates from the closed form",
-                {"included": cc.included, "open": cc.open_count,
-                 "expected_included": expected_included, "expected_open": expected_open})
-        else:
-            yield finding(
-                "measurement", str(start), "window count matches the closed form",
-                {"included": cc.included, "open": cc.open_count})
+            data |= {"expected_included": expected_included, "expected_open": expected_open}
+        yield finding("measurement" if ok else "mismatch", str(start),
+                      f"window count {'matches' if ok else 'deviates from'} the closed form",
+                      data)
     return {
-        "direction": args.direction, "m": args.m, "windows": len(starts),
+        "direction": args.direction, "m": args.m, "windows": 1 + args.random_starts,
         "expected_included": expected_included, "expected_open": expected_open,
         "mismatches": mismatches,
     }
@@ -272,33 +257,26 @@ def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
 def cmd_proportionality(args) -> Report:
     if args.cases < 0:
         raise ValueError(f"cases must be >= 0, got {args.cases}")
-    if args.cases > MAX_TREE_NODES:  # refused before the case list is built
+    if args.cases > MAX_TREE_NODES:  # refused before any case is checked
         raise ValueError(f"cases {args.cases} is above the cap of {MAX_TREE_NODES:.0e}")
     if args.x_max < 1 or args.n_max < 1:
         raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
-    cases: list[tuple[str, int, int]] = []
-    if args.direction in ("forward", "both"):
-        cases.append(("forward", 2, 2))  # recurrence anchor at 34
-    if args.direction in ("backward", "both"):
-        cases.append(("backward", 7, 4))  # recurrence anchor at 88
-    rng = random.Random(args.seed)
     directions = (["forward", "backward"] if args.direction == "both"
                   else [args.direction])
-    for direction in directions:
-        for _ in range(args.cases):
-            cases.append((direction, rng.randint(1, args.x_max),
-                          rng.randint(1, args.n_max)))
+    anchors = {"forward": (2, 2), "backward": (7, 4)}  # recurrences at 34 and 88
+    rng = random.Random(args.seed)
     failures = 0
-    for direction, x, steps in cases:
+    # the anchors, then the random cases, each drawn as it is checked
+    for direction, x, steps in chain(
+            ((direction, *anchors[direction]) for direction in directions),
+            ((direction, rng.randint(1, args.x_max), rng.randint(1, args.n_max))
+             for direction in directions for _ in range(args.cases))):
         ok, data = _check_recurrence(direction, x, steps)
-        if ok:
-            yield finding("measurement", str(x),
-                          "first recurrence at the predicted spacing", data)
-        else:
-            failures += 1
-            yield finding("violation", str(x),
-                          "first recurrence off the predicted spacing", data)
-    return {"cases": len(cases), "failures": failures, "seed": args.seed}
+        failures += not ok
+        yield finding("measurement" if ok else "violation", str(x),
+                      f"first recurrence {'at' if ok else 'off'} the predicted spacing", data)
+    return {"cases": len(directions) * (1 + args.cases), "failures": failures,
+            "seed": args.seed}
 
 
 def export_graph(limit: int) -> str:

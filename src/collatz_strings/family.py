@@ -20,9 +20,7 @@ branches of the one-to-one map, dropping the 3 mod 4 class (chain ends)
 at each generation.  Backward process: start from the chain ends {3+4t}
 and pull back through both inverse branches, dropping heads.  PROCESSES
 (seeds and branch maps) is the one table that tells the directions
-apart: generation k is progressions.evolve(*PROCESSES[d], k), and
-_over_bound checks a batch of the walk's parts and children against the
-recursion bound.
+apart: generation k is progressions.evolve(*PROCESSES[d], k).
 """
 
 from __future__ import annotations
@@ -298,17 +296,3 @@ BACKWARD_MAPS = tuple((image, domain) for domain, image in FORWARD_MAPS)
 # direction -> (seeds, branch maps) of the evolution
 PROCESSES = {"forward": ((FORWARD_SEED,), FORWARD_MAPS),
              "backward": ((BACKWARD_SEED,), BACKWARD_MAPS)}
-
-
-def _over_bound(direction: str, batch) -> list[tuple[Progression, Progression]]:
-    """(part, child) for each child in a batch of the evolution walk
-    (progressions._families) that breaks the recursion bound on new
-    intercepts c of its part (a, b): c <= 3(a+3b-1)/4 + 1 forward and
-    c <= 4(a+2b-1)/3 + 1 backward, compared in cleared-denominator integer
-    form.  In walk order: by part, then by branch."""
-    intercepts, intervals, kid_intercepts, kid_intervals = batch
-    scale, factor, weight = (4, 3, 3) if direction == "forward" else (3, 4, 2)
-    bounds = [factor * (a + weight * b - 1) for a, b in zip(intercepts, intervals)]
-    n = len(PROCESSES[direction][1])  # children per part: kid x is of part x // n
-    return [(Progression(intercepts[x // n], intervals[x // n]), Progression(c, kid_intervals[x]))
-            for x, c in enumerate(kid_intercepts) if scale * (c - 1) > bounds[x // n]]

@@ -20,7 +20,8 @@ fixed by the inverse of its interval modulo the domain's.  It yields the
 parts with their children a subtree at a time, holding one path down to
 a subtree (O(k) parts) and one subtree, not 2^k parts.  A subtree the
 formula cannot take exactly is walked part by part by the exact
-residue solve (`_images`).
+residue solve (`_images`).  `_audit` checks one such batch, its parts
+and their children, against the intercept and recursion bounds.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ def _images(part, maps):
             m %= stride
         # the class interval lcm(b, s) = b*n and the image stay in the range
         _checked(max(first, b * n, c + d * m, stride * d))
-        # without Progression()'s checks: intercept and interval are at least 1
-        out.append(tuple.__new__(Progression, (c + d * m, stride * d)))
+        out.append(Progression(c + d * m, stride * d))
     return out
 
 
@@ -93,7 +93,7 @@ def _require_parts(seeds, maps, generation: int) -> None:
 
 
 # Most leaves of a subtree expanded a level at a time: one batch of the
-# walk, which the CLI renders as one chunk of cli.BATCH_RECORDS records.
+# walk, which `evolve` on the command line renders as one chunk.
 _SUBTREE_LEAVES = 512
 
 
@@ -165,6 +165,22 @@ def _families(seeds, maps, generation):
             yield [part[0]], [part[1]], [c for c, _ in kids], [d for _, d in kids]
 
 
+def _audit(direction: str, batch) -> tuple[list[Progression], list[tuple]]:
+    """The audit of a batch of the evolution walk (`_families`): its parts
+    whose intercept is not below their interval, and (part, child) for each
+    child that breaks the recursion bound on new intercepts c of its part
+    (a, b): c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1 backward,
+    compared in cleared-denominator integer form.  In walk order: by part,
+    then by branch."""
+    intercepts, intervals, kid_intercepts, kid_intervals = batch
+    scale, factor, weight = _BOUNDS[direction]
+    n = len(kid_intercepts) // len(intercepts)  # children per part: kid x is of part x // n
+    bounds = [factor * (a + weight * b - 1) for a, b in zip(intercepts, intervals)]
+    return ([Progression(a, b) for a, b in zip(intercepts, intervals) if a >= b],
+            [(Progression(intercepts[x // n], intervals[x // n]), Progression(c, kid_intervals[x]))
+             for x, c in enumerate(kid_intercepts) if scale * (c - 1) > bounds[x // n]])
+
+
 CoverageCount = namedtuple("CoverageCount", "direction m window_start included open_count")
 
 
@@ -228,6 +244,9 @@ _DIRECTIONS = {
     "forward": (restriction_index, 3, "lower_step", {1: "even", 2: "odd"}),
     "backward": (lambda x: x % 3, 2, "inverse_lower_step", {0: "down", 1: "up", 2: "head"}),
 }
+# direction -> (scale, factor, weight) of `_audit`'s recursion bound on the
+# intercept c of a child of part (a, b): scale*(c - 1) <= factor*(a + weight*b - 1)
+_BOUNDS = {"forward": (4, 3, 3), "backward": (3, 4, 2)}
 
 
 class Signature(namedtuple("Signature", "direction steps")):

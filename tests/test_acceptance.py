@@ -31,8 +31,8 @@ from collatz_strings import (
     trajectory_report,
     two_to_one_audit,
 )
-from collatz_strings.family import PROCESSES, _over_bound
-from collatz_strings.progressions import _families, evolve
+from collatz_strings.family import PROCESSES
+from collatz_strings.progressions import _audit, _families, evolve
 
 
 def generation(direction, k):
@@ -41,7 +41,7 @@ def generation(direction, k):
 
 def audit_clean(direction, k):
     """Whether every part of generation k passes evolve's intercept audit."""
-    return all(not any(a >= b for a, b in zip(*batch[:2])) and not _over_bound(direction, batch)
+    return all(_audit(direction, batch) == ([], [])
                for batch in _families(*PROCESSES[direction], k))
 
 

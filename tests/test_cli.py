@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import collatz_strings.progressions as progressions_module
 import collatz_strings.walks as walks_module
 from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
+from collatz_strings.core import require_tree_work
 from collatz_strings.reporting import (
     FAILING_KINDS,
     finding,
@@ -133,6 +135,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
         assert out == "" and err.count("\n") == 1, (argv, out, err)
         assert exact.get(tuple(argv), err) == err, argv
+    # an estimate whose mantissa rounds up to 10 carries into the exponent
+    with pytest.raises(ValueError, match=r"^limit 10000000000 needs about 1e\+09 class-tree "):
+        require_tree_work("limit", 10 ** 10, 9.96e4, 10)
     os.remove(nested)
     assert main([*wide, "--budget", "1000"]) == 0  # the cap counts the positions of this run
     capsys.readouterr()
@@ -672,6 +677,31 @@ def test_strings_reports_conflicts(tmp_path, monkeypatch):
         ("violation", "lower_step branch meets the image of {2+2t}->{3+3t}",
          {"domain": [4, 2], "image": [6, 3]})]
     assert records_of(text)[-1]["conflicts"] == 1
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["proportionality", "--cases", "1000", "--direction", "forward"], "_check_recurrence"),
+    (["coverage", "--direction", "forward", "-m", "2", "--random-starts", "1000"],
+     "coverage_count"),
+], ids=["proportionality", "coverage"])
+def test_random_cases_are_drawn_as_they_are_checked(monkeypatch, capsys, argv, check):
+    # the first case checked is an anchor, the first window --window-start:
+    # a run that fails there has drawn no random case or start
+    draws = []
+    randint = random.Random.randint
+
+    def counted(rng, a, b):
+        draws.append((a, b))
+        return randint(rng, a, b)
+
+    def first_check(*args):
+        raise ValueError("first check")
+
+    monkeypatch.setattr(random.Random, "randint", counted)
+    monkeypatch.setattr(cli_module, check, first_check)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: first check\n"
+    assert draws == []
 
 
 def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):

@@ -69,7 +69,7 @@ def test_every_public_name_resolves_and_star_import_binds_it():
 PATCHED = ("passage_sweep partition_audit coverage_count string_scan find_cycles "
            "two_to_one_audit audit_case_system first_recurrence_forward "
            "first_recurrence_backward forward_signature backward_signature render_jsonl "
-           "render_csv _families").split()
+           "render_csv _families _audit").split()
 ABSENT = ("evolve_forward", "evolve_backward", "intercept_audit")
 
 
@@ -93,3 +93,16 @@ def test_a_handler_calls_the_value_set_on_cli(monkeypatch, capsys):
     assert calls == [((2, 10), {"max_steps": 100_000, "checkpoint_path": None,
                                 "checkpoint_every": 1 << 20, "resume": False,
                                 "budget": None})]
+
+
+def test_the_published_systems_are_listed_only_for_the_help(capsys):
+    # the family-audit help lists them, which imports `family`; building
+    # the parser does not
+    with pytest.raises(SystemExit) as stop:
+        cli_module.main(["family-audit", "--help"])
+    assert stop.value.code == 0
+    assert "oneof[-1,1,3,5,7,9,11,13,15,17,19,21,23,25,27,31,33,37]" in \
+        "".join(capsys.readouterr().out.split())
+    code = ("import sys\nimport collatz_strings.cli as cli\ncli.build_parser()\n"
+            "print('collatz_strings.family' in sys.modules)")
+    assert fresh(code) == "False"

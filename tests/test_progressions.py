@@ -27,8 +27,8 @@ from collatz_strings import (
     restriction_index,
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
-from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, _over_bound, branch_maps
-from collatz_strings.progressions import _families, evolve
+from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, branch_maps
+from collatz_strings.progressions import _audit, _families, evolve
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS
@@ -343,9 +343,10 @@ def test_long_evolve_matches_reference():
             [(part, list(kids[2 * i:2 * i + 2])) for i, part in enumerate(parts)]
         batches = list(_families(seeds, maps, 16))
         audits = [reference_audit_part(direction, part) for part in parts]
-        assert [a >= b for batch in batches for a, b in zip(*batch[:2])] == \
-            [bad for bad, _ in audits]
-        assert [pair for batch in batches for pair in _over_bound(direction, batch)] == \
+        checked = [_audit(direction, batch) for batch in batches]
+        assert [part for bad, _ in checked for part in bad] == \
+            [part for part, (bad, _) in zip(parts, audits) if bad]
+        assert [pair for _, over in checked for pair in over] == \
             [(part, kid) for part, (_, over) in zip(parts, audits) for kid in over]
 
 
