@@ -6,22 +6,17 @@ branch by branch: each branch sends one progression onto another member
 by member (2+2m -> 3+3m and 1+4m -> 1+3m forwards), turning an interval
 b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This module
 provides the generation loop that transports progressions through such
-branch maps (an exact residue intersection per map), the window counts
-of the p=1 evolutions in family.PROCESSES and the branch-signature
-recurrence search.
+branch maps, the window counts of the p=1 evolutions in family.PROCESSES
+and the branch-signature recurrence search.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
-the sequence.  That is the order of a depth-first walk of the branch
-tree.  One walk (`_families`) goes depth first down to subtrees of at
-most 512 leaves and expands each a level at a time, over int lists, by
-one residue formula per branch: a part's first member in a domain is
-fixed by the inverse of its interval modulo the domain's.  It yields the
-parts with their children a subtree at a time, holding one path down to
-a subtree (O(k) parts) and one subtree, not 2^k parts.  A subtree the
-formula cannot take exactly is walked part by part by the exact
-residue solve (`_images`).  `_audit` checks one such batch, its parts
-and their children, against the intercept and recursion bounds.
+the sequence: the order of a depth-first walk of the branch tree.  One
+residue formula per branch makes every level from the one before, over
+int lists (`_level`); a walk checks its premises once, at its start
+(`_branches`).  `_families` walks depth first down to subtrees of at most
+512 leaves and yields each, expanded a level at a time, with its leaves'
+children, holding O(k) parts above it, not 2^k.  `_audit` checks a batch.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from math import gcd, prod
 
 from .core import (
     MAX_TREE_NODES,
-    MAX_VALUE,
     WIDTH_BITS,
     Progression,
     _checked,
@@ -43,38 +37,15 @@ from .core import (
 )
 
 
-def _images(part, maps):
-    """part (a, b) -> its transports through maps in order: its members
-    a + b*t in each domain (r, s), with t fixed mod n = s/g by b*t = r - a
-    (mod s), g = gcd(b, s), mapped r + s*m -> c + d*m.  ValueError names the
-    first domain part misses (g does not divide r - a)."""
-    a, b = part
-    out = []
-    for src, (c, d) in maps:
-        r, s = src
-        g = gcd(b, s)
-        if (r - a) % g:
-            raise ValueError(f"part {part} misses branch {src}")
-        n, stride = s // g, b // g
-        first = a + b * ((r - a) // g * pow(stride, -1, n) % n)
-        m = (first - r) // s
-        if m < 0:  # members of the residue class below src's intercept are not in src
-            m %= stride
-        # the class interval lcm(b, s) = b*n and the image stay in the range
-        _checked(max(first, b * n, c + d * m, stride * d))
-        out.append(Progression(c + d * m, stride * d))
-    return out
-
-
 def evolve(seeds: tuple[Progression, ...],
            maps: tuple[tuple[Progression, Progression], ...],
            generation: int) -> Iterator[Progression]:
     """Generation k of seeds under (domain, image) branch maps, as ordered parts.
 
     Each part is replaced by its transports through every map, in the
-    order of maps, depth first.  A part that misses a branch raises
-    ValueError when the walk reaches it; a negative generation, or one of
-    more than MAX_TREE_NODES parts, raises at the call.
+    order of maps, depth first.  A negative generation, one of more than
+    MAX_TREE_NODES parts, or seeds and maps that break a premise of the
+    residue formula (`_branches`) raise at the call.
     """
     seeds, maps = tuple(seeds), tuple(maps)
     _require_parts(seeds, maps, generation)
@@ -92,77 +63,76 @@ def _require_parts(seeds, maps, generation: int) -> None:
                          f"parts, above the cap of {MAX_TREE_NODES:.0e}")
 
 
+def _branches(seeds, maps, generation: int) -> list[tuple]:
+    """The maps as rows (r, s, c, d, inverses mod s) of the residue formula,
+    checked exact down to the children of generation k.
+
+    Through r + s*m -> c + d*m, a part (a, b) with gcd(b, s) = 1 meets the
+    domain first at a + b*t, t = (r - a)*b^-1 mod s, and goes to the part
+    (c + d*(a + b*t - r)/s, b*d).  That is exact for every part of a walk
+    whose seed and image intervals are prime to the domains' (then every
+    part's is), whose domains start at their class's least member (r <= s,
+    since a >= 1; s <= 64 for the tables) and whose numbers stay in range:
+    each number a level computes (first members, class intervals b*s and
+    children) is at most `growth` times the larger of its part's two.
+    ValueError names the branch or seed that breaks a premise.
+    """
+    _require_parts(seeds, maps, generation)
+    moduli = prod(s for (_, s), _ in maps)
+    growth, branches = 1, []
+    for (r, s), (c, d) in maps:
+        if not r <= s <= 64:
+            raise ValueError(f"branch {Progression(r, s)} is not r + s*m with r <= s <= 64")
+        if gcd(d, moduli) > 1:
+            raise ValueError(f"image {Progression(c, d)} shares a factor with a domain interval")
+        growth = max(growth, s, c + 2 * d)
+        branches.append((r, s, c, d, [pow(u, -1, s) if gcd(u, s) == 1 else 0 for u in range(s)]))
+    for seed in seeds:
+        if gcd(seed[1], moduli) > 1:
+            raise ValueError(f"seed {seed} shares a factor with a domain interval")
+    _checked(max(map(max, seeds), default=0) * growth ** min(generation + 1, WIDTH_BITS))
+    return branches
+
+
+def _level(branches, intercepts: list[int], intervals: list[int]) -> tuple[list, list]:
+    """The children of the parts (intercepts, intervals): part i's, its
+    transports through the n branches in order, are kids n*i .. n*i+n-1."""
+    n = len(branches)
+    kids = [0] * (n * len(intercepts)), [0] * (n * len(intercepts))
+    for j, (r, s, c, d, inverse) in enumerate(branches):
+        kids[0][j::n] = [c + d * ((a - r + b * ((r - a) * inverse[b % s] % s)) // s)
+                         for a, b in zip(intercepts, intervals)]
+        kids[1][j::n] = [b * d for b in intervals]
+    return kids
+
+
 # Most leaves of a subtree expanded a level at a time: one batch of the
 # walk, which `evolve` on the command line renders as one chunk.
 _SUBTREE_LEAVES = 512
 
 
-def _subtrees(maps, depth: int):
-    """root (a, b) -> the batch of its subtree `depth` generations deep,
-    expanded a level at a time, or None where the formula is not exact.
-
-    Through r + s*m -> c + d*m, a part (a, b) with gcd(b, s) = 1 meets the
-    domain first at a + b*t, t = (r - a)*b^-1 mod s, and goes to the part
-    (c + d*(a + b*t - r)/s, b*d).  That is `_images`' transport, with no
-    miss, in a subtree whose intervals are all prime to the domains' (the
-    root's is, and every image interval d), whose class members never lie
-    below a domain (r <= s, since a >= 1), and whose numbers stay in range:
-    each number a level computes (first members, class intervals b*s and
-    children) is at most `growth` times the larger of its part's two.
-    The inverses mod s are tabled, for domain intervals s up to 64 (the
-    families' are 2, 3 and 4).
-    """
-    moduli = prod(s for (_, s), _ in maps)
-    limit, growth, branches = MAX_VALUE, 1, []
-    for (r, s), (c, d) in maps:
-        if not r <= s <= 64 or gcd(d, moduli) > 1:  # no subtree is exact
-            limit = 0
-            break
-        growth = max(growth, s, c + 2 * d)
-        branches.append((r, s, c, d, [pow(u, -1, s) if gcd(u, s) == 1 else 0 for u in range(s)]))
-    limit //= growth ** (depth + 1)
-    n = len(maps)
-
-    def expand(root):
-        if max(root) > limit or gcd(root[1], moduli) != 1:
-            return None
-        kids = [root[0]], [root[1]]
-        for _ in range(depth + 1):  # each level's parts and their children
-            parts, kids = kids, ([0] * (n * len(kids[0])), [0] * (n * len(kids[0])))
-            for j, (r, s, c, d, inverse) in enumerate(branches):
-                kids[0][j::n] = [c + d * ((a - r + b * ((r - a) * inverse[b % s] % s)) // s)
-                                 for a, b in zip(*parts)]
-                kids[1][j::n] = [b * d for b in parts[1]]
-        return *parts, *kids
-    return expand
-
-
 def _families(seeds, maps, generation):
-    """Yield the parts of generation k with their children, in order, as
-    batches (intercepts, intervals, kid intercepts, kid intervals) of int
-    lists: part i's children, its transports through the n maps in map
-    order, are kids n*i .. n*i+n-1.  A batch is a subtree of at most
-    _SUBTREE_LEAVES parts or, in a subtree the formula cannot take, one part
-    walked by `_images`, which raises ValueError at the first part that
-    misses a branch, or WidthExceededError at the first that leaves the
-    range, after the parts before it, as a depth-first walk does.
-    Checks generation as `evolve` does, when the walk starts."""
-    _require_parts(seeds, maps, generation)
+    """The parts of generation k with their children (`_level`), in order,
+    as batches (intercepts, intervals, kid intercepts, kid intervals): each
+    a subtree of at most _SUBTREE_LEAVES parts.  Checks generation and the
+    premises (`_branches`) at the call, before any batch."""
+    branches = _branches(seeds, maps, generation)
     depth = 0  # of the subtrees; a walk of fewer branches gets the depth of two
     while depth < generation and max(len(maps), 2) ** (depth + 1) <= _SUBTREE_LEAVES:
         depth += 1
-    expand = _subtrees(maps, depth)
-    stack = [(generation, part) for part in reversed(seeds)]  # (generations left, part)
-    while stack:
-        left, part = stack.pop()
-        if left == depth and (batch := expand(part)) is not None:
-            yield batch
-            continue
-        kids = _images(part, maps)
-        if left:
-            stack += [(left - 1, kid) for kid in reversed(kids)]
-        else:
-            yield [part[0]], [part[1]], [c for c, _ in kids], [d for _, d in kids]
+
+    def walk():
+        stack = [(generation, *part) for part in reversed(seeds)]  # (generations left, a, b)
+        while stack:
+            left, a, b = stack.pop()
+            level = [a], [b]
+            if left > depth:  # above the subtree roots, a part at a time
+                stack += reversed([(left - 1, *kid) for kid in zip(*_level(branches, *level))])
+                continue
+            for _ in range(depth + 1):  # the subtree, a level at a time
+                parts, level = level, _level(branches, *level)
+            yield *parts, *level
+    return walk()
 
 
 def _audit(direction: str, batch) -> tuple[list[Progression], list[tuple]]:
@@ -214,8 +184,9 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
 
     The window is [window_start, window_start + s**m), with s the seed's
     interval: 3 forward, 4 backward.  Membership is an explicit union over
-    the parts of generations 0..m-1, marked one byte per window position,
-    so the count does not presuppose disjointness.
+    the parts of generations 0..m-1, each made from the one before by
+    `_level`, marked one byte per window position, so the count does not
+    presuppose disjointness.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -226,13 +197,15 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     window = _window_base(direction) ** m
     seeds, maps = PROCESSES[direction]
     _checked(window_start + window)
+    branches = _branches(seeds, maps, m - 1)
     covered = bytearray(window)  # covered[i]: window_start + i is a member
     for generation in range(m):
-        for part in evolve(seeds, maps, generation) if generation else seeds:
-            first = part.intercept - window_start
+        parts = _level(branches, *parts) if generation else [*zip(*seeds)]
+        for a, b in zip(*parts):
+            first = a - window_start
             if first < 0:
-                first %= part.interval
-            covered[first::part.interval] = b"\1" * len(range(first, window, part.interval))
+                first %= b
+            covered[first::b] = b"\1" * len(range(first, window, b))
     included = covered.count(1)
     return CoverageCount(direction, m, window_start, included, window - included)
 

@@ -611,12 +611,28 @@ def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
     ]
 
 
+def test_evolve_refuses_a_seed_that_breaks_the_formula_before_any_part(tmp_path, monkeypatch,
+                                                                         capsys):
+    # {3+3t} shares 3 with the backward domains' interval: the walk refuses it
+    # at its start, so no part is written and no report file is left
+    monkeypatch.setitem(family_module.PROCESSES, "backward",
+                        ((Progression(3, 3),), family_module.BACKWARD_MAPS))
+    out = os.path.join(tmp_path, "r.jsonl")
+    for k in range(4):
+        for argv in (["evolve", "--direction", "backward", "-k", str(k)],
+                     ["evolve", "--direction", "backward", "-k", str(k), "--output", out]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == \
+                ("", "error: seed {3+3t} shares a factor with a domain interval\n"), argv
+            assert os.listdir(tmp_path) == []
+
+
 def test_coverage_reports_a_count_mismatch(tmp_path, monkeypatch):
-    # dropping the last part of each new generation leaves {3+9t} alone in
+    # dropping the last child of each new level leaves {3+9t} alone in
     # generation 1: window [2, 11) holds 2, 5, 8 and 3, not also 4
-    evolve = progressions_module.evolve
-    monkeypatch.setattr(progressions_module, "evolve",
-                        lambda parts, maps, k: tuple(evolve(parts, maps, k))[:-1])
+    level = progressions_module._level
+    monkeypatch.setattr(progressions_module, "_level",
+                        lambda *args: [kids[:-1] for kids in level(*args)])
     code, text = run_cli(["coverage", "--direction", "forward", "-m", "2"], tmp_path)
     assert code == 1
     assert findings_of(text) == [

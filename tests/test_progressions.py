@@ -1,4 +1,5 @@
 import os
+import re
 from math import gcd
 
 import pytest
@@ -51,18 +52,44 @@ def transported(part, src, dst):
     return next(pairs((part,), ((src, dst),), 0))[1][0]
 
 
-def _outcome(fn, *args):
-    """fn's result with its type, the WidthExceededError it raised, or "missed"
-    when the part misses the branch: None from the reference, ValueError
-    from the walk."""
-    try:
-        result = fn(*args)
-    except WidthExceededError as exc:
-        return "raised", str(exc)
-    except ValueError as exc:
-        assert "misses branch" in str(exc)
-        return "missed"
-    return "missed" if result is None else (type(result), result)
+def _refusal(seeds, maps, generation):
+    """The refusal a walk of seeds through generation k owes, by the premises
+    of the residue formula restated here: (ValueError, the branch, image or
+    seed it names) when a domain does not start at its class's least member
+    mod at most 64, or an image or seed interval shares a factor with a
+    domain interval; (WidthExceededError, "") when the largest seed number
+    times the most a level can grow a number, to the power k+1, leaves the
+    range; None when the premises hold."""
+    moduli = [s for (_, s), _ in maps]
+    for (r, s), image in maps:
+        if not r <= s <= 64:
+            return ValueError, f"branch {Progression(r, s)} "
+        if any(gcd(image.interval, m) > 1 for m in moduli):
+            return ValueError, f"image {image} "
+    for seed in seeds:
+        if any(gcd(seed.interval, m) > 1 for m in moduli):
+            return ValueError, f"seed {seed} "
+    growth = max([1] + [max(s, c + 2 * d) for (_, s), (c, d) in maps])
+    if max(max(seed) for seed in seeds) * growth ** (generation + 1) > MAX_VALUE:
+        return WidthExceededError, ""
+    return None
+
+
+def _exact_or_refused(seeds, maps, generation):
+    """The side of the premises a walk is on: "exact" where they hold and
+    the walk equals the recursive reference; else the kind of the refusal
+    `_refusal` names ("branch", "image", "seed" or "width"), which the walk
+    raises when it is called, before it makes a batch."""
+    refusal = _refusal(seeds, maps, generation)
+    if refusal is None:
+        walked = _walked(pairs, seeds, maps, generation)
+        assert walked == _walked(reference_families, seeds, maps, generation)
+        assert walked[1] is None
+        return "exact"
+    error, name = refusal
+    with pytest.raises(error, match=f"^{re.escape(name)}"):
+        _families(seeds, maps, generation)  # the call alone: no batch is drawn
+    return name.split()[0] if name else "width"
 
 
 def test_progression_validation_and_membership():
@@ -115,22 +142,22 @@ def test_signature_is_a_value():
 
 
 def test_transport_matches_the_intersection_reference_on_a_grid():
-    # every small part and domain: misses, domains whose interval shares a
-    # factor with the part's, and domains starting above the class's first
-    # member (the m < 0 branch), each seen at least once
-    seen = {"miss": 0, "shared factor": 0, "below domain": 0}
+    # every small part and domain: where the premises hold, the walk's one
+    # child equals the intersection reference's; each premise that fails
+    # (a domain above its class's least member, an image or a part interval
+    # sharing a factor with the domain's) is refused at least once
+    seen = {"exact": 0, "branch": 0, "image": 0, "seed": 0}
     dst = Progression(5, 3)
     for a in range(1, 13):
         for b in range(1, 13):
             for r in range(1, 13):
                 for s in range(1, 13):
                     part, src = Progression(a, b), Progression(r, s)
-                    assert _outcome(transported, part, src, dst) == \
-                        _outcome(reference_transport, part, src, dst)
-                    dom = intersect_residue(part, r, s)
-                    seen["miss"] += dom is None
-                    seen["shared factor"] += dom is not None and gcd(b, s) > 1
-                    seen["below domain"] += dom is not None and dom.intercept < r
+                    side = _exact_or_refused((part,), ((src, dst),), 0)
+                    if side == "exact":
+                        assert transported(part, src, dst) == \
+                            reference_transport(part, src, dst) is not None
+                    seen[side] += 1
     assert all(seen.values()), seen
 
 
@@ -140,15 +167,20 @@ _SIZES = st.one_of(st.integers(1, 64), st.integers(1, 1 << 40),
 
 @given(_SIZES, _SIZES, _SIZES, _SIZES, _SIZES, _SIZES)
 @settings(max_examples=500)
-@example(2, 6, 1 << 40, 4, 1, 1)                 # the class starts below the domain
-@example(2, 6, 3, 4, 1, 1)                       # a miss: even members, odd domain
-@example(MAX_VALUE, 2, 1, 3, 1, 1)               # the first member leaves the range
-@example(1, (1 << 127) + 1, 1, 4, 1, 1)          # the class interval leaves the range
-@example(5, 1, 3, 2, MAX_VALUE, 1)               # the image intercept leaves the range
-@example(1, 1 << 100, 1, 2, 1, MAX_VALUE)        # the image interval leaves the range
+@example(2, 3, 2, 2, 3, 3)                       # {2+3t} through the even branch
+@example((1 << 120) + 5, 3, 1, 4, 1, 3)          # near the edge: exact
+@example(2, 6, 1 << 40, 4, 1, 1)                 # refused: the class starts below the domain
+@example(2, 6, 3, 4, 1, 1)                       # refused: even members, odd domain
+@example(1, 3, 1, 3, 1, 1)                       # refused: the part shares 3 with the domain
+@example(1, 1, 1, 2, 1, 4)                       # refused: the image shares 2 with the domain
+@example(MAX_VALUE, 1, 1, 3, 1, 1)               # refused: the first member leaves the range
+@example(1, (1 << 127) + 1, 1, 4, 1, 1)          # refused: the class interval leaves it
+@example(5, 1, 1, 2, MAX_VALUE, 1)               # refused: the image intercept leaves it
+@example(1, (1 << 100) + 1, 1, 2, 1, MAX_VALUE)  # refused: the image interval leaves it
 def test_transport_matches_the_intersection_reference(a, b, r, s, c, d):
     args = Progression(a, b), Progression(r, s), Progression(c, d)
-    assert _outcome(transported, *args) == _outcome(reference_transport, *args)
+    if _exact_or_refused(args[:1], (args[1:],), 0) == "exact":
+        assert transported(*args) == reference_transport(*args)
 
 
 def test_intersect_residue_examples():
@@ -187,46 +219,53 @@ def test_intersect_residue_matches_filter(a, b, r, mod):
 
 
 def test_branch_images_match_published_first_generations():
-    assert transported(Progression(2, 6), *EVEN) == Progression(3, 9)
-    assert transported(Progression(5, 12), *ODD) == Progression(4, 9)
-    assert transported(Progression(3, 12), *DOWN) == Progression(2, 8)
-    assert transported(Progression(7, 12), *UP) == Progression(9, 16)
+    # the head class {2+3t} through each forward branch, the end class
+    # {3+4t} through each backward one: its members {2+6t}, {5+12t}, {3+12t}
+    # and {7+12t} in the domains go to the published first generations
+    assert transported(Progression(2, 3), *EVEN) == Progression(3, 9)
+    assert transported(Progression(2, 3), *ODD) == Progression(4, 9)
+    assert transported(Progression(3, 4), *DOWN) == Progression(2, 8)
+    assert transported(Progression(3, 4), *UP) == Progression(9, 16)
 
 
 def test_branch_images_are_elementwise():
     from collatz_strings import inverse_lower_step, lower_step
 
-    fwd = [(EVEN, Progression(4, 18)), (ODD, Progression(13, 36))]
-    for branch, dom in fwd:
-        img = transported(dom, *branch)
-        for t in range(50):
-            assert img.element(t) == lower_step(dom.element(t))
-    back = [(DOWN, Progression(9, 48)), (UP, Progression(25, 48))]
-    for branch, dom in back:
-        img = transported(dom, *branch)
-        for t in range(50):
-            assert img.element(t) == inverse_lower_step(dom.element(t))
+    # the first-generation parts through every branch of their direction:
+    # the image lists the steps of the part's members in the branch domain
+    for maps, step, parts in ((FORWARD_MAPS, lower_step, (Progression(3, 9), Progression(4, 9))),
+                              (BACKWARD_MAPS, inverse_lower_step,
+                               (Progression(2, 8), Progression(9, 16)))):
+        for part in parts:
+            for src, dst in maps:
+                img = transported(part, src, dst)
+                inside = [x for t in range(200) if src.contains(x := part.element(t))][:50]
+                assert [img.element(t) for t in range(50)] == [step(x) for x in inside]
 
 
 def test_branch_interval_transport():
-    assert transported(Progression(2, 6), *EVEN).interval == 9  # 6 -> 3*6/2
-    assert transported(Progression(1, 12), *ODD).interval == 9  # 12 -> 3*12/4
-    assert transported(Progression(3, 9), *DOWN).interval == 6  # 9 -> 2*9/3
-    assert transported(Progression(1, 9), *UP).interval == 12  # 9 -> 4*9/3
+    # an interval b goes to lcm(b, s)*d/s, the class interval lcm(b, s)
+    # scaled by the branch's factor d/s
+    assert transported(Progression(2, 3), *EVEN).interval == 9  # 6 -> 3*6/2
+    assert transported(Progression(1, 3), *ODD).interval == 9  # 12 -> 3*12/4
+    assert transported(Progression(3, 4), *DOWN).interval == 8  # 12 -> 2*12/3
+    assert transported(Progression(1, 4), *UP).interval == 16  # 12 -> 4*12/3
 
 
 def test_branch_domain_preconditions_are_enforced():
-    # a part with no member in the branch domain has no image ...
+    # a part whose interval shares a factor with a domain's is refused at
+    # the call, by name, whether or not it has members in the domain ...
     for part, branch in ((Progression(3, 6), EVEN),  # odd positions only
                          (Progression(3, 4), ODD),  # 3 mod 4 only
-                         (Progression(2, 9), UP)):  # 2 mod 3 only
-        with pytest.raises(ValueError, match="misses branch"):
-            transported(part, *branch)
-    # ... and evolution refuses such a part instead of dropping it
-    with pytest.raises(ValueError):
-        tuple(evolve((Progression(3, 6),), FORWARD_MAPS, 1))
-    with pytest.raises(ValueError):
-        tuple(evolve((Progression(2, 9),), BACKWARD_MAPS, 1))
+                         (Progression(2, 9), UP),  # 2 mod 3 only
+                         (Progression(2, 6), EVEN)):  # even positions only
+        with pytest.raises(ValueError, match=re.escape(f"seed {part} shares a factor")):
+            _families((part,), (branch,), 0)
+    # ... and evolution refuses such a seed at the call too
+    with pytest.raises(ValueError, match=re.escape("seed {3+6t} shares a factor")):
+        evolve((Progression(3, 6),), FORWARD_MAPS, 1)
+    with pytest.raises(ValueError, match=re.escape("seed {2+9t} shares a factor")):
+        evolve((Progression(2, 9),), BACKWARD_MAPS, 1)
 
 
 @pytest.mark.parametrize("seeds, maps", [
@@ -244,24 +283,26 @@ def test_depth_first_evolve_matches_breadth_first_reference(seeds, maps):
 
 def test_depth_first_evolve_misses_a_branch_where_the_reference_does():
     # every small seed under both processes, alone and after a seed whose
-    # subtree the walk yields before it reaches the small one: equal parts,
-    # or ValueError on both
-    raised = 0
+    # subtree the walk yields before it reaches the small one: where the
+    # premises hold, the parts of the breadth-first reference; otherwise a
+    # refusal at the call; generation 0 transports nothing and is the seeds
+    seen = {"exact": 0, "refused": 0}
     for maps, first in ((FORWARD_MAPS, Progression(2, 3)),
                         (BACKWARD_MAPS, Progression(3, 4))):
         for a in range(1, 13):
             for b in range(1, 13):
                 for seeds in ((Progression(a, b),), (first, Progression(a, b))):
-                    for k in range(4):
-                        try:
-                            expected = reference_evolve(seeds, maps, k)
-                        except ValueError:
-                            raised += 1
-                            with pytest.raises(ValueError, match="misses branch"):
-                                tuple(evolve(seeds, maps, k))
+                    assert tuple(evolve(seeds, maps, 0)) == seeds
+                    for k in range(1, 4):
+                        refusal = _refusal(seeds, maps, k - 1)
+                        if refusal is None:
+                            assert tuple(evolve(seeds, maps, k)) == \
+                                reference_evolve(seeds, maps, k)
                         else:
-                            assert tuple(evolve(seeds, maps, k)) == expected
-    assert raised
+                            with pytest.raises(refusal[0], match=re.escape(refusal[1])):
+                                evolve(seeds, maps, k)
+                        seen["exact" if refusal is None else "refused"] += 1
+    assert all(seen.values()), seen
     with pytest.raises(ValueError):
         evolve((Progression(2, 3),), FORWARD_MAPS, -1)  # at the call, not the first part
 
@@ -291,9 +332,10 @@ def test_families_pair_each_part_with_its_transports(direction):
 
 def test_families_miss_a_branch_at_the_part_the_reference_does():
     # every small seed, alone and after a seed whose subtree comes first,
-    # under tables whose domains share factors with the parts' intervals
-    # (g > 1) and, for p=-5, start above a class's first member (m < 0)
-    seen = {"miss": 0, "shared factor": 0, "below domain": 0}
+    # under both processes and p=-5, whose domains start above a class's
+    # first member: the recursive reference's pairs where the premises
+    # hold, and a refusal naming the seed or the branch where they do not
+    seen = {"exact": 0, "seed": 0, "branch": 0}
     for maps, first in ((FORWARD_MAPS, Progression(2, 3)),
                         (BACKWARD_MAPS, Progression(3, 4)),
                         (branch_maps(Family(-5)), Progression(1, 3))):
@@ -301,13 +343,7 @@ def test_families_miss_a_branch_at_the_part_the_reference_does():
             for b in range(1, 13):
                 for seeds in ((Progression(a, b),), (first, Progression(a, b))):
                     for k in range(4):
-                        walked = _walked(pairs, seeds, maps, k)
-                        assert walked == _walked(reference_families, seeds, maps, k)
-                        seen["miss"] += walked[1] is not None
-                for src, _ in maps:
-                    dom = intersect_residue(Progression(a, b), src.intercept, src.interval)
-                    seen["shared factor"] += dom is not None and gcd(b, src.interval) > 1
-                    seen["below domain"] += dom is not None and dom.intercept < src.intercept
+                        seen[_exact_or_refused(seeds, maps, k)] += 1
     assert all(seen.values()), seen
 
 
@@ -318,19 +354,21 @@ _MAPS = [maps for _, maps in PROCESSES.values()] + \
 
 
 @given(st.lists(st.builds(Progression, _NUMBERS, _NUMBERS), min_size=1, max_size=3),
-       st.sampled_from(_MAPS), st.integers(0, 6), st.sampled_from([1, 2, 4, 8]))
+       st.sampled_from(_MAPS), st.integers(0, 6), st.sampled_from([1, 2, 4, 8]), st.none())
 @settings(max_examples=300, deadline=None)
-@example([Progression(2, 3)], FORWARD_MAPS, 6, 4)                # subtrees by the formula
-@example([Progression(3, 4), Progression(7, 4)], BACKWARD_MAPS, 5, 2)
-@example([Progression((1 << 120) + 5, 3)], FORWARD_MAPS, 6, 8)   # near the edge: exact
-@example([Progression((1 << 126) + 1, (1 << 126) + 1)], BACKWARD_MAPS, 0, 1)  # 4b leaves it
-@example([Progression(2, 6)], FORWARD_MAPS, 3, 2)                # a shared factor: exact
-@example([Progression(1, 3)], branch_maps(Family(-5)), 4, 4)     # below a domain: exact
-def test_batched_walk_matches_the_depth_first_reference(seeds, maps, k, leaves):
-    # small subtrees, so that a walk meets several and hands some to `_images`
+@example([Progression(2, 3)], FORWARD_MAPS, 6, 4, "exact")        # subtrees by the formula
+@example([Progression(3, 4), Progression(7, 4)], BACKWARD_MAPS, 5, 2, "exact")
+@example([Progression((1 << 100) + 5, 3)], FORWARD_MAPS, 6, 8, "exact")  # near the edge
+@example([Progression((1 << 120) + 5, 3)], FORWARD_MAPS, 6, 8, "width")
+@example([Progression((1 << 126) + 1, (1 << 126) + 1)], BACKWARD_MAPS, 0, 1, "width")
+@example([Progression(2, 3), Progression(2, 6)], FORWARD_MAPS, 3, 2, "seed")  # shares 2
+@example([Progression(1, 3)], branch_maps(Family(-5)), 4, 4, "branch")  # below a domain
+def test_batched_walk_matches_the_depth_first_reference(seeds, maps, k, leaves, side):
+    # small subtrees, so that a walk meets several; side is the outcome an
+    # explicit example must reach
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(progressions_module, "_SUBTREE_LEAVES", leaves)
-        assert _walked(pairs, seeds, maps, k) == _walked(reference_families, seeds, maps, k)
+        assert side in (None, _exact_or_refused(seeds, maps, k))
 
 
 @pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
@@ -351,12 +389,21 @@ def test_long_evolve_matches_reference():
 
 
 def test_transport_skips_class_members_below_the_domain():
-    # 4 is 0 mod 4 but not in {8+4m}; the first member of {1+t} there is 8
-    assert transported(Progression(1, 1), Progression(8, 4), Progression(5, 3)) == \
+    # 4 is 0 mod 4 but not in {8+4m}; the first member of {1+t} there is 8.
+    # The residue formula would take 4, so the walk refuses a domain that
+    # starts above its class's least member, by name, at the call
+    for part, src, dst, image in ((Progression(1, 1), Progression(8, 4), Progression(5, 3),
+                                   Progression(5, 3)),
+                                  # {2+6t} meets 0 mod 4 at 8, 20, 32, ...; from 20 on in {20+4m}
+                                  (Progression(2, 6), Progression(20, 4), Progression(1, 1),
+                                   Progression(1, 3))):
+        assert reference_transport(part, src, dst) == image
+        with pytest.raises(ValueError, match=re.escape(f"branch {src} is not")):
+            _families((part,), ((src, dst),), 0)
+    # a domain from its class's least member, 4 in {4+4m}, is walked exactly
+    assert transported(Progression(1, 1), Progression(4, 4), Progression(5, 3)) == \
+        reference_transport(Progression(1, 1), Progression(4, 4), Progression(5, 3)) == \
         Progression(5, 3)
-    # {2+6t} meets 0 mod 4 at 8, 20, 32, ...; only 20 on lie in {20+4m}
-    assert transported(Progression(2, 6), Progression(20, 4), Progression(1, 1)) == \
-        Progression(1, 3)
 
 
 def test_sampling_lemma_examples():
