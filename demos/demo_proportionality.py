@@ -3,8 +3,10 @@
 The branch pattern a position follows pins it inside one residue class:
 the next position with the same forward pattern sits exactly 2^(sum of
 branch indices) later, and the next with the same backward pattern sits
-exactly 3^(pattern length) later.  The scans below confirm both spacings
-by brute force, with no shortcut between a position and its recurrence.
+exactly 3^(pattern length) later.  The walks below find each first
+recurrence as x + M, with x mod M the residue class of the positions
+sharing x's pattern: they split x's class only where its members would
+take different branches, and never read the predicted spacing.
 """
 
 import random
@@ -46,11 +48,11 @@ def main():
 
     print("\n400 seeded random spot checks:")
     rng = random.Random(1)
-    for scan, build in ((first_recurrence_forward, forward_signature),
-                        (first_recurrence_backward, backward_signature)):
+    for recur, build in ((first_recurrence_forward, forward_signature),
+                         (first_recurrence_backward, backward_signature)):
         for _ in range(200):
             x, n = rng.randint(1, 10 ** 4), rng.randint(1, 6)
-            assert scan(x, n) == x + build(x, n).recurrence_gap
+            assert recur(x, n) == x + build(x, n).recurrence_gap
     print("  every first recurrence landed exactly on the predicted spacing")
 
 

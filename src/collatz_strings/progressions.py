@@ -7,7 +7,8 @@ by member (2+2m -> 3+3m and 1+4m -> 1+3m forwards), turning an interval
 b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This module
 provides the generation loop that transports progressions through such
 branch maps, the window counts of the p=1 evolutions in family.PROCESSES
-and the branch-signature recurrence search.
+and the branch signatures with the residue class of the positions that
+share each (`_signature_class`), from which their first recurrence follows.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -26,15 +27,7 @@ from collections.abc import Iterator
 from itertools import chain, repeat
 from math import gcd, prod
 
-from .core import (
-    MAX_TREE_NODES,
-    WIDTH_BITS,
-    Progression,
-    _checked,
-    inverse_lower_step,
-    lower_step,
-    restriction_index,
-)
+from .core import MAX_TREE_NODES, WIDTH_BITS, Progression, _checked, _require_position
 
 
 def evolve(seeds: tuple[Progression, ...],
@@ -157,7 +150,7 @@ CoverageCount = namedtuple("CoverageCount", "direction m window_start included o
 def _window_base(direction: str) -> int:
     """The s of a direction's coverage window s**m: its seed's interval (3
     forward, 4 backward), since generation k has density (s-1)^k/s^(k+1)."""
-    from .family import PROCESSES  # here, so the recurrence search loads no family
+    from .family import PROCESSES  # here, so the signature walk loads no family
 
     if direction not in PROCESSES:
         raise ValueError(f"unknown direction {direction!r}")
@@ -210,13 +203,9 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     return CoverageCount(direction, m, window_start, included, window - included)
 
 
-# direction -> (tag of a position, least tag that ends a chain, step name,
-# tag names).  Walks look the step up by name when they start, so they
-# follow a patched `lower_step` or `inverse_lower_step`.
-_DIRECTIONS = {
-    "forward": (restriction_index, 3, "lower_step", {1: "even", 2: "odd"}),
-    "backward": (lambda x: x % 3, 2, "inverse_lower_step", {0: "down", 1: "up", 2: "head"}),
-}
+# direction -> (least tag that ends a chain, tag names)
+_DIRECTIONS = {"forward": (3, {1: "even", 2: "odd"}),
+               "backward": (2, {0: "down", 1: "up", 2: "head"})}
 # direction -> (scale, factor, weight) of `_audit`'s recursion bound on the
 # intercept c of a child of part (a, b): scale*(c - 1) <= factor*(a + weight*b - 1)
 _BOUNDS = {"forward": (4, 3, 3), "backward": (3, 4, 2)}
@@ -239,14 +228,14 @@ class Signature(namedtuple("Signature", "direction steps")):
             raise ValueError(f"unknown direction {direction!r}")
         if not steps:
             raise ValueError("a signature needs at least one step")
-        if any(s >= _DIRECTIONS[direction][1] for s in steps[:-1]):
+        if any(s >= _DIRECTIONS[direction][0] for s in steps[:-1]):
             raise ValueError("a chain end may only appear as the final entry")
         return super().__new__(cls, direction, steps)
 
     @property
     def truncated(self) -> bool:
         """Whether the walk stopped at a chain end."""
-        return self.steps[-1] >= _DIRECTIONS[self.direction][1]
+        return self.steps[-1] >= _DIRECTIONS[self.direction][0]
 
     @property
     def recurrence_gap(self) -> int:
@@ -257,22 +246,51 @@ class Signature(namedtuple("Signature", "direction steps")):
 
     @property
     def tags(self) -> tuple[str, ...]:
-        names = _DIRECTIONS[self.direction][3]
+        names = _DIRECTIONS[self.direction][1]
         return tuple(names.get(s, f"terminal[{s}]") for s in self.steps)
 
 
-def _signature(direction: str, x: int, steps: int) -> Signature:
+def _signature_class(direction: str, x: int, steps: int) -> tuple[Signature, int]:
+    """x's signature of `steps` steps and the modulus M such that the
+    positions from x sharing it are exactly x + M*t, t >= 0.
+
+    The walk follows x's class x + M*t, whose values after the steps so far
+    are v + n*t, by the branch arithmetic (as strings._sweep_classes does).
+    Where the members' residues would decide the next tag differently, it
+    keeps x's half (forward: mod 2, or mod 4 if odd) or third (backward:
+    mod 3), scaling M and n.  Each part cut off takes another tag, so it
+    leaves x's signature, and all of x's part keeps it (Terras 1976).  It
+    raises where the per-position walk does: `_require_position` on the
+    value before a forward tag or backward step, `_checked` on each step up.
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    tag, end, name, _ = _DIRECTIONS[direction]
-    step = globals()[name]
-    seq = []
+    seq, v, n, modulus = [], x, 1, 1
     for _ in range(steps):
-        seq.append(tag(x))
-        if seq[-1] >= end:
-            break
-        x = step(x)
-    return Signature(direction, tuple(seq))
+        if direction == "forward":
+            _require_position(v)
+            b, k, depth = v, n, 0  # the values with lower equivalents stripped: b + k*t
+            while True:
+                if k & 3 and (k | b) & 1:  # members differ mod 2, or mod 4 if odd: halve
+                    modulus, n, k = 2 * modulus, 2 * n, 2 * k
+                elif b & 3 == 3:
+                    b, k, depth = (b + 1) >> 2, k >> 2, depth + 1
+                else:
+                    break
+            seq.append(2 * depth + (2 if b & 1 else 1))
+            if depth:
+                break
+            v, n = ((3 * v + 1) >> 2, 3 * n >> 2) if v & 1 else (_checked(3 * v >> 1), 3 * n >> 1)
+        else:
+            if n % 3:
+                modulus, n = 3 * modulus, 3 * n
+            seq.append(v % 3)
+            if seq[-1] == 2:
+                break
+            _require_position(v)
+            v, n = ((_checked((4 * v - 1) // 3), 4 * n // 3) if seq[-1]
+                    else (2 * v // 3, 2 * n // 3))
+    return Signature(direction, tuple(seq)), modulus
 
 
 def forward_signature(x: int, steps: int) -> Signature:
@@ -281,7 +299,7 @@ def forward_signature(x: int, steps: int) -> Signature:
     The walk follows lower_step; reaching a position 3 mod 4 records that
     position's branch index as a final terminal entry and stops early.
     """
-    return _signature("forward", x, steps)
+    return _signature_class("forward", x, steps)[0]
 
 
 def backward_signature(x: int, steps: int) -> Signature:
@@ -290,45 +308,18 @@ def backward_signature(x: int, steps: int) -> Signature:
     Follows inverse_lower_step; a residue-2 position (a chain head) is
     recorded as a final entry and stops the walk early.
     """
-    return _signature("backward", x, steps)
+    return _signature_class("backward", x, steps)[0]
 
 
-def _matches(x: int, steps: tuple[int, ...], tag, end: int, step) -> bool:
-    """Whether the walk from x has tags `steps`; exits at the first mismatch."""
-    for t in steps:
-        if tag(x) != t:
-            return False
-        if t < end:
-            x = step(x)
-    return True
+def first_recurrence_forward(x: int, steps: int) -> int:
+    """Least x' > x whose forward signature equals x's: x + M, with M the
+    modulus of x's signature class (`_signature_class`), found without a
+    scan of the positions between or a look at the predicted spacing.
+    WidthExceededError when x + M leaves the working range."""
+    return _checked(x + _signature_class("forward", x, steps)[1])
 
 
-# Search cap: the recurrence is predicted at exactly one gap, so a small
-# multiple suffices before declaring the prediction refuted.
-RECURRENCE_SEARCH_FACTOR = 4
-
-
-def _first_recurrence(x: int, sig: Signature) -> int | None:
-    tag, end, name, _ = _DIRECTIONS[sig.direction]
-    step = globals()[name]
-    bound = RECURRENCE_SEARCH_FACTOR * sig.recurrence_gap
-    for candidate in range(x + 1, _checked(x + bound + 1)):
-        if _matches(candidate, sig.steps, tag, end, step):
-            return candidate
-    return None
-
-
-def first_recurrence_forward(x: int, steps: int) -> int | None:
-    """Least x' > x whose forward signature equals x's, by brute scan.
-
-    Scans up to RECURRENCE_SEARCH_FACTOR times the predicted gap and
-    returns None if no recurrence appears in that range (a refutation of
-    the predicted spacing).  The scan is independent of the prediction:
-    every intermediate position is tested.
-    """
-    return _first_recurrence(x, forward_signature(x, steps))
-
-
-def first_recurrence_backward(x: int, steps: int) -> int | None:
-    """Least x' > x whose backward signature equals x's, by brute scan."""
-    return _first_recurrence(x, backward_signature(x, steps))
+def first_recurrence_backward(x: int, steps: int) -> int:
+    """Least x' > x whose backward signature equals x's: x + M, by the
+    class walk of first_recurrence_forward."""
+    return _checked(x + _signature_class("backward", x, steps)[1])

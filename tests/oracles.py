@@ -2,13 +2,14 @@
 the tests need.  Each reference solves its problem another way than the
 package: a transport by an explicit residue intersection, the evolutions
 breadth first or by recursion, the audit part by part, the case audit
-instance by instance; none calls the package's residue-solve kernel or
-its class proofs, and none validates its input."""
+instance by instance, a signature position by position and its first
+recurrence by a scan of every candidate; none calls the package's
+residue-solve kernel or its class proofs, and none validates its input."""
 
 from fractions import Fraction
 from math import gcd
 
-from collatz_strings.core import _checked, inverse_lower_step, lower_step
+from collatz_strings.core import _checked, inverse_lower_step, lower_step, restriction_index
 from collatz_strings.family import (PROCESSES, CaseAuditReport, branch_maps, family_equivalent,
                                     family_step)
 from collatz_strings.progressions import Progression, evolve
@@ -99,6 +100,31 @@ def chain_of(x):
     while chain[-1] % 4 != 3:
         chain.append(lower_step(chain[-1]))
     return tuple(chain)
+
+
+def reference_signature(direction, x, steps):
+    """x's branch tags by the per-position kernel walk: restriction_index
+    then lower_step forward, x mod 3 then inverse_lower_step backward, up
+    to `steps` tags or through the first chain-ending one."""
+    tag, end, step = ((restriction_index, 3, lower_step) if direction == "forward"
+                      else (lambda v: v % 3, 2, inverse_lower_step))
+    tags = []
+    for _ in range(steps):
+        tags.append(tag(x))
+        if tags[-1] >= end:
+            break
+        x = step(x)
+    return tuple(tags)
+
+
+def reference_first_recurrence(direction, x, steps):
+    """Least x' > x with x's reference signature, by testing every
+    candidate from x + 1 on until one matches."""
+    tags = reference_signature(direction, x, steps)
+    candidate = x + 1
+    while reference_signature(direction, candidate, len(tags)) != tags:
+        candidate += 1
+    return candidate
 
 
 def family_evolve_forward(family, generation):

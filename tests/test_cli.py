@@ -721,30 +721,40 @@ def test_random_cases_are_drawn_as_they_are_checked(monkeypatch, capsys, argv, c
 
 
 def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):
-    # with no room to search, neither anchor finds a recurrence
-    monkeypatch.setattr(progressions_module, "RECURRENCE_SEARCH_FACTOR", 0)
-    code, text = run_cli(["proportionality", "--cases", "0"], tmp_path, "none")
+    # a class walk whose modulus is the base (2 forward, 3 backward) times
+    # too large puts each anchor's recurrence one spacing past the prediction
+    walk = progressions_module._signature_class
+
+    def overshooting(direction, x, steps):
+        sig, modulus = walk(direction, x, steps)
+        return sig, modulus * (2 if direction == "forward" else 3)
+
+    monkeypatch.setattr(progressions_module, "_signature_class", overshooting)
+    code, text = run_cli(["proportionality", "--cases", "0"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
         ("violation", "first recurrence off the predicted spacing",
          {"x": 2, "steps_requested": 2, "signature": [1, 4], "predicted": 34,
-          "found": None, "direction": "forward"}),
+          "found": 66, "direction": "forward"}),
         ("violation", "first recurrence off the predicted spacing",
          {"x": 7, "steps_requested": 4, "signature": [1, 0, 0, 1], "predicted": 88,
-          "found": None, "direction": "backward"}),
+          "found": 250, "direction": "backward"}),
     ]
-    # a matcher that misses 88 finds the next recurrence, 3^4 further on
-    monkeypatch.undo()
-    matches = progressions_module._matches
-    monkeypatch.setattr(progressions_module, "_matches",
-                        lambda x, *walk: x != 88 and matches(x, *walk))
-    code, text = run_cli(["proportionality", "--cases", "0", "--direction", "backward"],
-                         tmp_path, "late")
-    assert code == 1
-    assert findings_of(text) == [
-        ("violation", "first recurrence off the predicted spacing",
-         {"x": 7, "steps_requested": 4, "signature": [1, 0, 0, 1], "predicted": 88,
-          "found": 169, "direction": "backward"})]
+    assert records_of(text)[-1]["failures"] == 2
+
+
+def test_proportionality_finishes_at_any_spacing():
+    # x = 1 is a fixed point of lower_step, so 20 steps from x <= 2 recur
+    # up to 4^20 positions on: a scan of every candidate would take days,
+    # where the class walk takes O(steps) per case
+    argv = [sys.executable, "-m", "collatz_strings", "proportionality",
+            "--x-max", "2", "--n-max", "20", "--cases", "300"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=20,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert run.returncode == 0, run.stderr
+    records = records_of(run.stdout)
+    assert [r["kind"] for r in records if r["record"] == "finding"] == ["measurement"] * 602
+    assert records[-1]["failures"] == 0
 
 
 def _sha256_of(path):

@@ -12,6 +12,8 @@ from oracles import (
     reference_audit_part,
     reference_evolve,
     reference_families,
+    reference_first_recurrence,
+    reference_signature,
     reference_transport,
     sampling_lemma_holds,
 )
@@ -494,6 +496,69 @@ def test_recurrent_position_really_shares_the_signature():
         bwd = backward_signature(x, n)
         at = first_recurrence_backward(x, n)
         assert backward_signature(at, len(bwd.steps)).steps == bwd.steps
+
+
+# direction -> (signature, first recurrence) of the package
+WALKS = {"forward": (forward_signature, first_recurrence_forward),
+         "backward": (backward_signature, first_recurrence_backward)}
+
+
+def _recurrences_equal_the_scan(x_limit):
+    for direction, (signature, recurrence) in WALKS.items():
+        for x in range(1, x_limit):
+            for n in range(1, 8):
+                assert signature(x, n).steps == reference_signature(direction, x, n), (x, n)
+                assert recurrence(x, n) == reference_first_recurrence(direction, x, n), (x, n)
+
+
+def test_first_recurrences_equal_the_scan_of_every_candidate():
+    _recurrences_equal_the_scan(300)
+
+
+@pytest.mark.skipif(not os.environ.get("COLLATZ_STRINGS_LONG"),
+                    reason="set COLLATZ_STRINGS_LONG=1 for the recurrence scan check to 5000")
+def test_long_first_recurrences_equal_the_scan_of_every_candidate():
+    _recurrences_equal_the_scan(5000)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, OverflowError) as error:
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@given(x=st.integers(0, 119).flatmap(lambda bits: st.integers(1 << bits, (2 << bits) - 1)),
+       n=st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_signature_class_matches_the_position_walk(direction, x, n):
+    # x up to 2^120 with up to 40 steps: the forward walk may leave the range
+    signature, recurrence = WALKS[direction]
+    tags = _outcome(lambda: signature(x, n).steps)
+    assert tags == _outcome(reference_signature, direction, x, n)
+    if isinstance(tags[0], type):
+        return
+    found = _outcome(recurrence, x, n)
+    if isinstance(found, tuple):
+        assert found == (WidthExceededError, "value exceeds the 128-bit working range")
+        assert x + (2 ** sum(tags) if direction == "forward" else 3 ** len(tags)) > MAX_VALUE
+        return
+    assert reference_signature(direction, found, len(tags)) == tags
+    if found - x <= 1 << 16:  # a scan that short is quick
+        assert found == reference_first_recurrence(direction, x, n)
+
+
+def test_first_recurrence_needs_no_room_beyond_it():
+    # 2^128 - 11 is 1 mod 4 and 2^128 - 5 is 2 mod 3: each recurs at the
+    # top of the working range, where no window of candidates past it fits
+    assert first_recurrence_forward(2 ** 128 - 11, 1) == 2 ** 128 - 7
+    assert first_recurrence_backward(2 ** 128 - 5, 1) == 2 ** 128 - 2
+    for recurrence, x in ((first_recurrence_forward, MAX_VALUE - 2),
+                          (first_recurrence_backward, MAX_VALUE - 1)):
+        with pytest.raises(WidthExceededError,
+                           match="^value exceeds the 128-bit working range$"):
+            recurrence(x, 1)
 
 
 def test_signature_rejects_nonpositive_steps():
