@@ -14,11 +14,10 @@ records in batches of BATCH_RECORDS and writes each batch as it is made,
 so a report's size does not bound the memory of a run.  `evolve` yields
 its part measurements as text, a chunk of fixed-shape lines
 (`reporting.render_parts`) per batch of the walk, which `main` writes as
-they come.  A run that
-stops with status 2 has left on stdout the whole records of the batches
-written before the error, a prefix of its report; `--output` goes through
-a temporary file beside the target that replaces it only once the summary
-is written, so a failed run leaves no report file.
+they come.  A run that stops with status 2 has left on stdout the whole
+records of the batches written before the error, a prefix of its report;
+`--output` goes through a temporary file beside the target that replaces
+it only once the summary is written, so a failed run leaves no report file.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from .reporting import (
 # layers its command calls.
 _LAYERS = {
     "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES", "audit_case_system"),
-    "progressions": ("_audit", "_families", "backward_signature", "coverage_count",
-                     "expected_coverage", "first_recurrence_backward",
+    "progressions": ("_audit", "_families", "_proved", "backward_signature",
+                     "coverage_count", "expected_coverage", "first_recurrence_backward",
                      "first_recurrence_forward", "forward_signature"),
     "strings": ("passage_sweep",),
     "walks": ("find_cycles", "partition_audit", "string_scan", "two_to_one_audit"),
@@ -74,6 +73,9 @@ EXIT_ERROR = 2
 
 CHECKPOINT_DIR_ENV = "COLLATZ_STRINGS_CHECKPOINT_DIR"
 GRAPH_CAP = 10_000
+# Positions charged for each coverage window's set-up, about 14 us: -m 1 is
+# refused above 2*10^7 windows, about 5 minutes, like the class-tree caps
+WINDOW_SETUP = 2
 BATCH_RECORDS = 512  # dict records rendered and written at a time
 
 # A handler yields finding records, or text chunks of measurement records
@@ -126,15 +128,18 @@ def cmd_strings(args) -> Report:
 
 
 def cmd_evolve(args) -> Report:
-    """Each batch of the walk, its parts with their children, is audited and
-    yielded as one text chunk of measurement lines in args.format; the
-    audit's rare violations follow the measurements."""
+    """Each batch of the walk, its parts, is yielded as one text chunk of
+    measurement lines in args.format.  Where `_proved` fails, each batch is
+    audited part by part, and the rare violations follow the measurements."""
+    seeds, maps = _cli.PROCESSES[args.direction]
+    batches = _cli._families(seeds, maps, args.generations)
+    proved = _cli._proved(args.direction, seeds, maps)
     part_bad, bound_bad, count = [], [], 0
-    for batch in _cli._families(*_cli.PROCESSES[args.direction], args.generations):
-        parts, over = _cli._audit(args.direction, batch)
-        part_bad += parts
-        bound_bad += over
-        yield render_parts(zip(*batch[:2]), count, args.format)
+    for batch in batches:
+        if not proved:
+            for found, new in zip((part_bad, bound_bad), _cli._audit(args.direction, maps, batch)):
+                found += new
+        yield render_parts(zip(*batch), count, args.format)
         count += len(batch[0])
     for part in part_bad:
         yield finding("violation", str(part), "intercept not below interval",
@@ -152,10 +157,12 @@ def cmd_coverage(args) -> Report:
     if args.random_starts < 0:
         raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
     expected_included, expected_open = _cli.expected_coverage(args.direction, args.m)
-    positions = (1 + args.random_starts) * (expected_included + expected_open)  # s**m each
-    if positions > MAX_TREE_NODES:  # refused before any window is made
+    windows = 1 + args.random_starts
+    positions = windows * (expected_included + expected_open)  # s**m each
+    if (work := positions + windows * WINDOW_SETUP) > MAX_TREE_NODES:  # before any window
         raise ValueError(f"-m {args.m} with {args.random_starts} random starts marks "
-                         f"{positions} window positions, above the cap of {MAX_TREE_NODES:.0e}")
+                         f"{positions} window positions, {work} with {WINDOW_SETUP} for each "
+                         f"window's set-up, above the cap of {MAX_TREE_NODES:.0e}")
     rng = random.Random(args.seed)
     mismatches = 0
     for start in chain([args.window_start],  # each random start drawn as its window is made
@@ -263,6 +270,10 @@ def cmd_proportionality(args) -> Report:
         raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
     directions = (["forward", "backward"] if args.direction == "both"
                   else [args.direction])
+    steps = len(directions) * (1 + args.cases) * args.n_max  # each class walk's at most
+    if steps > MAX_TREE_NODES:
+        raise ValueError(f"cases {args.cases} at n_max {args.n_max} need up to {steps} "
+                         f"class-walk steps, above the cap of {MAX_TREE_NODES:.0e}")
     anchors = {"forward": (2, 2), "backward": (7, 4)}  # recurrences at 34 and 88
     rng = random.Random(args.seed)
     failures = 0

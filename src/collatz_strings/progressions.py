@@ -16,8 +16,9 @@ the sequence: the order of a depth-first walk of the branch tree.  One
 residue formula per branch makes every level from the one before, over
 int lists (`_level`); a walk checks its premises once, at its start
 (`_branches`).  `_families` walks depth first down to subtrees of at most
-512 leaves and yields each, expanded a level at a time, with its leaves'
-children, holding O(k) parts above it, not 2^k.  `_audit` checks a batch.
+512 leaves and yields the parts of each, expanded a level at a time,
+holding O(k) parts above it, not 2^k.  `_proved` proves the audit of
+every part once per walk; where a premise fails, `_audit` checks a batch.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ def evolve(seeds: tuple[Progression, ...],
     _require_parts(seeds, maps, generation)
     if not generation:
         return iter(seeds)
-    return chain.from_iterable(map(tuple.__new__, repeat(Progression), zip(*kids))
-                               for _, _, *kids in _families(seeds, maps, generation - 1))
+    return chain.from_iterable(map(tuple.__new__, repeat(Progression), zip(*batch)) for batch
+                               in _walk(_branches(seeds, maps, generation - 1), seeds, generation))
 
 
 def _require_parts(seeds, maps, generation: int) -> None:
@@ -105,39 +106,54 @@ _SUBTREE_LEAVES = 512
 
 
 def _families(seeds, maps, generation):
-    """The parts of generation k with their children (`_level`), in order,
-    as batches (intercepts, intervals, kid intercepts, kid intervals): each
-    a subtree of at most _SUBTREE_LEAVES parts.  Checks generation and the
-    premises (`_branches`) at the call, before any batch."""
-    branches = _branches(seeds, maps, generation)
+    """The parts of generation k, in order, as batches (intercepts, intervals)
+    of at most _SUBTREE_LEAVES; `_branches` checked at the call, down to the
+    children of generation k, which the per-part audit (`_audit`) makes."""
+    return _walk(_branches(seeds, maps, generation), seeds, generation)
+
+
+def _walk(branches, seeds, generation):
     depth = 0  # of the subtrees; a walk of fewer branches gets the depth of two
-    while depth < generation and max(len(maps), 2) ** (depth + 1) <= _SUBTREE_LEAVES:
+    while depth < generation and max(len(branches), 2) ** (depth + 1) <= _SUBTREE_LEAVES:
         depth += 1
-
-    def walk():
-        stack = [(generation, *part) for part in reversed(seeds)]  # (generations left, a, b)
-        while stack:
-            left, a, b = stack.pop()
-            level = [a], [b]
-            if left > depth:  # above the subtree roots, a part at a time
-                stack += reversed([(left - 1, *kid) for kid in zip(*_level(branches, *level))])
-                continue
-            for _ in range(depth + 1):  # the subtree, a level at a time
-                parts, level = level, _level(branches, *level)
-            yield *parts, *level
-    return walk()
+    stack = [(generation, *part) for part in reversed(seeds)]  # (generations left, a, b)
+    while stack:
+        left, a, b = stack.pop()
+        level = [a], [b]
+        if left > depth:  # above the subtree roots, a part at a time
+            stack += reversed([(left - 1, *kid) for kid in zip(*_level(branches, *level))])
+            continue
+        for _ in range(depth):  # the subtree, a level at a time
+            level = _level(branches, *level)
+        yield level
 
 
-def _audit(direction: str, batch) -> tuple[list[Progression], list[tuple]]:
-    """The audit of a batch of the evolution walk (`_families`): its parts
-    whose intercept is not below their interval, and (part, child) for each
-    child that breaks the recursion bound on new intercepts c of its part
-    (a, b): c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1 backward,
-    compared in cleared-denominator integer form.  In walk order: by part,
-    then by branch."""
-    intercepts, intervals, kid_intercepts, kid_intervals = batch
+def _proved(direction: str, seeds, maps) -> bool:
+    """Whether no part of any generation fails the per-part audit (`_audit`),
+    by two proofs whose premises are checked here.  A branch (r, s, c, d)
+    sends (a, b) to c + d*(a - r + b*t)/s, 0 <= t < s (`_branches`).
+    (i) a < b for every part, by induction: for the seeds, and for a child
+    wherever s*c < d*(1 + r), as a <= b-1 bounds it by b*d + c - d*(1 + r)/s.
+    (ii) The bound for every child: its slack at t = s-1, times s, is linear
+    in (a, b), and 1 <= a < b is (1, 2) plus steps (0, 1) and (1, 1)."""
     scale, factor, weight = _BOUNDS[direction]
-    n = len(kid_intercepts) // len(intercepts)  # children per part: kid x is of part x // n
+    for (r, s), (c, d) in maps:
+        f = [s * factor * (a + weight * b - 1) - scale * (s * (c - 1) + d * (a - r + b * (s - 1)))
+             for a, b in ((1, 2), (1, 3), (2, 3))]
+        if not (s * c < d * (1 + r) and 0 <= f[0] <= min(f[1:])):
+            return False
+    return all(a < b for a, b in seeds)
+
+
+def _audit(direction: str, maps, batch) -> tuple[list[Progression], list[tuple]]:
+    """The per-part audit of a batch of the evolution walk (`_families`)
+    under maps: its parts whose intercept is not below their interval, and
+    (part, child) for each child (`_level`) over the recursion bound
+    (`_BOUNDS`).  In walk order: by part, then by branch."""
+    intercepts, intervals = batch
+    kid_intercepts, kid_intervals = _level(_branches((), maps, 0), intercepts, intervals)
+    scale, factor, weight = _BOUNDS[direction]
+    n = len(maps)  # children per part: kid x is of part x // n
     bounds = [factor * (a + weight * b - 1) for a, b in zip(intercepts, intervals)]
     return ([Progression(a, b) for a, b in zip(intercepts, intervals) if a >= b],
             [(Progression(intercepts[x // n], intervals[x // n]), Progression(c, kid_intervals[x]))
@@ -206,8 +222,9 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
 # direction -> (least tag that ends a chain, tag names)
 _DIRECTIONS = {"forward": (3, {1: "even", 2: "odd"}),
                "backward": (2, {0: "down", 1: "up", 2: "head"})}
-# direction -> (scale, factor, weight) of `_audit`'s recursion bound on the
-# intercept c of a child of part (a, b): scale*(c - 1) <= factor*(a + weight*b - 1)
+# direction -> (scale, factor, weight) of the recursion bound on the intercept c
+# of a child of part (a, b), c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1
+# backward, in integer form: scale*(c - 1) <= factor*(a + weight*b - 1)
 _BOUNDS = {"forward": (4, 3, 3), "backward": (3, 4, 2)}
 
 

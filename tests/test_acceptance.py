@@ -32,7 +32,7 @@ from collatz_strings import (
     two_to_one_audit,
 )
 from collatz_strings.family import PROCESSES
-from collatz_strings.progressions import _audit, _families, evolve
+from collatz_strings.progressions import _audit, _families, _proved, evolve
 
 
 def generation(direction, k):
@@ -40,9 +40,12 @@ def generation(direction, k):
 
 
 def audit_clean(direction, k):
-    """Whether every part of generation k passes evolve's intercept audit."""
-    return all(_audit(direction, batch) == ([], [])
-               for batch in _families(*PROCESSES[direction], k))
+    """Whether every part of generation k passes evolve's per-part intercept
+    audit, and the premises under which evolve proves it hold."""
+    seeds, maps = PROCESSES[direction]
+    assert _proved(direction, seeds, maps)
+    return all(_audit(direction, maps, batch) == ([], [])
+               for batch in _families(seeds, maps, k))
 
 
 @contextmanager

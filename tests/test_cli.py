@@ -94,9 +94,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
         wide: f"error: window {10 ** 30 - 1} needs about 1.7e+21 {nodes}",
         ("proportionality", "--cases", str(10 ** 12)):
             f"error: cases {10 ** 12} is above the cap of 1e+08\n",
+        ("proportionality", "--cases", "20000000"):  # 2 directions of 6 steps a case
+            "error: cases 20000000 at n_max 6 need up to 240000012 class-walk steps, "
+            "above the cap of 1e+08\n",
         ("coverage", "--direction", "backward", "-m", "16"):  # a window of 4^16 positions
             "error: -m 16 with 0 random starts marks 4294967296 window positions, "
-            "above the cap of 1e+08\n"})
+            "4294967298 with 2 for each window's set-up, above the cap of 1e+08\n",
+        ("coverage", "--direction", "forward", "-m", "1", "--random-starts", "30000000"):
+            "error: -m 1 with 30000000 random starts marks 90000003 window positions, "
+            "150000005 with 2 for each window's set-up, above the cap of 1e+08\n"})
     for argv in (*map(list, exact),
                  ["strings", "--limit", "30", "--max-len", "-3"],
                  ["scan", "-p", "5", "--limit", "20", "--max-len", "-1"],
@@ -308,6 +314,28 @@ def test_evolve_reports_equal_the_dict_record_oracle(tmp_path, capsys, direction
         if k in (9, 10):
             assert (main(argv), capsys.readouterr().out) == expected, k
         assert expected[1].count(COLUMN_ROW) == (fmt == "csv"), k
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_evolve_proof_gives_the_per_part_audit_report(tmp_path, monkeypatch, direction, fmt):
+    # the proved run never calls the per-part audit; with the premise check
+    # made to fail, every batch is audited part by part, to the same bytes
+    out = tmp_path / "r"
+
+    def report(argv):
+        code = main(argv + ["--output", str(out)])
+        return code, out.read_text(encoding="utf-8")
+
+    audit = cli_module._audit
+    for k in range(13):
+        argv = ["evolve", "--direction", direction, "-k", str(k), "--format", fmt]
+        monkeypatch.setattr(cli_module, "_audit", None)
+        proved = report(argv)
+        monkeypatch.setattr(cli_module, "_audit", audit)
+        monkeypatch.setattr(cli_module, "_proved", lambda *premises: False)
+        assert report(argv) == proved, k
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

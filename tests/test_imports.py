@@ -69,7 +69,7 @@ def test_every_public_name_resolves_and_star_import_binds_it():
 PATCHED = ("passage_sweep partition_audit coverage_count string_scan find_cycles "
            "two_to_one_audit audit_case_system first_recurrence_forward "
            "first_recurrence_backward forward_signature backward_signature render_jsonl "
-           "render_csv _families _audit").split()
+           "render_csv _families _audit _proved").split()
 ABSENT = ("evolve_forward", "evolve_backward", "intercept_audit")
 
 

@@ -31,7 +31,7 @@ from collatz_strings import (
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
 from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, branch_maps
-from collatz_strings.progressions import _audit, _families, evolve
+from collatz_strings.progressions import _audit, _families, _proved, evolve
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS
@@ -40,10 +40,13 @@ DOWN, UP = BACKWARD_MAPS
 
 def pairs(seeds, maps, generation):
     """(part, children) for each part of generation k, flattened from the
-    package walk's batches."""
+    package walk's batches, each batch's children made by one `_level`."""
     n = len(maps)
-    for intercepts, intervals, kid_intercepts, kid_intervals in _families(seeds, maps,
-                                                                          generation):
+    walk = _families(seeds, maps, generation)
+    branches = progressions_module._branches(seeds, maps, generation)
+    for intercepts, intervals in walk:
+        kid_intercepts, kid_intervals = progressions_module._level(branches, intercepts,
+                                                                   intervals)
         for i, part in enumerate(zip(intercepts, intervals)):
             kids = zip(kid_intercepts[n * i:n * i + n], kid_intervals[n * i:n * i + n])
             yield Progression(*part), [Progression(*kid) for kid in kids]
@@ -383,11 +386,66 @@ def test_long_evolve_matches_reference():
             [(part, list(kids[2 * i:2 * i + 2])) for i, part in enumerate(parts)]
         batches = list(_families(seeds, maps, 16))
         audits = [reference_audit_part(direction, part) for part in parts]
-        checked = [_audit(direction, batch) for batch in batches]
+        checked = [_audit(direction, maps, batch) for batch in batches]
         assert [part for bad, _ in checked for part in bad] == \
             [part for part, (bad, _) in zip(parts, audits) if bad]
         assert [pair for _, over in checked for pair in over] == \
             [(part, kid) for part, (_, over) in zip(parts, audits) for kid in over]
+
+
+def _per_part_audit(direction, seeds, maps, k):
+    """(bad parts, (part, child) over the bound) of generation k: by the
+    package's per-part audit of each batch, and by the references."""
+    found = [], []
+    for batch in _families(seeds, maps, k):
+        for kept, new in zip(found, _audit(direction, maps, batch)):
+            kept += new
+    expected = [], []
+    for part, kids in reference_families(seeds, maps, k):
+        bad, over = reference_audit_part(direction, part, kids)
+        expected[0].extend([part] * bad)
+        expected[1].extend((part, kid) for kid in over)
+    assert found == expected, (direction, seeds, maps, k)
+    return found
+
+
+def test_intercept_premises_hold_for_the_processes_and_fail_where_the_audit_finds():
+    for direction, (seeds, maps) in PROCESSES.items():
+        assert _proved(direction, seeds, maps), direction
+    # a seed {40+3t} breaks (i) at the seed; {30+3t} as the even branch's
+    # image breaks (i) on the branch, s*c = 60 >= d*(1 + r) = 9; {1+5t} as
+    # the odd branch's image keeps (i), 4 < 10, and breaks (ii), f(1, 2) = -48.
+    # Each passes the walk's premises, so the per-part audit runs and finds
+    # what the references find
+    cases = (((Progression(40, 3),), FORWARD_MAPS, 11, True),
+             ((Progression(2, 3),), ((EVEN[0], Progression(30, 3)), ODD), 2, True),
+             ((Progression(2, 3),), (EVEN, (ODD[0], Progression(1, 5))), 1, False))
+    for seeds, maps, k, parts_bad in cases:
+        assert _refusal(seeds, maps, k) is None
+        assert not _proved("forward", seeds, maps), maps
+        bad, over = _per_part_audit("forward", seeds, maps, k)
+        assert bool(bad) == parts_bad and over, maps
+
+
+def test_proved_premises_leave_the_per_part_audit_nothing_to_find():
+    # every image c + d*m, c and d up to 12, in place of either branch's,
+    # from the process's seed and from a second: wherever _proved holds, the
+    # per-part audit (equal to the references) is clean through generation 5
+    seen = {}
+    for direction, ((seed,), maps) in PROCESSES.items():
+        moduli = maps[0][0].interval * maps[1][0].interval
+        for j in range(2):
+            for c in range(1, 13):
+                for d in (d for d in range(1, 13) if gcd(d, moduli) == 1):
+                    changed = tuple((domain, Progression(c, d) if i == j else image)
+                                    for i, (domain, image) in enumerate(maps))
+                    for seeds in ((seed,), (Progression(seed.intercept, 5),)):
+                        clean = all(_per_part_audit(direction, seeds, changed, k) == ([], [])
+                                    for k in range(6))
+                        proved = _proved(direction, seeds, changed)
+                        assert clean or not proved, (direction, seeds, changed)
+                        seen[proved, clean] = seen.get((proved, clean), 0) + 1
+    assert seen.keys() == {(True, True), (False, True), (False, False)}, seen
 
 
 def test_transport_skips_class_members_below_the_domain():

@@ -118,7 +118,8 @@ def test_membership_equals_walk_depth():
 
 def audit(direction, part):
     """evolve's audit of one part: (intercept >= interval, children over the bound)."""
-    bad, over = _audit(direction, next(_families((part,), PROCESSES[direction][1], 0)))
+    maps = PROCESSES[direction][1]
+    bad, over = _audit(direction, maps, next(_families((part,), maps, 0)))
     return bad == [part], [kid for _, kid in over]
 
 
