@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import os
-import random
 import sys
 from collections.abc import Generator
 from itertools import chain
@@ -48,12 +46,13 @@ from .reporting import (
 # where a test or a tracer can replace it; so a run compiles only the
 # layers its command calls.
 _LAYERS = {
-    "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES", "audit_case_system"),
+    "audits": ("audit_case_system", "partition_audit", "two_to_one_audit"),
+    "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES"),
     "progressions": ("_audit", "_families", "_proved", "backward_signature",
                      "coverage_count", "expected_coverage", "first_recurrence_backward",
                      "first_recurrence_forward", "forward_signature"),
     "strings": ("passage_sweep",),
-    "walks": ("find_cycles", "partition_audit", "string_scan", "two_to_one_audit"),
+    "walks": ("find_cycles", "string_scan"),
 }
 _LAYER_OF = {name: module for module, names in _LAYERS.items() for name in names}
 _cli = sys.modules[__name__]
@@ -62,7 +61,9 @@ _cli = sys.modules[__name__]
 def __getattr__(name: str):
     if name not in _LAYER_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAYER_OF[name]}", __package__), name)
+    # __import__, unlike importlib.import_module, shows in -X importtime,
+    # which the CI start-up step reads
+    value = getattr(__import__(f"{__package__}.{_LAYER_OF[name]}", fromlist=[name]), name)
     globals()[name] = value
     return value
 
@@ -163,6 +164,7 @@ def cmd_coverage(args) -> Report:
         raise ValueError(f"-m {args.m} with {args.random_starts} random starts marks "
                          f"{positions} window positions, {work} with {WINDOW_SETUP} for each "
                          f"window's set-up, above the cap of {MAX_TREE_NODES:.0e}")
+    import random  # here, so that only the commands that draw cases load it
     rng = random.Random(args.seed)
     mismatches = 0
     for start in chain([args.window_start],  # each random start drawn as its window is made
@@ -275,6 +277,7 @@ def cmd_proportionality(args) -> Report:
         raise ValueError(f"cases {args.cases} at n_max {args.n_max} need up to {steps} "
                          f"class-walk steps, above the cap of {MAX_TREE_NODES:.0e}")
     anchors = {"forward": (2, 2), "backward": (7, 4)}  # recurrences at 34 and 88
+    import random
     rng = random.Random(args.seed)
     failures = 0
     # the anchors, then the random cases, each drawn as it is checked
@@ -309,6 +312,11 @@ def export_graph(limit: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The subcommands, in the order the help lists them
+COMMANDS = ("passage", "strings", "evolve", "coverage", "family-audit", "cycles", "audit-3n3",
+            "scan", "proportionality", "export-graph")
+
+
 class _PublishedHelp(str):
     """A help string that lists the published case systems.  argparse
     formats it with % only to print the help, and only then is `family`
@@ -318,7 +326,9 @@ class _PublishedHelp(str):
         return str.__mod__(self, {**params, "published": sorted(_cli.CASE_SYSTEM_PARAMS)})
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser, with only the subparser that command names (argv[0] in
+    `main`), or all of them if it names none; the usage lists every command."""
     parser = argparse.ArgumentParser(
         prog="collatz-strings",
         description="Exact verification runs for the conjugated Collatz dynamics.")
@@ -326,81 +336,94 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output", help="write the report here instead of stdout")
     common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    sub = parser.add_subparsers(dest="command", required=True)
+    built = (command,) if command in COMMANDS else COMMANDS
+    # one subparser's choices would put only its command in the usage; with
+    # all of them built, no metavar, so a missing command is named "command"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(COMMANDS) if len(built) == 1 else None))
+    if "passage" in built:
+        p = sub.add_parser("passage", parents=[common],
+                           help="first-passage sweep through 3 mod 4")
+        p.add_argument("--lo", type=int, required=True)
+        p.add_argument("--hi", type=int, required=True)
+        p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
+        p.add_argument("--checkpoint", help="checkpoint file (bare names join "
+                                            f"${CHECKPOINT_DIR_ENV})")
+        p.add_argument("--checkpoint-every", type=int, default=1 << 20)
+        p.add_argument("--resume", action="store_true")
+        p.add_argument("--budget", type=int, help="max positions to process this run")
+        p.set_defaults(handler=cmd_passage)
 
-    p = sub.add_parser("passage", parents=[common],
-                       help="first-passage sweep through 3 mod 4")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
-    p.add_argument("--checkpoint", help="checkpoint file (bare names join "
-                                        f"${CHECKPOINT_DIR_ENV})")
-    p.add_argument("--checkpoint-every", type=int, default=1 << 20)
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--budget", type=int, help="max positions to process this run")
-    p.set_defaults(handler=cmd_passage)
+    if "strings" in built:
+        p = sub.add_parser("strings", parents=[common], help="chain partition audit")
+        p.add_argument("--limit", type=int, required=True)
+        p.add_argument("--max-len", type=int, default=DEFAULT_WALK_LIMIT)
+        p.set_defaults(handler=cmd_strings)
 
-    p = sub.add_parser("strings", parents=[common], help="chain partition audit")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=DEFAULT_WALK_LIMIT)
-    p.set_defaults(handler=cmd_strings)
+    if "evolve" in built:
+        p = sub.add_parser("evolve", parents=[common], help="progression evolution generations")
+        p.add_argument("--direction", choices=("forward", "backward"), required=True)
+        p.add_argument("-k", "--generations", type=int, required=True)
+        p.set_defaults(handler=cmd_evolve)
 
-    p = sub.add_parser("evolve", parents=[common], help="progression evolution generations")
-    p.add_argument("--direction", choices=("forward", "backward"), required=True)
-    p.add_argument("-k", "--generations", type=int, required=True)
-    p.set_defaults(handler=cmd_evolve)
+    if "coverage" in built:
+        p = sub.add_parser("coverage", parents=[common], help="window counting identities")
+        p.add_argument("--direction", choices=("forward", "backward"), required=True)
+        p.add_argument("-m", type=int, required=True)
+        p.add_argument("--window-start", type=int, default=2)
+        p.add_argument("--random-starts", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(handler=cmd_coverage)
 
-    p = sub.add_parser("coverage", parents=[common], help="window counting identities")
-    p.add_argument("--direction", choices=("forward", "backward"), required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--window-start", type=int, default=2)
-    p.add_argument("--random-starts", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_coverage)
+    if "family-audit" in built:
+        p = sub.add_parser("family-audit", parents=[common],
+                           help="published case system vs generic step")
+        # assigned after add_argument, which in newer Pythons formats a help to check it
+        p.add_argument("-p", type=int, required=True).help = _PublishedHelp(
+            "family parameter, one of %(published)s")
+        p.add_argument("--value-limit", type=int,
+                       help="cap rule instances by domain value (default 10000)")
+        p.add_argument("--m-limit", type=int,
+                       help="cap rule instances by progression index m")
+        p.add_argument("--n-limit", type=int, default=4)
+        p.set_defaults(handler=cmd_family_audit)
 
-    p = sub.add_parser("family-audit", parents=[common],
-                       help="published case system vs generic step")
-    # assigned after add_argument, which in newer Pythons formats a help to check it
-    p.add_argument("-p", type=int, required=True).help = _PublishedHelp(
-        "family parameter, one of %(published)s")
-    p.add_argument("--value-limit", type=int,
-                   help="cap rule instances by domain value (default 10000)")
-    p.add_argument("--m-limit", type=int,
-                   help="cap rule instances by progression index m")
-    p.add_argument("--n-limit", type=int, default=4)
-    p.set_defaults(handler=cmd_family_audit)
+    if "cycles" in built:
+        p = sub.add_parser("cycles", parents=[common], help="cycle search for a family")
+        p.add_argument("-p", type=int, required=True)
+        p.add_argument("--seed-limit", type=int, default=1000)
+        p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
+        p.set_defaults(handler=cmd_cycles)
 
-    p = sub.add_parser("cycles", parents=[common], help="cycle search for a family")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--seed-limit", type=int, default=1000)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
-    p.set_defaults(handler=cmd_cycles)
+    if "audit-3n3" in built:
+        p = sub.add_parser("audit-3n3", parents=[common],
+                           help="two-predecessor audit of the p=3 map")
+        p.add_argument("--limit", type=int, required=True)
+        p.set_defaults(handler=cmd_audit_3n3)
 
-    p = sub.add_parser("audit-3n3", parents=[common],
-                       help="two-predecessor audit of the p=3 map")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=cmd_audit_3n3)
+    if "scan" in built:
+        p = sub.add_parser("scan", parents=[common], help="chain membership scan for a family")
+        p.add_argument("-p", type=int, required=True)
+        p.add_argument("--limit", type=int, required=True)
+        p.add_argument("--max-len", type=int, default=DEFAULT_WALK_LIMIT)
+        p.set_defaults(handler=cmd_scan)
 
-    p = sub.add_parser("scan", parents=[common], help="chain membership scan for a family")
-    p.add_argument("-p", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=DEFAULT_WALK_LIMIT)
-    p.set_defaults(handler=cmd_scan)
+    if "proportionality" in built:
+        p = sub.add_parser("proportionality", parents=[common],
+                           help="signature recurrence spacing checks")
+        p.add_argument("--direction", choices=("forward", "backward", "both"),
+                       default="both")
+        p.add_argument("--cases", type=int, default=200)
+        p.add_argument("--x-max", type=int, default=10_000)
+        p.add_argument("--n-max", type=int, default=6)
+        p.add_argument("--seed", type=int, default=1)
+        p.set_defaults(handler=cmd_proportionality)
 
-    p = sub.add_parser("proportionality", parents=[common],
-                       help="signature recurrence spacing checks")
-    p.add_argument("--direction", choices=("forward", "backward", "both"),
-                   default="both")
-    p.add_argument("--cases", type=int, default=200)
-    p.add_argument("--x-max", type=int, default=10_000)
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(handler=cmd_proportionality)
-
-    p = sub.add_parser("export-graph", parents=[output],
-                       help="chains and equivalent links as DOT")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=None)
+    if "export-graph" in built:
+        p = sub.add_parser("export-graph", parents=[output],
+                           help="chains and equivalent links as DOT")
+        p.add_argument("--limit", type=int, required=True)
+        p.set_defaults(handler=None)
 
     return parser
 
@@ -430,7 +453,11 @@ def _report_stream(path: str | None):
     target = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:  # name the report, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -472,8 +499,8 @@ def _write_report(args, out) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         with _report_stream(args.output) as out:
             if args.command == "export-graph":

@@ -7,12 +7,12 @@ alone: one stride-2 residue class, one stride-4 class, the class of
 equivalents (chain ends), and finitely many leftover small positions that
 get their own one-off rules.  This module holds the step (family_step),
 the equivalence, the branch maps and the predecessor search; the chain
-scan, the cycle search and the p=3 two-to-one audit, which walk residue
-classes under this step, are in walks.
+scan and the cycle search, which walk residue classes under this step,
+are in walks, and the audits of the fixed tables below are in audits.
 
 CASE_SYSTEMS transcribes the published position-map systems for each small
-p; audit_case_system checks every transcribed rule instance against the
-generic step, which is the oracle throughout this module.
+p; audits.audit_case_system checks every transcribed rule instance against
+the generic step, which is the oracle throughout this module.
 
 The string formation of the p=1 map is tabled here too.  Forward process:
 start from the chain heads {2+3t} and push every part through both
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (MAX_TREE_NODES, MAX_VALUE, WIDTH_BITS, Progression, WidthExceededError,
-                   _checked)
+from .core import MAX_VALUE, WIDTH_BITS, Progression, WidthExceededError, _checked
 
 
 class NonpositiveImageError(ValueError):
@@ -124,6 +123,14 @@ def branch_maps(family: Family) -> tuple[tuple[Progression, Progression], ...]:
     return tuple(maps)
 
 
+def _image_branches(maps) -> dict:
+    """Residue mod 3 -> (b, a, s) for the branches of maps, (domain, image)
+    Progression pairs with images of interval 3: a value v = b (mod 3),
+    v >= b, has the predecessor a + s*(v-b)/3 on the branch onto b."""
+    return {img.intercept % 3: (img.intercept, dom.intercept, dom.interval)
+            for dom, img in maps}
+
+
 def exceptional_positions(family: Family) -> tuple[int, ...]:
     """Positions in the equivalent residue class that are too small to be one."""
     q4 = family.q % 4
@@ -197,94 +204,6 @@ CASE_SYSTEMS: dict[int, tuple[_Rule, ...]] = {
 }
 
 CASE_SYSTEM_PARAMS = tuple(sorted(CASE_SYSTEMS))
-
-
-# One rule of a published system: a progression, or a single position where
-# domain_stride is 0 (a one-off rule).
-CaseRule = namedtuple("CaseRule", "domain_offset domain_stride image_offset image_stride")
-
-
-def case_system(p: int) -> tuple[CaseRule, ...]:
-    """The transcribed rule system for parameter p."""
-    if p not in CASE_SYSTEMS:
-        raise KeyError(f"no transcribed system for p={p}")
-    return tuple(CaseRule(*r) for r in CASE_SYSTEMS[p])
-
-
-# mismatches: (domain, depth, expected, got) tuples
-CaseAuditReport = namedtuple("CaseAuditReport", "p checked mismatches")
-
-
-def _holds_on_class(rule: CaseRule, count: int, family: Family, n_limit: int) -> bool:
-    """Whether rule d + s*m -> i + r*m (s = 0: one-off) holds for m < count
-    at each depth n, proved on the class a + S*m, a = equiv^n(d), S = 4^n*s:
-    if t0 = 6a-3+p >= 1 has j < v2(6S) factors of two, every member steps to
-    ((t0>>j)+1)/2 + (3S>>j)*m.  False when a premise fails: that one,
-    a >= 1, and the largest member's 3n+p and next equivalent in the width."""
-    a, s, i, r = rule
-    for depth in range(n_limit + 1):
-        t0, top = 6 * a - 3 + family.p, a + s * (count - 1)
-        j = (t0 & -t0).bit_length() - 1
-        if (a < 1 or t0 < 1 or 6 * s % (2 << j)
-                or 6 * top - 3 + family.p > MAX_VALUE
-                or depth < n_limit and 4 * top + family.q > MAX_VALUE
-                or ((t0 >> j) + 1) >> 1 != i or 3 * s >> j != r):
-            return False
-        a, s = 4 * a + family.q, 4 * s
-    return True
-
-
-def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
-                      *, value_limit: int | None = None, m_limit: int | None = None,
-                      n_limit: int) -> CaseAuditReport:
-    """Check every rule instance against the generic step.
-
-    For each rule instance (d -> i), bounded by domain value and/or index m,
-    and each equivalence depth n <= n_limit, asserts
-    family_step(equiv^n(d)) == i.  A rule not proved on its class
-    (_holds_on_class) is stepped instance by instance, so mismatches and
-    errors are those of stepping.  Mismatches are report content, not
-    exceptions.  Raises ValueError for a negative domain stride, and when
-    the checks, counted before any is made, are more than MAX_TREE_NODES.
-    """
-    if n_limit < 0:
-        raise ValueError(f"n_limit must be >= 0, got {n_limit}")
-    if value_limit is None and m_limit is None:
-        raise ValueError("need value_limit or m_limit")
-    if value_limit is not None and value_limit < 1:
-        raise ValueError(f"value_limit must be >= 1, got {value_limit}")
-    if m_limit is not None and m_limit < 0:
-        raise ValueError(f"m_limit must be >= 0, got {m_limit}")
-    if rules is None:
-        rules = case_system(family.p)
-    counts = []  # each rule's bounded instances; a one-off rule has 1 or none
-    for offset, stride, _, _ in rules:
-        if stride < 0:
-            raise ValueError(f"domain stride must be >= 0, got {stride}")
-        bounds = [1] if not stride else [] if m_limit is None else [m_limit + 1]
-        if value_limit is not None:
-            bounds.append(max(0, (value_limit - offset) // (stride or 1) + 1))
-        counts.append(min(bounds))
-    checks = sum(counts) * (n_limit + 1)
-    if checks > MAX_TREE_NODES:
-        from decimal import Decimal  # formats counts beyond the range of a float
-        raise ValueError(f"the case audit needs about {Decimal(checks):.2g} checks, "
-                         f"above the cap of {MAX_TREE_NODES:.0e}")
-    mismatches: list[tuple[int, int, int, int]] = []
-    for rule, count in zip(rules, counts):
-        if _holds_on_class(rule, count, family, n_limit):
-            continue
-        offset, stride, image_offset, image_stride = rule
-        for m in range(count):
-            v = domain_value = offset + stride * m
-            image_value = image_offset + image_stride * m
-            for depth in range(n_limit + 1):
-                got = family_step(v, family)
-                if got != image_value:
-                    mismatches.append((domain_value, depth, image_value, got))
-                if depth < n_limit:
-                    v = family_equivalent(v, family)
-    return CaseAuditReport(family.p, checks, tuple(mismatches))
 
 
 FORWARD_SEED = Progression(2, 3)   # chain heads: residue 2 mod 3

@@ -12,8 +12,6 @@ same bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections.abc import Iterable
 
@@ -58,6 +56,9 @@ def render_csv(records: list[dict], column_row: bool = True) -> str:
     The column row comes first unless column_row is false, as it is for
     every batch of a streamed report after the first.
     """
+    import csv  # here, so that a JSON-lines run does not load it
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if column_row:

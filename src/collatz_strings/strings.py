@@ -3,7 +3,7 @@ conjugate map passes through 3 mod 4, and its checkpoint format.
 
 The sweep moves whole residue classes of positions at once, down the
 2-adic tree of lower_step (_sweep_classes); the partition audit
-(walks.partition_audit) walks its chains forward by the same function.
+(audits.partition_audit) walks its chains forward by the same function.
 
 A checkpoint is a single line of canonical JSON (sorted keys) so that two
 checkpoints with the same state are byte-identical.  It carries the format
@@ -187,7 +187,11 @@ def save_checkpoint(path: str, payload: dict) -> None:
     text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="ascii") as fh:
+    try:
+        fh = open(tmp, "w", encoding="ascii")
+    except OSError as exc:  # name the checkpoint, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    with fh:
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())

@@ -9,9 +9,9 @@ residue-solve kernel or its class proofs, and none validates its input."""
 from fractions import Fraction
 from math import gcd
 
+from collatz_strings.audits import CaseAuditReport
 from collatz_strings.core import _checked, inverse_lower_step, lower_step, restriction_index
-from collatz_strings.family import (PROCESSES, CaseAuditReport, branch_maps, family_equivalent,
-                                    family_step)
+from collatz_strings.family import PROCESSES, branch_maps, family_equivalent, family_step
 from collatz_strings.progressions import Progression, evolve
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -12,10 +14,10 @@ import pytest
 
 from oracles import reference_audit_part, reference_families
 
+import collatz_strings.audits as audits_module
 import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
-import collatz_strings.walks as walks_module
 from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.core import require_tree_work
@@ -158,6 +160,16 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert main(["strings", "--limit", "27", "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--output"], ["--budget", "3", "--checkpoint"]],
+                         ids=["output", "checkpoint"])
+def test_a_missing_directory_is_named_by_the_path_given(tmp_path, capsys, option):
+    # not by the temporary file beside it, which the user never named
+    path = str(tmp_path / "missing" / "x")
+    assert main(["passage", "--lo", "2", "--hi", "100", *option, path]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def fake_scan(monkeypatch, findings, error=None):
@@ -410,6 +422,61 @@ def test_export_graph_has_no_format_option(tmp_path):
     out = tmp_path / "g.dot"
     assert main(["export-graph", "--limit", "5", "--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8").startswith("digraph chains {")
+
+
+def parse_outcome(parse, argv):
+    """parse(argv)'s Namespace, or the exit code and text of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# per command, a valid argv and one with a value that is not an integer
+PARSER_ARGV = {
+    "passage": ("--lo 2 --hi 9 --checkpoint c --resume --budget 3", "--lo 2 --hi x"),
+    "strings": ("--limit 10 --max-len 5 --format csv", "--limit x"),
+    "evolve": ("--direction forward -k 3", "--direction forward -k x"),
+    "coverage": ("--direction backward -m 2 --random-starts 1 --seed 4", "-m x"),
+    "family-audit": ("-p 7 --m-limit 3 --n-limit 2", "-p x"),
+    "cycles": ("-p 5 --seed-limit 10 --output r", "--seed-limit x"),
+    "audit-3n3": ("--limit 10", "--limit 1.5"),
+    "scan": ("-p 7 --limit 10 --max-len 4", "-p 7 --limit x"),
+    "proportionality": ("--direction both --cases 3 --x-max 5", "--n-max x"),
+    "export-graph": ("--limit 10 --output g", "--limit x"),
+}
+
+
+@pytest.mark.parametrize("command", cli_module.COMMANDS)
+def test_one_subparser_parses_as_all_of_them(command):
+    valid, not_integer = PARSER_ARGV[command]
+    one = cli_module.build_parser(command).parse_args
+    every = cli_module.build_parser().parse_args
+    parsed = parse_outcome(one, [command, *valid.split()])
+    assert parsed == parse_outcome(every, [command, *valid.split()])
+    assert parsed.command == command
+    # the help, a missing required option (proportionality has none, so it
+    # parses), a value that is not an integer, a bad choice (export-graph
+    # has no --format, so the whole parser refuses it) and an extra word
+    for argv, code in (([command, "--help"], 0),
+                       ([command], None if command == "proportionality" else 2),
+                       ([command, *not_integer.split()], 2),
+                       ([command, *valid.split(), "--format", "xml"], 2),
+                       ([command, *valid.split(), "extra"], 2)):
+        outcome = parse_outcome(one, argv)
+        assert outcome == parse_outcome(every, argv), argv
+        if code is not None:  # the help on stdout, an error on stderr
+            assert outcome[0] == code and outcome[1 + bool(code)], argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"], ["--", "scan"]],
+                         ids=["help", "none", "unknown", "dashes"])
+def test_a_run_without_a_command_first_builds_every_subparser(argv):
+    outcome = parse_outcome(main, argv)
+    assert outcome == parse_outcome(cli_module.build_parser().parse_args, argv)
+    assert "{%s}" % ",".join(cli_module.COMMANDS) in outcome[1 + bool(outcome[0])]
 
 
 def test_unknown_command_exits_2():
@@ -686,8 +753,8 @@ def test_family_audit_reports_rule_mismatches(tmp_path, monkeypatch):
 def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
     # 2+4t -> 5+3t (family_step sends 2+4t to 2+3t) leaves image 2 one hit
     # and pairs the predecessors of 5 as (2, 3) and those of 8 as (5, 6)
-    odd, _ = walks_module.TWO_TO_ONE_MAPS
-    monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS",
+    odd, _ = audits_module.TWO_TO_ONE_MAPS
+    monkeypatch.setattr(audits_module, "TWO_TO_ONE_MAPS",
                         (odd, (Progression(2, 4), Progression(5, 3))))
     code, text = run_cli(["audit-3n3", "--limit", "8"], tmp_path)
     assert code == 1
@@ -702,7 +769,7 @@ def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
     ]
     # without the even branch the domains leave positions uncovered, and
     # nothing is counted
-    monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS", (odd,))
+    monkeypatch.setattr(audits_module, "TWO_TO_ONE_MAPS", (odd,))
     code, text = run_cli(["audit-3n3", "--limit", "8"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
@@ -714,7 +781,7 @@ def test_audit_3n3_reports_count_and_pairing_violations(tmp_path, monkeypatch):
 def test_strings_reports_conflicts(tmp_path, monkeypatch):
     # 4+2t -> 6+3t is a piece of lower_step whose image meets that of 2+2t -> 3+3t
     overlap = (Progression(4, 2), Progression(6, 3))
-    monkeypatch.setattr(walks_module, "FORWARD_MAPS", (*walks_module.FORWARD_MAPS, overlap))
+    monkeypatch.setattr(audits_module, "FORWARD_MAPS", (*audits_module.FORWARD_MAPS, overlap))
     code, text = run_cli(["strings", "--limit", "100"], tmp_path)
     assert code == 1
     assert findings_of(text) == [

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import family_equivalent_n, family_evolve_forward, reference_case_audit
 
+import collatz_strings.audits as audits_module
 import collatz_strings.family as family_module
 import collatz_strings.walks as walks_module
 from collatz_strings import (
@@ -28,7 +29,8 @@ from collatz_strings import (
     two_to_one_audit,
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
-from collatz_strings.family import PROCESSES, CaseRule, branch_maps
+from collatz_strings.audits import CaseRule
+from collatz_strings.family import PROCESSES, branch_maps
 from collatz_strings.progressions import Progression, evolve
 from collatz_strings.walks import (OrphanRecord, _predecessor, _predecessor_table, backward_walk,
                                    forward_walk)
@@ -256,7 +258,7 @@ def test_case_audit_falls_back_where_the_step_is_not_affine():
 def test_case_audit_proves_every_published_rule_on_its_class(monkeypatch):
     # a one-off rule is a class of one member; no instance is stepped
     steps = []
-    monkeypatch.setattr(family_module, "family_step",
+    monkeypatch.setattr(audits_module, "family_step",
                         lambda x, family: steps.append(x) or family_step(x, family))
     for p in CASE_SYSTEM_PARAMS:
         report = audit_case_system(Family(p), value_limit=10 ** 4, n_limit=4)
@@ -558,7 +560,7 @@ def table_step(maps):
 # splitting it again, whose stride-8 domains reach x_max before their
 # images reach the limit, and ORDER_SWAP.  The audit counts them as they
 # stand.  The others break a premise of the count and are not counted.
-ODD3, EVEN3 = walks_module.TWO_TO_ONE_MAPS
+ODD3, EVEN3 = audits_module.TWO_TO_ONE_MAPS
 DISAGREES = "disagrees with family_step"
 WRONG_INTERCEPT = (Progression(2, 4), Progression(5, 3))
 WRONG_RESIDUE = (Progression(2, 4), Progression(1, 3))
@@ -597,7 +599,7 @@ UNCOUNTED_TABLES = [
 
 def test_two_to_one_violations_match_list_reference(monkeypatch):
     for table, conflicts in COUNTED_TABLES:
-        monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS", table)
+        monkeypatch.setattr(audits_module, "TWO_TO_ONE_MAPS", table)
         for limit in [*range(2, 151), 1000, 3001]:
             report = two_to_one_audit(limit)
             assert report.conflicts == conflicts
@@ -608,7 +610,7 @@ def test_two_to_one_violations_match_list_reference(monkeypatch):
 
 def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
     for table, conflicts in UNCOUNTED_TABLES:
-        monkeypatch.setattr(walks_module, "TWO_TO_ONE_MAPS", table)
+        monkeypatch.setattr(audits_module, "TWO_TO_ONE_MAPS", table)
         report = two_to_one_audit(3000)
         assert report == (3000, (), (), conflicts)
         assert report.count_violations or report.pairing_violations or report.conflicts
@@ -616,8 +618,8 @@ def test_two_to_one_reports_broken_premises_and_counts_nothing(monkeypatch):
 
 def test_two_to_one_checks_the_table_against_family_step(monkeypatch):
     # the table stands, the step it was derived from does not
-    step = walks_module.family_step
-    monkeypatch.setattr(walks_module, "family_step", lambda x, family: step(x, family) + 3)
+    step = audits_module.family_step
+    monkeypatch.setattr(audits_module, "family_step", lambda x, family: step(x, family) + 3)
     report = two_to_one_audit(3000)
     assert report == (3000, (), (), ((*ODD3, DISAGREES), (*EVEN3, DISAGREES)))
     assert report.count_violations or report.pairing_violations or report.conflicts

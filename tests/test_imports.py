@@ -35,11 +35,11 @@ print(code, *sorted(m for m in sys.modules if m.startswith("collatz_strings.")))
 
 @pytest.mark.parametrize("argv, modules", [
     (["passage", "--lo", "2", "--hi", "1000"], "cli core reporting strings"),
-    (["strings", "--limit", "100"], "cli core family reporting strings walks"),
+    (["strings", "--limit", "100"], "audits cli core family reporting strings"),
     (["scan", "-p", "7", "--limit", "100"], "cli core family reporting walks"),
     (["cycles", "-p", "5", "--seed-limit", "100"], "cli core family reporting walks"),
-    (["audit-3n3", "--limit", "100"], "cli core family reporting walks"),
-    (["family-audit", "-p", "5"], "cli core family reporting"),
+    (["audit-3n3", "--limit", "100"], "audits cli core family reporting"),
+    (["family-audit", "-p", "5"], "audits cli core family reporting"),
     (["coverage", "--direction", "forward", "-m", "2"],
      "cli core family progressions reporting"),
     (["evolve", "--direction", "forward", "-k", "0"], "cli core family progressions reporting"),
@@ -51,6 +51,31 @@ def test_a_run_loads_only_the_modules_its_command_calls(argv, modules):
     code, *loaded = fresh(_LOADED, *argv).split()
     assert code == "0"
     assert loaded == [f"collatz_strings.{m}" for m in modules.split()]
+
+
+# Runs cli.main(ARGV) with its report discarded and prints the exit code and
+# every module the run loaded beyond those the bare interpreter had.
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import contextlib, io
+from collatz_strings import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv", [["scan", "-p", "7", "--limit", "100"],
+                                  ["evolve", "--direction", "forward", "-k", "0"],
+                                  ["strings", "--limit", "100"]],
+                         ids=["scan", "evolve", "strings"])
+def test_a_json_lines_run_loads_no_csv(argv):
+    code, *loaded = fresh(_NEW_MODULES, *argv).split()
+    assert code == "0" and "collatz_strings.reporting" in loaded
+    assert "csv" not in loaded
+    code, *loaded = fresh(_NEW_MODULES, *argv, "--format", "csv").split()
+    assert code == "0" and "csv" in loaded
 
 
 def test_every_public_name_resolves_and_star_import_binds_it():

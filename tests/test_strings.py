@@ -17,7 +17,7 @@ from oracles import (
     reference_transport,
 )
 
-import collatz_strings.walks as walks_module
+import collatz_strings.audits as audits_module
 from collatz_strings import (
     DEFAULT_WALK_LIMIT,
     MAX_VALUE,
@@ -361,7 +361,7 @@ FAULTY_TABLES = [
 def test_partition_audit_conflicts_match_dict_reference(monkeypatch, max_len):
     walk = DEFAULT_WALK_LIMIT if max_len is None else max_len
     for table, conflicts in FAULTY_TABLES:
-        monkeypatch.setattr(walks_module, "FORWARD_MAPS", table)
+        monkeypatch.setattr(audits_module, "FORWARD_MAPS", table)
         report = partition_audit(3000, walk)
         assert report == (3000, 0, (), conflicts, 0)
         assert report.truncated or report.conflicts
@@ -372,7 +372,7 @@ def test_partition_audit_many_conflicts_stay_linear(monkeypatch):
     # and meets the image of the first; each must cost one lookup
     copies = tuple((Progression(2 + 2 * j, 2), Progression(3 + 3 * j, 3))
                    for j in range(20_000))
-    monkeypatch.setattr(walks_module, "FORWARD_MAPS", copies + (ODD,))
+    monkeypatch.setattr(audits_module, "FORWARD_MAPS", copies + (ODD,))
     started = time.perf_counter()
     report = partition_audit(20_000)
     elapsed = time.perf_counter() - started
