@@ -29,16 +29,10 @@ import sys
 from collections.abc import Generator
 from itertools import chain
 
-from .core import DEFAULT_WALK_LIMIT, MAX_TREE_NODES, higher_equivalent, lower_step
-from .reporting import (
-    FAILING_KINDS,
-    finding,
-    header_record,
-    render_csv,
-    render_jsonl,
-    render_parts,
-    summary_record,
-)
+from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, _checked, higher_equivalent,
+                   lower_step, replace_on_success)
+from .reporting import (FAILING_KINDS, finding, header_record, render_csv, render_jsonl,
+                        render_parts, summary_record)
 
 # The layer names the handlers use, by module.  Each is imported on its
 # first access as an attribute of this module (`_cli.<name>` in a handler,
@@ -48,9 +42,8 @@ from .reporting import (
 _LAYERS = {
     "audits": ("audit_case_system", "partition_audit", "two_to_one_audit"),
     "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES"),
-    "progressions": ("_audit", "_families", "_proved", "backward_signature",
-                     "coverage_count", "expected_coverage", "first_recurrence_backward",
-                     "first_recurrence_forward", "forward_signature"),
+    "progressions": ("_audit", "_families", "_proved", "_signature_class", "coverage_count",
+                     "expected_coverage"),
     "strings": ("passage_sweep",),
     "walks": ("find_cycles", "string_scan"),
 }
@@ -85,10 +78,8 @@ Report = Generator[dict | str, None, dict]
 
 
 def _resolve_checkpoint(path: str | None) -> str | None:
-    if path is None:
-        return None
     env_dir = os.environ.get(CHECKPOINT_DIR_ENV)
-    if env_dir and not os.path.isabs(path) and os.sep not in path:
+    if env_dir and path and not os.path.isabs(path) and os.sep not in path:
         return os.path.join(env_dir, path)
     return path
 
@@ -251,12 +242,8 @@ def cmd_scan(args) -> Report:
 
 
 def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
-    if direction == "forward":
-        sig = _cli.forward_signature(x, steps)
-        found = _cli.first_recurrence_forward(x, steps)
-    else:
-        sig = _cli.backward_signature(x, steps)
-        found = _cli.first_recurrence_backward(x, steps)
+    sig, modulus = _cli._signature_class(direction, x, steps)  # one class walk
+    found = _checked(x + modulus)  # the first recurrence
     predicted = x + sig.recurrence_gap
     data = {"x": x, "steps_requested": steps, "signature": list(sig.steps),
             "predicted": predicted, "found": found, "direction": direction}
@@ -312,11 +299,6 @@ def export_graph(limit: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The subcommands, in the order the help lists them
-COMMANDS = ("passage", "strings", "evolve", "coverage", "family-audit", "cycles", "audit-3n3",
-            "scan", "proportionality", "export-graph")
-
-
 class _PublishedHelp(str):
     """A help string that lists the published case systems.  argparse
     formats it with % only to print the help, and only then is `family`
@@ -324,6 +306,59 @@ class _PublishedHelp(str):
 
     def __mod__(self, params: dict) -> str:
         return str.__mod__(self, {**params, "published": sorted(_cli.CASE_SYSTEM_PARAMS)})
+
+
+_REQUIRED = {"type": int, "required": True}
+_WALK = {"type": int, "default": DEFAULT_WALK_LIMIT}
+_DIRECTION = {"choices": ("forward", "backward"), "required": True}
+
+# The subcommands in the order the help lists them, each with its help and its
+# options, (flags, help, add_argument keywords).  Each one's handler is cmd_<name>
+# (- written _), but GRAPH_COMMAND writes DOT: no report, no handler, no --format.
+COMMANDS = {
+    "passage": ("first-passage sweep through 3 mod 4", (
+        ("--lo", None, _REQUIRED),
+        ("--hi", None, _REQUIRED),
+        ("--max-steps", None, _WALK),
+        ("--checkpoint", f"checkpoint file (bare names join ${CHECKPOINT_DIR_ENV})", {}),
+        ("--checkpoint-every", None, {"type": int, "default": 1 << 20}),
+        ("--resume", None, {"action": "store_true"}),
+        ("--budget", "max positions to process this run", {"type": int}))),
+    "strings": ("chain partition audit", (
+        ("--limit", None, _REQUIRED),
+        ("--max-len", None, _WALK))),
+    "evolve": ("progression evolution generations", (
+        ("--direction", None, _DIRECTION),
+        ("-k --generations", None, _REQUIRED))),
+    "coverage": ("window counting identities", (
+        ("--direction", None, _DIRECTION),
+        ("-m", None, _REQUIRED),
+        ("--window-start", None, {"type": int, "default": 2}),
+        ("--random-starts", None, {"type": int, "default": 0}),
+        ("--seed", None, {"type": int, "default": 0}))),
+    "family-audit": ("published case system vs generic step", (
+        ("-p", _PublishedHelp("family parameter, one of %(published)s"), _REQUIRED),
+        ("--value-limit", "cap rule instances by domain value (default 10000)", {"type": int}),
+        ("--m-limit", "cap rule instances by progression index m", {"type": int}),
+        ("--n-limit", None, {"type": int, "default": 4}))),
+    "cycles": ("cycle search for a family", (
+        ("-p", None, _REQUIRED),
+        ("--seed-limit", None, {"type": int, "default": 1000}),
+        ("--max-steps", None, _WALK))),
+    "audit-3n3": ("two-predecessor audit of the p=3 map", (("--limit", None, _REQUIRED),)),
+    "scan": ("chain membership scan for a family", (
+        ("-p", None, _REQUIRED),
+        ("--limit", None, _REQUIRED),
+        ("--max-len", None, _WALK))),
+    "proportionality": ("signature recurrence spacing checks", (
+        ("--direction", None, {"choices": ("forward", "backward", "both"), "default": "both"}),
+        ("--cases", None, {"type": int, "default": 200}),
+        ("--x-max", None, {"type": int, "default": 10_000}),
+        ("--n-max", None, {"type": int, "default": 6}),
+        ("--seed", None, {"type": int, "default": 1}))),
+    "export-graph": ("chains and equivalent links as DOT", (("--limit", None, _REQUIRED),)),
+}
+GRAPH_COMMAND = "export-graph"
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -341,90 +376,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # all of them built, no metavar, so a missing command is named "command"
     sub = parser.add_subparsers(dest="command", required=True, metavar=(
         "{%s}" % ",".join(COMMANDS) if len(built) == 1 else None))
-    if "passage" in built:
-        p = sub.add_parser("passage", parents=[common],
-                           help="first-passage sweep through 3 mod 4")
-        p.add_argument("--lo", type=int, required=True)
-        p.add_argument("--hi", type=int, required=True)
-        p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
-        p.add_argument("--checkpoint", help="checkpoint file (bare names join "
-                                            f"${CHECKPOINT_DIR_ENV})")
-        p.add_argument("--checkpoint-every", type=int, default=1 << 20)
-        p.add_argument("--resume", action="store_true")
-        p.add_argument("--budget", type=int, help="max positions to process this run")
-        p.set_defaults(handler=cmd_passage)
-
-    if "strings" in built:
-        p = sub.add_parser("strings", parents=[common], help="chain partition audit")
-        p.add_argument("--limit", type=int, required=True)
-        p.add_argument("--max-len", type=int, default=DEFAULT_WALK_LIMIT)
-        p.set_defaults(handler=cmd_strings)
-
-    if "evolve" in built:
-        p = sub.add_parser("evolve", parents=[common], help="progression evolution generations")
-        p.add_argument("--direction", choices=("forward", "backward"), required=True)
-        p.add_argument("-k", "--generations", type=int, required=True)
-        p.set_defaults(handler=cmd_evolve)
-
-    if "coverage" in built:
-        p = sub.add_parser("coverage", parents=[common], help="window counting identities")
-        p.add_argument("--direction", choices=("forward", "backward"), required=True)
-        p.add_argument("-m", type=int, required=True)
-        p.add_argument("--window-start", type=int, default=2)
-        p.add_argument("--random-starts", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(handler=cmd_coverage)
-
-    if "family-audit" in built:
-        p = sub.add_parser("family-audit", parents=[common],
-                           help="published case system vs generic step")
-        # assigned after add_argument, which in newer Pythons formats a help to check it
-        p.add_argument("-p", type=int, required=True).help = _PublishedHelp(
-            "family parameter, one of %(published)s")
-        p.add_argument("--value-limit", type=int,
-                       help="cap rule instances by domain value (default 10000)")
-        p.add_argument("--m-limit", type=int,
-                       help="cap rule instances by progression index m")
-        p.add_argument("--n-limit", type=int, default=4)
-        p.set_defaults(handler=cmd_family_audit)
-
-    if "cycles" in built:
-        p = sub.add_parser("cycles", parents=[common], help="cycle search for a family")
-        p.add_argument("-p", type=int, required=True)
-        p.add_argument("--seed-limit", type=int, default=1000)
-        p.add_argument("--max-steps", type=int, default=DEFAULT_WALK_LIMIT)
-        p.set_defaults(handler=cmd_cycles)
-
-    if "audit-3n3" in built:
-        p = sub.add_parser("audit-3n3", parents=[common],
-                           help="two-predecessor audit of the p=3 map")
-        p.add_argument("--limit", type=int, required=True)
-        p.set_defaults(handler=cmd_audit_3n3)
-
-    if "scan" in built:
-        p = sub.add_parser("scan", parents=[common], help="chain membership scan for a family")
-        p.add_argument("-p", type=int, required=True)
-        p.add_argument("--limit", type=int, required=True)
-        p.add_argument("--max-len", type=int, default=DEFAULT_WALK_LIMIT)
-        p.set_defaults(handler=cmd_scan)
-
-    if "proportionality" in built:
-        p = sub.add_parser("proportionality", parents=[common],
-                           help="signature recurrence spacing checks")
-        p.add_argument("--direction", choices=("forward", "backward", "both"),
-                       default="both")
-        p.add_argument("--cases", type=int, default=200)
-        p.add_argument("--x-max", type=int, default=10_000)
-        p.add_argument("--n-max", type=int, default=6)
-        p.add_argument("--seed", type=int, default=1)
-        p.set_defaults(handler=cmd_proportionality)
-
-    if "export-graph" in built:
-        p = sub.add_parser("export-graph", parents=[output],
-                           help="chains and equivalent links as DOT")
-        p.add_argument("--limit", type=int, required=True)
-        p.set_defaults(handler=None)
-
+    for name in built:
+        text, options = COMMANDS[name]
+        graph = name == GRAPH_COMMAND
+        p = sub.add_parser(name, parents=[output if graph else common], help=text)
+        for flags, option_help, keywords in options:
+            # assigned after add_argument, which in newer Pythons formats a help to check it
+            p.add_argument(*flags.split(), **keywords).help = option_help
+        p.set_defaults(handler=None if graph else getattr(_cli, f"cmd_{name.replace('-', '_')}"))
     return parser
 
 
@@ -433,37 +392,16 @@ def _config_dict(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-@contextlib.contextmanager
 def _report_stream(path: str | None):
-    """Where the report goes: stdout, or `path` once the report is complete.
-
-    A report for a regular file is written to a temporary file in the
-    same directory and moved over `path` after the block ends; an error
-    removes the temporary file and leaves `path` as it was.  A path that
-    exists and is not a regular file (a device or a pipe, also through a
-    symlink such as /dev/stdout) is written in place.
-    """
+    """Where the report goes: stdout, or `path` once the report is complete
+    (`core.replace_on_success`).  A path that exists and is not a regular
+    file (a device or a pipe, also through a symlink such as /dev/stdout) is
+    written in place."""
     if path is None:
-        yield sys.stdout
-        return
+        return contextlib.nullcontext(sys.stdout)
     if os.path.exists(path) and not os.path.isfile(path):  # both follow symlinks
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
-    try:
-        fh = open(tmp, "w", encoding="utf-8")
-    except OSError as exc:  # name the report, not the temporary file beside it
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, target)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        return open(path, "w", encoding="utf-8")
+    return replace_on_success(path)
 
 
 def _records(args) -> Generator[dict | str, None, None]:
@@ -503,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         with _report_stream(args.output) as out:
-            if args.command == "export-graph":
+            if args.handler is None:  # GRAPH_COMMAND
                 out.write(export_graph(args.limit))
                 failed = False
             else:

@@ -23,7 +23,10 @@ estimated tree exceeds MAX_TREE_NODES nodes.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
+import os
 from collections import namedtuple
 
 WIDTH_BITS = 128
@@ -68,6 +71,36 @@ def require_tree_work(name: str, limit: int, nodes: float, growth: int) -> None:
             exponent, mantissa = exponent + 1, 1
         raise ValueError(f"{name} {limit} needs about {mantissa:.2g}e+{int(exponent):02d} "
                          f"class-tree nodes, above the cap of {MAX_TREE_NODES:.0e}")
+
+
+def file_target(path: str) -> str:
+    """The file `path` names, through symlinks; refused, with an error naming
+    `path`, if it has no file name, names a directory or is in a missing one."""
+    if not os.path.basename(path):
+        raise ValueError(f"no file name: {path!r}")
+    target = os.path.realpath(path)
+    if os.path.isdir(target) or not os.path.isdir(os.path.dirname(target)):
+        code = errno.EISDIR if os.path.isdir(target) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return target
+
+
+@contextlib.contextmanager
+def replace_on_success(path: str):
+    """A text file beside `file_target(path)` that replaces it once the block
+    ends without error; a failure removes it, and its errors name `path`."""
+    target = file_target(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # from open or os.replace
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def conjugate_step(x: int) -> int:

@@ -18,7 +18,8 @@ import json
 import os
 from collections import namedtuple
 
-from .core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError, require_tree_work
+from .core import (DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError, file_target,
+                   replace_on_success, require_tree_work)
 
 
 class SweepReport(namedtuple("SweepReport", "lo hi max_steps processed hits truncated "
@@ -162,6 +163,8 @@ def passage_sweep(lo: int, hi: int, max_steps: int = DEFAULT_WALK_LIMIT,
         raise WidthExceededError("sweep bound exceeds the working range")
     if resume and checkpoint_path is None:
         raise ValueError("resume requires a checkpoint path")
+    if checkpoint_path is not None:
+        file_target(checkpoint_path)  # a bad path is refused before the first chunk
 
     done = _load_sweep_checkpoint(checkpoint_path, lo, hi, max_steps) if resume else None
     start = lo if done is None else done.next_position
@@ -182,20 +185,12 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path: str, payload: dict) -> None:
     """Atomically write payload (plus format/version header fields) to path."""
-    record = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION}
-    record.update(payload)
+    record = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, **payload}
     text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    try:
-        fh = open(tmp, "w", encoding="ascii")
-    except OSError as exc:  # name the checkpoint, not the temporary file beside it
-        raise OSError(exc.errno, exc.strerror, path) from None
-    with fh:
+    with replace_on_success(path) as fh:
         fh.write(text)
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> dict:

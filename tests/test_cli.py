@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -18,6 +19,7 @@ import collatz_strings.audits as audits_module
 import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
+import collatz_strings.strings as strings_module
 from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.core import require_tree_work
@@ -164,12 +166,31 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [["--output"], ["--budget", "3", "--checkpoint"]],
                          ids=["output", "checkpoint"])
-def test_a_missing_directory_is_named_by_the_path_given(tmp_path, capsys, option):
-    # not by the temporary file beside it, which the user never named
-    path = str(tmp_path / "missing" / "x")
-    assert main(["passage", "--lo", "2", "--hi", "100", *option, path]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {path!r}\n"
-    assert os.listdir(tmp_path) == []
+def test_a_missing_directory_is_named_by_the_path_given(tmp_path, monkeypatch, capsys,
+                                                        option):
+    # not by the temporary file beside it, which the user never named; nor
+    # does a failed write leave that file behind, beside a directory given
+    # as the target or in the parent of the cwd for an empty path; and the
+    # path is refused before any position is swept
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COLLATZ_STRINGS_CHECKPOINT_DIR", raising=False)
+    monkeypatch.setattr(strings_module, "_sweep_range", None)
+    os.mkdir(tmp_path / "directory")
+    parent = sorted(os.listdir(tmp_path.parent))
+    directory = "[Errno 21] Is a directory"
+    for path, error in ((str(tmp_path / "missing" / "x"), "[Errno 2] No such file or directory"),
+                        (str(tmp_path / "directory"), directory), ("directory", directory),
+                        (".", directory), ("..", directory), ("directory/.", directory),
+                        ("", "no file name")):
+        assert main(["passage", "--lo", "2", "--hi", "100", *option, path]) == 2, path
+        assert capsys.readouterr().err == f"error: {error}: {path!r}\n"
+        assert os.listdir(tmp_path) == ["directory"], path
+        assert os.listdir(tmp_path / "directory") == [], path
+        assert sorted(os.listdir(tmp_path.parent)) == parent, path
+    # an empty checkpoint name is no bare name to join to the checkpoint directory
+    monkeypatch.setenv("COLLATZ_STRINGS_CHECKPOINT_DIR", str(tmp_path / "directory"))
+    assert main(["passage", "--lo", "2", "--hi", "100", *option, ""]) == 2
+    assert capsys.readouterr().err == "error: no file name: ''\n"
 
 
 def fake_scan(monkeypatch, findings, error=None):
@@ -235,6 +256,14 @@ def test_output_follows_symlinks_and_writes_pipes_in_place(tmp_path):
     assert main(argv + [str(link)]) == 0
     assert link.is_symlink() and link.read_text(encoding="utf-8") == expected
     assert os.listdir(tmp_path / "reports") == ["r.jsonl"]
+    # so is a checkpoint: the link stays a link, its target holds the checkpoint
+    ckpt = tmp_path / "sweep.ckpt"
+    ckpt.symlink_to(tmp_path / "reports" / "c.ckpt")
+    base = f"passage --lo 2 --hi 5000 --max-steps 3 --checkpoint {ckpt}".split()
+    for extra, (code, _, checkpoint) in PINNED_CHECKPOINT_RUNS.items():
+        assert run_cli(base + extra.split(), tmp_path)[0] == code, extra
+        assert ckpt.is_symlink() and _sha256_of(ckpt) == checkpoint, extra
+    assert sorted(os.listdir(tmp_path / "reports")) == ["c.ckpt", "r.jsonl"]
     # a pipe is not replaced by a file: its reader gets the report
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
@@ -477,6 +506,21 @@ def test_a_run_without_a_command_first_builds_every_subparser(argv):
     outcome = parse_outcome(main, argv)
     assert outcome == parse_outcome(cli_module.build_parser().parse_args, argv)
     assert "{%s}" % ",".join(cli_module.COMMANDS) in outcome[1 + bool(outcome[0])]
+
+
+def test_every_command_but_the_graph_export_has_a_handler():
+    # build_parser looks each handler up as cmd_<name>, - written _, and
+    # every cmd_ function is the handler of a command
+    handlers = {name: value for name, value in vars(cli_module).items()
+                if name.startswith("cmd_")}
+    assert sorted(handlers) == sorted(f"cmd_{command.replace('-', '_')}"
+                                      for command in cli_module.COMMANDS
+                                      if command != cli_module.GRAPH_COMMAND)
+    assert all(map(inspect.isgeneratorfunction, handlers.values()))
+    for command in cli_module.COMMANDS:
+        args = cli_module.build_parser(command).parse_args(
+            [command, *PARSER_ARGV[command][0].split()])
+        assert args.handler is handlers.get(f"cmd_{command.replace('-', '_')}")
 
 
 def test_unknown_command_exits_2():
@@ -818,13 +862,13 @@ def test_random_cases_are_drawn_as_they_are_checked(monkeypatch, capsys, argv, c
 def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):
     # a class walk whose modulus is the base (2 forward, 3 backward) times
     # too large puts each anchor's recurrence one spacing past the prediction
-    walk = progressions_module._signature_class
+    walk = cli_module._signature_class
 
     def overshooting(direction, x, steps):
         sig, modulus = walk(direction, x, steps)
         return sig, modulus * (2 if direction == "forward" else 3)
 
-    monkeypatch.setattr(progressions_module, "_signature_class", overshooting)
+    monkeypatch.setattr(cli_module, "_signature_class", overshooting)
     code, text = run_cli(["proportionality", "--cases", "0"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
