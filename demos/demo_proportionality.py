@@ -11,48 +11,35 @@ take different branches, and never read the predicted spacing.
 
 import random
 
-from collatz_strings import (
-    backward_signature,
-    first_recurrence_backward,
-    first_recurrence_forward,
-    forward_signature,
-)
+from collatz_strings import signature_class
 
 
-def show_forward(x, steps):
-    sig = forward_signature(x, steps)
-    found = first_recurrence_forward(x, steps)
-    print(f"  forward from {x:>5}: tags {sig.tags} -> next at {found} "
-          f"(= {x} + 2^{sum(sig.steps)})")
-    assert found == x + sig.recurrence_gap
-
-
-def show_backward(x, steps):
-    sig = backward_signature(x, steps)
-    found = first_recurrence_backward(x, steps)
-    print(f"  backward from {x:>4}: tags {sig.tags} -> next at {found} "
-          f"(= {x} + 3^{len(sig.steps)})")
-    assert found == x + sig.recurrence_gap
+def show(direction, x, steps):
+    sig, modulus = signature_class(direction, x, steps)
+    spacing = f"2^{sum(sig.steps)}" if direction == "forward" else f"3^{len(sig.steps)}"
+    print(f"  {direction + ' from':<13}{x:>5}: tags {sig.tags} -> next at {x + modulus} "
+          f"(= {x} + {spacing})")
+    assert modulus == sig.recurrence_gap
 
 
 def main():
     print("forward signatures and their first recurrences:")
-    show_forward(2, 2)    # lands on a chain end, recurs at 34
-    show_forward(5, 3)
-    show_forward(1, 1)
+    show("forward", 2, 2)  # lands on a chain end, recurs at 34
+    show("forward", 5, 3)
+    show("forward", 1, 1)
 
     print("\nbackward signatures and their first recurrences:")
-    show_backward(7, 4)   # four inverse steps, recurs at 88
-    show_backward(3, 1)
-    show_backward(10, 3)  # walk hits a head early; the head counts
+    show("backward", 7, 4)  # four inverse steps, recurs at 88
+    show("backward", 3, 1)
+    show("backward", 10, 3)  # walk hits a head early; the head counts
 
     print("\n400 seeded random spot checks:")
     rng = random.Random(1)
-    for recur, build in ((first_recurrence_forward, forward_signature),
-                         (first_recurrence_backward, backward_signature)):
+    for direction in ("forward", "backward"):
         for _ in range(200):
             x, n = rng.randint(1, 10 ** 4), rng.randint(1, 6)
-            assert recur(x, n) == x + build(x, n).recurrence_gap
+            sig, modulus = signature_class(direction, x, n)
+            assert modulus == sig.recurrence_gap
     print("  every first recurrence landed exactly on the predicted spacing")
 
 

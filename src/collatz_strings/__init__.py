@@ -22,9 +22,7 @@ _PUBLIC = {
              "lower_step", "restriction_index", "trajectory_report"),
     "family": ("CASE_SYSTEM_PARAMS", "CASE_SYSTEMS", "Family", "NonpositiveImageError",
                "exceptional_positions", "family_equivalent", "family_step", "lower_preimages"),
-    "progressions": ("Signature", "backward_signature", "coverage_count", "expected_coverage",
-                     "first_recurrence_backward", "first_recurrence_forward",
-                     "forward_signature"),
+    "progressions": ("Signature", "coverage_count", "expected_coverage", "signature_class"),
     "strings": ("SweepReport", "passage_sweep"),
     "walks": ("find_cycles", "string_scan"),
 }

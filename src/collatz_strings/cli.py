@@ -42,8 +42,8 @@ from .reporting import (FAILING_KINDS, finding, header_record, render_csv, rende
 _LAYERS = {
     "audits": ("audit_case_system", "partition_audit", "two_to_one_audit"),
     "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES"),
-    "progressions": ("_audit", "_families", "_proved", "_signature_class", "coverage_count",
-                     "expected_coverage"),
+    "progressions": ("_audit", "_families", "_proved", "coverage_count", "expected_coverage",
+                     "signature_class"),
     "strings": ("passage_sweep",),
     "walks": ("find_cycles", "string_scan"),
 }
@@ -242,7 +242,7 @@ def cmd_scan(args) -> Report:
 
 
 def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
-    sig, modulus = _cli._signature_class(direction, x, steps)  # one class walk
+    sig, modulus = _cli.signature_class(direction, x, steps)  # one class walk
     found = _checked(x + modulus)  # the first recurrence
     predicted = x + sig.recurrence_gap
     data = {"x": x, "steps_requested": steps, "signature": list(sig.steps),

@@ -7,8 +7,8 @@ by member (2+2m -> 3+3m and 1+4m -> 1+3m forwards), turning an interval
 b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This module
 provides the generation loop that transports progressions through such
 branch maps, the window counts of the p=1 evolutions in family.PROCESSES
-and the branch signatures with the residue class of the positions that
-share each (`_signature_class`), from which their first recurrence follows.
+and `signature_class`: x's branch signature with the residue class of the
+positions that share it, whose first member past x is x's recurrence.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -267,9 +267,10 @@ class Signature(namedtuple("Signature", "direction steps")):
         return tuple(names.get(s, f"terminal[{s}]") for s in self.steps)
 
 
-def _signature_class(direction: str, x: int, steps: int) -> tuple[Signature, int]:
-    """x's signature of `steps` steps and the modulus M such that the
-    positions from x sharing it are exactly x + M*t, t >= 0.
+def signature_class(direction: str, x: int, steps: int) -> tuple[Signature, int]:
+    """x's signature of `steps` steps, ended early by a chain end or head,
+    and the modulus M such that the positions from x sharing it are exactly
+    x + M*t, t >= 0: x first recurs at x + M.
 
     The walk follows x's class x + M*t, whose values after the steps so far
     are v + n*t, by the branch arithmetic (as strings._sweep_classes does).
@@ -309,34 +310,3 @@ def _signature_class(direction: str, x: int, steps: int) -> tuple[Signature, int
                     else (2 * v // 3, 2 * n // 3))
     return Signature(direction, tuple(seq)), modulus
 
-
-def forward_signature(x: int, steps: int) -> Signature:
-    """Branch indices of x's first `steps` conjugate-map steps.
-
-    The walk follows lower_step; reaching a position 3 mod 4 records that
-    position's branch index as a final terminal entry and stops early.
-    """
-    return _signature_class("forward", x, steps)[0]
-
-
-def backward_signature(x: int, steps: int) -> Signature:
-    """Residues of x's first `steps` inverse walk steps.
-
-    Follows inverse_lower_step; a residue-2 position (a chain head) is
-    recorded as a final entry and stops the walk early.
-    """
-    return _signature_class("backward", x, steps)[0]
-
-
-def first_recurrence_forward(x: int, steps: int) -> int:
-    """Least x' > x whose forward signature equals x's: x + M, with M the
-    modulus of x's signature class (`_signature_class`), found without a
-    scan of the positions between or a look at the predicted spacing.
-    WidthExceededError when x + M leaves the working range."""
-    return _checked(x + _signature_class("forward", x, steps)[1])
-
-
-def first_recurrence_backward(x: int, steps: int) -> int:
-    """Least x' > x whose backward signature equals x's: x + M, by the
-    class walk of first_recurrence_forward."""
-    return _checked(x + _signature_class("backward", x, steps)[1])

@@ -20,7 +20,7 @@ import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
 import collatz_strings.strings as strings_module
-from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression
+from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression, WidthExceededError
 from collatz_strings.cli import BATCH_RECORDS, main
 from collatz_strings.core import require_tree_work
 from collatz_strings.reporting import (
@@ -85,6 +85,10 @@ def test_invalid_config_exits_2(tmp_path, capsys):
              huge_value: "error: the case audit needs about 2.6e+38 checks, "
                          "above the cap of 1e+08\n",
              resume_nested: f"error: {nested} is not a collatz-strings-checkpoint file\n"}
+    for p, count in ((10 ** 8 + 1, 12_500_000), (10 ** 21 + 1, 125 * 10 ** 18)):
+        exact[("scan", "-p", str(p), "--limit", "10")] = (
+            f"error: p {p} has {count} exceptional positions, above the backward scan's "
+            "cap of 1e+06\n")
     seeds, limit = str(10 ** 350), str(10 ** 450)
     nodes = "class-tree nodes, above the cap of 1e+08\n"
     exact.update({  # work estimates beyond the range of a float
@@ -862,13 +866,13 @@ def test_random_cases_are_drawn_as_they_are_checked(monkeypatch, capsys, argv, c
 def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):
     # a class walk whose modulus is the base (2 forward, 3 backward) times
     # too large puts each anchor's recurrence one spacing past the prediction
-    walk = cli_module._signature_class
+    walk = cli_module.signature_class
 
     def overshooting(direction, x, steps):
         sig, modulus = walk(direction, x, steps)
         return sig, modulus * (2 if direction == "forward" else 3)
 
-    monkeypatch.setattr(cli_module, "_signature_class", overshooting)
+    monkeypatch.setattr(cli_module, "signature_class", overshooting)
     code, text = run_cli(["proportionality", "--cases", "0"], tmp_path)
     assert code == 1
     assert findings_of(text) == [
@@ -880,6 +884,15 @@ def test_proportionality_reports_off_spacing(tmp_path, monkeypatch):
           "found": 250, "direction": "backward"}),
     ]
     assert records_of(text)[-1]["failures"] == 2
+
+
+def test_recurrence_check_refuses_a_recurrence_past_the_range():
+    # MAX_VALUE - 2 is 1 mod 4 and MAX_VALUE - 1 is 2 mod 3: each class
+    # walk ends, and its next member x + M lies past the working range
+    for direction, x in (("forward", MAX_VALUE - 2), ("backward", MAX_VALUE - 1)):
+        with pytest.raises(WidthExceededError,
+                           match="^value exceeds the 128-bit working range$"):
+            cli_module._check_recurrence(direction, x, 1)
 
 
 def test_proportionality_finishes_at_any_spacing():

@@ -717,6 +717,27 @@ def test_scan_work_estimate_uses_the_scan_count(monkeypatch):
         string_scan(Family(5), 10 ** 11)
 
 
+def test_scan_caps_the_exceptional_positions_of_p(monkeypatch):
+    # the backward walk's table holds one entry per exceptional position,
+    # about p/8 of them, counted without listing them.  With the cap at 2,
+    # p = 19 (2 of them) scans; p = 23 (3) is refused before either walk;
+    # p = 21 (3) is not, as 3 | 21 walks forward only, with no table
+    monkeypatch.setattr(walks_module, "MAX_ONE_OFF", 2)
+    for p, count in ((19, 2), (21, 3), (23, 3)):
+        assert len(exceptional_positions(Family(p))) == count
+    for p in (19, 21):
+        assert string_scan(Family(p), 300).orphans == \
+            reference_scan(Family(p), 300, DEFAULT_WALK_LIMIT)
+
+    def walk(*args):
+        raise LookupError("walked")
+
+    monkeypatch.setattr(walks_module, "forward_walk", walk)
+    with pytest.raises(ValueError, match=r"^p 23 has 3 exceptional positions, above the "
+                                         r"backward scan's cap of 2e\+00$"):
+        string_scan(Family(23), 300)
+
+
 @given(p=st.sampled_from(sorted(set(CASE_SYSTEM_PARAMS) | {-5, -7, -9, -11, -13})),
        limit=st.integers(1, 3000),
        max_len=st.sampled_from([0, 1, 2, 3, 4, 5, DEFAULT_WALK_LIMIT]))

@@ -92,10 +92,11 @@ def test_every_public_name_resolves_and_star_import_binds_it():
 # cli names that tests or the benchmark's tracer replace, and those the
 # tracer looks for but cli does not have
 PATCHED = ("passage_sweep partition_audit coverage_count string_scan find_cycles "
-           "two_to_one_audit audit_case_system _signature_class render_jsonl "
+           "two_to_one_audit audit_case_system signature_class render_jsonl "
            "render_csv _families _audit _proved").split()
 ABSENT = ("evolve_forward", "evolve_backward", "intercept_audit", "first_recurrence_forward",
-          "first_recurrence_backward", "forward_signature", "backward_signature")
+          "first_recurrence_backward", "forward_signature", "backward_signature",
+          "_signature_class")
 
 
 def test_patched_cli_names_resolve_in_a_fresh_interpreter():

@@ -23,11 +23,8 @@ from collatz_strings import (
     Family,
     Progression,
     Signature,
-    backward_signature,
-    first_recurrence_backward,
-    first_recurrence_forward,
-    forward_signature,
     restriction_index,
+    signature_class,
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
 from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, branch_maps
@@ -483,30 +480,30 @@ def test_sampling_lemma_grid():
 
 
 def test_forward_signature_examples():
-    sig = forward_signature(2, 2)
+    sig, modulus = signature_class("forward", 2, 2)
     assert sig.steps == (1, 4) and sig.truncated
     assert sig.tags == ("even", "terminal[4]")
-    assert sig.recurrence_gap == 32
+    assert sig.recurrence_gap == modulus == 32
 
-    sig = forward_signature(1, 1)
+    sig, modulus = signature_class("forward", 1, 1)
     assert sig.steps == (2,) and not sig.truncated
-    assert sig.recurrence_gap == 4
+    assert sig.recurrence_gap == modulus == 4
 
-    sig = forward_signature(5, 3)
+    sig, _ = signature_class("forward", 5, 3)
     assert sig.steps == (2, 1, 1) and not sig.truncated
 
 
 def test_backward_signature_examples():
-    sig = backward_signature(7, 4)
+    sig, modulus = signature_class("backward", 7, 4)
     assert sig.steps == (1, 0, 0, 1) and not sig.truncated
     assert sig.tags == ("up", "down", "down", "up")
-    assert sig.recurrence_gap == 81
+    assert sig.recurrence_gap == modulus == 81
 
-    sig = backward_signature(10, 3)
+    sig, modulus = signature_class("backward", 10, 3)
     assert sig.steps == (1, 1, 2) and sig.truncated
-    assert sig.recurrence_gap == 27
+    assert sig.recurrence_gap == modulus == 27
 
-    sig = backward_signature(3, 1)
+    sig, _ = signature_class("backward", 3, 1)
     assert sig.steps == (0,)
 
 
@@ -516,10 +513,10 @@ def test_signature_walks_match_the_chain_builder():
     for x in range(2, 3001):
         chain = chain_of(x)
         i = chain.index(x)
-        fwd = forward_signature(x, len(chain))
+        fwd, _ = signature_class("forward", x, len(chain))
         assert fwd.steps == tuple(restriction_index(v) for v in chain[i:]), x
         assert fwd.steps[-1] >= 3 and fwd.truncated
-        bwd = backward_signature(x, len(chain))
+        bwd, _ = signature_class("backward", x, len(chain))
         assert bwd.steps == tuple(v % 3 for v in reversed(chain[:i + 1])), x
         assert bwd.steps[-1] == 2 and bwd.truncated
     assert not Signature("forward", (1, 2)).truncated
@@ -527,46 +524,40 @@ def test_signature_walks_match_the_chain_builder():
 
 
 def test_first_recurrence_anchors():
-    assert first_recurrence_forward(2, 2) == 2 + 32 == 34
-    assert first_recurrence_forward(1, 1) == 5
-    assert first_recurrence_backward(7, 4) == 7 + 81 == 88
-    assert first_recurrence_backward(3, 1) == 6
-    assert first_recurrence_backward(10, 3) == 37
+    # x's first recurrence is x + M, M the modulus of its signature class
+    for direction, x, n, found in (("forward", 2, 2, 34), ("forward", 1, 1, 5),
+                                   ("backward", 7, 4, 88), ("backward", 3, 1, 6),
+                                   ("backward", 10, 3, 37)):
+        assert x + signature_class(direction, x, n)[1] == found, (direction, x, n)
 
 
 def test_first_recurrence_forward_matches_prediction():
     for x, n in [(5, 3), (2, 4), (11, 2), (17, 3), (100, 5), (37, 1)]:
-        sig = forward_signature(x, n)
-        assert first_recurrence_forward(x, n) == x + sig.recurrence_gap
+        sig, modulus = signature_class("forward", x, n)
+        assert modulus == sig.recurrence_gap
 
 
 def test_first_recurrence_backward_matches_prediction():
     for x, n in [(10, 3), (4, 4), (22, 5), (100, 6), (2, 3), (55, 2)]:
-        sig = backward_signature(x, n)
-        assert first_recurrence_backward(x, n) == x + sig.recurrence_gap
+        sig, modulus = signature_class("backward", x, n)
+        assert modulus == sig.recurrence_gap
 
 
 def test_recurrent_position_really_shares_the_signature():
     for x, n in [(2, 2), (7, 4), (13, 3), (29, 4)]:
-        fwd = forward_signature(x, n)
-        at = first_recurrence_forward(x, n)
-        assert forward_signature(at, len(fwd.steps)).steps == fwd.steps
-        bwd = backward_signature(x, n)
-        at = first_recurrence_backward(x, n)
-        assert backward_signature(at, len(bwd.steps)).steps == bwd.steps
-
-
-# direction -> (signature, first recurrence) of the package
-WALKS = {"forward": (forward_signature, first_recurrence_forward),
-         "backward": (backward_signature, first_recurrence_backward)}
+        for direction in ("forward", "backward"):
+            sig, modulus = signature_class(direction, x, n)
+            at, _ = signature_class(direction, x + modulus, len(sig.steps))
+            assert at.steps == sig.steps, (direction, x, n)
 
 
 def _recurrences_equal_the_scan(x_limit):
-    for direction, (signature, recurrence) in WALKS.items():
+    for direction in ("forward", "backward"):
         for x in range(1, x_limit):
             for n in range(1, 8):
-                assert signature(x, n).steps == reference_signature(direction, x, n), (x, n)
-                assert recurrence(x, n) == reference_first_recurrence(direction, x, n), (x, n)
+                sig, modulus = signature_class(direction, x, n)
+                assert sig.steps == reference_signature(direction, x, n), (x, n)
+                assert x + modulus == reference_first_recurrence(direction, x, n), (x, n)
 
 
 def test_first_recurrences_equal_the_scan_of_every_candidate():
@@ -592,14 +583,13 @@ def _outcome(f, *args):
 @settings(max_examples=300, deadline=None)
 def test_signature_class_matches_the_position_walk(direction, x, n):
     # x up to 2^120 with up to 40 steps: the forward walk may leave the range
-    signature, recurrence = WALKS[direction]
-    tags = _outcome(lambda: signature(x, n).steps)
+    walk = _outcome(signature_class, direction, x, n)
+    tags = walk if isinstance(walk[0], type) else walk[0].steps
     assert tags == _outcome(reference_signature, direction, x, n)
     if isinstance(tags[0], type):
         return
-    found = _outcome(recurrence, x, n)
-    if isinstance(found, tuple):
-        assert found == (WidthExceededError, "value exceeds the 128-bit working range")
+    found = x + walk[1]
+    if found > MAX_VALUE:  # the recurrence is past the working range, as predicted
         assert x + (2 ** sum(tags) if direction == "forward" else 3 ** len(tags)) > MAX_VALUE
         return
     assert reference_signature(direction, found, len(tags)) == tags
@@ -609,18 +599,16 @@ def test_signature_class_matches_the_position_walk(direction, x, n):
 
 def test_first_recurrence_needs_no_room_beyond_it():
     # 2^128 - 11 is 1 mod 4 and 2^128 - 5 is 2 mod 3: each recurs at the
-    # top of the working range, where no window of candidates past it fits
-    assert first_recurrence_forward(2 ** 128 - 11, 1) == 2 ** 128 - 7
-    assert first_recurrence_backward(2 ** 128 - 5, 1) == 2 ** 128 - 2
-    for recurrence, x in ((first_recurrence_forward, MAX_VALUE - 2),
-                          (first_recurrence_backward, MAX_VALUE - 1)):
-        with pytest.raises(WidthExceededError,
-                           match="^value exceeds the 128-bit working range$"):
-            recurrence(x, 1)
+    # top of the working range, where no window of candidates past it fits.
+    # One place further on, the recurrence leaves the range: the class walk
+    # still ends, and the recurrence check refuses it (tests/test_cli.py)
+    for direction, x, top, past in (("forward", 2 ** 128 - 11, 2 ** 128 - 7, MAX_VALUE - 2),
+                                    ("backward", 2 ** 128 - 5, 2 ** 128 - 2, MAX_VALUE - 1)):
+        assert x + signature_class(direction, x, 1)[1] == top
+        assert past + signature_class(direction, past, 1)[1] > MAX_VALUE
 
 
 def test_signature_rejects_nonpositive_steps():
-    with pytest.raises(ValueError):
-        forward_signature(2, 0)
-    with pytest.raises(ValueError):
-        backward_signature(2, 0)
+    for direction in ("forward", "backward"):
+        with pytest.raises(ValueError):
+            signature_class(direction, 2, 0)
