@@ -320,7 +320,7 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
                          f"above the cap of {MAX_TREE_NODES:.0e}")
     mismatches: list[tuple[int, int, int, int]] = []
     for rule, count in zip(rules, counts):
-        if _holds_on_class(rule, count, family, n_limit):
+        if not count or _holds_on_class(rule, count, family, n_limit):
             continue
         offset, stride, image_offset, image_stride = rule
         for m in range(count):

@@ -18,16 +18,20 @@ they come.  A run that stops with status 2 has left on stdout the whole
 records of the batches written before the error, a prefix of its report;
 `--output` goes through a temporary file beside the target that replaces
 it only once the summary is written, so a failed run leaves no report file.
+
+A well-formed argv is read from the command table, COMMANDS (`_plain_args`);
+any other, the help and every error included, goes to argparse
+(`build_parser`), which only those runs import.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
 from collections.abc import Generator
 from itertools import chain
+from types import SimpleNamespace
 
 from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, _checked, higher_equivalent,
                    lower_step, replace_on_success)
@@ -315,6 +319,8 @@ _DIRECTION = {"choices": ("forward", "backward"), "required": True}
 # The subcommands in the order the help lists them, each with its help and its
 # options, (flags, help, add_argument keywords).  Each one's handler is cmd_<name>
 # (- written _), but GRAPH_COMMAND writes DOT: no report, no handler, no --format.
+# The keywords are those _plain_args understands: type (int), required,
+# default, choices and action (store_true).
 COMMANDS = {
     "passage": ("first-passage sweep through 3 mod 4", (
         ("--lo", None, _REQUIRED),
@@ -359,32 +365,82 @@ COMMANDS = {
     "export-graph": ("chains and equivalent links as DOT", (("--limit", None, _REQUIRED),)),
 }
 GRAPH_COMMAND = "export-graph"
+_OUTPUT = ("--output", "write the report here instead of stdout", {})
+_FORMAT = ("--format", None, {"choices": ("jsonl", "csv"), "default": "jsonl"})
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser, with only the subparser that command names (argv[0] in
-    `main`), or all of them if it names none; the usage lists every command."""
+def _options(command: str) -> tuple:
+    """The command's options in the order the help lists them: --output,
+    --format (but for GRAPH_COMMAND), then its own."""
+    own = COMMANDS[command][1]
+    return (_OUTPUT, *own) if command == GRAPH_COMMAND else (_OUTPUT, _FORMAT, *own)
+
+
+def _handler(command: str):
+    name = f"cmd_{command.replace('-', '_')}"
+    return None if command == GRAPH_COMMAND else getattr(_cli, name)
+
+
+def build_parser():
+    """The argparse parser of every command.  A run parses with it only when
+    its argv is not well-formed (_plain_args), so argparse is imported here."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="collatz-strings",
         description="Exact verification runs for the conjugated Collatz dynamics.")
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", help="write the report here instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-    built = (command,) if command in COMMANDS else COMMANDS
-    # one subparser's choices would put only its command in the usage; with
-    # all of them built, no metavar, so a missing command is named "command"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=(
-        "{%s}" % ",".join(COMMANDS) if len(built) == 1 else None))
-    for name in built:
-        text, options = COMMANDS[name]
-        graph = name == GRAPH_COMMAND
-        p = sub.add_parser(name, parents=[output if graph else common], help=text)
-        for flags, option_help, keywords in options:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flags, option_help, keywords in _options(name):
             # assigned after add_argument, which in newer Pythons formats a help to check it
             p.add_argument(*flags.split(), **keywords).help = option_help
-        p.set_defaults(handler=None if graph else getattr(_cli, f"cmd_{name.replace('-', '_')}"))
+        p.set_defaults(handler=_handler(name))
     return parser
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """argv's namespace, equal to build_parser()'s, when argv is well-formed:
+    a command, then each option once by an exact flag, with an int of ASCII
+    digits (a leading - allowed), one of its choices, or a string that is
+    not empty and does not start with -; and every required option.  None
+    for any other argv, whose help, usage or error is argparse's."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    values = {"command": argv[0], "handler": _handler(argv[0])}
+    actions = {}  # flag: (dest, keywords)
+    for flags, _, keywords in _options(argv[0]):
+        flags = flags.split()
+        dest = next((f for f in flags if f[1] == "-"), flags[0]).lstrip("-").replace("-", "_")
+        values[dest] = keywords.get("default", False if "action" in keywords else None)
+        actions |= dict.fromkeys(flags, (dest, keywords))
+    given = set()
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in actions or actions[flag][0] in given:
+            return None
+        dest, keywords = actions[flag]
+        given.add(dest)
+        if "action" in keywords:  # store_true
+            values[dest] = True
+            continue
+        value = next(words, "")
+        if "type" in keywords:
+            if not (value.isascii() and value.removeprefix("-").isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # longer than int() converts
+                return None
+        elif "choices" in keywords:
+            if value not in keywords["choices"]:
+                return None
+        elif not value or value[0] == "-":
+            return None
+        values[dest] = value
+    if any(keywords.get("required") and dest not in given
+           for dest, keywords in actions.values()):
+        return None
+    return SimpleNamespace(**values)
 
 
 def _config_dict(args) -> dict:
@@ -438,7 +494,7 @@ def _write_report(args, out) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         with _report_stream(args.output) as out:
             if args.handler is None:  # GRAPH_COMMAND

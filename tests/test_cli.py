@@ -9,9 +9,11 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_audit_part, reference_families
 
@@ -480,28 +482,115 @@ PARSER_ARGV = {
     "proportionality": ("--direction both --cases 3 --x-max 5", "--n-max x"),
     "export-graph": ("--limit 10 --output g", "--limit x"),
 }
+PARSER = cli_module.build_parser()
 
 
 @pytest.mark.parametrize("command", cli_module.COMMANDS)
 def test_one_subparser_parses_as_all_of_them(command):
+    # _plain_args reads only the named command's own options, like a parser
+    # with that one subparser; it parses as the parser of all of them
     valid, not_integer = PARSER_ARGV[command]
-    one = cli_module.build_parser(command).parse_args
-    every = cli_module.build_parser().parse_args
-    parsed = parse_outcome(one, [command, *valid.split()])
-    assert parsed == parse_outcome(every, [command, *valid.split()])
-    assert parsed.command == command
+    plain = cli_module._plain_args([command, *valid.split()])
+    assert vars(plain) == vars(PARSER.parse_args([command, *valid.split()]))
+    assert plain.command == command
     # the help, a missing required option (proportionality has none, so it
     # parses), a value that is not an integer, a bad choice (export-graph
-    # has no --format, so the whole parser refuses it) and an extra word
+    # has no --format, so the whole parser refuses it) and an extra word go
+    # to argparse, which a run then uses
     for argv, code in (([command, "--help"], 0),
                        ([command], None if command == "proportionality" else 2),
                        ([command, *not_integer.split()], 2),
                        ([command, *valid.split(), "--format", "xml"], 2),
                        ([command, *valid.split(), "extra"], 2)):
-        outcome = parse_outcome(one, argv)
-        assert outcome == parse_outcome(every, argv), argv
-        if code is not None:  # the help on stdout, an error on stderr
-            assert outcome[0] == code and outcome[1 + bool(code)], argv
+        if code is None:
+            assert vars(cli_module._plain_args(argv)) == vars(PARSER.parse_args(argv))
+            continue
+        assert cli_module._plain_args(argv) is None, argv
+        outcome = parse_outcome(main, argv)
+        assert outcome == parse_outcome(PARSER.parse_args, argv), argv
+        # the help on stdout, an error on stderr
+        assert outcome[0] == code and outcome[1 + bool(code)], argv
+
+
+def option_words(draw, flags, keywords):
+    """One option of a well-formed argv: a flag and, but for store_true, a
+    value of its kind."""
+    flag = draw(st.sampled_from(flags.split()))
+    if "action" in keywords:
+        return [flag]
+    if "type" in keywords:  # ints of up to 40 digits, leading zeros and -0 too
+        return [flag, draw(st.from_regex(r"-?[0-9]{1,40}", fullmatch=True))]
+    if "choices" in keywords:
+        return [flag, draw(st.sampled_from(keywords["choices"]))]
+    return [flag, draw(st.text(min_size=1).filter(lambda path: path[0] != "-"))]
+
+
+@st.composite
+def well_formed_argv(draw):
+    command = draw(st.sampled_from(list(cli_module.COMMANDS)))
+    options = [option_words(draw, flags, keywords)
+               for flags, _, keywords in cli_module._options(command)
+               if keywords.get("required") or draw(st.booleans())]
+    return [command, *chain.from_iterable(draw(st.permutations(options)))]
+
+
+@given(well_formed_argv())
+@settings(max_examples=300, deadline=None)
+def test_the_plain_parse_equals_argparse(argv):
+    plain = cli_module._plain_args(argv)
+    assert plain is not None, argv
+    assert vars(plain) == vars(PARSER.parse_args(argv))
+
+
+# argv that _plain_args leaves to argparse, which prints the help or an error
+@pytest.mark.parametrize("argv, code", [
+    ([], 2),
+    (["-h"], 0),
+    (["--help"], 0),
+    (["no-such-command"], 2),
+    (["--", "scan", "-p", "7", "--limit", "10"], 2),
+    (["scan", "-h"], 0),
+    (["scan", "-p", "7", "--limit", "ten"], 2),
+    (["evolve", "--direction", "sideways", "-k", "1"], 2),
+    (["passage", "--lo", "2", "--hi", "9" * 4301], 2),  # longer than int() converts
+    (["scan", "-p", "7", "--limit", "10", "extra"], 2),
+    (["scan", "-p", "7"], 2),
+    (["scan", "-p", "7", "--limit"], 2),
+    (["scan", "-p", "7", "--limit", "10", "--format", "xml"], 2),
+    (["export-graph", "--limit", "5", "--format", "csv"], 2),
+    (["export-graph", "--limit", "5", "--output", "--limit"], 2),
+], ids=lambda value: ("_".join(value)[:40] or "none") if isinstance(value, list) else None)
+def test_an_argv_that_is_not_well_formed_goes_to_argparse(argv, code):
+    assert cli_module._plain_args(argv) is None
+    outcome = parse_outcome(main, argv)
+    assert outcome == parse_outcome(PARSER.parse_args, argv)
+    assert outcome[0] == code and outcome[1 + bool(code)]
+
+
+# argv that _plain_args leaves to argparse, which reads them as the second
+@pytest.mark.parametrize("argv, same", [
+    ("scan -p 7 --lim 10", "scan -p 7 --limit 10"),  # an abbreviation
+    ("scan -p 7 --limit=10", "scan -p 7 --limit 10"),
+    ("scan -p7 --limit 10", "scan -p 7 --limit 10"),
+    ("scan -p 5 --limit 10 -p 7", "scan -p 7 --limit 10"),  # the last one counts
+    ("evolve --direction forward -k 1 --generations 2", "evolve --direction forward -k 2"),
+    # int() takes a sign, underscores and other digits than ASCII
+    ("passage --lo +2 --hi 1_\u0660", "passage --lo 2 --hi 10"),
+], ids=lambda value: value[:40])
+def test_an_argv_that_argparse_alone_reads_runs_as_it_did(tmp_path, argv, same):
+    argv, same = argv.split(), same.split()
+    assert cli_module._plain_args(argv) is None
+    assert vars(PARSER.parse_args(argv)) == vars(cli_module._plain_args(same))
+    assert run_cli(argv, tmp_path, "a") == run_cli(same, tmp_path, "b")
+
+
+def test_every_option_keyword_is_one_the_plain_parse_reads():
+    for command in cli_module.COMMANDS:
+        for flags, _, keywords in cli_module._options(command):
+            assert set(keywords) <= {"type", "required", "default", "choices", "action"}, flags
+            assert keywords.get("type", int) is int and \
+                keywords.get("action", "store_true") == "store_true", flags
+            assert all(flag.startswith("-") and len(flag) > 1 for flag in flags.split())
 
 
 @pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"], ["--", "scan"]],
@@ -513,8 +602,8 @@ def test_a_run_without_a_command_first_builds_every_subparser(argv):
 
 
 def test_every_command_but_the_graph_export_has_a_handler():
-    # build_parser looks each handler up as cmd_<name>, - written _, and
-    # every cmd_ function is the handler of a command
+    # each handler is looked up as cmd_<name>, - written _, and every cmd_
+    # function is the handler of a command
     handlers = {name: value for name, value in vars(cli_module).items()
                 if name.startswith("cmd_")}
     assert sorted(handlers) == sorted(f"cmd_{command.replace('-', '_')}"
@@ -522,8 +611,7 @@ def test_every_command_but_the_graph_export_has_a_handler():
                                       if command != cli_module.GRAPH_COMMAND)
     assert all(map(inspect.isgeneratorfunction, handlers.values()))
     for command in cli_module.COMMANDS:
-        args = cli_module.build_parser(command).parse_args(
-            [command, *PARSER_ARGV[command][0].split()])
+        args = cli_module._plain_args([command, *PARSER_ARGV[command][0].split()])
         assert args.handler is handlers.get(f"cmd_{command.replace('-', '_')}")
 
 
@@ -720,6 +808,19 @@ def test_family_audit_m_limit_flag(tmp_path):
     code, text = run_cli(["family-audit", "-p", "7", "--m-limit", "1000"], tmp_path)
     assert code == 0
     assert records_of(text)[-1]["mismatches"] == 0
+
+
+def test_family_audit_skips_a_rule_with_no_instance_at_any_depth():
+    # at --value-limit 1 most p=5 rules have no instance; were each still
+    # proved on its class at every depth, the run would take minutes (the
+    # class's numbers grow 4-fold a depth); the one instance steps out of
+    # the 128-bit range
+    run = subprocess.run([sys.executable, "-m", "collatz_strings", "family-audit", "-p", "5",
+                          "--value-limit", "1", "--n-limit", "1000000"],
+                         capture_output=True, text=True, timeout=10,
+                         env=dict(os.environ, PYTHONPATH=SRC))
+    assert (run.returncode, run.stdout, run.stderr) == \
+        (2, "", "error: value exceeds the 128-bit working range\n")
 
 
 def findings_of(text):

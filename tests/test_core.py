@@ -16,6 +16,7 @@ from collatz_strings import (
     restriction_index,
     trajectory_report,
 )
+from collatz_strings.core import _checked, require_tree_work
 
 positions = st.integers(min_value=1, max_value=10 ** 30)
 
@@ -250,6 +251,15 @@ def test_trajectory_report_large_anchor():
     r = trajectory_report(159902416)
     assert r.steps_to_first_3mod4 is not None
     assert r.first_3mod4_value % 4 == 3
+
+
+def test_width_and_work_caps_at_their_exact_bounds():
+    assert _checked(MAX_VALUE) == MAX_VALUE
+    with pytest.raises(WidthExceededError):
+        _checked(MAX_VALUE + 1)
+    require_tree_work("x", 10 ** 6, 10 ** 8, 5)  # exactly the cap
+    with pytest.raises(ValueError, match="^x 1000000 needs about 1e"):
+        require_tree_work("x", 10 ** 6, 1.000001e8, 5)
 
 
 def test_width_guard():

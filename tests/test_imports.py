@@ -33,35 +33,43 @@ print(code, *sorted(m for m in sys.modules if m.startswith("collatz_strings.")))
 """
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["passage", "--lo", "2", "--hi", "1000"], "cli core reporting strings"),
-    (["strings", "--limit", "100"], "audits cli core family reporting strings"),
-    (["scan", "-p", "7", "--limit", "100"], "cli core family reporting walks"),
-    (["cycles", "-p", "5", "--seed-limit", "100"], "cli core family reporting walks"),
-    (["audit-3n3", "--limit", "100"], "audits cli core family reporting"),
-    (["family-audit", "-p", "5"], "audits cli core family reporting"),
-    (["coverage", "--direction", "forward", "-m", "2"],
-     "cli core family progressions reporting"),
-    (["evolve", "--direction", "forward", "-k", "0"], "cli core family progressions reporting"),
-    (["proportionality"], "cli core progressions reporting"),
-    (["export-graph", "--limit", "10"], "cli core reporting"),
-], ids=["passage", "strings", "scan", "cycles", "audit-3n3", "family-audit", "coverage",
-        "evolve", "proportionality", "export-graph"])
+# A small run of each command and the package's modules it calls
+RUNS = {
+    "passage": (["passage", "--lo", "2", "--hi", "1000"], "cli core reporting strings"),
+    "strings": (["strings", "--limit", "100"], "audits cli core family reporting strings"),
+    "scan": (["scan", "-p", "7", "--limit", "100"], "cli core family reporting walks"),
+    "cycles": (["cycles", "-p", "5", "--seed-limit", "100"], "cli core family reporting walks"),
+    "audit-3n3": (["audit-3n3", "--limit", "100"], "audits cli core family reporting"),
+    "family-audit": (["family-audit", "-p", "5"], "audits cli core family reporting"),
+    "coverage": (["coverage", "--direction", "forward", "-m", "2"],
+                 "cli core family progressions reporting"),
+    "evolve": (["evolve", "--direction", "forward", "-k", "0"],
+               "cli core family progressions reporting"),
+    "proportionality": (["proportionality"], "cli core progressions reporting"),
+    "export-graph": (["export-graph", "--limit", "10"], "cli core reporting"),
+}
+
+
+@pytest.mark.parametrize("argv, modules", RUNS.values(), ids=RUNS)
 def test_a_run_loads_only_the_modules_its_command_calls(argv, modules):
     code, *loaded = fresh(_LOADED, *argv).split()
     assert code == "0"
     assert loaded == [f"collatz_strings.{m}" for m in modules.split()]
 
 
-# Runs cli.main(ARGV) with its report discarded and prints the exit code and
-# every module the run loaded beyond those the bare interpreter had.
+# Runs cli.main(ARGV) with its report, help or error discarded and prints the
+# exit code and every module the run loaded beyond those the bare
+# interpreter had.
 _NEW_MODULES = """
 import sys
 before = set(sys.modules)
 import contextlib, io
 from collatz_strings import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(code, *sorted(set(sys.modules) - before))
 """
 
@@ -76,6 +84,18 @@ def test_a_json_lines_run_loads_no_csv(argv):
     assert "csv" not in loaded
     code, *loaded = fresh(_NEW_MODULES, *argv, "--format", "csv").split()
     assert code == "0" and "csv" in loaded
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in RUNS.values()], ids=RUNS)
+def test_a_plain_run_loads_no_argparse(argv):
+    # a well-formed argv is parsed from cli.COMMANDS; argparse, and the
+    # gettext it imports, load only for the help and for errors
+    code, *loaded = fresh(_NEW_MODULES, *argv).split()
+    assert code == "0" and "collatz_strings.cli" in loaded
+    assert not {"argparse", "gettext"} & set(loaded)
+    for expected, extra in (("0", ["--help"]), ("2", ["--format", "xml"])):
+        code, *loaded = fresh(_NEW_MODULES, *argv, *extra).split()
+        assert code == expected and {"argparse", "gettext"} <= set(loaded)
 
 
 def test_every_public_name_resolves_and_star_import_binds_it():
