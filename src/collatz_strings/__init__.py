@@ -15,29 +15,38 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _PUBLIC = {
-    "audits": ("CaseRule", "audit_case_system", "case_system", "partition_audit",
-               "two_to_one_audit"),
-    "core": ("DEFAULT_WALK_LIMIT", "MAX_VALUE", "Progression", "WidthExceededError",
-             "base_equivalent", "conjugate_step", "higher_equivalent", "inverse_lower_step",
-             "lower_step", "restriction_index", "trajectory_report"),
-    "family": ("CASE_SYSTEM_PARAMS", "CASE_SYSTEMS", "Family", "NonpositiveImageError",
-               "exceptional_positions", "family_equivalent", "family_step", "lower_preimages"),
+    "audits": ("CaseRule", "audit_case_system", "partition_audit", "two_to_one_audit"),
+    "core": ("Progression", "WidthExceededError", "base_equivalent", "conjugate_step",
+             "higher_equivalent", "inverse_lower_step", "lower_step", "restriction_index"),
+    "family": ("CASE_SYSTEM_PARAMS", "Family", "NonpositiveImageError", "family_step"),
     "progressions": ("Signature", "coverage_count", "expected_coverage", "signature_class"),
     "strings": ("SweepReport", "passage_sweep"),
     "walks": ("find_cycles", "string_scan"),
 }
-_MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted(name for names in _PUBLIC.values() for name in names)
 
 
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, shows in -X importtime,
-    # which the CI start-up step reads
-    value = getattr(__import__(f"{__name__}.{_MODULE_OF[name]}", fromlist=[name]), name)
-    globals()[name] = value
-    return value
+def _loader(namespace: dict, *tables: dict):
+    """The PEP 562 `__getattr__` of the module whose globals are `namespace`:
+    a name in one of the tables (layer module -> names) is imported from
+    its layer on first access and kept in `namespace`, where a test or a
+    tracer can replace it."""
+    layer_of = {name: layer for table in tables for layer, names in table.items()
+                for name in names}
+
+    def __getattr__(name: str):
+        if name not in layer_of:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        # __import__, unlike importlib.import_module, shows in -X importtime,
+        # which the CI start-up step reads
+        value = getattr(__import__(f"{__name__}.{layer_of[name]}", fromlist=[name]), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _loader(globals(), _PUBLIC)
 
 
 def __dir__() -> list[str]:

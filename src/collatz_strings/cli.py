@@ -33,36 +33,20 @@ from collections.abc import Generator
 from itertools import chain
 from types import SimpleNamespace
 
+from . import _PUBLIC, _loader
 from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, _checked, higher_equivalent,
                    lower_step, replace_on_success)
 from .reporting import (FAILING_KINDS, finding, header_record, render_csv, render_jsonl,
                         render_parts, summary_record)
 
-# The layer names the handlers use, by module.  Each is imported on its
-# first access as an attribute of this module (`_cli.<name>` in a handler,
-# getattr or hasattr from outside) and kept in the module's namespace,
-# where a test or a tracer can replace it; so a run compiles only the
-# layers its command calls.
-_LAYERS = {
-    "audits": ("audit_case_system", "partition_audit", "two_to_one_audit"),
-    "family": ("CASE_SYSTEM_PARAMS", "Family", "PROCESSES"),
-    "progressions": ("_audit", "_families", "_proved", "coverage_count", "expected_coverage",
-                     "signature_class"),
-    "strings": ("passage_sweep",),
-    "walks": ("find_cycles", "string_scan"),
-}
-_LAYER_OF = {name: module for module, names in _LAYERS.items() for name in names}
+# The layer names the handlers use: the package's public names and the
+# four below.  Each is imported on its first access as an attribute of this
+# module (`_cli.<name>` in a handler, getattr or hasattr from outside) and
+# kept in the module's namespace, where a test or a tracer can replace it;
+# so a run compiles only the layers its command calls.
+__getattr__ = _loader(globals(), _PUBLIC, {"family": ("PROCESSES",),
+                                           "progressions": ("_audit", "_families", "_proved")})
 _cli = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _LAYER_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # __import__, unlike importlib.import_module, shows in -X importtime,
-    # which the CI start-up step reads
-    value = getattr(__import__(f"{__package__}.{_LAYER_OF[name]}", fromlist=[name]), name)
-    globals()[name] = value
-    return value
 
 
 EXIT_OK = 0

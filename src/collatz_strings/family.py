@@ -158,19 +158,15 @@ def lower_preimages(x: int, family: Family) -> tuple[int, ...]:
         num = (target << j) - family.p
         if num < 3 or num % 3 != 0:
             continue
-        m = num // 3
-        if m % 2 == 0:
-            continue
-        candidate = (m + 1) >> 1
+        # num/3 is odd, as num is, so it is the odd value 2c-1 of a position c
+        # with 3(2c-1)+p = (2x-1)*2^j.  Each stripped equivalent divides that
+        # by 4, and it stays even (3 times an odd value plus p), so at least
+        # 2: every candidate's step is defined.
+        candidate = (num // 3 + 1) >> 1
         while family.is_equivalent_position(candidate):
             candidate = (candidate - family.q) // 4
-        if candidate in bases:
-            continue
-        try:
-            if family_step(candidate, family) == x:
-                bases.append(candidate)
-        except NonpositiveImageError:
-            pass  # a position whose step is undefined precedes nothing
+        if candidate not in bases and family_step(candidate, family) == x:
+            bases.append(candidate)
     return tuple(sorted(bases))
 
 

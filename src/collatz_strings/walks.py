@@ -272,9 +272,13 @@ def find_cycles(family: Family, seed_limit: int,
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     require_tree_work("seed_limit", seed_limit, 6.6e4, 8)
-    outcomes = sorted(forward_walk(family, ((1, seed_limit),), max_steps, True))  # one per seed
-    found = {cycle for _, _, cycle in outcomes if cycle is not None}
+    # folded as they come, so a cycle that many seeds reach is kept once
+    found, seeds = set(), {"truncated": [], "rejected": []}
+    for x, reason, cycle in forward_walk(family, ((1, seed_limit),), max_steps, True):
+        if cycle is None:
+            seeds[reason].append(x)
+        else:
+            found.add(cycle)
     cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
-    return CycleSearchReport(family.p, seed_limit, cycles,
-                             tuple(x for x, reason, _ in outcomes if reason == "truncated"),
-                             tuple(x for x, reason, _ in outcomes if reason == "rejected"))
+    return CycleSearchReport(family.p, seed_limit, cycles, tuple(sorted(seeds["truncated"])),
+                             tuple(sorted(seeds["rejected"])))

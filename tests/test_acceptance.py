@@ -25,9 +25,9 @@ from collatz_strings import (
     partition_audit,
     passage_sweep,
     signature_class,
-    trajectory_report,
     two_to_one_audit,
 )
+from collatz_strings.core import trajectory_report
 from collatz_strings.family import PROCESSES
 from collatz_strings.progressions import _audit, _families, _proved, evolve
 

@@ -22,9 +22,9 @@ import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
 import collatz_strings.strings as strings_module
-from collatz_strings import DEFAULT_WALK_LIMIT, MAX_VALUE, Progression, WidthExceededError
+from collatz_strings import Progression, WidthExceededError
 from collatz_strings.cli import BATCH_RECORDS, main
-from collatz_strings.core import require_tree_work
+from collatz_strings.core import DEFAULT_WALK_LIMIT, MAX_VALUE, require_tree_work
 from collatz_strings.reporting import (
     FAILING_KINDS,
     finding,
@@ -853,6 +853,20 @@ def test_evolve_reports_part_and_child_bound_violations(tmp_path, monkeypatch):
         ("violation", "child intercept exceeds recursion bound",
          {"parent": "{40+3t}", "child": "{60+9t}"}),
     ]
+
+
+def test_evolve_audits_a_branch_at_the_equality_of_the_proof_premise(tmp_path, monkeypatch):
+    # 1+2m -> 1+m has s*c = 2 = d*(1 + r), where premise (i) of _proved does
+    # not hold: the seed {2+3t}'s child {3+3t} is not below its interval
+    monkeypatch.setitem(family_module.PROCESSES, "forward",
+                        ((Progression(2, 3),), ((Progression(1, 2), Progression(1, 1)),)))
+    code, text = run_cli(["evolve", "--direction", "forward", "-k", "1"], tmp_path)
+    assert code == 1
+    assert findings_of(text) == [
+        ("measurement", "{3+3t}", {"intercept": 3, "interval": 3}),
+        ("violation", "intercept not below interval", {"intercept": 3, "interval": 3}),
+    ]
+    assert records_of(text)[-1]["intercepts_ok"] is False
 
 
 def test_evolve_refuses_a_seed_that_breaks_the_formula_before_any_part(tmp_path, monkeypatch,

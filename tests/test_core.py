@@ -6,7 +6,6 @@ from oracles import accelerated_step, collatz_step, family_equivalent_n, odd_of,
 
 from collatz_strings import (
     Family,
-    MAX_VALUE,
     WidthExceededError,
     base_equivalent,
     conjugate_step,
@@ -14,9 +13,8 @@ from collatz_strings import (
     inverse_lower_step,
     lower_step,
     restriction_index,
-    trajectory_report,
 )
-from collatz_strings.core import _checked, require_tree_work
+from collatz_strings.core import MAX_VALUE, _checked, require_tree_work, trajectory_report
 
 positions = st.integers(min_value=1, max_value=10 ** 30)
 

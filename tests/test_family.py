@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from array import array
 
 import pytest
@@ -12,25 +13,21 @@ import collatz_strings.family as family_module
 import collatz_strings.walks as walks_module
 from collatz_strings import (
     CASE_SYSTEM_PARAMS,
-    DEFAULT_WALK_LIMIT,
     Family,
     NonpositiveImageError,
     audit_case_system,
-    case_system,
     conjugate_step,
-    exceptional_positions,
-    family_equivalent,
     family_step,
     find_cycles,
     higher_equivalent,
     inverse_lower_step,
-    lower_preimages,
     string_scan,
     two_to_one_audit,
 )
-from collatz_strings.core import MAX_VALUE, WidthExceededError
-from collatz_strings.audits import CaseRule
-from collatz_strings.family import PROCESSES, branch_maps
+from collatz_strings.core import DEFAULT_WALK_LIMIT, MAX_VALUE, WidthExceededError
+from collatz_strings.audits import CaseRule, case_system
+from collatz_strings.family import (PROCESSES, branch_maps, exceptional_positions,
+                                    family_equivalent, lower_preimages)
 from collatz_strings.progressions import Progression, evolve
 from collatz_strings.walks import (OrphanRecord, _predecessor, _predecessor_table, backward_walk,
                                    forward_walk)
@@ -462,6 +459,24 @@ def test_long_cycles_match_reference_walks():
             reference_cycles(family, 10 ** 6, DEFAULT_WALK_LIMIT), p
 
 
+def test_find_cycles_keeps_a_cycle_once_however_many_seeds_reach_it(monkeypatch):
+    # 500 seeds each reach a fresh copy of one 1 000-member cycle; folded as
+    # they come, the search holds one copy at a time, not one per seed
+    def walk(family, starts, max_steps, dip):
+        for x in range(1, 501):
+            yield x, "cycle", tuple(range(10 ** 6, 10 ** 6 + 1000))
+
+    monkeypatch.setattr(walks_module, "forward_walk", walk)
+    tracemalloc.start()
+    try:
+        report = find_cycles(Family(5), 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cycles == (tuple(range(10 ** 6, 10 ** 6 + 1000)),)
+    assert peak < 2 * 2 ** 20
+
+
 def test_find_cycles_p1_exactly_the_loop():
     report = find_cycles(Family(1), 1000)
     assert report.cycles == ((1,),)
@@ -643,6 +658,7 @@ def test_string_scan_p5_orphans_include_the_loop():
     report = string_scan(Family(5), 10 ** 4)
     assert 1 in {o.position for o in report.orphans}
     assert 3 not in {o.position for o in report.orphans}  # trivial fixed point is skipped
+    assert string_scan(Family(5), 3).scanned == 2  # and so at a limit equal to it
 
 
 def _reference_walk(x, family, direction, max_len):

@@ -109,6 +109,26 @@ def test_every_public_name_resolves_and_star_import_binds_it():
         collatz_strings.no_such_name  # noqa: B018
 
 
+# the package's public names: each one a demo, a README example or a
+# command uses, and each type or error a public function takes, returns or
+# raises
+ROOT = ("CASE_SYSTEM_PARAMS CaseRule Family NonpositiveImageError Progression Signature "
+        "SweepReport WidthExceededError audit_case_system base_equivalent conjugate_step "
+        "coverage_count expected_coverage family_step find_cycles higher_equivalent "
+        "inverse_lower_step lower_step partition_audit passage_sweep restriction_index "
+        "signature_class string_scan two_to_one_audit").split()
+
+
+def test_the_root_exports_only_its_public_names():
+    assert collatz_strings.__all__ == ROOT
+
+
+def test_cli_loads_by_the_package_loader_and_table():
+    assert cli_module.__getattr__.__code__ is collatz_strings.__getattr__.__code__
+    for name in collatz_strings.__all__:
+        assert getattr(cli_module, name) is getattr(collatz_strings, name), name
+
+
 # cli names that tests or the benchmark's tracer replace, and those the
 # tracer looks for but cli does not have
 PATCHED = ("passage_sweep partition_audit coverage_count string_scan find_cycles "

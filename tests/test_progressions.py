@@ -406,6 +406,14 @@ def _per_part_audit(direction, seeds, maps, k):
     return found
 
 
+def test_a_branch_domain_interval_is_at_most_64():
+    seeds = (Progression(2, 3),)
+    assert progressions_module._branches(seeds, ((Progression(1, 64), Progression(1, 3)),), 0)
+    with pytest.raises(ValueError,
+                       match=r"^branch \{1\+65t\} is not r \+ s\*m with r <= s <= 64$"):
+        progressions_module._branches(seeds, ((Progression(1, 65), Progression(1, 3)),), 0)
+
+
 def test_intercept_premises_hold_for_the_processes_and_fail_where_the_audit_finds():
     for direction, (seeds, maps) in PROCESSES.items():
         assert _proved(direction, seeds, maps), direction

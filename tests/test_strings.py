@@ -19,8 +19,6 @@ from oracles import (
 
 import collatz_strings.audits as audits_module
 from collatz_strings import (
-    DEFAULT_WALK_LIMIT,
-    MAX_VALUE,
     Family,
     Progression,
     SweepReport,
@@ -31,8 +29,8 @@ from collatz_strings import (
     lower_step,
     partition_audit,
     passage_sweep,
-    trajectory_report,
 )
+from collatz_strings.core import DEFAULT_WALK_LIMIT, MAX_VALUE, trajectory_report
 from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES
 from collatz_strings.progressions import _audit, _families, evolve
 from collatz_strings.strings import _sweep_range
