@@ -287,15 +287,6 @@ def export_graph(limit: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _PublishedHelp(str):
-    """A help string that lists the published case systems.  argparse
-    formats it with % only to print the help, and only then is `family`
-    imported for the list."""
-
-    def __mod__(self, params: dict) -> str:
-        return str.__mod__(self, {**params, "published": sorted(_cli.CASE_SYSTEM_PARAMS)})
-
-
 _REQUIRED = {"type": int, "required": True}
 _WALK = {"type": int, "default": DEFAULT_WALK_LIMIT}
 _DIRECTION = {"choices": ("forward", "backward"), "required": True}
@@ -327,7 +318,7 @@ COMMANDS = {
         ("--random-starts", None, {"type": int, "default": 0}),
         ("--seed", None, {"type": int, "default": 0}))),
     "family-audit": ("published case system vs generic step", (
-        ("-p", _PublishedHelp("family parameter, one of %(published)s"), _REQUIRED),
+        ("-p", "family parameter, one of %(published)s", _REQUIRED),
         ("--value-limit", "cap rule instances by domain value (default 10000)", {"type": int}),
         ("--m-limit", "cap rule instances by progression index m", {"type": int}),
         ("--n-limit", None, {"type": int, "default": 4}))),
@@ -361,14 +352,14 @@ def _options(command: str) -> tuple:
 
 
 def _handler(command: str):
-    name = f"cmd_{command.replace('-', '_')}"
-    return None if command == GRAPH_COMMAND else getattr(_cli, name)
+    return getattr(_cli, f"cmd_{command.replace('-', '_')}")
 
 
 def build_parser():
-    """The argparse parser of every command.  A run parses with it only when
-    its argv is not well-formed (_plain_args), so argparse is imported here."""
+    """The argparse parser of every command.  Only a run whose argv is not
+    well-formed (_plain_args) builds it, so it imports argparse and `family`."""
     import argparse
+    published = str(sorted(_cli.CASE_SYSTEM_PARAMS))
     parser = argparse.ArgumentParser(
         prog="collatz-strings",
         description="Exact verification runs for the conjugated Collatz dynamics.")
@@ -376,9 +367,8 @@ def build_parser():
     for name, (text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flags, option_help, keywords in _options(name):
-            # assigned after add_argument, which in newer Pythons formats a help to check it
-            p.add_argument(*flags.split(), **keywords).help = option_help
-        p.set_defaults(handler=_handler(name))
+            p.add_argument(*flags.split(), **keywords, help=option_help and
+                           option_help.replace("%(published)s", published))
     return parser
 
 
@@ -390,7 +380,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     for any other argv, whose help, usage or error is argparse's."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    values = {"command": argv[0], "handler": _handler(argv[0])}
+    values = {"command": argv[0]}
     actions = {}  # flag: (dest, keywords)
     for flags, _, keywords in _options(argv[0]):
         flags = flags.split()
@@ -428,7 +418,7 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
 
 
 def _config_dict(args) -> dict:
-    skip = {"handler", "command", "format", "output"}
+    skip = {"command", "format", "output"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -446,7 +436,7 @@ def _report_stream(path: str | None):
 
 def _records(args) -> Generator[dict | str, None, None]:
     yield header_record(args.command, _config_dict(args))
-    summary = yield from args.handler(args)
+    summary = yield from _handler(args.command)(args)
     yield summary_record(args.command, summary)
 
 
@@ -481,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         with _report_stream(args.output) as out:
-            if args.handler is None:  # GRAPH_COMMAND
+            if args.command == GRAPH_COMMAND:
                 out.write(export_graph(args.limit))
                 failed = False
             else:

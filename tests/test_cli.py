@@ -199,6 +199,17 @@ def test_a_missing_directory_is_named_by_the_path_given(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == "error: no file name: ''\n"
 
 
+def test_a_failure_on_the_temporary_file_is_named_by_the_path_given(tmp_path, monkeypatch,
+                                                                     capsys):
+    # a directory where the report's temporary file goes: the error names
+    # the path given, and no report is left
+    monkeypatch.chdir(tmp_path)
+    os.mkdir(".r.jsonl.tmp")
+    assert main(["strings", "--limit", "10", "--output", "r.jsonl"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'r.jsonl'\n"
+    assert os.listdir(tmp_path) == [".r.jsonl.tmp"]
+
+
 def fake_scan(monkeypatch, findings, error=None):
     """Make `scan` report `findings` numbered measurements, then raise error."""
     def handler(args):
@@ -611,8 +622,8 @@ def test_every_command_but_the_graph_export_has_a_handler():
                                       if command != cli_module.GRAPH_COMMAND)
     assert all(map(inspect.isgeneratorfunction, handlers.values()))
     for command in cli_module.COMMANDS:
-        args = cli_module._plain_args([command, *PARSER_ARGV[command][0].split()])
-        assert args.handler is handlers.get(f"cmd_{command.replace('-', '_')}")
+        if command != cli_module.GRAPH_COMMAND:
+            assert cli_module._handler(command) is handlers[f"cmd_{command.replace('-', '_')}"]
 
 
 def test_unknown_command_exits_2():

@@ -108,6 +108,8 @@ def test_family_equivalent_examples():
     fam7 = Family(7)
     assert family_equivalent(1, fam7) == 6
     assert family_step(6, fam7) == family_step(1, fam7)
+    with pytest.raises(ValueError, match="^position must be >= 1, got 0$"):
+        family_equivalent(0, Family(5))
 
 
 def test_family_equivalence_invariance():
@@ -399,6 +401,14 @@ def test_branch_maps_of_strongly_negative_families(p):
                 family_step(below, family)
         for t in range(200):
             assert family_step(domain.element(t), family) == image.element(t), (p, t)
+
+
+def test_branch_maps_refuses_a_step_that_is_not_affine_on_a_domain(monkeypatch):
+    # p=5's first domain is 2+2t; a step that is off at its second member, 4
+    monkeypatch.setattr(family_module, "family_step",
+                        lambda x, family: family_step(x, family) + (x == 4))
+    with pytest.raises(ValueError, match=r"^step is not affine on \{2\+2t\} \(p=5\)$"):
+        branch_maps(Family(5))
 
 
 def reference_cycles(family, seed_limit, max_steps):

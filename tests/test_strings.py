@@ -340,10 +340,13 @@ def test_long_partition_audit_matches_reference():
 # a branch of lower_step, and inverse_lower_step does not undo it; its image
 # then meets that of 1+4t -> 1+3t.  2+4t -> 3+6t agrees with lower_step but
 # covers half of its class mod 3, so the walk would take 6+6t for heads.
+# 1+t -> 2+3t, of interval 1, maps one to one onto the class 2 mod 3, which
+# no other image meets, but it is no branch of lower_step.
 EVEN, ODD = FORWARD_MAPS
 OVERLAP = (Progression(4, 2), Progression(6, 3))
 NOT_UNDONE = (Progression(2, 2), Progression(4, 3))
 HALF_CLASS = (Progression(2, 4), Progression(3, 6))
+EVERY_POSITION = (Progression(1, 1), Progression(2, 3))
 FAULTY_TABLES = [
     ((EVEN, ODD, OVERLAP),
      ((*OVERLAP, "meets the image of {2+2t}->{3+3t}"),)),
@@ -352,6 +355,8 @@ FAULTY_TABLES = [
       (*ODD, "meets the image of {2+2t}->{4+3t}"))),
     ((HALF_CLASS, ODD),
      ((*HALF_CLASS, "is not one-to-one onto a class mod 3"),)),
+    ((EVEN, ODD, EVERY_POSITION),
+     ((*EVERY_POSITION, "disagrees with lower_step or inverse_lower_step"),)),
 ]
 
 
