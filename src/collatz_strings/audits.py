@@ -3,9 +3,10 @@
 published case systems' audit (audit_case_system).  Each is one function:
 it checks its input, caps work that grows with the limit
 (core.require_tree_work), checks its table's premises once, for every
-position, and only then counts.  The tables and the step they are checked
-against are in family; the chain scan and the cycle search, which walk
-residue classes of starts, are in walks.
+position, and only then counts.  The handlers of `strings`, `audit-3n3` and
+`family-audit`, which cli calls, report them.  The tables and the step they
+are checked against are in family; the chain scan and the cycle search,
+which walk residue classes of starts, are in walks.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
     (_holds_on_class) is stepped instance by instance, so mismatches and
     errors are those of stepping.  Mismatches are report content, not
     exceptions.  Raises ValueError for a negative domain stride, and when
-    the checks, counted before any is made, are more than MAX_TREE_NODES.
+    the checks of the rules not proved, counted before any is stepped, are
+    more than MAX_TREE_NODES; checked counts the proved rules' too.
     """
     if n_limit < 0:
         raise ValueError(f"n_limit must be >= 0, got {n_limit}")
@@ -313,15 +315,15 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
         if value_limit is not None:
             bounds.append(max(0, (value_limit - offset) // (stride or 1) + 1))
         counts.append(min(bounds))
-    checks = sum(counts) * (n_limit + 1)
-    if checks > MAX_TREE_NODES:
+    # each proof ends within about 64 depths, where a class member leaves the width
+    stepped = [count if count and not _holds_on_class(rule, count, family, n_limit) else 0
+               for rule, count in zip(rules, counts)]
+    if (steps := sum(stepped) * (n_limit + 1)) > MAX_TREE_NODES:
         from decimal import Decimal  # formats counts beyond the range of a float
-        raise ValueError(f"the case audit needs about {Decimal(checks):.2g} checks, "
+        raise ValueError(f"the case audit needs about {Decimal(steps):.2g} checks, "
                          f"above the cap of {MAX_TREE_NODES:.0e}")
     mismatches: list[tuple[int, int, int, int]] = []
-    for rule, count in zip(rules, counts):
-        if not count or _holds_on_class(rule, count, family, n_limit):
-            continue
+    for rule, count in zip(rules, stepped):
         offset, stride, image_offset, image_stride = rule
         for m in range(count):
             v = domain_value = offset + stride * m
@@ -332,4 +334,54 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
                     mismatches.append((domain_value, depth, image_value, got))
                 if depth < n_limit:
                     v = family_equivalent(v, family)
-    return CaseAuditReport(family.p, checks, tuple(mismatches))
+    return CaseAuditReport(family.p, sum(counts) * (n_limit + 1), tuple(mismatches))
+
+
+def cmd_strings(args, cli):
+    report = cli.partition_audit(args.limit, max_len=args.max_len)
+    for x, direction in report.truncated:
+        yield cli.finding("truncation", str(x), f"{direction} walk exceeded max_len",
+                          {"position": x, "direction": direction})
+    for domain, image, problem in report.conflicts:
+        yield cli.finding("violation", f"{domain}->{image}", f"lower_step branch {problem}",
+                          {"domain": list(domain), "image": list(image)})
+    return {
+        "limit": report.limit, "positions_checked": report.positions_checked,
+        "strings": report.strings, "longest_chain": report.longest_chain,
+        "truncated": len(report.truncated), "conflicts": len(report.conflicts),
+    }
+
+
+def cmd_audit_3n3(args, cli):
+    report = cli.two_to_one_audit(args.limit)
+    for domain, image, problem in report.conflicts:
+        if domain is None:  # the branch domains leave positions uncovered
+            yield cli.finding("violation", "domains", f"p=3 branch {problem}",
+                              {"domain": None, "image": None})
+        else:
+            yield cli.finding("violation", f"{domain}->{image}", f"p=3 branch {problem}",
+                              {"domain": list(domain), "image": list(image)})
+    for y, count in report.count_violations:
+        yield cli.finding("violation", str(y), "image position not hit exactly twice",
+                          {"position": y, "count": count})
+    for y, a, b in report.pairing_violations:
+        yield cli.finding("violation", str(y), "predecessors do not pair as half and double",
+                          {"image": y, "first": a, "second": b})
+    return {
+        "limit": report.limit,
+        "count_violations": len(report.count_violations),
+        "pairing_violations": len(report.pairing_violations),
+    }
+
+
+def cmd_family_audit(args, cli):
+    value_limit = args.value_limit
+    if value_limit is None and args.m_limit is None:
+        value_limit = 10_000
+    report = cli.audit_case_system(Family(args.p), value_limit=value_limit,
+                                   m_limit=args.m_limit, n_limit=args.n_limit)
+    for domain, depth, expected, got in report.mismatches:
+        yield cli.finding("mismatch", str(domain), "rule image disagrees with the generic step",
+                          {"domain": domain, "depth": depth, "expected": expected, "got": got})
+    return {"p": report.p, "checked": report.checked,
+            "mismatches": len(report.mismatches)}

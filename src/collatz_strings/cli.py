@@ -8,7 +8,10 @@ truncation was found, and 2 means the run itself could not proceed
 (invalid configuration, a value outside the 128-bit working range, or
 memory exhausted).
 
-Each command handler is a generator: it checks its arguments, yields its
+Each command's handler, cmd_<name> (- written _), is in the layer module
+it reports on, so a run compiles only its own command's.  It is a generator
+of the parsed arguments and this module, whose attributes it calls (a test
+or a tracer may replace them): it checks its arguments, yields its
 findings as they are made and returns the summary.  `main` renders the
 records in batches of BATCH_RECORDS and writes each batch as it is made,
 so a report's size does not bound the memory of a run.  `evolve` yields
@@ -34,18 +37,24 @@ from itertools import chain
 from types import SimpleNamespace
 
 from . import _PUBLIC, _loader
-from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, _checked, higher_equivalent,
-                   lower_step, replace_on_success)
+from .core import DEFAULT_WALK_LIMIT, higher_equivalent, lower_step, replace_on_success
+# finding and render_parts are for the handlers, as cli.finding and cli.render_parts
 from .reporting import (FAILING_KINDS, finding, header_record, render_csv, render_jsonl,
                         render_parts, summary_record)
 
-# The layer names the handlers use: the package's public names and the
-# four below.  Each is imported on its first access as an attribute of this
-# module (`_cli.<name>` in a handler, getattr or hasattr from outside) and
-# kept in the module's namespace, where a test or a tracer can replace it;
-# so a run compiles only the layers its command calls.
-__getattr__ = _loader(globals(), _PUBLIC, {"family": ("PROCESSES",),
-                                           "progressions": ("_audit", "_families", "_proved")})
+# The handlers and the layer names they use: the package's public names and
+# the four private ones below.  Each is imported from its layer on its first
+# access as an attribute of this module (`cli.<name>` in a handler, getattr
+# or hasattr from outside) and kept in the module's namespace, where a test
+# or a tracer can replace it; so a run compiles only the layers its command
+# calls.
+__getattr__ = _loader(globals(), _PUBLIC, {
+    "strings": ("cmd_passage",),
+    "audits": ("cmd_strings", "cmd_audit_3n3", "cmd_family_audit"),
+    "walks": ("cmd_scan", "cmd_cycles"),
+    "family": ("PROCESSES",),
+    "progressions": ("_audit", "_families", "_proved",
+                     "cmd_evolve", "cmd_coverage", "cmd_proportionality")})
 _cli = sys.modules[__name__]
 
 
@@ -55,217 +64,7 @@ EXIT_ERROR = 2
 
 CHECKPOINT_DIR_ENV = "COLLATZ_STRINGS_CHECKPOINT_DIR"
 GRAPH_CAP = 10_000
-# Positions charged for each coverage window's set-up, about 14 us: -m 1 is
-# refused above 2*10^7 windows, about 5 minutes, like the class-tree caps
-WINDOW_SETUP = 2
 BATCH_RECORDS = 512  # dict records rendered and written at a time
-
-# A handler yields finding records, or text chunks of measurement records
-# it has rendered itself, and returns the summary fields.
-Report = Generator[dict | str, None, dict]
-
-
-def _resolve_checkpoint(path: str | None) -> str | None:
-    env_dir = os.environ.get(CHECKPOINT_DIR_ENV)
-    if env_dir and path and not os.path.isabs(path) and os.sep not in path:
-        return os.path.join(env_dir, path)
-    return path
-
-
-def cmd_passage(args) -> Report:
-    report = _cli.passage_sweep(
-        args.lo, args.hi, max_steps=args.max_steps,
-        checkpoint_path=_resolve_checkpoint(args.checkpoint),
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume, budget=args.budget,
-    )
-    for x in report.truncated:
-        yield finding("truncation", str(x), "no 3 mod 4 passage within the step budget",
-                      {"position": x, "max_steps": report.max_steps})
-    return {
-        "lo": report.lo, "hi": report.hi, "processed": report.processed,
-        "hits": report.hits, "truncated": len(report.truncated),
-        "max_steps_observed": report.max_steps_observed,
-        "argmax_position": report.argmax_position,
-        "mean_steps": round(report.mean_steps, 6),
-        "complete": report.complete, "next_position": report.next_position,
-    }
-
-
-def cmd_strings(args) -> Report:
-    report = _cli.partition_audit(args.limit, max_len=args.max_len)
-    for x, direction in report.truncated:
-        yield finding("truncation", str(x), f"{direction} walk exceeded max_len",
-                      {"position": x, "direction": direction})
-    for domain, image, problem in report.conflicts:
-        yield finding("violation", f"{domain}->{image}", f"lower_step branch {problem}",
-                      {"domain": list(domain), "image": list(image)})
-    return {
-        "limit": report.limit, "positions_checked": report.positions_checked,
-        "strings": report.strings, "longest_chain": report.longest_chain,
-        "truncated": len(report.truncated), "conflicts": len(report.conflicts),
-    }
-
-
-def cmd_evolve(args) -> Report:
-    """Each batch of the walk, its parts, is yielded as one text chunk of
-    measurement lines in args.format.  Where `_proved` fails, each batch is
-    audited part by part, and the rare violations follow the measurements."""
-    seeds, maps = _cli.PROCESSES[args.direction]
-    batches = _cli._families(seeds, maps, args.generations)
-    proved = _cli._proved(args.direction, seeds, maps)
-    part_bad, bound_bad, count = [], [], 0
-    for batch in batches:
-        if not proved:
-            for found, new in zip((part_bad, bound_bad), _cli._audit(args.direction, maps, batch)):
-                found += new
-        yield render_parts(zip(*batch), count, args.format)
-        count += len(batch[0])
-    for part in part_bad:
-        yield finding("violation", str(part), "intercept not below interval",
-                      {"intercept": part.intercept, "interval": part.interval})
-    for parent, child in bound_bad:
-        yield finding("violation", str(child), "child intercept exceeds recursion bound",
-                      {"parent": str(parent), "child": str(child)})
-    return {
-        "direction": args.direction, "generation": args.generations,
-        "parts": count, "intercepts_ok": not part_bad and not bound_bad,
-    }
-
-
-def cmd_coverage(args) -> Report:
-    if args.random_starts < 0:
-        raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
-    expected_included, expected_open = _cli.expected_coverage(args.direction, args.m)
-    windows = 1 + args.random_starts
-    positions = windows * (expected_included + expected_open)  # s**m each
-    if (work := positions + windows * WINDOW_SETUP) > MAX_TREE_NODES:  # before any window
-        raise ValueError(f"-m {args.m} with {args.random_starts} random starts marks "
-                         f"{positions} window positions, {work} with {WINDOW_SETUP} for each "
-                         f"window's set-up, above the cap of {MAX_TREE_NODES:.0e}")
-    import random  # here, so that only the commands that draw cases load it
-    rng = random.Random(args.seed)
-    mismatches = 0
-    for start in chain([args.window_start],  # each random start drawn as its window is made
-                       (rng.randint(2, 10 ** 6) for _ in range(args.random_starts))):
-        cc = _cli.coverage_count(args.direction, args.m, start)
-        data = {"included": cc.included, "open": cc.open_count}
-        ok = (cc.included, cc.open_count) == (expected_included, expected_open)
-        if not ok:
-            mismatches += 1
-            data |= {"expected_included": expected_included, "expected_open": expected_open}
-        yield finding("measurement" if ok else "mismatch", str(start),
-                      f"window count {'matches' if ok else 'deviates from'} the closed form",
-                      data)
-    return {
-        "direction": args.direction, "m": args.m, "windows": 1 + args.random_starts,
-        "expected_included": expected_included, "expected_open": expected_open,
-        "mismatches": mismatches,
-    }
-
-
-def cmd_family_audit(args) -> Report:
-    value_limit = args.value_limit
-    if value_limit is None and args.m_limit is None:
-        value_limit = 10_000
-    report = _cli.audit_case_system(_cli.Family(args.p), value_limit=value_limit,
-                                    m_limit=args.m_limit, n_limit=args.n_limit)
-    for domain, depth, expected, got in report.mismatches:
-        yield finding("mismatch", str(domain), "rule image disagrees with the generic step",
-                      {"domain": domain, "depth": depth, "expected": expected, "got": got})
-    return {"p": report.p, "checked": report.checked,
-            "mismatches": len(report.mismatches)}
-
-
-def cmd_cycles(args) -> Report:
-    report = _cli.find_cycles(_cli.Family(args.p), args.seed_limit, max_steps=args.max_steps)
-    for cycle in report.cycles:
-        yield finding("measurement", str(cycle[0]), "cycle",
-                      {"members": list(cycle), "length": len(cycle)})
-    for seed in report.truncated_seeds:
-        yield finding("truncation", str(seed), "walk neither cycled nor dipped below its seed",
-                      {"seed": seed})
-    for seed in report.rejected_seeds:
-        yield finding("truncation", str(seed), "walk reached a nonpositive image",
-                      {"seed": seed})
-    return {
-        "p": report.p, "seed_limit": report.seed_limit,
-        "cycles": len(report.cycles),
-        "truncated_seeds": len(report.truncated_seeds),
-        "rejected_seeds": len(report.rejected_seeds),
-    }
-
-
-def cmd_audit_3n3(args) -> Report:
-    report = _cli.two_to_one_audit(args.limit)
-    for domain, image, problem in report.conflicts:
-        if domain is None:  # the branch domains leave positions uncovered
-            yield finding("violation", "domains", f"p=3 branch {problem}",
-                          {"domain": None, "image": None})
-        else:
-            yield finding("violation", f"{domain}->{image}", f"p=3 branch {problem}",
-                          {"domain": list(domain), "image": list(image)})
-    for y, count in report.count_violations:
-        yield finding("violation", str(y), "image position not hit exactly twice",
-                      {"position": y, "count": count})
-    for y, a, b in report.pairing_violations:
-        yield finding("violation", str(y), "predecessors do not pair as half and double",
-                      {"image": y, "first": a, "second": b})
-    return {
-        "limit": report.limit,
-        "count_violations": len(report.count_violations),
-        "pairing_violations": len(report.pairing_violations),
-    }
-
-
-def cmd_scan(args) -> Report:
-    report = _cli.string_scan(_cli.Family(args.p), args.limit, max_len=args.max_len)
-    for orphan in report.orphans:
-        yield finding("violation" if orphan.reason == "cycle" else "truncation",
-                      str(orphan.position), f"{orphan.direction} walk {orphan.reason}",
-                      {"position": orphan.position, "direction": orphan.direction,
-                       "cycle": list(orphan.cycle) if orphan.cycle else None})
-    return {"p": report.p, "limit": report.limit, "scanned": report.scanned,
-            "orphans": len(report.orphans)}
-
-
-def _check_recurrence(direction: str, x: int, steps: int) -> tuple[bool, dict]:
-    sig, modulus = _cli.signature_class(direction, x, steps)  # one class walk
-    found = _checked(x + modulus)  # the first recurrence
-    predicted = x + sig.recurrence_gap
-    data = {"x": x, "steps_requested": steps, "signature": list(sig.steps),
-            "predicted": predicted, "found": found, "direction": direction}
-    return found == predicted, data
-
-
-def cmd_proportionality(args) -> Report:
-    if args.cases < 0:
-        raise ValueError(f"cases must be >= 0, got {args.cases}")
-    if args.cases > MAX_TREE_NODES:  # refused before any case is checked
-        raise ValueError(f"cases {args.cases} is above the cap of {MAX_TREE_NODES:.0e}")
-    if args.x_max < 1 or args.n_max < 1:
-        raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
-    directions = (["forward", "backward"] if args.direction == "both"
-                  else [args.direction])
-    steps = len(directions) * (1 + args.cases) * args.n_max  # each class walk's at most
-    if steps > MAX_TREE_NODES:
-        raise ValueError(f"cases {args.cases} at n_max {args.n_max} need up to {steps} "
-                         f"class-walk steps, above the cap of {MAX_TREE_NODES:.0e}")
-    anchors = {"forward": (2, 2), "backward": (7, 4)}  # recurrences at 34 and 88
-    import random
-    rng = random.Random(args.seed)
-    failures = 0
-    # the anchors, then the random cases, each drawn as it is checked
-    for direction, x, steps in chain(
-            ((direction, *anchors[direction]) for direction in directions),
-            ((direction, rng.randint(1, args.x_max), rng.randint(1, args.n_max))
-             for direction in directions for _ in range(args.cases))):
-        ok, data = _check_recurrence(direction, x, steps)
-        failures += not ok
-        yield finding("measurement" if ok else "violation", str(x),
-                      f"first recurrence {'at' if ok else 'off'} the predicted spacing", data)
-    return {"cases": len(directions) * (1 + args.cases), "failures": failures,
-            "seed": args.seed}
 
 
 def export_graph(limit: int) -> str:
@@ -436,7 +235,7 @@ def _report_stream(path: str | None):
 
 def _records(args) -> Generator[dict | str, None, None]:
     yield header_record(args.command, _config_dict(args))
-    summary = yield from _handler(args.command)(args)
+    summary = yield from _handler(args.command)(args, _cli)
     yield summary_record(args.command, summary)
 
 

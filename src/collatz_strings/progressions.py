@@ -8,7 +8,9 @@ b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This module
 provides the generation loop that transports progressions through such
 branch maps, the window counts of the p=1 evolutions in family.PROCESSES
 and `signature_class`: x's branch signature with the residue class of the
-positions that share it, whose first member past x is x's recurrence.
+positions that share it, whose first member past x is x's recurrence.  The
+handlers of `evolve`, `coverage` and `proportionality`, which cli calls,
+report them.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -310,3 +312,106 @@ def signature_class(direction: str, x: int, steps: int) -> tuple[Signature, int]
                     else (2 * v // 3, 2 * n // 3))
     return Signature(direction, tuple(seq)), modulus
 
+
+def cmd_evolve(args, cli):
+    """Each batch of the walk, its parts, is yielded as one text chunk of
+    measurement lines in args.format.  Where `_proved` fails, each batch is
+    audited part by part, and the rare violations follow the measurements."""
+    seeds, maps = cli.PROCESSES[args.direction]
+    batches = cli._families(seeds, maps, args.generations)
+    proved = cli._proved(args.direction, seeds, maps)
+    part_bad, bound_bad, count = [], [], 0
+    for batch in batches:
+        if not proved:
+            for found, new in zip((part_bad, bound_bad), cli._audit(args.direction, maps, batch)):
+                found += new
+        yield cli.render_parts(zip(*batch), count, args.format)
+        count += len(batch[0])
+    for part in part_bad:
+        yield cli.finding("violation", str(part), "intercept not below interval",
+                          {"intercept": part.intercept, "interval": part.interval})
+    for parent, child in bound_bad:
+        yield cli.finding("violation", str(child), "child intercept exceeds recursion bound",
+                          {"parent": str(parent), "child": str(child)})
+    return {
+        "direction": args.direction, "generation": args.generations,
+        "parts": count, "intercepts_ok": not part_bad and not bound_bad,
+    }
+
+
+# Positions charged for each coverage window's set-up, about 14 us: -m 1 is
+# refused above 2*10^7 windows, about 5 minutes, like the class-tree caps
+WINDOW_SETUP = 2
+
+
+def cmd_coverage(args, cli):
+    if args.random_starts < 0:
+        raise ValueError(f"random_starts must be >= 0, got {args.random_starts}")
+    expected_included, expected_open = expected_coverage(args.direction, args.m)
+    windows = 1 + args.random_starts
+    positions = windows * (expected_included + expected_open)  # s**m each
+    if (work := positions + windows * WINDOW_SETUP) > MAX_TREE_NODES:  # before any window
+        raise ValueError(f"-m {args.m} with {args.random_starts} random starts marks "
+                         f"{positions} window positions, {work} with {WINDOW_SETUP} for each "
+                         f"window's set-up, above the cap of {MAX_TREE_NODES:.0e}")
+    import random  # here, so that only the commands that draw cases load it
+    rng = random.Random(args.seed)
+    mismatches = 0
+    for start in chain([args.window_start],  # each random start drawn as its window is made
+                       (rng.randint(2, 10 ** 6) for _ in range(args.random_starts))):
+        cc = cli.coverage_count(args.direction, args.m, start)
+        data = {"included": cc.included, "open": cc.open_count}
+        ok = (cc.included, cc.open_count) == (expected_included, expected_open)
+        if not ok:
+            mismatches += 1
+            data |= {"expected_included": expected_included, "expected_open": expected_open}
+        yield cli.finding("measurement" if ok else "mismatch", str(start),
+                          f"window count {'matches' if ok else 'deviates from'} the closed form",
+                          data)
+    return {
+        "direction": args.direction, "m": args.m, "windows": 1 + args.random_starts,
+        "expected_included": expected_included, "expected_open": expected_open,
+        "mismatches": mismatches,
+    }
+
+
+def _check_recurrence(direction: str, x: int, steps: int, walk) -> tuple[bool, dict]:
+    """Whether x's first recurrence, by one class walk (`walk`, as
+    signature_class), is where its signature predicts, and the data."""
+    sig, modulus = walk(direction, x, steps)
+    found = _checked(x + modulus)  # the first recurrence
+    predicted = x + sig.recurrence_gap
+    data = {"x": x, "steps_requested": steps, "signature": list(sig.steps),
+            "predicted": predicted, "found": found, "direction": direction}
+    return found == predicted, data
+
+
+def cmd_proportionality(args, cli):
+    if args.cases < 0:
+        raise ValueError(f"cases must be >= 0, got {args.cases}")
+    if args.cases > MAX_TREE_NODES:  # refused before any case is checked
+        raise ValueError(f"cases {args.cases} is above the cap of {MAX_TREE_NODES:.0e}")
+    if args.x_max < 1 or args.n_max < 1:
+        raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
+    directions = (["forward", "backward"] if args.direction == "both"
+                  else [args.direction])
+    steps = len(directions) * (1 + args.cases) * args.n_max  # each class walk's at most
+    if steps > MAX_TREE_NODES:
+        raise ValueError(f"cases {args.cases} at n_max {args.n_max} need up to {steps} "
+                         f"class-walk steps, above the cap of {MAX_TREE_NODES:.0e}")
+    anchors = {"forward": (2, 2), "backward": (7, 4)}  # recurrences at 34 and 88
+    import random
+    rng = random.Random(args.seed)
+    failures = 0
+    # the anchors, then the random cases, each drawn as it is checked
+    for direction, x, steps in chain(
+            ((direction, *anchors[direction]) for direction in directions),
+            ((direction, rng.randint(1, args.x_max), rng.randint(1, args.n_max))
+             for direction in directions for _ in range(args.cases))):
+        ok, data = _check_recurrence(direction, x, steps, cli.signature_class)
+        failures += not ok
+        yield cli.finding("measurement" if ok else "violation", str(x),
+                          f"first recurrence {'at' if ok else 'off'} the predicted spacing",
+                          data)
+    return {"cases": len(directions) * (1 + args.cases), "failures": failures,
+            "seed": args.seed}

@@ -1,5 +1,6 @@
 """The first-passage sweep, which checks that every trajectory of the
-conjugate map passes through 3 mod 4, and its checkpoint format.
+conjugate map passes through 3 mod 4, its checkpoint format and the
+`passage` command's handler (cmd_passage, called by cli).
 
 The sweep moves whole residue classes of positions at once, down the
 2-adic tree of lower_step (_sweep_classes); the partition audit
@@ -241,3 +242,25 @@ def _load_sweep_checkpoint(path: str, lo: int, hi: int, max_steps: int) -> Sweep
         raise ValueError(f"checkpoint aggregates are inconsistent with [{lo}, {start - 1}]")
     return SweepReport(lo, start - 1, max_steps, start - lo, hits, tuple(truncated),
                        total, top, argmax, start)
+
+
+def cmd_passage(args, cli):
+    path, env_dir = args.checkpoint, os.environ.get(cli.CHECKPOINT_DIR_ENV)
+    if env_dir and path and not os.path.isabs(path) and os.sep not in path:
+        path = os.path.join(env_dir, path)  # a bare name joins the checkpoint directory
+    report = cli.passage_sweep(
+        args.lo, args.hi, max_steps=args.max_steps, checkpoint_path=path,
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume, budget=args.budget,
+    )
+    for x in report.truncated:
+        yield cli.finding("truncation", str(x), "no 3 mod 4 passage within the step budget",
+                          {"position": x, "max_steps": report.max_steps})
+    return {
+        "lo": report.lo, "hi": report.hi, "processed": report.processed,
+        "hits": report.hits, "truncated": len(report.truncated),
+        "max_steps_observed": report.max_steps_observed,
+        "argmax_position": report.argmax_position,
+        "mean_steps": round(report.mean_steps, 6),
+        "complete": report.complete, "next_position": report.next_position,
+    }

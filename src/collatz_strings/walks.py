@@ -1,7 +1,8 @@
 """Residue-class walks of the 3n+p family: the chain scan (string_scan)
-and the cycle search (find_cycles).  Each checks its input and caps the
-work that grows with the limit (core.require_tree_work) or, for the scan,
-with p (MAX_ONE_OFF) before it walks.  Fixed-table audits are in audits.
+and the cycle search (find_cycles), with their commands' handlers, which
+cli calls.  Each walk checks its input and caps the work that grows with
+the limit (core.require_tree_work) or, for the scan, with p (MAX_ONE_OFF)
+before it walks.  Fixed-table audits are in audits.
 
 The scan and the cycle search report, for every start x in a range, how
 the walk from x ends.  Instead of walking each start, these walks move
@@ -282,3 +283,33 @@ def find_cycles(family: Family, seed_limit: int,
     cycles = tuple(sorted(found, key=lambda c: (c[0], len(c), c)))
     return CycleSearchReport(family.p, seed_limit, cycles, tuple(sorted(seeds["truncated"])),
                              tuple(sorted(seeds["rejected"])))
+
+
+def cmd_scan(args, cli):
+    report = cli.string_scan(Family(args.p), args.limit, max_len=args.max_len)
+    for orphan in report.orphans:
+        yield cli.finding("violation" if orphan.reason == "cycle" else "truncation",
+                          str(orphan.position), f"{orphan.direction} walk {orphan.reason}",
+                          {"position": orphan.position, "direction": orphan.direction,
+                           "cycle": list(orphan.cycle) if orphan.cycle else None})
+    return {"p": report.p, "limit": report.limit, "scanned": report.scanned,
+            "orphans": len(report.orphans)}
+
+
+def cmd_cycles(args, cli):
+    report = cli.find_cycles(Family(args.p), args.seed_limit, max_steps=args.max_steps)
+    for cycle in report.cycles:
+        yield cli.finding("measurement", str(cycle[0]), "cycle",
+                          {"members": list(cycle), "length": len(cycle)})
+    for seed in report.truncated_seeds:
+        yield cli.finding("truncation", str(seed),
+                          "walk neither cycled nor dipped below its seed", {"seed": seed})
+    for seed in report.rejected_seeds:
+        yield cli.finding("truncation", str(seed), "walk reached a nonpositive image",
+                          {"seed": seed})
+    return {
+        "p": report.p, "seed_limit": report.seed_limit,
+        "cycles": len(report.cycles),
+        "truncated_seeds": len(report.truncated_seeds),
+        "rejected_seeds": len(report.rejected_seeds),
+    }

@@ -2,6 +2,8 @@
 the names that tests and the benchmark's tracer replace on `cli` still
 resolve there and are the ones the handlers call."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -151,19 +153,53 @@ def test_patched_cli_names_resolve_in_a_fresh_interpreter():
         ["True"] * len(PATCHED) + ["False"] * len(ABSENT)
 
 
+# Each command but the graph export, and a cli name its handler calls
+CALLS = {"passage": "passage_sweep", "strings": "partition_audit", "scan": "string_scan",
+         "cycles": "find_cycles", "audit-3n3": "two_to_one_audit",
+         "family-audit": "audit_case_system", "coverage": "coverage_count",
+         "evolve": "_families", "proportionality": "signature_class"}
+
+
 def test_a_handler_calls_the_value_set_on_cli(monkeypatch, capsys):
-    calls = []
+    for command, name in CALLS.items():
+        calls = []
 
-    def fake(*args, **kwargs):
-        calls.append((args, kwargs))
-        raise ValueError("fake sweep")
+        def fake(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise ValueError("fake layer")
 
-    monkeypatch.setattr(cli_module, "passage_sweep", fake)
-    assert cli_module.main(["passage", "--lo", "2", "--hi", "10"]) == 2
-    assert capsys.readouterr().err == "error: fake sweep\n"
-    assert calls == [((2, 10), {"max_steps": 100_000, "checkpoint_path": None,
-                                "checkpoint_every": 1 << 20, "resume": False,
-                                "budget": None})]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, name, fake)
+            assert cli_module.main(RUNS[command][0]) == 2, command
+        assert capsys.readouterr().err == "error: fake layer\n", command
+        assert len(calls) == 1, command
+        if command == "passage":
+            assert calls == [((2, 1000), {"max_steps": 100_000, "checkpoint_path": None,
+                                          "checkpoint_every": 1 << 20, "resume": False,
+                                          "budget": None})]
+
+
+def test_cli_defines_no_handler_and_each_handler_is_in_its_commands_layer():
+    with open(cli_module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    for command in CALLS:
+        handler = cli_module._handler(command)
+        assert inspect.isgeneratorfunction(handler), command
+        layer = handler.__module__.removeprefix("collatz_strings.")
+        assert layer != "cli" and layer in RUNS[command][1].split(), command
+
+
+@pytest.mark.parametrize("layer, modules", [("strings", "core"), ("progressions", "core"),
+                                            ("walks", "core family"),
+                                            ("audits", "core family")])
+def test_a_layer_with_its_handlers_loads_no_reporting(layer, modules):
+    # the handlers reach finding and render_parts through the cli they are given
+    code = ("import sys\n__import__('collatz_strings.' + sys.argv[1])\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('collatz_strings.')))")
+    assert fresh(code, layer).split() == sorted(f"collatz_strings.{m}"
+                                                for m in [layer, *modules.split()])
 
 
 def test_the_published_systems_are_listed_only_for_the_help(capsys):

@@ -28,7 +28,7 @@ from collatz_strings import (
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
 from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, branch_maps
-from collatz_strings.progressions import _audit, _families, _proved, evolve
+from collatz_strings.progressions import _audit, _check_recurrence, _families, _proved, evolve
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS
@@ -420,16 +420,20 @@ def test_intercept_premises_hold_for_the_processes_and_fail_where_the_audit_find
     # a seed {40+3t} breaks (i) at the seed; {30+3t} as the even branch's
     # image breaks (i) on the branch, s*c = 60 >= d*(1 + r) = 9; {1+5t} as
     # the odd branch's image keeps (i), 4 < 10, and breaks (ii), f(1, 2) = -48.
-    # Each passes the walk's premises, so the per-part audit runs and finds
-    # what the references find
-    cases = (((Progression(40, 3),), FORWARD_MAPS, 11, True),
-             ((Progression(2, 3),), ((EVEN[0], Progression(30, 3)), ODD), 2, True),
-             ((Progression(2, 3),), (EVEN, (ODD[0], Progression(1, 5))), 1, False))
-    for seeds, maps, k, parts_bad in cases:
+    # {1+1t} -> {2+1t} from {1+2t} is at the equality of (i), s*c = d*(1 + r)
+    # = 2, and keeps (ii), f = 14, 23, 22; its part {2+2t} at generation 1
+    # is not below its interval, so (i) needs the strict <.  Each passes the
+    # walk's premises, so the per-part audit runs and finds what the
+    # references find
+    cases = (((Progression(40, 3),), FORWARD_MAPS, 11, True, True),
+             ((Progression(2, 3),), ((EVEN[0], Progression(30, 3)), ODD), 2, True, True),
+             ((Progression(2, 3),), (EVEN, (ODD[0], Progression(1, 5))), 1, False, True),
+             ((Progression(1, 2),), ((Progression(1, 1), Progression(2, 1)),), 1, True, False))
+    for seeds, maps, k, parts_bad, children_over in cases:
         assert _refusal(seeds, maps, k) is None
         assert not _proved("forward", seeds, maps), maps
         bad, over = _per_part_audit("forward", seeds, maps, k)
-        assert bool(bad) == parts_bad and over, maps
+        assert (bool(bad), bool(over)) == (parts_bad, children_over), maps
 
 
 def test_proved_premises_leave_the_per_part_audit_nothing_to_find():
@@ -609,11 +613,20 @@ def test_first_recurrence_needs_no_room_beyond_it():
     # 2^128 - 11 is 1 mod 4 and 2^128 - 5 is 2 mod 3: each recurs at the
     # top of the working range, where no window of candidates past it fits.
     # One place further on, the recurrence leaves the range: the class walk
-    # still ends, and the recurrence check refuses it (tests/test_cli.py)
+    # still ends, and the recurrence check refuses it (below)
     for direction, x, top, past in (("forward", 2 ** 128 - 11, 2 ** 128 - 7, MAX_VALUE - 2),
                                     ("backward", 2 ** 128 - 5, 2 ** 128 - 2, MAX_VALUE - 1)):
         assert x + signature_class(direction, x, 1)[1] == top
         assert past + signature_class(direction, past, 1)[1] > MAX_VALUE
+
+
+def test_recurrence_check_refuses_a_recurrence_past_the_range():
+    # MAX_VALUE - 2 is 1 mod 4 and MAX_VALUE - 1 is 2 mod 3: each class
+    # walk ends, and its next member x + M lies past the working range
+    for direction, x in (("forward", MAX_VALUE - 2), ("backward", MAX_VALUE - 1)):
+        with pytest.raises(WidthExceededError,
+                           match="^value exceeds the 128-bit working range$"):
+            _check_recurrence(direction, x, 1, signature_class)
 
 
 def test_signature_rejects_nonpositive_steps():
