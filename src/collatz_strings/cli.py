@@ -8,19 +8,19 @@ truncation was found, and 2 means the run itself could not proceed
 (invalid configuration, a value outside the 128-bit working range, or
 memory exhausted).
 
-Each command's handler, cmd_<name> (- written _), is in the layer module
-it reports on, so a run compiles only its own command's.  It is a generator
-of the parsed arguments and this module, whose attributes it calls (a test
-or a tracer may replace them): it checks its arguments, yields its
-findings as they are made and returns the summary.  `main` renders the
-records in batches of BATCH_RECORDS and writes each batch as it is made,
-so a report's size does not bound the memory of a run.  `evolve` yields
-its part measurements as text, a chunk of fixed-shape lines
-(`reporting.render_parts`) per batch of the walk, which `main` writes as
-they come.  A run that stops with status 2 has left on stdout the whole
+Each command's handler, cmd_<name> (- written _), is in the layer module it
+reports on, which its row of COMMANDS names, so a run compiles only its own
+command's.  It is a generator of the parsed arguments and this module,
+whose attributes it calls (a test or a tracer may replace them): it checks
+its arguments, yields its findings as they are made and returns the
+summary.  `main` renders the records in batches of BATCH_RECORDS and writes
+each batch as it is made, so a report's size does not bound the memory of a
+run.  `evolve` yields its part measurements as text, a chunk of fixed-shape
+lines (`reporting.render_parts`) per batch of the walk, which `main` writes
+as they come.  A run that stops with status 2 has left on stdout the whole
 records of the batches written before the error, a prefix of its report;
-`--output` goes through a temporary file beside the target that replaces
-it only once the summary is written, so a failed run leaves no report file.
+`--output` goes through a temporary file beside the target that replaces it
+only once the summary is written, so a failed run leaves no report file.
 
 A well-formed argv is read from the command table, COMMANDS (`_plain_args`);
 any other, the help and every error included, goes to argparse
@@ -42,19 +42,6 @@ from .core import DEFAULT_WALK_LIMIT, higher_equivalent, lower_step, replace_on_
 from .reporting import (FAILING_KINDS, finding, header_record, render_csv, render_jsonl,
                         render_parts, summary_record)
 
-# The handlers and the layer names they use: the package's public names and
-# the four private ones below.  Each is imported from its layer on its first
-# access as an attribute of this module (`cli.<name>` in a handler, getattr
-# or hasattr from outside) and kept in the module's namespace, where a test
-# or a tracer can replace it; so a run compiles only the layers its command
-# calls.
-__getattr__ = _loader(globals(), _PUBLIC, {
-    "strings": ("cmd_passage",),
-    "audits": ("cmd_strings", "cmd_audit_3n3", "cmd_family_audit"),
-    "walks": ("cmd_scan", "cmd_cycles"),
-    "family": ("PROCESSES",),
-    "progressions": ("_audit", "_families", "_proved",
-                     "cmd_evolve", "cmd_coverage", "cmd_proportionality")})
 _cli = sys.modules[__name__]
 
 
@@ -90,13 +77,14 @@ _REQUIRED = {"type": int, "required": True}
 _WALK = {"type": int, "default": DEFAULT_WALK_LIMIT}
 _DIRECTION = {"choices": ("forward", "backward"), "required": True}
 
-# The subcommands in the order the help lists them, each with its help and its
-# options, (flags, help, add_argument keywords).  Each one's handler is cmd_<name>
-# (- written _), but GRAPH_COMMAND writes DOT: no report, no handler, no --format.
-# The keywords are those _plain_args understands: type (int), required,
-# default, choices and action (store_true).
+# The subcommands in the order the help lists them, each with the layer module
+# that holds its handler, cmd_<name> (- written _), its help and its options,
+# (flags, help, add_argument keywords).  GRAPH_COMMAND writes DOT: no report,
+# no handler (its layer is None), no --format.  The keywords are those
+# _plain_args understands: type (int), required, default, choices and action
+# (store_true).
 COMMANDS = {
-    "passage": ("first-passage sweep through 3 mod 4", (
+    "passage": ("strings", "first-passage sweep through 3 mod 4", (
         ("--lo", None, _REQUIRED),
         ("--hi", None, _REQUIRED),
         ("--max-steps", None, _WALK),
@@ -104,41 +92,53 @@ COMMANDS = {
         ("--checkpoint-every", None, {"type": int, "default": 1 << 20}),
         ("--resume", None, {"action": "store_true"}),
         ("--budget", "max positions to process this run", {"type": int}))),
-    "strings": ("chain partition audit", (
+    "strings": ("audits", "chain partition audit", (
         ("--limit", None, _REQUIRED),
         ("--max-len", None, _WALK))),
-    "evolve": ("progression evolution generations", (
+    "evolve": ("progressions", "progression evolution generations", (
         ("--direction", None, _DIRECTION),
         ("-k --generations", None, _REQUIRED))),
-    "coverage": ("window counting identities", (
+    "coverage": ("progressions", "window counting identities", (
         ("--direction", None, _DIRECTION),
         ("-m", None, _REQUIRED),
         ("--window-start", None, {"type": int, "default": 2}),
         ("--random-starts", None, {"type": int, "default": 0}),
         ("--seed", None, {"type": int, "default": 0}))),
-    "family-audit": ("published case system vs generic step", (
+    "family-audit": ("audits", "published case system vs generic step", (
         ("-p", "family parameter, one of %(published)s", _REQUIRED),
         ("--value-limit", "cap rule instances by domain value (default 10000)", {"type": int}),
         ("--m-limit", "cap rule instances by progression index m", {"type": int}),
         ("--n-limit", None, {"type": int, "default": 4}))),
-    "cycles": ("cycle search for a family", (
+    "cycles": ("walks", "cycle search for a family", (
         ("-p", None, _REQUIRED),
         ("--seed-limit", None, {"type": int, "default": 1000}),
         ("--max-steps", None, _WALK))),
-    "audit-3n3": ("two-predecessor audit of the p=3 map", (("--limit", None, _REQUIRED),)),
-    "scan": ("chain membership scan for a family", (
+    "audit-3n3": ("audits", "two-predecessor audit of the p=3 map",
+                  (("--limit", None, _REQUIRED),)),
+    "scan": ("walks", "chain membership scan for a family", (
         ("-p", None, _REQUIRED),
         ("--limit", None, _REQUIRED),
         ("--max-len", None, _WALK))),
-    "proportionality": ("signature recurrence spacing checks", (
+    "proportionality": ("progressions", "signature recurrence spacing checks", (
         ("--direction", None, {"choices": ("forward", "backward", "both"), "default": "both"}),
         ("--cases", None, {"type": int, "default": 200}),
         ("--x-max", None, {"type": int, "default": 10_000}),
         ("--n-max", None, {"type": int, "default": 6}),
         ("--seed", None, {"type": int, "default": 1}))),
-    "export-graph": ("chains and equivalent links as DOT", (("--limit", None, _REQUIRED),)),
+    "export-graph": (None, "chains and equivalent links as DOT", (("--limit", None, _REQUIRED),)),
 }
 GRAPH_COMMAND = "export-graph"
+
+# The handlers, each from the layer its row names, the package's public names
+# and the three private names the evolve handler calls.  Each is imported from
+# its layer on its first access as an attribute of this module (`cli.<name>`
+# in a handler, getattr or hasattr from outside) and kept in the module's
+# namespace, where a test or a tracer can replace it; so a run compiles only
+# the layers its command calls.
+__getattr__ = _loader(globals(), _PUBLIC, {"progressions": ("_audit", "_families", "_proved")},
+                      *({layer: (f"cmd_{name.replace('-', '_')}",)}
+                        for name, (layer, _, _) in COMMANDS.items() if layer))
+
 _OUTPUT = ("--output", "write the report here instead of stdout", {})
 _FORMAT = ("--format", None, {"choices": ("jsonl", "csv"), "default": "jsonl"})
 
@@ -146,7 +146,7 @@ _FORMAT = ("--format", None, {"choices": ("jsonl", "csv"), "default": "jsonl"})
 def _options(command: str) -> tuple:
     """The command's options in the order the help lists them: --output,
     --format (but for GRAPH_COMMAND), then its own."""
-    own = COMMANDS[command][1]
+    own = COMMANDS[command][2]
     return (_OUTPUT, *own) if command == GRAPH_COMMAND else (_OUTPUT, _FORMAT, *own)
 
 
@@ -163,7 +163,7 @@ def build_parser():
         prog="collatz-strings",
         description="Exact verification runs for the conjugated Collatz dynamics.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _) in COMMANDS.items():
+    for name, (_, text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flags, option_help, keywords in _options(name):
             p.add_argument(*flags.split(), **keywords, help=option_help and
@@ -283,7 +283,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_FINDINGS if failed else EXIT_OK
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -317,7 +317,9 @@ def cmd_evolve(args, cli):
     """Each batch of the walk, its parts, is yielded as one text chunk of
     measurement lines in args.format.  Where `_proved` fails, each batch is
     audited part by part, and the rare violations follow the measurements."""
-    seeds, maps = cli.PROCESSES[args.direction]
+    from .family import PROCESSES
+
+    seeds, maps = PROCESSES[args.direction]
     batches = cli._families(seeds, maps, args.generations)
     proved = cli._proved(args.direction, seeds, maps)
     part_bad, bound_bad, count = [], [], 0

@@ -2,9 +2,9 @@
 the names that tests and the benchmark's tracer replace on `cli` still
 resolve there and are the ones the handlers call."""
 
-import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -35,7 +35,8 @@ print(code, *sorted(m for m in sys.modules if m.startswith("collatz_strings.")))
 """
 
 
-# A small run of each command and the package's modules it calls
+# A small run of each command and the package's modules it calls; the CI
+# "Start-up imports" step logs the import times of these runs
 RUNS = {
     "passage": (["passage", "--lo", "2", "--hi", "1000"], "cli core reporting strings"),
     "strings": (["strings", "--limit", "100"], "audits cli core family reporting strings"),
@@ -50,6 +51,10 @@ RUNS = {
     "proportionality": (["proportionality"], "cli core progressions reporting"),
     "export-graph": (["export-graph", "--limit", "10"], "cli core reporting"),
 }
+
+
+def test_runs_has_one_run_of_each_command():
+    assert set(RUNS) == set(cli_module.COMMANDS)
 
 
 @pytest.mark.parametrize("argv, modules", RUNS.values(), ids=RUNS)
@@ -153,11 +158,15 @@ def test_patched_cli_names_resolve_in_a_fresh_interpreter():
         ["True"] * len(PATCHED) + ["False"] * len(ABSENT)
 
 
-# Each command but the graph export, and a cli name its handler calls
+# Each command with a handler, and a cli name its handler calls
 CALLS = {"passage": "passage_sweep", "strings": "partition_audit", "scan": "string_scan",
          "cycles": "find_cycles", "audit-3n3": "two_to_one_audit",
          "family-audit": "audit_case_system", "coverage": "coverage_count",
          "evolve": "_families", "proportionality": "signature_class"}
+
+
+def test_calls_has_each_command_whose_row_names_a_layer():
+    assert set(CALLS) == {name for name, (layer, _, _) in cli_module.COMMANDS.items() if layer}
 
 
 def test_a_handler_calls_the_value_set_on_cli(monkeypatch, capsys):
@@ -180,14 +189,15 @@ def test_a_handler_calls_the_value_set_on_cli(monkeypatch, capsys):
 
 
 def test_cli_defines_no_handler_and_each_handler_is_in_its_commands_layer():
+    # cli neither defines nor names a handler: its loader's table of them
+    # is made from the layers that COMMANDS names
     with open(cli_module.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    assert not [node.name for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+        assert not re.findall(r"cmd_\w+", fh.read())
     for command in CALLS:
         handler = cli_module._handler(command)
         assert inspect.isgeneratorfunction(handler), command
-        layer = handler.__module__.removeprefix("collatz_strings.")
+        layer = cli_module.COMMANDS[command][0]
+        assert handler.__module__ == f"collatz_strings.{layer}", command
         assert layer != "cli" and layer in RUNS[command][1].split(), command
 
 
