@@ -17,7 +17,7 @@ from collatz_strings import signature_class
 def show(direction, x, steps):
     sig, modulus = signature_class(direction, x, steps)
     spacing = f"2^{sum(sig.steps)}" if direction == "forward" else f"3^{len(sig.steps)}"
-    print(f"  {direction + ' from':<13}{x:>5}: tags {sig.tags} -> next at {x + modulus} "
+    print(f"  {direction + ' from':<13}{x:>5}: steps {sig.steps} -> next at {x + modulus} "
           f"(= {x} + {spacing})")
     assert modulus == sig.recurrence_gap
 

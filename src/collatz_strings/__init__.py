@@ -19,7 +19,8 @@ _PUBLIC = {
     "core": ("Progression", "WidthExceededError", "base_equivalent", "conjugate_step",
              "higher_equivalent", "inverse_lower_step", "lower_step", "restriction_index"),
     "family": ("CASE_SYSTEM_PARAMS", "Family", "NonpositiveImageError", "family_step"),
-    "progressions": ("Signature", "coverage_count", "expected_coverage", "signature_class"),
+    "progressions": ("coverage_count", "expected_coverage"),
+    "recurrence": ("Signature", "signature_class"),
     "strings": ("SweepReport", "passage_sweep"),
     "walks": ("find_cycles", "string_scan"),
 }

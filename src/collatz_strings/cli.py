@@ -119,7 +119,7 @@ COMMANDS = {
         ("-p", None, _REQUIRED),
         ("--limit", None, _REQUIRED),
         ("--max-len", None, _WALK))),
-    "proportionality": ("progressions", "signature recurrence spacing checks", (
+    "proportionality": ("recurrence", "signature recurrence spacing checks", (
         ("--direction", None, {"choices": ("forward", "backward", "both"), "default": "both"}),
         ("--cases", None, {"type": int, "default": 200}),
         ("--x-max", None, {"type": int, "default": 10_000}),

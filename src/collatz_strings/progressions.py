@@ -6,11 +6,8 @@ branch by branch: each branch sends one progression onto another member
 by member (2+2m -> 3+3m and 1+4m -> 1+3m forwards), turning an interval
 b into 3b/2 or 3b/4 forwards and 2b/3 or 4b/3 backwards.  This module
 provides the generation loop that transports progressions through such
-branch maps, the window counts of the p=1 evolutions in family.PROCESSES
-and `signature_class`: x's branch signature with the residue class of the
-positions that share it, whose first member past x is x's recurrence.  The
-handlers of `evolve`, `coverage` and `proportionality`, which cli calls,
-report them.
+branch maps and the window counts of the p=1 evolutions (family.PROCESSES);
+the handlers of `evolve` and `coverage`, which cli calls, report them.
 
 Generation k of an evolution lists, seed by seed, the transports of the
 seed through every sequence of k branch maps, in lexicographic order of
@@ -30,7 +27,8 @@ from collections.abc import Iterator
 from itertools import chain, repeat
 from math import gcd, prod
 
-from .core import MAX_TREE_NODES, WIDTH_BITS, Progression, _checked, _require_position
+from .core import MAX_TREE_NODES, WIDTH_BITS, Progression, _checked
+from .family import PROCESSES
 
 
 def evolve(seeds: tuple[Progression, ...],
@@ -168,8 +166,6 @@ CoverageCount = namedtuple("CoverageCount", "direction m window_start included o
 def _window_base(direction: str) -> int:
     """The s of a direction's coverage window s**m: its seed's interval (3
     forward, 4 backward), since generation k has density (s-1)^k/s^(k+1)."""
-    from .family import PROCESSES  # here, so the signature walk loads no family
-
     if direction not in PROCESSES:
         raise ValueError(f"unknown direction {direction!r}")
     (seed,), _ = PROCESSES[direction]
@@ -203,8 +199,6 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
         raise ValueError(f"m must be >= 1, got {m}")
     if window_start < 2:
         raise ValueError(f"window_start must be >= 2, got {window_start}")
-    from .family import PROCESSES
-
     window = _window_base(direction) ** m
     seeds, maps = PROCESSES[direction]
     _checked(window_start + window)
@@ -221,104 +215,16 @@ def coverage_count(direction: str, m: int, window_start: int = 2) -> CoverageCou
     return CoverageCount(direction, m, window_start, included, window - included)
 
 
-# direction -> (least tag that ends a chain, tag names)
-_DIRECTIONS = {"forward": (3, {1: "even", 2: "odd"}),
-               "backward": (2, {0: "down", 1: "up", 2: "head"})}
 # direction -> (scale, factor, weight) of the recursion bound on the intercept c
 # of a child of part (a, b), c <= 3(a+3b-1)/4 + 1 forward and c <= 4(a+2b-1)/3 + 1
 # backward, in integer form: scale*(c - 1) <= factor*(a + weight*b - 1)
 _BOUNDS = {"forward": (4, 3, 3), "backward": (3, 4, 2)}
 
 
-class Signature(namedtuple("Signature", "direction steps")):
-    """Branch record of a walk, one entry per step.
-
-    direction is "forward" or "backward", steps a tuple of ints.  Forward
-    entries are branch indices (1 = even branch, 2 = branch inside
-    1 mod 4, >= 3 = chain end, allowed only in final place).  Backward
-    entries are residues mod 3 (0 = step down, 1 = step up, 2 = chain head,
-    final place only).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, direction: str, steps: tuple[int, ...]):
-        if direction not in _DIRECTIONS:
-            raise ValueError(f"unknown direction {direction!r}")
-        if not steps:
-            raise ValueError("a signature needs at least one step")
-        if any(s >= _DIRECTIONS[direction][0] for s in steps[:-1]):
-            raise ValueError("a chain end may only appear as the final entry")
-        return super().__new__(cls, direction, steps)
-
-    @property
-    def truncated(self) -> bool:
-        """Whether the walk stopped at a chain end."""
-        return self.steps[-1] >= _DIRECTIONS[self.direction][0]
-
-    @property
-    def recurrence_gap(self) -> int:
-        """Predicted spacing between positions sharing this signature."""
-        if self.direction == "forward":
-            return _checked(1 << sum(self.steps))
-        return _checked(3 ** len(self.steps))
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        names = _DIRECTIONS[self.direction][1]
-        return tuple(names.get(s, f"terminal[{s}]") for s in self.steps)
-
-
-def signature_class(direction: str, x: int, steps: int) -> tuple[Signature, int]:
-    """x's signature of `steps` steps, ended early by a chain end or head,
-    and the modulus M such that the positions from x sharing it are exactly
-    x + M*t, t >= 0: x first recurs at x + M.
-
-    The walk follows x's class x + M*t, whose values after the steps so far
-    are v + n*t, by the branch arithmetic (as strings._sweep_classes does).
-    Where the members' residues would decide the next tag differently, it
-    keeps x's half (forward: mod 2, or mod 4 if odd) or third (backward:
-    mod 3), scaling M and n.  Each part cut off takes another tag, so it
-    leaves x's signature, and all of x's part keeps it (Terras 1976).  It
-    raises where the per-position walk does: `_require_position` on the
-    value before a forward tag or backward step, `_checked` on each step up.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    seq, v, n, modulus = [], x, 1, 1
-    for _ in range(steps):
-        if direction == "forward":
-            _require_position(v)
-            b, k, depth = v, n, 0  # the values with lower equivalents stripped: b + k*t
-            while True:
-                if k & 3 and (k | b) & 1:  # members differ mod 2, or mod 4 if odd: halve
-                    modulus, n, k = 2 * modulus, 2 * n, 2 * k
-                elif b & 3 == 3:
-                    b, k, depth = (b + 1) >> 2, k >> 2, depth + 1
-                else:
-                    break
-            seq.append(2 * depth + (2 if b & 1 else 1))
-            if depth:
-                break
-            v, n = ((3 * v + 1) >> 2, 3 * n >> 2) if v & 1 else (_checked(3 * v >> 1), 3 * n >> 1)
-        else:
-            if n % 3:
-                modulus, n = 3 * modulus, 3 * n
-            seq.append(v % 3)
-            if seq[-1] == 2:
-                break
-            _require_position(v)
-            v, n = ((_checked((4 * v - 1) // 3), 4 * n // 3) if seq[-1]
-                    else (2 * v // 3, 2 * n // 3))
-    return Signature(direction, tuple(seq)), modulus
-
-
 def cmd_evolve(args, cli):
     """Each batch of the walk, its parts, is yielded as one text chunk of
     measurement lines in args.format.  Where `_proved` fails, each batch is
     audited part by part, and the rare violations follow the measurements."""
-    from .family import PROCESSES
-
     seeds, maps = PROCESSES[args.direction]
     batches = cli._families(seeds, maps, args.generations)
     proved = cli._proved(args.direction, seeds, maps)
@@ -375,45 +281,3 @@ def cmd_coverage(args, cli):
         "expected_included": expected_included, "expected_open": expected_open,
         "mismatches": mismatches,
     }
-
-
-def _check_recurrence(direction: str, x: int, steps: int, walk) -> tuple[bool, dict]:
-    """Whether x's first recurrence, by one class walk (`walk`, as
-    signature_class), is where its signature predicts, and the data."""
-    sig, modulus = walk(direction, x, steps)
-    found = _checked(x + modulus)  # the first recurrence
-    predicted = x + sig.recurrence_gap
-    data = {"x": x, "steps_requested": steps, "signature": list(sig.steps),
-            "predicted": predicted, "found": found, "direction": direction}
-    return found == predicted, data
-
-
-def cmd_proportionality(args, cli):
-    if args.cases < 0:
-        raise ValueError(f"cases must be >= 0, got {args.cases}")
-    if args.cases > MAX_TREE_NODES:  # refused before any case is checked
-        raise ValueError(f"cases {args.cases} is above the cap of {MAX_TREE_NODES:.0e}")
-    if args.x_max < 1 or args.n_max < 1:
-        raise ValueError(f"x_max and n_max must be >= 1, got {args.x_max}, {args.n_max}")
-    directions = (["forward", "backward"] if args.direction == "both"
-                  else [args.direction])
-    steps = len(directions) * (1 + args.cases) * args.n_max  # each class walk's at most
-    if steps > MAX_TREE_NODES:
-        raise ValueError(f"cases {args.cases} at n_max {args.n_max} need up to {steps} "
-                         f"class-walk steps, above the cap of {MAX_TREE_NODES:.0e}")
-    anchors = {"forward": (2, 2), "backward": (7, 4)}  # recurrences at 34 and 88
-    import random
-    rng = random.Random(args.seed)
-    failures = 0
-    # the anchors, then the random cases, each drawn as it is checked
-    for direction, x, steps in chain(
-            ((direction, *anchors[direction]) for direction in directions),
-            ((direction, rng.randint(1, args.x_max), rng.randint(1, args.n_max))
-             for direction in directions for _ in range(args.cases))):
-        ok, data = _check_recurrence(direction, x, steps, cli.signature_class)
-        failures += not ok
-        yield cli.finding("measurement" if ok else "violation", str(x),
-                          f"first recurrence {'at' if ok else 'off'} the predicted spacing",
-                          data)
-    return {"cases": len(directions) * (1 + args.cases), "failures": failures,
-            "seed": args.seed}

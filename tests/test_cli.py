@@ -21,6 +21,7 @@ import collatz_strings.audits as audits_module
 import collatz_strings.cli as cli_module
 import collatz_strings.family as family_module
 import collatz_strings.progressions as progressions_module
+import collatz_strings.recurrence as recurrence_module
 import collatz_strings.strings as strings_module
 from collatz_strings import Progression
 from collatz_strings.cli import BATCH_RECORDS, main
@@ -970,7 +971,7 @@ def test_strings_reports_conflicts(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, module, check", [
-    (["proportionality", "--cases", "1000", "--direction", "forward"], progressions_module,
+    (["proportionality", "--cases", "1000", "--direction", "forward"], recurrence_module,
      "_check_recurrence"),
     (["coverage", "--direction", "forward", "-m", "2", "--random-starts", "1000"], cli_module,
      "coverage_count"),

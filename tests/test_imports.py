@@ -48,7 +48,7 @@ RUNS = {
                  "cli core family progressions reporting"),
     "evolve": (["evolve", "--direction", "forward", "-k", "0"],
                "cli core family progressions reporting"),
-    "proportionality": (["proportionality"], "cli core progressions reporting"),
+    "proportionality": (["proportionality"], "cli core recurrence reporting"),
     "export-graph": (["export-graph", "--limit", "10"], "cli core reporting"),
 }
 
@@ -201,7 +201,8 @@ def test_cli_defines_no_handler_and_each_handler_is_in_its_commands_layer():
         assert layer != "cli" and layer in RUNS[command][1].split(), command
 
 
-@pytest.mark.parametrize("layer, modules", [("strings", "core"), ("progressions", "core"),
+@pytest.mark.parametrize("layer, modules", [("strings", "core"), ("progressions", "core family"),
+                                            ("recurrence", "core"),
                                             ("walks", "core family"),
                                             ("audits", "core family")])
 def test_a_layer_with_its_handlers_loads_no_reporting(layer, modules):

@@ -28,7 +28,8 @@ from collatz_strings import (
 )
 from collatz_strings.core import MAX_VALUE, WidthExceededError
 from collatz_strings.family import BACKWARD_MAPS, FORWARD_MAPS, PROCESSES, branch_maps
-from collatz_strings.progressions import _audit, _check_recurrence, _families, _proved, evolve
+from collatz_strings.progressions import _audit, _families, _proved, evolve
+from collatz_strings.recurrence import _check_recurrence
 
 # the Family(1) branch maps, one (domain, image) pair per branch
 EVEN, ODD = FORWARD_MAPS
@@ -494,7 +495,6 @@ def test_sampling_lemma_grid():
 def test_forward_signature_examples():
     sig, modulus = signature_class("forward", 2, 2)
     assert sig.steps == (1, 4) and sig.truncated
-    assert sig.tags == ("even", "terminal[4]")
     assert sig.recurrence_gap == modulus == 32
 
     sig, modulus = signature_class("forward", 1, 1)
@@ -508,7 +508,6 @@ def test_forward_signature_examples():
 def test_backward_signature_examples():
     sig, modulus = signature_class("backward", 7, 4)
     assert sig.steps == (1, 0, 0, 1) and not sig.truncated
-    assert sig.tags == ("up", "down", "down", "up")
     assert sig.recurrence_gap == modulus == 81
 
     sig, modulus = signature_class("backward", 10, 3)

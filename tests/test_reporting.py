@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from oracles import first_gap_violation
 
 from collatz_strings.core import MAX_VALUE
-from collatz_strings.progressions import Progression, Signature
+from collatz_strings.progressions import Progression
+from collatz_strings.recurrence import Signature
 from collatz_strings.reporting import (
     finding,
     header_record,
