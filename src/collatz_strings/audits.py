@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, MAX_VALUE, _checked, inverse_lower_step,
-                   lower_step, require_tree_work)
+from .core import (DEFAULT_WALK_LIMIT, MAX_TREE_NODES, MAX_VALUE, _about, _checked,
+                   inverse_lower_step, lower_step, require_tree_work)
 from .family import (CASE_SYSTEMS, FORWARD_MAPS, Family, _image_branches, branch_maps,
                      family_equivalent, family_step)
 
@@ -319,8 +319,7 @@ def audit_case_system(family: Family, rules: tuple[CaseRule, ...] | None = None,
     stepped = [count if count and not _holds_on_class(rule, count, family, n_limit) else 0
                for rule, count in zip(rules, counts)]
     if (steps := sum(stepped) * (n_limit + 1)) > MAX_TREE_NODES:
-        from decimal import Decimal  # formats counts beyond the range of a float
-        raise ValueError(f"the case audit needs about {Decimal(steps):.2g} checks, "
+        raise ValueError(f"the case audit needs about {_about(math.log10(steps))} checks, "
                          f"above the cap of {MAX_TREE_NODES:.0e}")
     mismatches: list[tuple[int, int, int, int]] = []
     for rule, count in zip(rules, stepped):

@@ -2,8 +2,9 @@
 
 Every command writes a deterministic report (JSON-lines by default, CSV
 for flat tables): a header record with the effective configuration, one
-record per finding, and a closing summary.  Exit status 0 means every
-checked assertion held, 1 means at least one violation, mismatch, or
+record per finding, and a closing summary.  Keys are sorted and there are
+no timestamps, so identical runs are byte-identical.  Exit status 0 means
+every checked assertion held, 1 means at least one violation, mismatch, or
 truncation was found, and 2 means the run itself could not proceed
 (invalid configuration, a value outside the 128-bit working range, or
 memory exhausted).
@@ -13,14 +14,16 @@ reports on, which its row of COMMANDS names, so a run compiles only its own
 command's.  It is a generator of the parsed arguments and this module,
 whose attributes it calls (a test or a tracer may replace them): it checks
 its arguments, yields its findings as they are made and returns the
-summary.  `main` renders the records in batches of BATCH_RECORDS and writes
-each batch as it is made, so a report's size does not bound the memory of a
-run.  `evolve` yields its part measurements as text, a chunk of fixed-shape
-lines (`reporting.render_parts`) per batch of the walk, which `main` writes
-as they come.  A run that stops with status 2 has left on stdout the whole
-records of the batches written before the error, a prefix of its report;
-`--output` goes through a temporary file beside the target that replaces it
-only once the summary is written, so a failed run leaves no report file.
+summary.  `main` renders the records in batches of BATCH_RECORDS, to the
+same bytes as all at once (the CSV column row goes with the first batch
+only), and writes each batch as it is made, so a report's size does not
+bound the memory of a run.  `evolve` yields its part measurements as text,
+a chunk of fixed-shape lines (`render_parts`, the encoders' bytes) per
+batch of the walk, which `main` writes as they come.  A run that stops
+with status 2 has left on stdout the whole records of the batches written
+before the error, a prefix of its report; `--output` goes through a
+temporary file beside the target that replaces it only once the summary
+is written, so a failed run leaves no report file.
 
 A well-formed argv is read from the command table, COMMANDS (`_plain_args`);
 any other, the help and every error included, goes to argparse
@@ -30,17 +33,15 @@ any other, the help and every error included, goes to argparse
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import sys
-from collections.abc import Generator
+from collections.abc import Generator, Iterable
 from itertools import chain
 from types import SimpleNamespace
 
 from . import _PUBLIC, _loader
 from .core import DEFAULT_WALK_LIMIT, higher_equivalent, lower_step, replace_on_success
-# finding and render_parts are for the handlers, as cli.finding and cli.render_parts
-from .reporting import (FAILING_KINDS, finding, header_record, render_csv, render_jsonl,
-                        render_parts, summary_record)
 
 _cli = sys.modules[__name__]
 
@@ -52,6 +53,79 @@ EXIT_ERROR = 2
 CHECKPOINT_DIR_ENV = "COLLATZ_STRINGS_CHECKPOINT_DIR"
 GRAPH_CAP = 10_000
 BATCH_RECORDS = 512  # dict records rendered and written at a time
+
+REPORT_SCHEMA = "collatz-strings-report"
+REPORT_VERSION = 1
+
+FINDING_KINDS = ("violation", "truncation", "mismatch", "measurement")
+# Kinds that make a run fail (nonzero exit status).
+FAILING_KINDS = frozenset({"violation", "truncation", "mismatch"})
+
+# One encoder for every record: json.dumps builds a new one per call.  Records
+# are trees of fresh dicts and lists, so the encoder skips the cycle check.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def finding(kind: str, location: str, details: str, data: dict | None = None) -> dict:
+    """A finding record; kind must be one of FINDING_KINDS."""
+    if kind not in FINDING_KINDS:
+        raise ValueError(f"unknown finding kind {kind!r}")
+    record = {"record": "finding", "kind": kind, "location": location, "details": details}
+    if data is not None:
+        record["data"] = data
+    return record
+
+
+def header_record(command: str, config: dict) -> dict:
+    return {"record": "header", "schema": REPORT_SCHEMA, "version": REPORT_VERSION,
+            "command": command, "config": config}
+
+
+def summary_record(command: str, summary: dict) -> dict:
+    return {"record": "summary", "command": command, **summary}
+
+
+def render_jsonl(records: list[dict]) -> str:
+    return "".join([_ENCODER.encode(r) + "\n" for r in records])
+
+
+def render_csv(records: list[dict], column_row: bool = True) -> str:
+    """Flatten records into a kind/location/details/payload table.
+
+    The column row comes first unless column_row is false, as it is for
+    every batch of a streamed report after the first.
+    """
+    import csv  # here, so that a JSON-lines run does not load it
+    import io
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if column_row:
+        writer.writerow(["record", "kind", "location", "details", "data"])
+    for r in records:
+        data = r.get("data") or {k: v for k, v in r.items()
+                                 if k not in ("record", "kind", "location", "details")}
+        writer.writerow([r.get("record", ""), r.get("kind", ""), r.get("location", ""),
+                         r.get("details", ""), _ENCODER.encode(data) if data else ""])
+    return out.getvalue()
+
+
+# The measurement record of an evolve part {A+Bt} numbered I, as one
+# fixed-shape line per format: the bytes render_jsonl and render_csv (with
+# no column row) give finding("measurement", "part[I]", "{A+Bt}",
+# {"intercept": A, "interval": B}), filled in by %-formatting.
+_PART_JSONL = ('{"data":{"intercept":%d,"interval":%d},"details":"{%d+%dt}",'
+               '"kind":"measurement","location":"part[%d]","record":"finding"}\n')
+_PART_CSV = 'finding,measurement,part[%d],{%d+%dt},"{""intercept"":%d,""interval"":%d}"\n'
+
+
+def render_parts(parts: Iterable[tuple[int, int]], start: int, fmt: str) -> str:
+    """The measurement lines of parts, pairs (intercept, interval), numbered
+    from start, in fmt ("jsonl" or "csv"), at about a fifth of the cost of
+    record dicts through the encoders."""
+    if fmt == "csv":
+        return "".join([_PART_CSV % (i, a, b, a, b) for i, (a, b) in enumerate(parts, start)])
+    return "".join([_PART_JSONL % (a, b, a, b, i) for i, (a, b) in enumerate(parts, start)])
 
 
 def export_graph(limit: int) -> str:

@@ -65,12 +65,17 @@ def require_tree_work(name: str, limit: int, nodes: float, growth: int) -> None:
     range of a float."""
     digits = math.log10(nodes) + (math.log10(limit) - 6) * math.log10(growth)
     if digits > math.log10(MAX_TREE_NODES):
-        exponent, fraction = divmod(digits, 1)
-        mantissa = round(10 ** fraction, 1)
-        if mantissa == 10:
-            exponent, mantissa = exponent + 1, 1
-        raise ValueError(f"{name} {limit} needs about {mantissa:.2g}e+{int(exponent):02d} "
+        raise ValueError(f"{name} {limit} needs about {_about(digits)} "
                          f"class-tree nodes, above the cap of {MAX_TREE_NODES:.0e}")
+
+
+def _about(digits: float) -> str:
+    """The count 10 ** digits as a cap's error writes it: 2.6e+38, 1e+08."""
+    exponent, fraction = divmod(digits, 1)
+    mantissa = round(10 ** fraction, 1)
+    if mantissa == 10:
+        exponent, mantissa = exponent + 1, 1
+    return f"{mantissa:.2g}e+{int(exponent):02d}"
 
 
 def file_target(path: str) -> str:

@@ -264,6 +264,21 @@ def test_case_audit_proves_every_published_rule_on_its_class(monkeypatch):
         assert steps == [] and report.mismatches == (), p
 
 
+@pytest.mark.parametrize("p, a, n_limit", [(-(2 * MAX_VALUE + 7), 2 ** 127 + 1, 0),
+                                           (11 - 6 * MAX_VALUE, MAX_VALUE - 1, 1)],
+                         ids=["past-the-width-unneeded", "at-MAX_VALUE"])
+def test_case_audit_proves_a_one_off_rule_at_the_edge_of_the_width(monkeypatch, p, a, n_limit):
+    # the first rule's next equivalent is MAX_VALUE + 1, which n_limit 0 never
+    # needs; the second's is MAX_VALUE itself, still in the width; no instance
+    # is stepped
+    steps = []
+    monkeypatch.setattr(audits_module, "family_step",
+                        lambda x, family: steps.append(x) or family_step(x, family))
+    rule = CaseRule(a, 0, family_step(a, Family(p)), 0)
+    report = audit_case_system(Family(p), (rule,), value_limit=a, n_limit=n_limit)
+    assert steps == [] and report.mismatches == () and report.checked == n_limit + 1
+
+
 def test_case_audit_falls_back_on_a_nonpositive_first_image():
     # p=-7 steps 2 + 2m to 1 + 3m, proved on its class; at position 1 of the
     # rule after it 3n+p is -4

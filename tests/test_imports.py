@@ -38,18 +38,18 @@ print(code, *sorted(m for m in sys.modules if m.startswith("collatz_strings.")))
 # A small run of each command and the package's modules it calls; the CI
 # "Start-up imports" step logs the import times of these runs
 RUNS = {
-    "passage": (["passage", "--lo", "2", "--hi", "1000"], "cli core reporting strings"),
-    "strings": (["strings", "--limit", "100"], "audits cli core family reporting strings"),
-    "scan": (["scan", "-p", "7", "--limit", "100"], "cli core family reporting walks"),
-    "cycles": (["cycles", "-p", "5", "--seed-limit", "100"], "cli core family reporting walks"),
-    "audit-3n3": (["audit-3n3", "--limit", "100"], "audits cli core family reporting"),
-    "family-audit": (["family-audit", "-p", "5"], "audits cli core family reporting"),
+    "passage": (["passage", "--lo", "2", "--hi", "1000"], "cli core strings"),
+    "strings": (["strings", "--limit", "100"], "audits cli core family strings"),
+    "scan": (["scan", "-p", "7", "--limit", "100"], "cli core family walks"),
+    "cycles": (["cycles", "-p", "5", "--seed-limit", "100"], "cli core family walks"),
+    "audit-3n3": (["audit-3n3", "--limit", "100"], "audits cli core family"),
+    "family-audit": (["family-audit", "-p", "5"], "audits cli core family"),
     "coverage": (["coverage", "--direction", "forward", "-m", "2"],
-                 "cli core family progressions reporting"),
+                 "cli core family progressions"),
     "evolve": (["evolve", "--direction", "forward", "-k", "0"],
-               "cli core family progressions reporting"),
-    "proportionality": (["proportionality"], "cli core recurrence reporting"),
-    "export-graph": (["export-graph", "--limit", "10"], "cli core reporting"),
+               "cli core family progressions"),
+    "proportionality": (["proportionality"], "cli core recurrence"),
+    "export-graph": (["export-graph", "--limit", "10"], "cli core"),
 }
 
 
@@ -64,17 +64,16 @@ def test_a_run_loads_only_the_modules_its_command_calls(argv, modules):
     assert loaded == [f"collatz_strings.{m}" for m in modules.split()]
 
 
-# Runs cli.main(ARGV) with its report, help or error discarded and prints the
-# exit code and every module the run loaded beyond those the bare
-# interpreter had.
+# Runs `python -m collatz_strings ARGV` with its report, help or error
+# discarded and prints the exit code and every module the run loaded beyond
+# those the bare interpreter had.
 _NEW_MODULES = """
-import sys
+import runpy, sys
 before = set(sys.modules)
 import contextlib, io
-from collatz_strings import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        code = cli.main(sys.argv[1:])
+        runpy.run_module("collatz_strings", run_name="__main__", alter_sys=True)
     except SystemExit as exc:
         code = exc.code
 print(code, *sorted(set(sys.modules) - before))
@@ -87,7 +86,7 @@ print(code, *sorted(set(sys.modules) - before))
                          ids=["scan", "evolve", "strings"])
 def test_a_json_lines_run_loads_no_csv(argv):
     code, *loaded = fresh(_NEW_MODULES, *argv).split()
-    assert code == "0" and "collatz_strings.reporting" in loaded
+    assert code == "0" and "collatz_strings.cli" in loaded
     assert "csv" not in loaded
     code, *loaded = fresh(_NEW_MODULES, *argv, "--format", "csv").split()
     assert code == "0" and "csv" in loaded
@@ -205,7 +204,7 @@ def test_cli_defines_no_handler_and_each_handler_is_in_its_commands_layer():
                                             ("recurrence", "core"),
                                             ("walks", "core family"),
                                             ("audits", "core family")])
-def test_a_layer_with_its_handlers_loads_no_reporting(layer, modules):
+def test_a_layer_with_its_handlers_loads_no_cli(layer, modules):
     # the handlers reach finding and render_parts through the cli they are given
     code = ("import sys\n__import__('collatz_strings.' + sys.argv[1])\n"
             "print(*sorted(m for m in sys.modules if m.startswith('collatz_strings.')))")

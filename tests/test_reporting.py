@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from oracles import first_gap_violation
 
-from collatz_strings.core import MAX_VALUE
-from collatz_strings.progressions import Progression
-from collatz_strings.recurrence import Signature
-from collatz_strings.reporting import (
+from collatz_strings.cli import (
     finding,
     header_record,
     render_csv,
     render_jsonl,
     render_parts,
 )
+from collatz_strings.core import MAX_VALUE
+from collatz_strings.progressions import Progression
+from collatz_strings.recurrence import Signature
 from collatz_strings.strings import load_checkpoint, save_checkpoint
 
 
